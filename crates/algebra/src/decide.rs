@@ -53,6 +53,27 @@ pub fn word_triviality(p: &Presentation, w: &[i32]) -> Triviality {
 /// [`word_triviality`] with an explicit Todd–Coxeter coset budget.
 #[must_use]
 pub fn word_triviality_with_budget(p: &Presentation, w: &[i32], coset_budget: usize) -> Triviality {
+    decide_tiers(p, w, coset_budget, || {
+        let simplified = p.simplified();
+        (
+            simplified.is_trivial_group(),
+            simplified.has_all_commutators(),
+        )
+    })
+}
+
+/// The tiers behind [`word_triviality_with_budget`] and
+/// [`PresentationSummary::word_triviality`](crate::PresentationSummary::word_triviality).
+///
+/// `facts` yields `(trivial, evidently_abelian)` for `p`'s Tietze-simplified
+/// form. It runs at most once, and only for words that survive free
+/// reduction, so callers that hold the flags already pay nothing.
+pub(crate) fn decide_tiers(
+    p: &Presentation,
+    w: &[i32],
+    coset_budget: usize,
+    facts: impl FnOnce() -> (bool, bool),
+) -> Triviality {
     // Tier 1: syntactic identity.
     let w = free_reduce(w);
     if w.is_empty() {
@@ -61,8 +82,8 @@ pub fn word_triviality_with_budget(p: &Presentation, w: &[i32], coset_budget: us
 
     // Tier 2: the whole group is trivial (isomorphism-invariant, so the
     // simplified copy certifies the original).
-    let simplified = p.simplified();
-    if simplified.is_trivial_group() {
+    let (trivial, evidently_abelian) = facts();
+    if trivial {
         return Triviality::Trivial;
     }
 
@@ -81,7 +102,7 @@ pub fn word_triviality_with_budget(p: &Presentation, w: &[i32], coset_budget: us
         return Triviality::Nontrivial;
     }
     // Exact when the group is certifiably abelian.
-    if p.is_evidently_abelian() {
+    if evidently_abelian {
         return Triviality::Trivial;
     }
 

@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 
 use chromata_topology::{Complex, Graph, Vertex};
 
+use crate::decide::{decide_tiers, Triviality, DEFAULT_COSET_BUDGET};
 use crate::presentation::Presentation;
 use crate::word::{free_reduce, Word};
 
@@ -154,22 +155,16 @@ impl PresentationSummary {
     pub fn of(k: &Complex) -> Self {
         let group = EdgePathGroup::new(k);
         let simplified = group.presentation().simplified();
-        let trivial = simplified.is_trivial_group();
-        let evidently_abelian = group.presentation().is_evidently_abelian();
-        PresentationSummary {
-            group,
-            simplified,
-            trivial,
-            evidently_abelian,
-        }
+        PresentationSummary::from_parts(group, simplified)
     }
 
-    /// Reassembles a summary from its persisted group and simplified
-    /// presentation, recomputing the two derived flags instead of trusting
-    /// them from disk (they are cheap given the presentations).
+    /// Reassembles a summary from its edge-path group and the group's
+    /// simplified presentation, deriving both flags from the latter (a
+    /// restored snapshot is trusted for the presentation itself, so
+    /// nothing is simplified again).
     pub(crate) fn from_parts(group: EdgePathGroup, simplified: Presentation) -> Self {
         let trivial = simplified.is_trivial_group();
-        let evidently_abelian = group.presentation().is_evidently_abelian();
+        let evidently_abelian = simplified.has_all_commutators();
         PresentationSummary {
             group,
             simplified,
@@ -206,6 +201,16 @@ impl PresentationSummary {
     pub fn is_evidently_abelian(&self) -> bool {
         self.evidently_abelian
     }
+
+    /// [`crate::word_triviality`] on the group's (unsimplified)
+    /// presentation, reusing this summary's simplification instead of
+    /// running Tietze moves again.
+    #[must_use]
+    pub fn word_triviality(&self, w: &[i32]) -> Triviality {
+        decide_tiers(self.group.presentation(), w, DEFAULT_COSET_BUDGET, || {
+            (self.trivial, self.evidently_abelian)
+        })
+    }
 }
 
 /// Decides (as far as the tiered word problem allows) whether a closed
@@ -233,7 +238,7 @@ impl PresentationSummary {
 /// assert_eq!(loop_contractible(&circle, &walk), Some(Triviality::Nontrivial));
 /// ```
 #[must_use]
-pub fn loop_contractible(k: &Complex, walk: &[Vertex]) -> Option<crate::decide::Triviality> {
+pub fn loop_contractible(k: &Complex, walk: &[Vertex]) -> Option<Triviality> {
     if walk.is_empty() || walk.first() != walk.last() {
         return None;
     }

@@ -83,7 +83,8 @@ impl ChainComplex {
     }
 
     /// Reassembles a chain complex from already-validated parts (the
-    /// serde layer checks the boundary-matrix shapes before calling).
+    /// serde layer checks the boundary-matrix shapes and that the edge
+    /// basis is strictly sorted before calling).
     pub(crate) fn from_parts(
         vertices: Vec<Vertex>,
         edges: Vec<Simplex>,
@@ -125,8 +126,6 @@ impl ChainComplex {
     /// complex.
     #[must_use]
     pub fn walk_to_chain(&self, walk: &[Vertex]) -> Option<Vec<i64>> {
-        let eindex: BTreeMap<&Simplex, usize> =
-            self.edges.iter().enumerate().map(|(i, e)| (e, i)).collect();
         let mut chain = vec![0i64; self.edges.len()];
         for pair in walk.windows(2) {
             let (a, b) = (&pair[0], &pair[1]);
@@ -134,7 +133,10 @@ impl ChainComplex {
                 continue; // stuttering step contributes nothing
             }
             let e = Simplex::from_iter([a.clone(), b.clone()]);
-            let j = *eindex.get(&e)?;
+            // The edge basis is strictly sorted (read off the complex's
+            // ordered simplex set; deserialization rejects anything else),
+            // so it is its own index.
+            let j = self.edges.binary_search(&e).ok()?;
             // Orientation: edge stored as [min, max] with ∂ = max - min;
             // traversing min→max counts +1, max→min counts −1.
             let sign = if a < b { 1 } else { -1 };
@@ -150,6 +152,8 @@ impl ChainComplex {
     }
 
     /// Whether a 1-cycle is a boundary (`z ∈ im ∂₂`), i.e. null-homologous.
+    /// Answered by the sparse lattice test of [`in_column_lattice`]; only
+    /// [`homology`]'s torsion needs a Smith normal form.
     #[must_use]
     pub fn is_boundary(&self, chain: &[i64]) -> bool {
         in_column_lattice(&self.boundary2, chain)

@@ -10,7 +10,8 @@
 //! * **contractibility of loops** in 2-dimensional output complexes — the
 //!   generally undecidable residue (§7), attacked here with a tier of sound
 //!   partial deciders: [`homology`] / [`ChainComplex`] (abelianized
-//!   obstructions via [`smith_normal_form`] and [`solve_integer`]),
+//!   obstructions: lattice membership by [`is_feasible`], torsion by
+//!   [`smith_normal_form`], explicit solutions by [`solve_integer`]),
 //!   [`EdgePathGroup`] presentations simplified by Tietze moves
 //!   ([`Presentation::simplified`]), and bounded [`coset_enumeration`].
 //!

@@ -1,11 +1,19 @@
-//! Integer linear systems via Smith normal form.
+//! Integer linear systems: feasibility by a sparse echelon basis, solving
+//! by Smith normal form.
 //!
 //! The H1-level contractibility obstruction of the solvability pipeline
 //! reduces to feasibility of `A·x = b` over the integers: "can the boundary
 //! of some 2-chain, plus integer combinations of cycle-basis shifts, equal
-//! the given loop?" (paper, §5 and §6.2).
+//! the given loop?" (paper, §5 and §6.2). That is a yes/no question about
+//! lattice membership, so [`is_feasible`] and [`in_column_lattice`] answer
+//! it without a Smith normal form: they reduce `A`'s columns to an echelon
+//! basis of sparse vectors (unimodular extended-gcd steps keep the lattice
+//! unchanged), then reduce `b` against it. [`solve_integer`], which must
+//! produce `x`, still goes through [`smith_normal_form`] and its `U`, `V`.
 //!
 //! chromata-lint: allow(P3): row/column indices are bounded by the matrix shape checked at entry; every site is advisory-flagged by P2 for per-site review
+
+use std::collections::BTreeMap;
 
 use crate::matrix::IntMatrix;
 use crate::smith::smith_normal_form;
@@ -56,9 +64,18 @@ pub fn solve_integer(a: &IntMatrix, b: &[i64]) -> Option<Vec<i64>> {
 }
 
 /// Whether `a · x = b` has an integer solution.
+///
+/// # Panics
+///
+/// Panics if `b.len() != a.rows()`, or on overflow.
 #[must_use]
 pub fn is_feasible(a: &IntMatrix, b: &[i64]) -> bool {
-    solve_integer(a, b).is_some()
+    assert_eq!(b.len(), a.rows(), "right-hand side length mismatch");
+    let mut basis = EchelonBasis::default();
+    for c in 0..a.cols() {
+        basis.insert(sparse((0..a.rows()).map(|r| (r, a.get(r, c)))));
+    }
+    basis.contains(sparse(b.iter().copied().enumerate()))
 }
 
 /// Whether the vector `b` lies in the integer column span (lattice) of `a`.
@@ -68,6 +85,127 @@ pub fn is_feasible(a: &IntMatrix, b: &[i64]) -> bool {
 #[must_use]
 pub fn in_column_lattice(a: &IntMatrix, b: &[i64]) -> bool {
     is_feasible(a, b)
+}
+
+/// A sparse integer vector: `(row, value)` pairs with strictly increasing
+/// rows and non-zero values.
+type SparseVec = Vec<(usize, i64)>;
+
+/// Keeps the non-zero entries of a dense `(row, value)` sequence.
+fn sparse(entries: impl Iterator<Item = (usize, i64)>) -> SparseVec {
+    entries.filter(|&(_, v)| v != 0).collect()
+}
+
+/// Unwraps a checked arithmetic result.
+fn checked(v: Option<i64>) -> i64 {
+    v.expect("integer overflow") // chromata-lint: allow(P1): checked arithmetic: coefficient overflow is a hard internal error; wrapping would corrupt homology verdicts
+}
+
+/// `-(n / d)` for an exact quotient.
+fn negated_quotient(n: i64, d: i64) -> i64 {
+    checked(checked(n.checked_div(d)).checked_neg())
+}
+
+/// `x·a + y·b` for sparse vectors.
+fn combine(x: i64, a: &[(usize, i64)], y: i64, b: &[(usize, i64)]) -> SparseVec {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() || j < b.len() {
+        let (row, v) = match (a.get(i), b.get(j)) {
+            (Some(&(ra, va)), Some(&(rb, _))) if ra < rb => {
+                i += 1;
+                (ra, checked(va.checked_mul(x)))
+            }
+            (Some(&(ra, va)), Some(&(rb, vb))) if ra == rb => {
+                i += 1;
+                j += 1;
+                let sum = checked(va.checked_mul(x)).checked_add(checked(vb.checked_mul(y)));
+                (ra, checked(sum))
+            }
+            (_, Some(&(rb, vb))) => {
+                j += 1;
+                (rb, checked(vb.checked_mul(y)))
+            }
+            (Some(&(ra, va)), None) => {
+                i += 1;
+                (ra, checked(va.checked_mul(x)))
+            }
+            (None, None) => break,
+        };
+        if v != 0 {
+            out.push((row, v));
+        }
+    }
+    out
+}
+
+/// `(g, s, t)` with `s·a + t·b = g` and `|g| = gcd(a, b)`.
+fn extended_gcd(a: i64, b: i64) -> (i64, i64, i64) {
+    let (mut r0, mut r1) = (a, b);
+    let (mut s0, mut s1) = (1i64, 0i64);
+    let (mut t0, mut t1) = (0i64, 1i64);
+    while r1 != 0 {
+        let q = checked(r0.checked_div(r1));
+        (r0, r1) = (r1, checked(r0.checked_sub(checked(q.checked_mul(r1)))));
+        (s0, s1) = (s1, checked(s0.checked_sub(checked(q.checked_mul(s1)))));
+        (t0, t1) = (t1, checked(t0.checked_sub(checked(q.checked_mul(t1)))));
+    }
+    (r0, s0, t0)
+}
+
+/// An echelon basis of an integer lattice: linearly independent sparse
+/// columns with pairwise distinct pivots, keyed by pivot (the row of the
+/// first non-zero entry).
+///
+/// A lattice vector's first non-zero row is then the least pivot among
+/// the basis columns it uses, and its entry there fixes that column's
+/// coefficient. Membership is therefore a greedy reduction.
+#[derive(Default)]
+struct EchelonBasis {
+    columns: BTreeMap<usize, SparseVec>,
+}
+
+impl EchelonBasis {
+    /// Adds a generator to the lattice.
+    fn insert(&mut self, mut col: SparseVec) {
+        while let Some(&(row, v)) = col.first() {
+            let Some(pivot) = self.columns.get_mut(&row) else {
+                self.columns.insert(row, col);
+                return;
+            };
+            let p = pivot[0].1;
+            if checked(v.checked_rem(p)) == 0 {
+                col = combine(1, &col, negated_quotient(v, p), pivot);
+            } else {
+                // Replace the pair by a unimodular combination: one column
+                // with pivot gcd(p, v), one with a zero entry at `row`.
+                let (g, s, t) = extended_gcd(p, v);
+                let merged = combine(s, pivot, t, &col);
+                col = combine(
+                    checked(v.checked_div(g)),
+                    pivot,
+                    negated_quotient(p, g),
+                    &col,
+                );
+                *pivot = merged;
+            }
+        }
+    }
+
+    /// Whether `b` lies in the lattice.
+    fn contains(&self, mut b: SparseVec) -> bool {
+        while let Some(&(row, v)) = b.first() {
+            let Some(pivot) = self.columns.get(&row) else {
+                return false;
+            };
+            let p = pivot[0].1;
+            if checked(v.checked_rem(p)) != 0 {
+                return false;
+            }
+            b = combine(1, &b, negated_quotient(v, p), pivot);
+        }
+        true
+    }
 }
 
 #[cfg(test)]

@@ -4,6 +4,11 @@
 //! of group presentations are tiny, so a straightforward dense
 //! representation with `i64` entries (and overflow checks on every
 //! arithmetic operation) is both simple and safe.
+//!
+//! Dense matrices carry the Smith normal form, which `homology` needs for
+//! torsion and `solve_integer` for its transforms. Yes/no feasibility
+//! (`is_feasible`, `in_column_lattice`) only reads the columns out of an
+//! `IntMatrix` and works on a sparse echelon basis instead (see `linear`).
 
 use std::fmt;
 

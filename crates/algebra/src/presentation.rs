@@ -37,12 +37,10 @@ impl Presentation {
     /// relators (freely and cyclically reduced on construction).
     #[must_use]
     pub fn new(generators: usize, relators: Vec<Word>) -> Self {
-        let mut p = Presentation {
+        Presentation {
             generators,
-            relators,
-        };
-        p.cleanup();
-        p
+            relators: normalized(relators),
+        }
     }
 
     /// Number of generators.
@@ -84,76 +82,91 @@ impl Presentation {
         m
     }
 
-    /// Normalizes relators: free+cyclic reduction, drop empties, dedup
-    /// (up to inversion).
-    fn cleanup(&mut self) {
-        let mut rs: Vec<Word> = self
-            .relators
-            .iter()
-            .map(|r| cyclic_reduce(&free_reduce(r)))
-            .filter(|r| !r.is_empty())
-            .collect();
-        // Canonical representative: min over rotations of the word and its
-        // inverse, so duplicates in disguise collapse.
-        for r in &mut rs {
-            *r = canonical_cyclic(r);
-        }
-        rs.sort();
-        rs.dedup();
-        self.relators = rs;
-    }
-
     /// Applies Tietze simplification until a fixed point (or a size guard):
     /// eliminates generators that occur exactly once in a single relator,
     /// substitutes length-1 and length-2 relators, and re-normalizes.
     /// The result presents an isomorphic group.
+    ///
+    /// Each elimination costs time linear in the total relator length:
+    /// only the relators that mention the eliminated generator are
+    /// rewritten and re-canonicalized. Renumbering the others is
+    /// order-preserving and commutes with inversion, so they stay
+    /// canonical and sorted, and a merge restores the normal form.
     #[must_use]
     pub fn simplified(&self) -> Presentation {
         const MAX_TOTAL_LENGTH: usize = 100_000;
+        // `new` and deserialization both normalize, so `self` is clean.
         let mut p = self.clone();
+        let mut counts = vec![0u32; p.generators + 1];
         loop {
-            p.cleanup();
-            let Some((gen, rep, ridx)) = p.find_elimination() else {
+            let Some((gen, rep, ridx)) = p.find_elimination(&mut counts) else {
                 return p;
             };
-            // Substitute gen := rep in all other relators, drop relator
-            // ridx and renumber generators.
-            let mut new_relators = Vec::new();
+            // Substitute gen := rep in every other relator that mentions
+            // it; the untouched ones keep their length.
+            let mentions = |r: &Word| r.iter().any(|&x| x.abs() == gen);
+            let mut total = 0usize;
+            let mut touched = Vec::new();
             for (i, r) in p.relators.iter().enumerate() {
                 if i == ridx {
                     continue;
                 }
-                let s = substitute(r, gen, &rep);
-                new_relators.push(delete_generator(&s, gen));
+                if mentions(r) {
+                    let s = substitute(r, gen, &rep);
+                    total += s.len();
+                    touched.push(s);
+                } else {
+                    total += r.len();
+                }
             }
-            let total: usize = new_relators.iter().map(Vec::len).sum();
             if total > MAX_TOTAL_LENGTH {
                 return p; // size guard: give up on further elimination
             }
-            p = Presentation::new(p.generators - 1, new_relators);
+            let mut kept = Vec::with_capacity(p.relators.len());
+            for (i, mut r) in std::mem::take(&mut p.relators).into_iter().enumerate() {
+                if i != ridx && !mentions(&r) {
+                    renumber_after_deletion(&mut r, gen);
+                    kept.push(r);
+                }
+            }
+            let fresh = normalized(touched.iter().map(|s| delete_generator(s, gen)));
+            p.generators -= 1;
+            p.relators = merge_dedup(kept, fresh);
         }
     }
 
     /// Finds a generator eliminable by a Tietze move: a relator in which
     /// some generator occurs exactly once (so the relator can be solved for
-    /// it). Returns `(generator, replacement word, relator index)`.
-    fn find_elimination(&self) -> Option<(i32, Word, usize)> {
+    /// it). Returns `(generator, replacement word, relator index)` for the
+    /// first such relator and, within it, the smallest such generator.
+    ///
+    /// `counts` is zeroed scratch space indexed by generator; it is zeroed
+    /// again on return.
+    fn find_elimination(&self, counts: &mut [u32]) -> Option<(i32, Word, usize)> {
         for (ridx, r) in self.relators.iter().enumerate() {
-            for g in 1..=self.generators as i32 {
-                let occurrences = r.iter().filter(|&&x| x.abs() == g).count();
-                if occurrences != 1 {
-                    continue;
-                }
-                // Rotate r so the unique occurrence of ±g is first:
-                // r = g^ε · w  ⇒  g^ε = w⁻¹  ⇒  g = w⁻¹ (ε=1) or w (ε=-1).
-                let pos = r.iter().position(|&x| x.abs() == g).expect("present"); // chromata-lint: allow(P1): occurrences == 1 was just checked, so the position exists
-                let mut rot = r[pos..].to_vec();
-                rot.extend_from_slice(&r[..pos]);
-                let eps = rot[0].signum();
-                let w = &rot[1..];
-                let rep = if eps > 0 { invert(w) } else { free_reduce(w) };
-                return Some((g, rep, ridx));
+            for &x in r {
+                counts[x.unsigned_abs() as usize] += 1;
             }
+            let unique = r
+                .iter()
+                .map(|&x| x.abs())
+                .filter(|&g| counts[g as usize] == 1)
+                .min();
+            for &x in r {
+                counts[x.unsigned_abs() as usize] = 0;
+            }
+            let Some(g) = unique else {
+                continue;
+            };
+            // Rotate r so the unique occurrence of ±g is first:
+            // r = g^ε · w  ⇒  g^ε = w⁻¹  ⇒  g = w⁻¹ (ε=1) or w (ε=-1).
+            let pos = r.iter().position(|&x| x.abs() == g).expect("present"); // chromata-lint: allow(P1): g was drawn from the letters of r, so the position exists
+            let mut rot = r[pos..].to_vec();
+            rot.extend_from_slice(&r[..pos]);
+            let eps = rot[0].signum();
+            let w = &rot[1..];
+            let rep = if eps > 0 { invert(w) } else { free_reduce(w) };
+            return Some((g, rep, ridx));
         }
         None
     }
@@ -164,37 +177,87 @@ impl Presentation {
     /// but not necessary ("evidently abelian").
     #[must_use]
     pub fn is_evidently_abelian(&self) -> bool {
-        let p = self.simplified();
-        if p.generators <= 1 {
+        self.simplified().has_all_commutators()
+    }
+
+    /// The test behind [`Presentation::is_evidently_abelian`], applied to
+    /// this presentation as it stands (no simplification): at most one
+    /// generator, or every pairwise commutator among the relators. Call it
+    /// on an already-simplified presentation to avoid simplifying twice.
+    #[must_use]
+    pub fn has_all_commutators(&self) -> bool {
+        if self.generators <= 1 {
             return true;
         }
-        // All pairwise commutators present?
-        (1..=p.generators as i32).all(|a| {
-            (a + 1..=p.generators as i32).all(|b| {
+        // Relators are sorted, so membership is a binary search.
+        (1..=self.generators as i32).all(|a| {
+            (a + 1..=self.generators as i32).all(|b| {
                 let comm = canonical_cyclic(&[a, b, -a, -b]);
-                p.relators.contains(&comm)
+                self.relators.binary_search(&comm).is_ok()
             })
         })
     }
 }
 
-/// Canonical representative of a cyclic word up to rotation and inversion.
+/// Normalizes relators: free+cyclic reduction, drop empties, dedup up to
+/// rotation and inversion (canonical representatives, sorted, so duplicates
+/// in disguise collapse).
+fn normalized<W: AsRef<[i32]>>(words: impl IntoIterator<Item = W>) -> Vec<Word> {
+    let mut rs: Vec<Word> = words
+        .into_iter()
+        .map(|w| canonical_cyclic(w.as_ref()))
+        .filter(|r| !r.is_empty())
+        .collect();
+    rs.sort();
+    rs.dedup();
+    rs
+}
+
+/// [`delete_generator`] in place, for a word that does not mention `g`.
+fn renumber_after_deletion(w: &mut [i32], g: i32) {
+    for x in w {
+        if x.abs() > g {
+            *x -= x.signum();
+        }
+    }
+}
+
+/// Merges two sorted, duplicate-free lists into one.
+fn merge_dedup(a: Vec<Word>, b: Vec<Word>) -> Vec<Word> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let mut b = b.into_iter().peekable();
+    for x in a {
+        while let Some(y) = b.next_if(|y| *y < x) {
+            out.push(y);
+        }
+        b.next_if(|y| *y == x);
+        out.push(x);
+    }
+    out.extend(b);
+    out
+}
+
+/// Canonical representative of a cyclic word up to rotation and inversion:
+/// the least rotation of the cyclically reduced word or of its inverse.
+/// Rotations are compared in place; only the winner is copied out.
 fn canonical_cyclic(w: &[i32]) -> Word {
     let w = cyclic_reduce(w);
     if w.is_empty() {
         return w;
     }
-    let mut best: Option<Word> = None;
-    for cand in [w.clone(), invert(&w)] {
+    let inv = invert(&w);
+    fn rotation(v: &[i32], k: usize) -> impl Iterator<Item = &i32> {
+        v[k..].iter().chain(&v[..k])
+    }
+    let mut best: (&[i32], usize) = (&w, 0);
+    for cand in [&w[..], &inv[..]] {
         for k in 0..cand.len() {
-            let mut rot = cand[k..].to_vec();
-            rot.extend_from_slice(&cand[..k]);
-            if best.as_ref().is_none_or(|b| rot < *b) {
-                best = Some(rot);
+            if rotation(cand, k).lt(rotation(best.0, best.1)) {
+                best = (cand, k);
             }
         }
     }
-    best.expect("non-empty word has a canonical form") // chromata-lint: allow(P1): the rotation loop above seeds `best` for every non-empty word
+    rotation(best.0, best.1).copied().collect()
 }
 
 #[cfg(test)]

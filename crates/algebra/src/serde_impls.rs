@@ -156,6 +156,10 @@ impl<'de> Deserialize<'de> for ChainComplex {
         if boundary2.rows() != edges.len() || boundary2.cols() != triangles.len() {
             return Err(D::Error::custom("boundary2 shape mismatch"));
         }
+        // `walk_to_chain` binary-searches the edge basis.
+        if !edges.is_sorted_by(|a, b| a < b) {
+            return Err(D::Error::custom("edge basis is not strictly sorted"));
+        }
         Ok(ChainComplex::from_parts(
             vertices, edges, triangles, boundary1, boundary2,
         ))
@@ -210,8 +214,8 @@ impl<'de> Deserialize<'de> for EdgePathGroup {
 impl Serialize for PresentationSummary {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         let err = |e: String| <S::Error as ser::Error>::custom(e);
-        // The `trivial` / `evidently_abelian` flags are derived and cheap;
-        // they are recomputed on load rather than trusted from disk.
+        // The `trivial` / `evidently_abelian` flags are not stored: on load
+        // they are re-derived from the simplified presentation.
         s.serialize_content(serde::map_content(vec![
             ("group", to_content(self.group()).map_err(err)?),
             ("simplified", to_content(self.simplified()).map_err(err)?),
@@ -298,6 +302,17 @@ mod tests {
         // Grow boundary1's claimed width without growing the edge list.
         let broken = json.replacen(r#""edges":["#, r#""edges":[["x"],"#, 1);
         assert!(serde_json::from_str::<ChainComplex>(&broken).is_err());
+    }
+
+    #[test]
+    fn chain_complex_rejects_unsorted_edges() {
+        let cc = ChainComplex::new(&hollow_triangle());
+        let mut doc: serde_json::Value = serde_json::from_str(&bytes(&cc)).expect("parse");
+        let serde_json::Value::Array(edges) = &mut doc["edges"] else {
+            panic!("edge list expected");
+        };
+        edges.swap(0, 1);
+        assert!(serde_json::from_value::<ChainComplex>(doc).is_err());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The Smith normal form `D = U · A · V` (with `U`, `V` unimodular) is the
 //! workhorse behind homology computation (torsion coefficients) and integer
-//! linear-system feasibility, both of which feed the contractibility checks
-//! of the solvability pipeline (paper, §5).
+//! linear-system solving, both of which feed the contractibility checks of
+//! the solvability pipeline (paper, §5). Feasibility alone needs neither
+//! `U` nor `V`; `linear` answers it with a sparse echelon basis instead.
 
 use crate::matrix::IntMatrix;
 

@@ -92,8 +92,8 @@ pub fn coset_enumeration(p: &Presentation, max_cosets: usize) -> Enumeration {
             rows: vec![vec![]],
         });
     }
-    let mut e = Enumerator::new(g, p.relators().to_vec(), max_cosets);
-    match e.run() {
+    let mut e = Enumerator::new(g, max_cosets);
+    match e.run(p.relators()) {
         Ok(()) => Enumeration::Finite(e.into_table()),
         Err(Overflow) => Enumeration::OutOfBounds,
     }
@@ -103,22 +103,24 @@ struct Overflow;
 
 struct Enumerator {
     generators: usize,
-    relators: Vec<Word>,
     /// table[c][l]: Option<coset>; entries may reference dead cosets and
     /// must be read through `rep`.
     table: Vec<Vec<Option<usize>>>,
     parent: Vec<usize>,
+    /// Number of live cosets (those with `parent[c] == c`), kept current by
+    /// `define` and `process_coincidences`.
+    live: usize,
     max_cosets: usize,
     pending: Vec<(usize, usize)>,
 }
 
 impl Enumerator {
-    fn new(generators: usize, relators: Vec<Word>, max_cosets: usize) -> Self {
+    fn new(generators: usize, max_cosets: usize) -> Self {
         Enumerator {
             generators,
-            relators,
             table: vec![vec![None; 2 * generators]],
             parent: vec![0],
+            live: 1,
             max_cosets,
             pending: Vec::new(),
         }
@@ -172,6 +174,7 @@ impl Enumerator {
         let n = self.table.len();
         self.table.push(vec![None; 2 * self.generators]);
         self.parent.push(n);
+        self.live += 1;
         self.set(c, l, n);
         Ok(n)
     }
@@ -185,6 +188,7 @@ impl Enumerator {
             }
             let (keep, drop) = if a < b { (a, b) } else { (b, a) };
             self.parent[drop] = keep;
+            self.live -= 1;
             for l in 0..2 * self.generators {
                 if let Some(t) = self.table[drop][l] {
                     match self.get(keep, l) {
@@ -258,7 +262,7 @@ impl Enumerator {
         }
     }
 
-    fn run(&mut self) -> Result<(), Overflow> {
+    fn run(&mut self, relators: &[Word]) -> Result<(), Overflow> {
         // Repeat passes until stable: scan every live coset against every
         // relator and fill every undefined entry. Coincidence processing
         // can invalidate earlier scans, hence the outer fixpoint loop.
@@ -270,10 +274,18 @@ impl Enumerator {
                     c += 1;
                     continue;
                 }
-                for r in self.relators.clone() {
-                    let before = self.live_count();
-                    self.scan_and_fill(c, &r)?;
-                    if self.live_count() != before {
+                for r in relators {
+                    let before = self.live;
+                    self.scan_and_fill(c, r)?;
+                    debug_assert_eq!(
+                        self.live,
+                        self.parent
+                            .iter()
+                            .enumerate()
+                            .filter(|&(c, &p)| p == c)
+                            .count()
+                    );
+                    if self.live != before {
                         changed = true;
                     }
                     if self.rep(c) != c {
@@ -300,12 +312,6 @@ impl Enumerator {
                 return Ok(());
             }
         }
-    }
-
-    fn live_count(&mut self) -> usize {
-        (0..self.table.len())
-            .filter(|&c| self.parent[c] == c)
-            .count()
     }
 
     fn is_complete(&mut self) -> bool {

@@ -272,7 +272,6 @@ fn check_triangles(
     let mut abelian_ok = true;
     for (ti, sigma) in triangles.iter().enumerate() {
         let summary = presentations.per_triangle[ti].summary_for(&g[&sigma.vertices()[0]]);
-        let group = summary.group();
         if summary.is_trivial() {
             certs.push(format!(
                 "triangle {sigma}: image component simply connected"
@@ -283,10 +282,9 @@ fn check_triangles(
         if !summary.is_evidently_abelian() {
             abelian_ok = false;
         }
-        let base_trivial =
-            base_loop_word(sigma, edges, edge_graphs, g, group).is_some_and(|word| {
-                chromata_algebra::word_triviality(group.presentation(), &word)
-                    == chromata_algebra::Triviality::Trivial
+        let base_trivial = base_loop_word(sigma, edges, edge_graphs, g, summary.group())
+            .is_some_and(|word| {
+                summary.word_triviality(&word) == chromata_algebra::Triviality::Trivial
             });
         if base_trivial {
             base_certs.push(format!(

@@ -1,5 +1,5 @@
 //! End-to-end persistence: durable stage caches must never change an
-//! answer. The three acceptance properties pinned here:
+//! answer. The four acceptance properties pinned here:
 //!
 //! 1. **Digest parity** — verdicts and evidence-chain digests are
 //!    byte-identical across a cold run, a warm-in-memory rerun, and a
@@ -9,6 +9,9 @@
 //!    never a wrong verdict or a panic.
 //! 3. **Lifecycle** — configuration resolution, the once-per-directory
 //!    warm-start guard, audit and clear behave as documented.
+//! 4. **Derived flags** — a restored presentation summary re-derives its
+//!    triviality and evident-abelianness flags to the values a fresh
+//!    build computes, for every task of the library.
 //!
 //! Every test funnels through [`store_guard`]: the stage caches are
 //! process-wide, so tests that clear or repopulate them must not
@@ -20,8 +23,8 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 
 use chromata::{
     analyze, analyze_persistent, audit_cache_dir, clear_cache_dir, clear_stage_caches,
-    load_cache_dir, persist_now, warm_start, Analysis, CacheDirConfig, PipelineOptions,
-    SnapshotAudit, SnapshotStatus, CACHE_DIR_ENV,
+    load_cache_dir, persist_now, warm_start, Analysis, CacheDirConfig, LinkGraphs, PipelineOptions,
+    Presentations, SnapshotAudit, SnapshotStatus, CACHE_DIR_ENV,
 };
 use chromata_task::library::{hourglass, identity_task, two_set_agreement};
 use chromata_task::Task;
@@ -193,6 +196,99 @@ fn torn_tail_skips_only_the_final_record() {
 
     let recovered = fingerprint(&analyze(&two_set_agreement(), options));
     assert_eq!(cold, recovered);
+
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Every registry task (`chromata list`), built from the library.
+fn library() -> Vec<Task> {
+    use chromata_task::library as lib;
+    vec![
+        lib::identity_task(3),
+        lib::constant_task(3),
+        lib::consensus(3),
+        lib::two_process_consensus(),
+        lib::majority_consensus(),
+        hourglass(),
+        lib::pinwheel(),
+        two_set_agreement(),
+        lib::adaptive_renaming(),
+        lib::renaming(5),
+        lib::leader_election(),
+        lib::approximate_agreement(3),
+        lib::loop_agreement("loop-disk", lib::disk_complex()),
+        lib::loop_agreement("loop-sphere", lib::sphere_complex()),
+        lib::loop_agreement("loop-torus", lib::torus_complex()),
+        lib::loop_agreement("loop-rp2", lib::projective_plane_complex()),
+        lib::loop_agreement("loop-klein-torsion", lib::klein_bottle_single_loop()),
+        lib::loop_agreement("loop-klein-squared", lib::klein_bottle_doubled_loop()),
+        lib::simple_example_task(),
+    ]
+}
+
+#[test]
+fn restored_presentation_summaries_match_fresh_ones_across_the_library() {
+    let _guard = store_guard();
+    let dir = scratch_dir("summaries");
+    let config = CacheDirConfig::at(&dir);
+    let options = PipelineOptions::default();
+    let suite = library();
+
+    clear_stage_caches();
+    let cold: Vec<_> = suite
+        .iter()
+        .map(|t| fingerprint(&analyze(t, options)))
+        .collect();
+    persist_now(&config)
+        .expect("persistence is enabled")
+        .expect("snapshot write succeeds");
+    clear_stage_caches();
+    let loaded = load_cache_dir(&config).expect("persistence is enabled");
+    assert_eq!(loaded.recovery_events(), 0, "{loaded:?}");
+
+    // Restore derives a summary's flags from its persisted simplified
+    // presentation instead of simplifying again. Decode every persisted
+    // presentation artifact the way the load did and compare each summary
+    // with one built from scratch for the same branch task.
+    let body = fs::read_to_string(dir.join("presentations.snap")).expect("snapshot exists");
+    let mut summaries = 0;
+    for record in body.lines().filter(|l| l.starts_with("E ")) {
+        let payload = record.get(19..).expect("tag, checksum and separator");
+        let (branch, restored): (Task, Presentations) =
+            serde_json::from_str(payload).expect("record decodes");
+        let fresh = Presentations::build(&branch, &LinkGraphs::build(&branch));
+        assert_eq!(restored.per_triangle.len(), fresh.per_triangle.len());
+        for (r, f) in restored.per_triangle.iter().zip(&fresh.per_triangle) {
+            assert_eq!(r.components.len(), f.components.len());
+            let pairs = r
+                .components
+                .iter()
+                .map(|c| &c.summary)
+                .zip(f.components.iter().map(|c| &c.summary))
+                .chain([(&r.empty, &f.empty)]);
+            for (r, f) in pairs {
+                assert_eq!(r.is_trivial(), f.is_trivial(), "{}", branch.name());
+                assert_eq!(
+                    r.is_evidently_abelian(),
+                    f.is_evidently_abelian(),
+                    "{}",
+                    branch.name()
+                );
+                summaries += 1;
+            }
+        }
+    }
+    assert!(
+        summaries > suite.len(),
+        "only {summaries} summaries restored"
+    );
+
+    // And the restored store answers exactly as the cold one did.
+    let warm: Vec<_> = suite
+        .iter()
+        .map(|t| fingerprint(&analyze(t, options)))
+        .collect();
+    assert_eq!(cold, warm, "disk-restored replay changed an answer");
 
     let _ = fs::remove_dir_all(&dir);
 }
