@@ -11,9 +11,11 @@
 //!    `Nontrivial` certificate, and exact when the group is evidently
 //!    abelian (annulus ℤ, torus ℤ², projective plane ℤ/2);
 //! 5. bounded Todd–Coxeter: exact whenever the group is small enough to
-//!    enumerate.
+//!    enumerate. Skipped when tier 4's relator lattice has rank below the
+//!    generator count: then `G^ab` has a ℤ summand, `G` is infinite, and
+//!    the enumeration could never close.
 
-use crate::linear::is_feasible;
+use crate::linear::EchelonBasis;
 use crate::presentation::Presentation;
 use crate::todd_coxeter::{coset_enumeration, Enumeration};
 use crate::word::{exponent_vector, free_reduce};
@@ -96,9 +98,8 @@ pub(crate) fn decide_tiers(
     // Tier 4: abelianization. If the exponent vector is outside the
     // relator lattice, the word is non-trivial in G^ab, hence in G.
     let e = exponent_vector(&w, p.generator_count());
-    let lattice = p.relator_matrix().transpose(); // columns = relators
-    let in_lattice = is_feasible(&lattice, &e);
-    if !in_lattice {
+    let lattice = EchelonBasis::of_columns(&p.relator_matrix().transpose()); // columns = relators
+    if !lattice.contains(&e) {
         return Triviality::Nontrivial;
     }
     // Exact when the group is certifiably abelian.
@@ -107,6 +108,12 @@ pub(crate) fn decide_tiers(
     }
 
     // Tier 5: bounded coset enumeration (exact for small finite groups).
+    // It closes only when G is finite. A relator lattice of rank below the
+    // generator count leaves a ℤ summand in G^ab, so G is infinite and no
+    // budget would close it.
+    if lattice.rank() < p.generator_count() {
+        return Triviality::Unknown;
+    }
     if let Enumeration::Finite(t) = coset_enumeration(p, coset_budget) {
         return if t.is_identity(&w) {
             Triviality::Trivial

@@ -71,11 +71,7 @@ pub fn solve_integer(a: &IntMatrix, b: &[i64]) -> Option<Vec<i64>> {
 #[must_use]
 pub fn is_feasible(a: &IntMatrix, b: &[i64]) -> bool {
     assert_eq!(b.len(), a.rows(), "right-hand side length mismatch");
-    let mut basis = EchelonBasis::default();
-    for c in 0..a.cols() {
-        basis.insert(sparse((0..a.rows()).map(|r| (r, a.get(r, c)))));
-    }
-    basis.contains(sparse(b.iter().copied().enumerate()))
+    EchelonBasis::of_columns(a).contains(b)
 }
 
 /// Whether the vector `b` lies in the integer column span (lattice) of `a`.
@@ -161,11 +157,26 @@ fn extended_gcd(a: i64, b: i64) -> (i64, i64, i64) {
 /// the basis columns it uses, and its entry there fixes that column's
 /// coefficient. Membership is therefore a greedy reduction.
 #[derive(Default)]
-struct EchelonBasis {
+pub(crate) struct EchelonBasis {
     columns: BTreeMap<usize, SparseVec>,
 }
 
 impl EchelonBasis {
+    /// The echelon basis of the lattice spanned by `a`'s columns.
+    pub(crate) fn of_columns(a: &IntMatrix) -> Self {
+        let mut basis = EchelonBasis::default();
+        for c in 0..a.cols() {
+            basis.insert(sparse((0..a.rows()).map(|r| (r, a.get(r, c)))));
+        }
+        basis
+    }
+
+    /// The rank of the lattice: its basis columns are linearly
+    /// independent, having distinct pivots.
+    pub(crate) fn rank(&self) -> usize {
+        self.columns.len()
+    }
+
     /// Adds a generator to the lattice.
     fn insert(&mut self, mut col: SparseVec) {
         while let Some(&(row, v)) = col.first() {
@@ -192,8 +203,9 @@ impl EchelonBasis {
         }
     }
 
-    /// Whether `b` lies in the lattice.
-    fn contains(&self, mut b: SparseVec) -> bool {
+    /// Whether the dense vector `b` lies in the lattice.
+    pub(crate) fn contains(&self, b: &[i64]) -> bool {
+        let mut b = sparse(b.iter().copied().enumerate());
         while let Some(&(row, v)) = b.first() {
             let Some(pivot) = self.columns.get(&row) else {
                 return false;

@@ -6,6 +6,9 @@
 //! the contractibility tier of the solvability pipeline (paper, §5; the
 //! general problem is undecidable, §7). The enumeration is bounded: if the
 //! coset table exceeds the budget, the caller falls back to weaker tiers.
+//! A closed table proves the group finite, so the word-problem tiers do
+//! not call this at all when the relator lattice has rank below the
+//! generator count: `G^ab` then has a ℤ summand, and no budget would do.
 //!
 //! chromata-lint: allow(P3): coset-table indices are bounded by the table length, which the enumeration loop grows before any row is addressed; every site is advisory-flagged by P2 for per-site review
 

@@ -6,9 +6,10 @@
 use proptest::prelude::*;
 
 use chromata_algebra::{
-    concat, cyclic_reduce, delete_generator, exponent_vector, free_reduce, in_column_lattice,
-    invert, is_feasible, smith_normal_form, solve_integer, substitute, word_triviality,
-    EdgePathGroup, IntMatrix, Presentation, PresentationSummary, Word,
+    concat, coset_enumeration, cyclic_reduce, delete_generator, exponent_vector, free_reduce,
+    in_column_lattice, invert, is_feasible, smith_normal_form, solve_integer, substitute,
+    word_triviality, word_triviality_with_budget, EdgePathGroup, Enumeration, IntMatrix,
+    Presentation, PresentationSummary, Triviality, Word,
 };
 use chromata_task::library as lib;
 use chromata_task::{canonicalize, Task};
@@ -178,6 +179,62 @@ mod reference {
         }
         best.unwrap()
     }
+}
+
+/// A presentation on 2–4 generators whose relator lattice has rank below
+/// the generator count: the last generator's exponent sum is cancelled in
+/// every relator, so its row of the relator matrix is zero and `G^ab` has
+/// a ℤ summand.
+fn infinite_abelianization() -> impl Strategy<Value = Presentation> {
+    (2i32..5).prop_flat_map(|n| {
+        let letter = prop_oneof![1i32..n + 1, (-n..0)];
+        proptest::collection::vec(proptest::collection::vec(letter, 1..9), 1..6).prop_map(
+            move |relators| {
+                let relators = relators
+                    .into_iter()
+                    .map(|mut r| {
+                        let sum: i32 = r.iter().filter(|x| x.abs() == n).map(|x| x.signum()).sum();
+                        r.extend(
+                            std::iter::repeat(-sum.signum() * n).take(sum.unsigned_abs() as usize),
+                        );
+                        r
+                    })
+                    .collect();
+                Presentation::new(n as usize, relators)
+            },
+        )
+    })
+}
+
+/// The word-problem tiers as they were before tier 5 was skipped on
+/// groups with an infinite abelianization: the oracle the skip must match.
+fn reference_tiers(p: &Presentation, w: &[i32], coset_budget: usize) -> Triviality {
+    let w = free_reduce(w);
+    if w.is_empty() {
+        return Triviality::Trivial;
+    }
+    let simplified = p.simplified();
+    if simplified.is_trivial_group() {
+        return Triviality::Trivial;
+    }
+    if p.is_free() {
+        return Triviality::Nontrivial;
+    }
+    let e = exponent_vector(&w, p.generator_count());
+    if !is_feasible(&p.relator_matrix().transpose(), &e) {
+        return Triviality::Nontrivial;
+    }
+    if simplified.has_all_commutators() {
+        return Triviality::Trivial;
+    }
+    if let Enumeration::Finite(t) = coset_enumeration(p, coset_budget) {
+        return if t.is_identity(&w) {
+            Triviality::Trivial
+        } else {
+            Triviality::Nontrivial
+        };
+    }
+    Triviality::Unknown
 }
 
 /// Whether `p` simplifies exactly as the reference algorithm does, flags
@@ -382,6 +439,31 @@ proptest! {
                 .collect()
         };
         prop_assert_eq!(summary.word_triviality(&w), word_triviality(p, &w));
+    }
+
+    #[test]
+    fn tier_5_skip_matches_the_enumerating_tiers(
+        p in infinite_abelianization(),
+        raw in proptest::collection::vec((1i32..64, 0u8..2), 0..10),
+        commutator in 0u8..2,
+    ) {
+        let n = p.generator_count();
+        prop_assert!(smith_normal_form(&p.relator_matrix()).rank() < n);
+        prop_assert!(matches!(coset_enumeration(&p, 256), Enumeration::OutOfBounds));
+        let mut w: Vec<i32> = raw
+            .iter()
+            .map(|&(g, neg)| (g % n as i32 + 1) * if neg == 1 { -1 } else { 1 })
+            .collect();
+        if commutator == 1 {
+            // A commutator has exponent vector 0, so it passes tier 4 and
+            // reaches tier 5 unless the group is trivial or abelian.
+            let half = w.split_off(w.len() / 2);
+            w = concat(&concat(&w, &half), &concat(&invert(&w), &invert(&half)));
+        }
+        prop_assert_eq!(
+            word_triviality_with_budget(&p, &w, 256),
+            reference_tiers(&p, &w, 256)
+        );
     }
 
     #[test]

@@ -437,6 +437,7 @@ mod tests {
         // run must be served from the cache. Other tests run concurrently
         // and also touch the process-wide counters, so assert monotone
         // deltas rather than absolute values.
+        let _store = cache::store_test_guard();
         let task = two_set_agreement();
         let options = PipelineOptions::default();
         let first = analyze(&task, options);
@@ -455,6 +456,7 @@ mod tests {
     fn clearing_the_decision_cache_is_transparent() {
         // Clearing mid-flight must not change any verdict, only force the
         // tiers to re-run; verdicts repopulate on the next analysis.
+        let _store = cache::store_test_guard();
         let before = verdict(&hourglass());
         clear_decision_cache();
         let after = verdict(&hourglass());
@@ -467,6 +469,7 @@ mod tests {
         // lock (mid-decision bookkeeping) poisons the mutex. Every later
         // analysis must transparently recover — re-validating the cache —
         // and identical calls must still decide correctly.
+        let _store = cache::store_test_guard();
         let before = verdict(&hourglass());
         let _ = std::thread::spawn(|| {
             let _guard = cache::store().verdict.lock();
@@ -583,6 +586,7 @@ mod tests {
         // A verdict-cache hit replays the deterministic traces, so the
         // digest matches the cold run exactly. (The unique task name
         // keeps this probe independent of concurrently cached verdicts.)
+        let _store = cache::store_test_guard();
         let task = loop_agreement("evidence-replay-probe", torus_complex());
         let first = analyze(&task, PipelineOptions::default());
         let second = analyze(&task, PipelineOptions::default());

@@ -18,9 +18,16 @@
 //!
 //! Lemma 4.2: splitting preserves solvability. Theorem 4.3: iterating
 //! until no LAP remains yields a link-connected task `T'`.
+//!
+//! A split step touches only `y`'s star: images without `y` are shared
+//! with the previous task, and in the other images and in `O` the star of
+//! `y` is replaced in place ([`split_once`] says why that is exact). Each
+//! step still validates its result as a [`Task`], the Lemma 4.1 check.
+
+use std::sync::Arc;
 
 use chromata_task::{is_canonical, Task};
-use chromata_topology::{CarrierMap, Complex, Simplex, Value, Vertex};
+use chromata_topology::{Simplex, Value, Vertex};
 
 use crate::lap::{first_lap_of_facet, Lap};
 
@@ -40,6 +47,15 @@ pub struct SplitOutcome {
 
 /// Splits one local articulation point, producing `T_y = (I, O_y, Δ_y)`.
 ///
+/// The step touches only `y`'s star. Images that do not contain `y` are
+/// shared with `task`, not rebuilt. In an image that does, and in `O`,
+/// the star of `y` is replaced in place by the substituted facets:
+/// `Δ_y(τ) = (Δ(τ) ∖ st(y)) ∪ new facets`. That is exact, because every
+/// removed facet `ρ ∋ y` with `|ρ| ≥ 2` gets at least one replacement,
+/// and each replacement still covers `ρ ∖ {y}`. Replacing the star of `y`
+/// in `O` by every new facet then yields `O_y = ⋃ Δ_y(σ)`, given the
+/// precondition `O = ⋃ Δ(σ)`.
+///
 /// # Errors
 ///
 /// Returns the input vertex whose image became empty when the split is
@@ -50,7 +66,9 @@ pub struct SplitOutcome {
 /// Panics if the task does not have exactly three processes (the
 /// deformation is specific to 2-dimensional output complexes, paper §7),
 /// if `lap` does not identify a current articulation point of the task, or
-/// (in debug builds) if the task is not canonical.
+/// (in debug builds) if the task is not canonical or its output complex is
+/// not exactly `⋃ Δ(σ)`. Every [`canonicalize`](chromata_task::canonicalize)
+/// output and every split result meets both preconditions.
 pub fn split_once(task: &Task, lap: &Lap) -> Result<Task, Vertex> {
     assert_eq!(
         task.process_count(),
@@ -58,24 +76,30 @@ pub fn split_once(task: &Task, lap: &Lap) -> Result<Task, Vertex> {
         "the splitting deformation is specific to three-process tasks"
     );
     debug_assert!(is_canonical(task), "splitting requires a canonical task");
+    debug_assert!(
+        *task.output() == task.delta().full_image(),
+        "splitting requires O = ⋃ Δ(σ) (paper, §4)"
+    );
     assert!(
         lap.component_count() >= 2,
         "vertex {} is not articulated",
         lap.vertex
     );
     let y = &lap.vertex;
+    let y_simplex = Simplex::vertex(y.clone());
     let copies: Vec<Vertex> = (0..lap.component_count())
         .map(|i| y.with_value(Value::split(y.value().clone(), i as u32)))
         .collect();
 
-    let mut delta = CarrierMap::new();
+    // Untouched images stay shared; touched ones are replaced below.
+    let mut delta = task.delta().clone();
+    let mut added: Vec<Simplex> = Vec::new();
     for (tau, img) in task.delta().iter() {
-        let mut facets: Vec<Simplex> = Vec::new();
-        for rho in img.facets() {
-            if !rho.contains(y) {
-                facets.push(rho.clone());
-                continue;
-            }
+        if !img.contains(&y_simplex) {
+            continue;
+        }
+        let mut replacements: Vec<Simplex> = Vec::new();
+        for rho in img.facets().filter(|rho| rho.contains(y)) {
             if tau.is_face_of(&lap.facet) {
                 // Single-copy rule: the copy is determined by the residual
                 // vertices' link component.
@@ -90,24 +114,26 @@ pub fn split_once(task: &Task, lap: &Lap) -> Result<Task, Vertex> {
                                     "residual vertex {z} of {rho} not in any link component of {y}"
                                 )
                             });
-                        facets.push(rho.substituted(y, copy.clone()));
+                        replacements.push(rho.substituted(y, copy.clone()));
                     }
                     None => {
                         // ρ = {y} at the vertex level: intersection rule.
                         for i in allowed_copies_for_solo(task, lap, tau) {
                             let copy = copies.get(i).expect("allowed copy index in range"); // chromata-lint: allow(P1): allowed_copies_for_solo draws indices from 0..component_count = copies.len()
-                            facets.push(Simplex::vertex(copy.clone()));
+                            replacements.push(Simplex::vertex(copy.clone()));
                         }
                     }
                 }
             } else {
                 // Fan-out rule for simplices not under σ.
                 for c in &copies {
-                    facets.push(rho.substituted(y, c.clone()));
+                    replacements.push(rho.substituted(y, c.clone()));
                 }
             }
         }
-        if facets.is_empty() {
+        let mut next = img.clone();
+        next.replace_star(y, &replacements);
+        if next.is_empty() {
             // Degenerate: a solo image vanished; the original task is
             // unsolvable (module docs).
             let x = tau
@@ -117,9 +143,11 @@ pub fn split_once(task: &Task, lap: &Lap) -> Result<Task, Vertex> {
                 .clone();
             return Err(x);
         }
-        delta.insert(tau.clone(), Complex::from_facets(facets));
+        added.extend(replacements);
+        delta.insert_shared(tau.clone(), Arc::new(next));
     }
-    let output = delta.full_image();
+    let mut output = task.output().clone();
+    output.replace_star(y, &added);
     Ok(
         Task::new(task.name().to_owned(), task.input().clone(), output, delta)
             .expect("splitting preserves task validity (Claim 1 / Lemma 4.1)"), // chromata-lint: allow(P1): guaranteed by Claim 1 / Lemma 4.1; a violation is a soundness bug worth aborting on

@@ -432,6 +432,18 @@ pub(crate) fn store() -> &'static ArtifactStore {
     })
 }
 
+/// Serializes the lib tests that clear or poison the process-wide store
+/// against the lib tests that expect a hit or a replay from it. Lib tests
+/// run concurrently in one process, so without it a clear can land
+/// between a probe's two analyses.
+#[cfg(test)]
+pub(crate) fn store_test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GUARD
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Per-stage cache counters (process-wide), one entry per
 /// [`ArtifactKind`] in declaration order.
 #[must_use]

@@ -1111,6 +1111,7 @@ mod tests {
         // A local assertion against the process-wide store: the second
         // identical run must be a hit (the first may be hit or miss
         // depending on concurrently running tests).
+        let _store = cache::store_test_guard();
         let canonical = chromata_task::canonicalize(&two_set_agreement());
         let stage = SplitStage {
             canonical: canonical.clone(),

@@ -166,3 +166,95 @@ proptest! {
         prop_assert_eq!(back, k);
     }
 }
+
+/// Strategy: a random complex of mixed dimension over a pool of 3 colors ×
+/// 3 values — triangles, edge-only facets and isolated vertices. Simplices
+/// need not be chromatic.
+fn mixed_simplices() -> impl Strategy<Value = Vec<Vec<(u8, i64)>>> {
+    proptest::collection::vec(proptest::collection::vec((0u8..3, 0i64..3), 1..4), 0..10)
+}
+
+fn simplices_of(raw: &[Vec<(u8, i64)>]) -> Vec<Simplex> {
+    raw.iter()
+        .map(|s| Simplex::new(s.iter().map(|&(c, x)| Vertex::of(c, x)).collect()))
+        .collect()
+}
+
+/// The definition the one-pass LAP scan replaced: build `lk(v)` for every
+/// vertex and test it for connectivity.
+fn per_vertex_disconnected_links(k: &Complex) -> Vec<Vertex> {
+    k.vertices()
+        .filter(|v| {
+            let lk = k.link(v);
+            !lk.is_empty() && !lk.is_connected()
+        })
+        .cloned()
+        .collect()
+}
+
+/// Both views of `k` as ordered lists, for comparing facet views exactly.
+fn views(k: &Complex) -> (Vec<Simplex>, Vec<Simplex>) {
+    (
+        k.simplices().cloned().collect(),
+        k.facets().cloned().collect(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn one_pass_lap_scan_matches_per_vertex_links(raw in mixed_simplices()) {
+        let k = Complex::from_facets(simplices_of(&raw));
+        let expected = per_vertex_disconnected_links(&k);
+        prop_assert_eq!(k.disconnected_link_vertices(), expected.clone());
+        prop_assert_eq!(k.is_link_connected(), expected.is_empty());
+    }
+
+    #[test]
+    fn replace_star_matches_a_rebuild(
+        raw in mixed_simplices(),
+        pick in 0usize..9,
+        replacements in mixed_simplices(),
+    ) {
+        let k = Complex::from_facets(simplices_of(&raw));
+        let Some(v) = k.vertices().nth(pick % k.vertex_count().max(1)).cloned() else {
+            return Ok(());
+        };
+        let replacements = simplices_of(&replacements);
+        let mut in_place = k.clone();
+        in_place.replace_star(&v, &replacements);
+        // (K ∖ st(v)) ∪ closure(replacements), rebuilt by `from_facets`.
+        let rebuilt = Complex::from_facets(
+            k.simplices()
+                .filter(|s| !s.contains(&v))
+                .chain(&replacements)
+                .cloned(),
+        );
+        prop_assert_eq!(&in_place, &rebuilt);
+        prop_assert_eq!(views(&in_place), views(&rebuilt));
+    }
+}
+
+#[test]
+fn replace_star_restores_faces_that_lose_their_last_coface() {
+    // A triangle {a, b, v} and an edge {b, c}: removing v's star leaves
+    // the edge {a, b} with no coface, so it must become a facet again.
+    let (a, b, c, v) = (
+        Vertex::of(0, 0),
+        Vertex::of(1, 0),
+        Vertex::of(2, 1),
+        Vertex::of(2, 0),
+    );
+    let mut k = Complex::from_facets([
+        Simplex::from_iter([a.clone(), b.clone(), v.clone()]),
+        Simplex::from_iter([b.clone(), c.clone()]),
+    ]);
+    k.replace_star(&v, &[]);
+    assert!(!k.contains_vertex(&v));
+    let expected = Complex::from_facets([
+        Simplex::from_iter([a, b.clone()]),
+        Simplex::from_iter([b, c]),
+    ]);
+    assert_eq!(views(&k), views(&expected), "{{a, b}} lost its last coface");
+}
