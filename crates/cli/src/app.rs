@@ -5,9 +5,9 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use chromata::{
-    analyze, analyze_batch_persistent, analyze_governed, analyze_persistent, audit_cache_dir,
-    clear_cache_dir, laps, persist_now, solve_act, stage_cache_stats, warm_start, ActOutcome,
-    Budget, CacheDirConfig, CancelToken, PersistenceReport, PipelineOptions, Verdict,
+    analyze, analyze_batch, analyze_governed, audit_cache_dir, clear_cache_dir, clear_stage_caches,
+    laps, load_cache_dir, persist_now, solve_act, stage_cache_stats, ActOutcome, Budget,
+    CacheDirConfig, CancelToken, LoadReport, PersistError, PipelineOptions, SaveReport, Verdict,
 };
 use chromata_runtime::{verify_figure7, verify_figure7_with_crashes, VerifyError};
 use chromata_task::Task;
@@ -137,9 +137,6 @@ pub enum Command {
         /// server dispatches stage execution across them, degrading to
         /// local recompute on any fault.
         shards: Vec<String>,
-        /// Hedge a straggling stage dispatch against a second shard
-        /// after this many milliseconds (`--hedge-ms`; off if absent).
-        hedge_ms: Option<u64>,
     },
     /// `chromata worker [--addr A] [--threads N] [--admission N]
     /// [--queue N] [--max-payload N] [--cache-dir DIR]
@@ -452,7 +449,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut persist_secs = 30u64;
             let mut idle_secs = 30u64;
             let mut shards = Vec::new();
-            let mut hedge_ms = None;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--addr" => addr = required(&mut it, "--addr needs HOST:PORT")?,
@@ -479,7 +475,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                             "--shards needs a comma-separated address list",
                         )?)?;
                     }
-                    "--hedge-ms" => hedge_ms = Some(parse_number_u64(&mut it, "--hedge-ms")?),
                     other => return Err(CliError(format!("unknown flag {other}"))),
                 }
             }
@@ -494,7 +489,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 persist_secs,
                 idle_secs,
                 shards,
-                hedge_ms,
             })
         }
         "worker" => {
@@ -812,11 +806,16 @@ fn summarize_response(raw: &str) -> Result<String, CliError> {
 }
 
 /// Appends the persistence bookkeeping lines a command prints when a
-/// durable cache directory is active (restores, snapshot writes, and
-/// non-fatal save failures).
-fn cache_report_lines(out: &mut String, config: &CacheDirConfig, report: &PersistenceReport) {
+/// durable cache directory is active: what [`load_cache_dir`] restored
+/// and what [`persist_now`] wrote — or, non-fatally, why it did not.
+fn cache_report_lines(
+    out: &mut String,
+    config: &CacheDirConfig,
+    loaded: Option<LoadReport>,
+    saved: Option<Result<SaveReport, PersistError>>,
+) {
     let Some(dir) = config.dir() else { return };
-    if let Some(loaded) = &report.loaded {
+    if let Some(loaded) = loaded {
         let _ = writeln!(
             out,
             "cache: restored {} artifact(s) from {} ({} rejected, {} torn, {} corrupt)",
@@ -827,7 +826,7 @@ fn cache_report_lines(out: &mut String, config: &CacheDirConfig, report: &Persis
             loaded.corrupt_entries
         );
     }
-    if let Some(saved) = &report.saved {
+    if let Some(Ok(saved)) = &saved {
         let _ = writeln!(
             out,
             "cache: persisted {} entr{} across {} snapshot(s) to {}",
@@ -841,10 +840,33 @@ fn cache_report_lines(out: &mut String, config: &CacheDirConfig, report: &Persis
             dir.display()
         );
     }
-    if let Some(err) = &report.save_error {
+    if let Some(Err(err)) = &saved {
         // Persistence failures never poison a verdict: warn and go on.
         let _ = writeln!(out, "cache: WARNING — snapshot not written: {err}");
     }
+}
+
+/// Rejects a task with more than three processes: the pipeline, the
+/// homology tiers and the Figure 7 runtime all assume at most three, so
+/// commands and serve requests check first and answer an error, not a
+/// panic.
+pub(crate) fn check_process_count(task: &Task) -> Result<(), CliError> {
+    if task.process_count() > 3 {
+        return Err(CliError(format!(
+            "task `{}` has {} processes; the characterization covers at most three",
+            task.name(),
+            task.process_count()
+        )));
+    }
+    Ok(())
+}
+
+/// [`load_task`] for a command that decides or inspects the task:
+/// also [`check_process_count`].
+fn load_decidable_task(spec: &str) -> Result<Task, CliError> {
+    let task = load_task(spec)?;
+    check_process_count(&task)?;
+    Ok(task)
 }
 
 /// Loads a task by registry name or from a JSON file path.
@@ -883,7 +905,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             Ok(out)
         }
         Command::Analyze { task, act_fallback } => {
-            let t = load_task(&task)?;
+            let t = load_decidable_task(&task)?;
             let analysis = analyze(
                 &t,
                 PipelineOptions {
@@ -919,15 +941,16 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             json,
             cache_dir,
         } => {
-            let t = load_task(&task)?;
+            let t = load_decidable_task(&task)?;
             let cache_config = CacheDirConfig::resolve(cache_dir);
-            let (analysis, persistence) = analyze_persistent(
+            let loaded = load_cache_dir(&cache_config);
+            let analysis = analyze(
                 &t,
                 PipelineOptions {
                     act_fallback_rounds: act_fallback,
                 },
-                &cache_config,
             );
+            let saved = persist_now(&cache_config);
             if json {
                 use serde_json::Value;
                 let stages: Vec<Value> = analysis
@@ -1003,7 +1026,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                     stats.recovery_events()
                 );
             }
-            cache_report_lines(&mut out, &cache_config, &persistence);
+            cache_report_lines(&mut out, &cache_config, loaded, saved);
             Ok(out)
         }
         Command::Batch {
@@ -1021,21 +1044,22 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             } else {
                 tasks
             };
-            let loaded: Vec<Task> = specs
+            let batch: Vec<Task> = specs
                 .iter()
-                .map(|s| load_task(s))
+                .map(|s| load_decidable_task(s))
                 .collect::<Result<_, _>>()?;
             if !shards.is_empty() {
                 crate::shard::configure_shards(&shards, chromata::RemotePolicy::default())?;
             }
             let cache_config = CacheDirConfig::resolve(cache_dir);
-            let (analyses, persistence) = analyze_batch_persistent(
-                &loaded,
+            let loaded = load_cache_dir(&cache_config);
+            let analyses = analyze_batch(
+                &batch,
                 PipelineOptions {
                     act_fallback_rounds: act_fallback,
                 },
-                &cache_config,
             );
+            let saved = persist_now(&cache_config);
             let mut out = String::new();
             for (spec, a) in specs.iter().zip(&analyses) {
                 if digests {
@@ -1058,12 +1082,12 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             if let Some(stats) = chromata::remote_stats() {
                 let _ = writeln!(
                     out,
-                    "shards: {} dispatched, {} fetched, {} retried, {} hedged, {} local fallback(s)",
-                    stats.dispatched, stats.fetched, stats.retries, stats.hedges, stats.local_fallbacks
+                    "shards: {} dispatched, {} fetched, {} retried, {} local fallback(s)",
+                    stats.dispatched, stats.fetched, stats.retries, stats.local_fallbacks
                 );
                 chromata::clear_remote();
             }
-            cache_report_lines(&mut out, &cache_config, &persistence);
+            cache_report_lines(&mut out, &cache_config, loaded, saved);
             Ok(out)
         }
         Command::Fuzz {
@@ -1083,14 +1107,14 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             };
             let bases: Vec<Task> = specs
                 .iter()
-                .map(|s| load_task(s))
+                .map(|s| load_decidable_task(s))
                 .collect::<Result<_, _>>()?;
             let options = PipelineOptions {
                 act_fallback_rounds: act_fallback,
             };
             // Start cold so the reported ratio is the campaign's own,
             // not inherited from an earlier command in this process.
-            chromata::clear_decision_cache();
+            clear_stage_caches();
             let total = bases.len() * rounds;
             let sample_step = (total / 8).max(1);
             let watch = Stopwatch::start();
@@ -1144,7 +1168,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             // evidence digest byte-for-byte.
             let mut parity_ok = 0usize;
             for (mutant, warm) in &sampled {
-                chromata::clear_decision_cache();
+                clear_stage_caches();
                 let cold = analyze(mutant, options).evidence.deterministic_digest();
                 let verdict = if cold == *warm { "ok" } else { "MISMATCH" };
                 parity_ok += usize::from(cold == *warm);
@@ -1221,7 +1245,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             }
         }
         Command::Inspect { task } => {
-            let t = load_task(&task)?;
+            let t = load_decidable_task(&task)?;
             let mut out = String::new();
             let _ = writeln!(out, "{t}");
             let _ = writeln!(
@@ -1248,7 +1272,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             Ok(out)
         }
         Command::VerifyFig7 { task, max_states } => {
-            let t = load_task(&task)?;
+            let t = load_decidable_task(&task)?;
             if !t.is_link_connected() {
                 return Err(CliError(format!(
                     "`{}` is not link-connected: Figure 7's hypothesis (Lemma 5.3) fails — \
@@ -1271,12 +1295,9 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             max_crashes,
             cache_dir,
         } => {
-            let t = load_task(&task)?;
+            let t = load_decidable_task(&task)?;
             let cache_config = CacheDirConfig::resolve(cache_dir);
-            let mut persistence = PersistenceReport {
-                loaded: warm_start(&cache_config),
-                ..PersistenceReport::default()
-            };
+            let loaded = load_cache_dir(&cache_config);
             let mut budget = Budget::unlimited()
                 .with_max_states(max_states)
                 .with_max_steps(500)
@@ -1328,12 +1349,8 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                     }
                 }
             }
-            match persist_now(&cache_config) {
-                Some(Ok(saved)) => persistence.saved = Some(saved),
-                Some(Err(error)) => persistence.save_error = Some(error),
-                None => {}
-            }
-            cache_report_lines(&mut out, &cache_config, &persistence);
+            let saved = persist_now(&cache_config);
+            cache_report_lines(&mut out, &cache_config, loaded, saved);
             Ok(out)
         }
         Command::Serve {
@@ -1347,15 +1364,10 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             persist_secs,
             idle_secs,
             shards,
-            hedge_ms,
         } => {
             use std::io::Write as _;
             if !shards.is_empty() {
-                let policy = chromata::RemotePolicy {
-                    hedge_after_ms: hedge_ms,
-                    ..chromata::RemotePolicy::default()
-                };
-                crate::shard::configure_shards(&shards, policy)?;
+                crate::shard::configure_shards(&shards, chromata::RemotePolicy::default())?;
             }
             // SIGTERM/SIGINT must be masked before the server spawns
             // its threads so they inherit the mask and delivery funnels
@@ -1646,13 +1658,13 @@ COMMANDS:
                                  structured UNKNOWN with a replayable trace
     serve [--addr A] [--threads N] [--admission N] [--queue N] [--max-payload N]
           [--budget-ms N] [--cache-dir DIR] [--persist-secs N] [--idle-secs N]
-          [--shards A,B,C] [--hedge-ms N]
+          [--shards A,B,C]
                                  long-lived verdict daemon: newline-delimited
                                  JSON over TCP against one shared warm artifact
                                  store; overload degrades to UNKNOWN with a
                                  retry hint, never a dropped connection;
                                  --shards dispatches stage execution to worker
-                                 processes with retry/hedge/local-fallback
+                                 processes with retry/local-fallback
     worker [--addr A] [--threads N] [--admission N] [--queue N] [--max-payload N]
            [--cache-dir DIR] [--persist-secs N] [--idle-secs N]
                                  a stage-execution shard: the serve protocol
@@ -1992,7 +2004,7 @@ mod tests {
         // Force a live run: a verdict-cache replay reports subkeys 0
         // (per-branch telemetry is process-circumstantial, not part of
         // the replayable trace).
-        chromata::clear_decision_cache();
+        clear_stage_caches();
         let out = run(Command::Explain {
             cache_dir: None,
             task: "consensus".into(),
@@ -2206,7 +2218,6 @@ mod tests {
                 persist_secs: 30,
                 idle_secs: 30,
                 shards: vec![],
-                hedge_ms: None,
             }
         );
         assert_eq!(
@@ -2239,7 +2250,6 @@ mod tests {
                 persist_secs: 5,
                 idle_secs: 30,
                 shards: vec![],
-                hedge_ms: None,
             }
         );
         assert!(parse(&args(&["serve", "--frobnicate"])).is_err());
@@ -2248,8 +2258,6 @@ mod tests {
                 "serve",
                 "--shards",
                 "127.0.0.1:7438, 127.0.0.1:7439",
-                "--hedge-ms",
-                "40",
             ]))
             .unwrap(),
             Command::Serve {
@@ -2263,7 +2271,6 @@ mod tests {
                 persist_secs: 30,
                 idle_secs: 30,
                 shards: vec!["127.0.0.1:7438".into(), "127.0.0.1:7439".into()],
-                hedge_ms: Some(40),
             }
         );
         assert!(parse(&args(&["serve", "--shards", " , "])).is_err());
@@ -2523,5 +2530,28 @@ mod tests {
     fn unknown_task_reported() {
         let err = load_task("definitely-not-a-task").unwrap_err();
         assert!(err.0.contains("neither a library task"));
+    }
+
+    #[test]
+    fn tasks_beyond_three_processes_are_errors_not_panics() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/identity-4.json"
+        );
+        for command in [
+            "analyze",
+            "explain",
+            "decide",
+            "batch",
+            "fuzz",
+            "inspect",
+            "verify-fig7",
+        ] {
+            let err = run(parse(&args(&[command, path])).unwrap()).unwrap_err();
+            assert!(err.0.contains("at most three"), "{command}: {err}");
+        }
+        // The ACT baseline is not specific to three processes.
+        let out = run(parse(&args(&["act", path])).unwrap()).unwrap();
+        assert!(out.starts_with("SOLVABLE"), "{out}");
     }
 }

@@ -34,10 +34,10 @@ use std::time::Duration;
 
 use chromata::topology::govern::Stopwatch;
 use chromata::{
-    analyze_governed, audit_cache_dir, clear_decision_cache, clear_remote, clear_stage_caches,
-    configure_remote, persist_failures, store_read_through, Budget, CancelToken, ChaosShardIo,
-    FaultKind, FaultSchedule, InProcessShards, NetFault, PersistChaos, PlannedFault, RemotePolicy,
-    ShardIo, Verdict,
+    analyze_governed, audit_cache_dir, clear_remote, clear_stage_caches, configure_remote,
+    persist_failures, store_read_through, Budget, CancelToken, ChaosShardIo, FaultKind,
+    FaultSchedule, InProcessShards, NetFault, PersistChaos, PlannedFault, RemotePolicy, ShardIo,
+    Verdict,
 };
 use chromata_task::{mutate_task, Task};
 
@@ -274,7 +274,6 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
     // Oracle pass: the same stream, clean process, purely local — the
     // ground truth every faulted round must reproduce.
     clear_remote();
-    clear_decision_cache();
     clear_stage_caches();
     let budget = Budget::unlimited();
     let cancel = CancelToken::new();
@@ -289,7 +288,6 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
     }
 
     // Campaign: cold caches, chaos seams installed, live server.
-    clear_decision_cache();
     clear_stage_caches();
     let dir = opts.cache_dir.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("chromata-chaos-{}", std::process::id()))

@@ -60,7 +60,7 @@ use chromata::{
     store_read_through, Budget, CacheDirConfig, CancelToken, LoadReport, PipelineOptions, Verdict,
 };
 
-use crate::app::CliError;
+use crate::app::{check_process_count, CliError};
 use crate::registry;
 use crate::wire::{self, AnalyzeRequest, Request, TaskSpec};
 
@@ -279,9 +279,6 @@ impl Server {
             .local_addr()
             .map_err(|e| CliError(format!("serve: cannot read bound address: {e}")))?;
         let cache = CacheDirConfig::resolve(opts.cache_dir.clone());
-        // Unconditional load (not the once-per-dir `warm_start` guard):
-        // a daemon boot is an explicit restore point, and a restart
-        // within one test process must still warm from disk.
         let loaded = load_cache_dir(&cache);
         let threads = if opts.threads == 0 {
             std::thread::available_parallelism().map_or(4, usize::from)
@@ -785,15 +782,11 @@ fn handle_analyze(req: &AnalyzeRequest, shared: &Shared) -> String {
         },
         TaskSpec::Inline(task) => (**task).clone(),
     };
-    if task.process_count() > 3 {
+    if let Err(CliError(message)) = check_process_count(&task) {
         // `analyze_governed` asserts this; pre-checking keeps the
         // worker alive and the rejection structured.
         shared.malformed.fetch_add(1, Ordering::Relaxed);
-        return wire::error_response(&format!(
-            "task `{}` has {} processes; the characterization covers at most three",
-            task.name(),
-            task.process_count()
-        ));
+        return wire::error_response(&message);
     }
     // Poison quarantine: a task that already cost two workers a panic
     // is answered immediately, before it can take an analysis slot.

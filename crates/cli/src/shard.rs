@@ -5,7 +5,7 @@
 //! worker` wire protocol: one connection, one request line, one
 //! response line per exchange. Together with `crate::serve` this is the
 //! only place in the workspace allowed to touch socket types (xtask
-//! rule D4); every retry/hedge/fallback decision stays in
+//! rule D4); every routing, retry and fallback decision stays in
 //! `chromata::stages::remote`, unit-tested without a network.
 
 use std::io::{BufRead, BufReader, Write};
@@ -152,7 +152,7 @@ impl ShardIo for TcpShardIo {
 
 /// Installs a TCP shard pool as this process's remote stage backend:
 /// every subsequent analysis routes its stages across `addrs` with the
-/// retry/hedge/fallback machinery of `chromata::stages::remote`.
+/// retry/fallback machinery of `chromata::stages::remote`.
 ///
 /// # Errors
 ///

@@ -486,7 +486,6 @@ fn shard_pool_survives_a_worker_death_with_digest_parity() {
     // Single-machine goldens, engine off, cold caches.
     chromata::clear_remote();
     clear_stage_caches();
-    chromata::clear_decision_cache();
     let goldens: Vec<(String, u64)> = tasks
         .iter()
         .map(|(_, t)| {
@@ -515,7 +514,6 @@ fn shard_pool_survives_a_worker_death_with_digest_parity() {
     .unwrap();
 
     clear_stage_caches();
-    chromata::clear_decision_cache();
     let mid = tasks.len() / 2;
     for (i, (name, task)) in tasks.iter().enumerate() {
         if i == mid {

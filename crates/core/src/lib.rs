@@ -37,7 +37,8 @@
 //! * [`decide_two_process`] / [`synthesize_two_process`] — Proposition
 //!   5.4's complete two-process decider, with search-free witness
 //!   synthesis for the solvable side;
-//! * [`analyze`] — the end-to-end pipeline.
+//! * [`analyze`] / [`analyze_governed`] / [`analyze_batch`] — the
+//!   end-to-end pipeline, one entry point per job.
 //!
 //! The re-exported crates [`topology`], [`algebra`], [`subdivision`]
 //! and [`task`] provide the substrates.
@@ -62,12 +63,9 @@ pub use chromata_topology::{Budget, CancelToken, Interrupt};
 pub use continuous::{continuous_map_exists, ContinuousOutcome, ImpossibilityReason};
 pub use corollaries::{corollary_5_5, crossing_graph, every_cycle_crosses_a_lap};
 pub use lap::{first_lap_of_facet, laps, Lap};
-#[allow(deprecated)] // the shim is re-exported for source compatibility
-pub use pipeline::decision_cache_stats;
 pub use pipeline::{
-    analyze, analyze_batch, analyze_batch_governed, analyze_batch_persistent, analyze_governed,
-    analyze_persistent, clear_decision_cache, set_decision_cache_capacity, Analysis,
-    DecisionCacheStats, Obstruction, PersistenceReport, PipelineOptions, Verdict,
+    analyze, analyze_batch, analyze_governed, Analysis, DecisionCacheStats, Obstruction,
+    PipelineOptions, Verdict,
 };
 pub use splitting::{
     split_all, split_once, transport_witness, unsplit_simplex, unsplit_vertex, SplitOutcome,
@@ -86,13 +84,13 @@ pub use stages::chaos::{
 };
 pub use stages::persist::{
     audit_cache_dir, clear_cache_dir, load_cache_dir, persist_failures, persist_now,
-    store_read_through, warm_start, CacheDirConfig, LoadReport, PersistError, SaveReport,
-    SnapshotAudit, SnapshotStatus, CACHE_DIR_ENV,
+    store_read_through, CacheDirConfig, LoadReport, PersistError, SaveReport, SnapshotAudit,
+    SnapshotStatus, CACHE_DIR_ENV,
 };
 pub use stages::remote::{
-    clear_remote, configure_remote, execute_stage_line, parse_stage_fields, remote_active,
-    remote_fault_trace, remote_stats, stage_request_line, RemotePolicy, RemoteStats, ShardIo,
-    ShardIoError, ShardStep, StageJob, STAGE_PROTO_VERSION,
+    clear_remote, configure_remote, execute_stage_line, parse_stage_fields, remote_fault_trace,
+    remote_stats, stage_request_line, RemotePolicy, RemoteStats, ShardIo, ShardIoError, ShardStep,
+    StageJob, STAGE_PROTO_VERSION,
 };
 pub use stages::{CacheEvent, EvidenceChain, Stage, StageEvidence, StageOrigin, StageOutcome};
 pub use two_process::{decide_two_process, synthesize_two_process};

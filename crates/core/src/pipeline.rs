@@ -15,9 +15,11 @@
 //! with its own bounded, fingerprint-keyed cache in the process-wide
 //! [`ArtifactStore`](crate::stages::cache::ArtifactStore), and every
 //! [`Analysis`] carries the [`EvidenceChain`] of the stages that
-//! produced its verdict. [`analyze`] and [`analyze_governed`] are
-//! source-compatible façades over the engine; [`analyze_batch`] fans it
-//! out over a task slice with shared artifacts.
+//! produced its verdict. One public entry point per job: [`analyze`],
+//! [`analyze_governed`] (under a budget) and [`analyze_batch`] (a task
+//! slice sharing artifacts). Durable caches are loaded and saved around
+//! them ([`load_cache_dir`](crate::load_cache_dir),
+//! [`persist_now`](crate::persist_now)).
 //!
 //! Because loop contractibility is undecidable in general (§7), the
 //! pipeline can return [`Verdict::Unknown`]; callers may enable the
@@ -29,8 +31,6 @@ use chromata_task::Task;
 use chromata_topology::{par_map, Budget, CancelToken};
 
 use crate::splitting::SplitOutcome;
-use crate::stages::cache::{self, ArtifactKind};
-use crate::stages::persist;
 use crate::stages::EvidenceChain;
 
 pub use crate::stages::cache::DecisionCacheStats;
@@ -147,29 +147,6 @@ pub struct PipelineOptions {
     pub act_fallback_rounds: usize,
 }
 
-/// Current verdict-cache counters (process-wide).
-///
-/// The single decision cache was split into per-stage caches in PR 4;
-/// this shim reports the **verdict** cache only.
-#[deprecated(note = "use `stage_cache_stats()` for per-stage counters")]
-#[must_use]
-pub fn decision_cache_stats() -> DecisionCacheStats {
-    cache::store().verdict.lock().stats()
-}
-
-/// Drops every memoized artifact of every stage and resets the counters.
-pub fn clear_decision_cache() {
-    cache::clear_stage_caches();
-}
-
-/// Replaces the verdict cache's capacity (process-wide), evicting the
-/// oldest entries if the cache currently exceeds the new bound. A
-/// capacity of 0 disables verdict caching entirely. Other stage caches
-/// are controlled via [`cache::set_stage_cache_capacity`].
-pub fn set_decision_cache_capacity(capacity: usize) {
-    cache::set_stage_cache_capacity(ArtifactKind::Verdict, capacity);
-}
-
 /// Runs the full pipeline on a (1-, 2- or 3-process) task.
 ///
 /// # Panics
@@ -213,7 +190,7 @@ pub fn analyze_governed(
     // The entire decision path lives in the stage layer since PR 9 (the
     // former monolith remnants — canonicalization evidence, the skip-split
     // shortcut, verdict-cache replay and the tier walk — were folded into
-    // `stages::run_engine`); this façade only validates and delegates.
+    // `stages::run_engine`); this entry point only validates and delegates.
     crate::stages::run_engine(task, options, budget, cancel)
 }
 
@@ -225,84 +202,13 @@ pub fn analyze_governed(
 /// byte-identical to running [`analyze`] per task.
 #[must_use]
 pub fn analyze_batch(tasks: &[Task], options: PipelineOptions) -> Vec<Analysis> {
-    analyze_batch_governed(tasks, options, &Budget::unlimited(), &CancelToken::new())
-}
-
-/// [`analyze_batch`] under a shared [`Budget`] and [`CancelToken`].
-#[must_use]
-pub fn analyze_batch_governed(
-    tasks: &[Task],
-    options: PipelineOptions,
-    budget: &Budget,
-    cancel: &CancelToken,
-) -> Vec<Analysis> {
-    par_map(tasks, |t| analyze_governed(t, options, budget, cancel))
-}
-
-/// The persistence bookkeeping of one [`analyze_persistent`] /
-/// [`analyze_batch_persistent`] call. A save failure is reported here —
-/// never raised — because persistence must not poison a verdict.
-#[derive(Clone, Debug, Default)]
-pub struct PersistenceReport {
-    /// What the warm start restored — `None` when persistence is
-    /// disabled or this directory was already loaded by this process.
-    pub loaded: Option<persist::LoadReport>,
-    /// What the post-analysis snapshot wrote, when it succeeded.
-    pub saved: Option<persist::SaveReport>,
-    /// The snapshot failure, when saving did not succeed. Verdicts are
-    /// unaffected; the previous on-disk snapshots stay valid.
-    pub save_error: Option<persist::PersistError>,
-}
-
-fn persist_after(cache_dir: &persist::CacheDirConfig, report: &mut PersistenceReport) {
-    match persist::persist_now(cache_dir) {
-        Some(Ok(saved)) => report.saved = Some(saved),
-        Some(Err(error)) => report.save_error = Some(error),
-        None => {}
-    }
-}
-
-/// [`analyze`] with durable stage caches: warm-starts the process-wide
-/// [`ArtifactStore`] from `cache_dir` (once per directory per process),
-/// analyzes, then snapshots the caches back. Verdicts and evidence
-/// digests are byte-identical to a cold [`analyze`]; corruption on disk
-/// degrades to recovery counters, and a save failure is reported — not
-/// raised.
-#[must_use]
-pub fn analyze_persistent(
-    task: &Task,
-    options: PipelineOptions,
-    cache_dir: &persist::CacheDirConfig,
-) -> (Analysis, PersistenceReport) {
-    let mut report = PersistenceReport {
-        loaded: persist::warm_start(cache_dir),
-        ..PersistenceReport::default()
-    };
-    let analysis = analyze(task, options);
-    persist_after(cache_dir, &mut report);
-    (analysis, report)
-}
-
-/// [`analyze_batch`] with durable stage caches: one warm start before
-/// the fan-out, one snapshot after every task is decided.
-#[must_use]
-pub fn analyze_batch_persistent(
-    tasks: &[Task],
-    options: PipelineOptions,
-    cache_dir: &persist::CacheDirConfig,
-) -> (Vec<Analysis>, PersistenceReport) {
-    let mut report = PersistenceReport {
-        loaded: persist::warm_start(cache_dir),
-        ..PersistenceReport::default()
-    };
-    let analyses = analyze_batch(tasks, options);
-    persist_after(cache_dir, &mut report);
-    (analyses, report)
+    par_map(tasks, |t| analyze(t, options))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stages::cache::{self, clear_stage_caches, stage_cache_stats, ArtifactKind};
     use crate::stages::CacheEvent;
     use chromata_task::library::{
         adaptive_renaming, approximate_agreement, consensus, constant_task, disk_complex,
@@ -430,8 +336,13 @@ mod tests {
         }
     }
 
+    fn verdict_cache_stats() -> DecisionCacheStats {
+        let all = stage_cache_stats();
+        let verdict = all.iter().find(|(k, _)| *k == ArtifactKind::Verdict);
+        verdict.expect("the store has a verdict cache").1
+    }
+
     #[test]
-    #[allow(deprecated)] // exercising the compat shim is the point
     fn repeated_analysis_hits_the_decision_cache() {
         // Prime the cache, then re-analyze the identical task: the second
         // run must be served from the cache. Other tests run concurrently
@@ -441,9 +352,9 @@ mod tests {
         let task = two_set_agreement();
         let options = PipelineOptions::default();
         let first = analyze(&task, options);
-        let primed = decision_cache_stats();
+        let primed = verdict_cache_stats();
         let second = analyze(&task, options);
-        let after = decision_cache_stats();
+        let after = verdict_cache_stats();
         assert!(
             after.hits > primed.hits,
             "expected a cache hit: {primed:?} -> {after:?}"
@@ -458,7 +369,7 @@ mod tests {
         // tiers to re-run; verdicts repopulate on the next analysis.
         let _store = cache::store_test_guard();
         let before = verdict(&hourglass());
-        clear_decision_cache();
+        clear_stage_caches();
         let after = verdict(&hourglass());
         assert!(before.is_unsolvable() && after.is_unsolvable());
     }

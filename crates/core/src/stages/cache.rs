@@ -30,9 +30,9 @@ use super::artifacts::{
 };
 use super::DecisionRecord;
 
-/// Hit/miss/eviction counters for one stage cache (and, via the
-/// deprecated [`crate::decision_cache_stats`] shim, for the verdict
-/// cache alone).
+/// Hit/miss/eviction counters for one stage cache, as reported per
+/// [`ArtifactKind`] by [`stage_cache_stats`] (the verdict cache's entry
+/// is [`ArtifactKind::Verdict`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct DecisionCacheStats {
     /// Total cache lookups. Under the coherence invariant every lookup

@@ -11,10 +11,12 @@
 //! ```
 //!
 //! Every stage implements [`Stage`]: it names itself, derives a
-//! structural-fingerprint cache key, and `run`s against the
-//! [`ArtifactStore`](cache::ArtifactStore) — returning its typed
-//! artifact plus a [`StageEvidence`] record (detail, work counter,
-//! cache event, wall clock). The engine threads the evidence into the
+//! structural-fingerprint cache key, and computes its artifact; one
+//! [`run`] function runs any stage against the
+//! [`ArtifactStore`](cache::ArtifactStore), locally or through
+//! [`remote`], returning its typed artifact plus a [`StageEvidence`]
+//! record (detail, work counter, cache event, wall clock). The engine
+//! threads the evidence into the
 //! [`EvidenceChain`] every [`crate::Analysis`] now carries, which is
 //! what `chromata explain` prints.
 //!
@@ -270,9 +272,9 @@ pub struct StageOutcome<A> {
 }
 
 /// One stage of the verdict engine: a name, a structural-fingerprint
-/// cache key, and a `run` against the artifact store that either serves
-/// the typed artifact from the stage's bounded cache or computes and
-/// caches it — always emitting a [`StageEvidence`] record.
+/// cache key, and a `compute` that [`run`] calls on a cache miss —
+/// [`run`] serves the typed artifact from the stage's bounded cache or
+/// computes and caches it, always emitting a [`StageEvidence`] record.
 pub trait Stage {
     /// The stage's fixed name (also its evidence label).
     const NAME: &'static str;
@@ -297,48 +299,63 @@ pub trait Stage {
     fn cacheable(_artifact: &Self::Artifact) -> bool {
         true
     }
+}
 
-    /// Runs the stage: cache lookup, compute-on-miss outside the lock
-    /// (a racing miss recomputes the same artifact), insert if
-    /// cacheable, and evidence emission.
-    fn run(&self, store: &ArtifactStore, budget: &Budget) -> StageOutcome<Self::Artifact> {
-        let clock = Stopwatch::start();
-        let key = self.key();
-        if let Some(hit) = Self::cache(store).lock().get(&key) {
-            let evidence = StageEvidence {
-                stage: Self::NAME,
-                detail: Self::detail(&hit),
-                work: Self::work(&hit),
-                cache: CacheEvent::Hit,
-                wall: clock.elapsed(),
-                origin: StageOrigin::Local,
-                reused: true,
-                subkeys: 0,
-            };
-            return StageOutcome {
-                artifact: hit,
-                evidence,
-            };
-        }
-        let artifact = self.compute(budget);
-        let cache = if Self::cacheable(&artifact) {
-            Self::cache(store).lock().insert(key, artifact.clone());
-            CacheEvent::Miss
-        } else {
-            CacheEvent::Uncached
-        };
+/// Runs one stage — the only place a stage runs: cache lookup; on a
+/// miss, the artifact fetched through `remote` or computed here, outside
+/// the lock (a racing miss recomputes the same artifact); insert if
+/// cacheable; evidence emission. Fetched and computed artifacts are
+/// cached alike, so warm-path behavior is identical machine-wide.
+pub(crate) fn run<S: remote::DistStage>(
+    stage: &S,
+    store: &ArtifactStore,
+    budget: &Budget,
+    remote: Option<&remote::RemoteEngine>,
+) -> StageOutcome<S::Artifact> {
+    let clock = Stopwatch::start();
+    let key = stage.key();
+    if let Some(hit) = S::cache(store).lock().get(&key) {
         let evidence = StageEvidence {
-            stage: Self::NAME,
-            detail: Self::detail(&artifact),
-            work: Self::work(&artifact),
-            cache,
+            stage: S::NAME,
+            detail: S::detail(&hit),
+            work: S::work(&hit),
+            cache: CacheEvent::Hit,
             wall: clock.elapsed(),
             origin: StageOrigin::Local,
-            reused: false,
+            reused: true,
             subkeys: 0,
         };
-        StageOutcome { artifact, evidence }
+        return StageOutcome {
+            artifact: hit,
+            evidence,
+        };
     }
+    // Without a pool, or for a stage pinned local (budget-sensitive),
+    // compute here; when every remote option fails, recompute here.
+    let shipped = remote.and_then(|engine| Some((engine, stage.job(budget)?)));
+    let (artifact, origin) = match shipped {
+        Some((engine, job)) => engine
+            .fetch(stage, &job, budget)
+            .unwrap_or_else(|| (stage.compute(budget), StageOrigin::LocalFallback)),
+        None => (stage.compute(budget), StageOrigin::Local),
+    };
+    let cache = if S::cacheable(&artifact) {
+        S::cache(store).lock().insert(key, artifact.clone());
+        CacheEvent::Miss
+    } else {
+        CacheEvent::Uncached
+    };
+    let evidence = StageEvidence {
+        stage: S::NAME,
+        detail: S::detail(&artifact),
+        work: S::work(&artifact),
+        cache,
+        wall: clock.elapsed(),
+        origin,
+        reused: false,
+        subkeys: 0,
+    };
+    StageOutcome { artifact, evidence }
 }
 
 /// §4 splitting of a canonical three-process task.
@@ -764,17 +781,16 @@ fn assemble_presentations(
     Presentations { per_triangle }
 }
 
-/// Runs the link-graph stage per branch — dispatching each branch to the
-/// shard pool when `dispatch` is set and one is configured — and
-/// assembles the global artifact, emitting one aggregated evidence
-/// record. Returns the branch artifacts too (the presentation stage
-/// consumes them branch-wise).
+/// Runs the link-graph stage per branch — through `remote` when a shard
+/// pool is given — and assembles the global artifact, emitting one
+/// aggregated evidence record. Returns the branch artifacts too (the
+/// presentation stage consumes them branch-wise).
 pub(crate) fn run_links(
     task: &Task,
     branches: &[Task],
     store: &ArtifactStore,
     budget: &Budget,
-    dispatch: bool,
+    remote: Option<&remote::RemoteEngine>,
 ) -> (Arc<LinkGraphs>, Vec<Arc<LinkGraphs>>, StageEvidence) {
     let clock = Stopwatch::start();
     let mut branch_links = Vec::with_capacity(branches.len());
@@ -783,11 +799,7 @@ pub(crate) fn run_links(
         let stage = LinkStage {
             task: branch.clone(),
         };
-        let outcome = if dispatch {
-            remote::run_distributed(&stage, store, budget)
-        } else {
-            stage.run(store, budget)
-        };
+        let outcome = run(&stage, store, budget, remote);
         branch_links.push(outcome.artifact);
         branch_evidence.push(outcome.evidence);
     }
@@ -811,7 +823,7 @@ pub(crate) fn run_presentations(
     global_links: &Arc<LinkGraphs>,
     store: &ArtifactStore,
     budget: &Budget,
-    dispatch: bool,
+    remote: Option<&remote::RemoteEngine>,
 ) -> (Arc<Presentations>, StageEvidence) {
     let clock = Stopwatch::start();
     let mut branch_presentations = Vec::with_capacity(branches.len());
@@ -821,11 +833,7 @@ pub(crate) fn run_presentations(
             task: branch.clone(),
             links: Arc::clone(links),
         };
-        let outcome = if dispatch {
-            remote::run_distributed(&stage, store, budget)
-        } else {
-            stage.run(store, budget)
-        };
+        let outcome = run(&stage, store, budget, remote);
         branch_presentations.push(outcome.artifact);
         branch_evidence.push(outcome.evidence);
     }
@@ -844,18 +852,19 @@ pub(crate) fn run_presentations(
     (global, evidence)
 }
 
-/// Runs one whole-task stage — remotely when a shard pool is configured
-/// (see [`remote`]), locally otherwise — appending its evidence to the
-/// live chain and its deterministic trace to the record destined for the
-/// verdict cache.
+/// Runs one whole-task stage — through `remote` when a shard pool is
+/// given, locally otherwise — appending its evidence to the live chain
+/// and its deterministic trace to the record destined for the verdict
+/// cache.
 fn run_stage<S: remote::DistStage>(
     stage: &S,
     store: &ArtifactStore,
     budget: &Budget,
+    remote: Option<&remote::RemoteEngine>,
     evidence: &mut EvidenceChain,
     traces: &mut Vec<StageTrace>,
 ) -> S::Artifact {
-    let outcome = remote::run_distributed(stage, store, budget);
+    let outcome = run(stage, store, budget, remote);
     traces.push(StageTrace::of(&outcome.evidence));
     evidence.stages.push(outcome.evidence);
     outcome.artifact
@@ -871,6 +880,7 @@ fn decide_staged(
     budget: &Budget,
     cancel: &CancelToken,
     store: &ArtifactStore,
+    remote: Option<&remote::RemoteEngine>,
     evidence: &mut EvidenceChain,
 ) -> (Verdict, &'static str, Vec<StageTrace>, bool) {
     let mut traces = Vec::new();
@@ -901,11 +911,11 @@ fn decide_staged(
     }
     let t = &split.split.task;
     let branches = branch_tasks(t);
-    let (links, branch_links, link_evidence) = run_links(t, &branches, store, budget, true);
+    let (links, branch_links, link_evidence) = run_links(t, &branches, store, budget, remote);
     traces.push(StageTrace::of(&link_evidence));
     evidence.stages.push(link_evidence);
     let (presentations, pres_evidence) =
-        run_presentations(&branches, &branch_links, &links, store, budget, true);
+        run_presentations(&branches, &branch_links, &links, store, budget, remote);
     traces.push(StageTrace::of(&pres_evidence));
     evidence.stages.push(pres_evidence);
     let homology = run_stage(
@@ -917,6 +927,7 @@ fn decide_staged(
         },
         store,
         budget,
+        remote,
         evidence,
         &mut traces,
     );
@@ -981,6 +992,7 @@ fn decide_staged(
                 },
                 store,
                 budget,
+                remote,
                 evidence,
                 &mut traces,
             );
@@ -994,7 +1006,9 @@ fn decide_staged(
 /// canonicalization, the (possibly skipped) split stage, verdict-cache
 /// replay, and the per-branch decision tiers. This is the whole former
 /// monolith pipeline folded into the stage layer; the pipeline module
-/// keeps only the public façades and types.
+/// keeps only the public entry points and types. The shard pool is read
+/// once here and passed down, so one analysis never straddles a pool
+/// reconfiguration.
 pub(crate) fn run_engine(
     task: &Task,
     options: PipelineOptions,
@@ -1002,6 +1016,8 @@ pub(crate) fn run_engine(
     cancel: &CancelToken,
 ) -> Analysis {
     let store = cache::store();
+    let engine = remote::current_engine();
+    let remote = engine.as_deref();
     let mut evidence = EvidenceChain::new();
 
     // Canonicalization is a cheap pure quotient — always run live so the
@@ -1025,12 +1041,13 @@ pub(crate) fn run_engine(
     });
 
     let split_art = if task.process_count() == 3 {
-        let outcome = remote::run_distributed(
+        let outcome = run(
             &SplitStage {
                 canonical: canonical.clone(),
             },
             store,
             budget,
+            remote,
         );
         evidence.stages.push(outcome.evidence);
         outcome.artifact
@@ -1075,8 +1092,15 @@ pub(crate) fn run_engine(
             record.verdict
         }
         None => {
-            let (v, decided_by, traces, cacheable) =
-                decide_staged(&split_art, options, budget, cancel, store, &mut evidence);
+            let (v, decided_by, traces, cacheable) = decide_staged(
+                &split_art,
+                options,
+                budget,
+                cancel,
+                store,
+                remote,
+                &mut evidence,
+            );
             evidence.decided_by = decided_by;
             // Budget-induced answers are circumstantial — never poison the
             // cache with them; a later unstarved run must re-decide.
@@ -1117,8 +1141,8 @@ mod tests {
             canonical: canonical.clone(),
         };
         let budget = Budget::unlimited();
-        let first = stage.run(cache::store(), &budget);
-        let second = stage.run(cache::store(), &budget);
+        let first = run(&stage, cache::store(), &budget, None);
+        let second = run(&stage, cache::store(), &budget, None);
         assert_eq!(second.evidence.cache, CacheEvent::Hit);
         assert_eq!(first.evidence.detail, second.evidence.detail);
         assert_eq!(first.evidence.work, second.evidence.work);
@@ -1186,7 +1210,7 @@ mod tests {
         let branches = branch_tasks(&base);
         assert_eq!(branches.len(), 2);
         let (cold_links, cold_branch_links, cold_ev) =
-            run_links(&base, &branches, &store, &budget, false);
+            run_links(&base, &branches, &store, &budget, None);
         assert_eq!(cold_ev.cache, CacheEvent::Miss);
         assert!(!cold_ev.reused);
         assert_eq!(cold_ev.subkeys, 2);
@@ -1196,7 +1220,7 @@ mod tests {
             &cold_links,
             &store,
             &budget,
-            false,
+            None,
         );
         assert_eq!(cold_pres_ev.subkeys, 2);
         let after_cold = store.links.lock().stats();
@@ -1207,7 +1231,7 @@ mod tests {
         // τ1's branch artifact is served from the cache (a reuse hit).
         let edited_branches = branch_tasks(&edited);
         let (edited_links, edited_branch_links, warm_ev) =
-            run_links(&edited, &edited_branches, &store, &budget, false);
+            run_links(&edited, &edited_branches, &store, &budget, None);
         assert!(warm_ev.reused, "the unedited branch must be reused");
         assert_eq!(warm_ev.cache, CacheEvent::Miss, "one branch recomputed");
         let after_edit = store.links.lock().stats();
@@ -1220,7 +1244,7 @@ mod tests {
             &edited_links,
             &store,
             &budget,
-            false,
+            None,
         );
         assert!(warm_pres_ev.reused);
         assert_eq!(store.presentations.lock().stats().reuse_hits, 1);

@@ -41,18 +41,20 @@
 //! re-checked at load time): a verdict that depends on the configured
 //! budget must never be memoized across processes.
 //!
+//! Callers wrap analyses in [`load_cache_dir`] (the only loader; it
+//! reads the directory on every call) and [`persist_now`].
+//!
 //! All filesystem traffic goes through the [`PersistIo`] seam so the
 //! test suite can inject every `io::ErrorKind` at every operation and
 //! kill the process model at every point of the write protocol (rule
 //! D3 confines `std::fs` to this module).
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::Hash;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use chromata_task::Task;
 use chromata_topology::govern;
@@ -159,7 +161,7 @@ impl PersistIo for RealIo {
 // ---------------------------------------------------------------------------
 
 /// Process-global [`PersistIo`] override consulted by the snapshot
-/// entry points ([`persist_now`], [`warm_start`], [`load_cache_dir`]).
+/// entry points ([`persist_now`], [`load_cache_dir`]).
 /// The chaos layer (`super::chaos`) installs a fault-injecting
 /// implementation here; `None` means the real filesystem.
 fn io_override() -> &'static RwLock<Option<Arc<dyn PersistIo + Send + Sync>>> {
@@ -271,7 +273,7 @@ pub struct SaveReport {
     pub entries_skipped: u64,
 }
 
-/// What a [`warm_start`] / [`load_cache_dir`] recovered, summed across
+/// What a [`load_cache_dir`] recovered, summed across
 /// every artifact kind. The same per-cause counters also land in each
 /// cache's [`DecisionCacheStats`](super::cache::DecisionCacheStats).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -764,41 +766,12 @@ impl CacheDirConfig {
     }
 }
 
-/// Directories already warm-started by this process, so repeated
-/// [`warm_start`] calls (one per `analyze`) load each directory once.
-fn warmed_dirs() -> &'static Mutex<BTreeSet<PathBuf>> {
-    static WARMED: OnceLock<Mutex<BTreeSet<PathBuf>>> = OnceLock::new();
-    WARMED.get_or_init(|| Mutex::new(BTreeSet::new()))
-}
-
-/// Marks `dir` warmed; returns whether it was fresh.
-fn mark_warmed(dir: &Path) -> bool {
-    let mut guard = match warmed_dirs().lock() {
-        Ok(guard) => guard,
-        // The set is just inserted into; a panicking holder cannot have
-        // left it torn. Recover the data and continue.
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    guard.insert(dir.to_path_buf())
-}
-
 /// Loads the configured cache directory into the process-wide store —
-/// once per directory per process. Returns the load report on the
-/// first call for a directory, `None` when persistence is disabled or
-/// the directory was already warmed.
-pub fn warm_start(config: &CacheDirConfig) -> Option<LoadReport> {
-    let dir = config.dir()?;
-    if !mark_warmed(dir) {
-        return None;
-    }
-    Some(load_store(store(), dir, current_io().as_ref()))
-}
-
-/// Unconditionally loads the configured cache directory into the
-/// process-wide store (and marks it warmed). `None` when disabled.
+/// the only loader. Every call reads the directory afresh: a command
+/// loads once before it analyzes, and a daemon boot is an explicit
+/// restore point. `None` when persistence is disabled.
 pub fn load_cache_dir(config: &CacheDirConfig) -> Option<LoadReport> {
     let dir = config.dir()?;
-    mark_warmed(dir);
     Some(load_store(store(), dir, current_io().as_ref()))
 }
 
@@ -1848,7 +1821,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // -- configuration + warm start ---------------------------------------
+    // -- configuration + loading -------------------------------------------
 
     #[test]
     fn cache_dir_config_resolution() {
@@ -1872,17 +1845,16 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_runs_once_per_directory() {
-        assert!(warm_start(&CacheDirConfig::disabled()).is_none());
-        let dir = test_dir("warm-once");
+    fn load_cache_dir_reads_an_empty_directory_every_time() {
+        assert!(load_cache_dir(&CacheDirConfig::disabled()).is_none());
+        let dir = test_dir("load-empty");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let config = CacheDirConfig::at(&dir);
-        let first = warm_start(&config).expect("first warm start loads");
-        assert_eq!(first.missing, 6, "empty directory: nothing to restore");
-        assert!(
-            warm_start(&config).is_none(),
-            "second warm start is a no-op"
-        );
+        for _ in 0..2 {
+            let report = load_cache_dir(&config).expect("persistence is enabled");
+            assert_eq!(report.missing, 6, "empty directory: nothing to restore");
+            assert_eq!(report.restored, 0);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

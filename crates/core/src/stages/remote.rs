@@ -22,8 +22,6 @@
 //! * **retries** — bounded attempts with decorrelated-jitter backoff
 //!   (deterministically seeded from the cache-key fingerprint, so runs
 //!   are replayable without an OS entropy source);
-//! * **hedging** — optionally, a straggling primary is raced against a
-//!   second shard; first valid answer wins, the loser is abandoned;
 //! * **health** — consecutive failures eject a shard from rotation;
 //!   ejected shards are re-admitted through counted ping probes, so a
 //!   partitioned-then-healed shard rejoins without a restart;
@@ -34,6 +32,10 @@
 //!   [`EvidenceChain`](super::EvidenceChain) records who computed each
 //!   stage via [`StageOrigin`] — which the digest deliberately excludes.
 //!
+//! The engine is the compute step of the one stage-run function,
+//! [`super::run`]: `run_engine` passes the configured engine down, the
+//! worker side ([`execute_stage_line`]) passes none.
+//!
 //! Every fault is counted in [`RemoteStats`] (the wire-layer cousin of
 //! the PR 2 exploration fault taxonomy) and recorded as a replayable
 //! one-line trace retrievable with [`remote_fault_trace`].
@@ -41,20 +43,19 @@
 use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Duration;
 
 use chromata_task::Task;
-use chromata_topology::{structural_fingerprint, Budget, CancelToken, Stopwatch};
+use chromata_topology::{structural_fingerprint, Budget, CancelToken};
 use serde_json::Value;
 
 use super::artifacts::{
     ExplorationReport, HomologyReport, LinkGraphs, Presentations, SubdividedComplex,
 };
-use super::cache::{self, ArtifactStore};
+use super::cache;
 use super::{
-    CacheEvent, ExploreStage, HomologyStage, LinkStage, PresentationStage, SplitStage, Stage,
-    StageEvidence, StageOrigin, StageOutcome,
+    run, ExploreStage, HomologyStage, LinkStage, PresentationStage, SplitStage, Stage, StageOrigin,
 };
 use crate::continuous::ContinuousOutcome;
 
@@ -386,7 +387,10 @@ pub fn parse_stage_fields(entries: &[(String, Value)]) -> Result<StageJob, Strin
 ///
 /// Jobs run under an **unlimited** budget: every stage shipped here is
 /// budget-independent (the dispatcher pins budget-sensitive work
-/// local), so the artifact is bit-identical to a local compute.
+/// local), so the artifact is bit-identical to a local compute. Every
+/// stage runs with no remote engine: a worker that is itself configured
+/// with a shard pool must never re-dispatch, or an in-process loopback
+/// would recurse forever.
 ///
 /// # Errors
 ///
@@ -396,58 +400,48 @@ pub fn execute_stage_line(job: &StageJob) -> Result<String, String> {
     let budget = Budget::unlimited();
     let payload = match job {
         StageJob::Split { canonical } => {
-            let out = SplitStage {
+            let stage = SplitStage {
                 canonical: canonical.clone(),
-            }
-            .run(store, &budget);
-            serde_json::to_string(&*out.artifact)
+            };
+            serde_json::to_string(&*run(&stage, store, &budget, None).artifact)
         }
         StageJob::Links { task } => {
-            let out = LinkStage { task: task.clone() }.run(store, &budget);
-            serde_json::to_string(&*out.artifact)
+            let stage = LinkStage { task: task.clone() };
+            serde_json::to_string(&*run(&stage, store, &budget, None).artifact)
         }
         StageJob::Presentations { task } => {
-            let links = LinkStage { task: task.clone() }
-                .run(store, &budget)
-                .artifact;
-            let out = PresentationStage {
+            let links = run(&LinkStage { task: task.clone() }, store, &budget, None).artifact;
+            let stage = PresentationStage {
                 task: task.clone(),
                 links,
-            }
-            .run(store, &budget);
-            serde_json::to_string(&*out.artifact)
+            };
+            serde_json::to_string(&*run(&stage, store, &budget, None).artifact)
         }
         StageJob::Homology { task } => {
-            // Worker-side aggregation is strictly local (`dispatch:
-            // false`): a worker that is itself configured with a shard
-            // pool must never re-dispatch the per-branch prerequisites,
-            // or an in-process loopback would recurse forever.
             let branches = super::branch_tasks(task);
-            let (links, branch_links, _) = super::run_links(task, &branches, store, &budget, false);
+            let (links, branch_links, _) = super::run_links(task, &branches, store, &budget, None);
             let (presentations, _) =
-                super::run_presentations(&branches, &branch_links, &links, store, &budget, false);
-            let out = HomologyStage {
+                super::run_presentations(&branches, &branch_links, &links, store, &budget, None);
+            let stage = HomologyStage {
                 task: task.clone(),
                 branches,
                 links,
                 presentations,
-            }
-            .run(store, &budget);
-            serde_json::to_string(&*out.artifact)
+            };
+            serde_json::to_string(&*run(&stage, store, &budget, None).artifact)
         }
         StageJob::Explore {
             task,
             rounds,
             reason,
         } => {
-            let out = ExploreStage {
+            let stage = ExploreStage {
                 task: task.clone(),
                 undetermined_reason: reason.clone(),
                 configured_rounds: *rounds,
                 cancel: CancelToken::new(),
-            }
-            .run(store, &budget);
-            serde_json::to_string(&*out.artifact)
+            };
+            serde_json::to_string(&*run(&stage, store, &budget, None).artifact)
         }
     }
     .map_err(|e| {
@@ -727,7 +721,7 @@ impl DistStage for ExploreStage {
 
 /// Tuning knobs for the remote engine. `Default` is conservative:
 /// three attempts, small decorrelated-jitter backoff, a 10 s per-stage
-/// deadline, hedging off.
+/// deadline.
 #[derive(Clone, Copy, Debug)]
 pub struct RemotePolicy {
     /// Maximum dispatch attempts per stage before local fallback (≥ 1).
@@ -740,9 +734,6 @@ pub struct RemotePolicy {
     /// to the request budget's remaining wall clock. `None` leaves
     /// attempts bounded by the budget alone.
     pub stage_deadline_ms: Option<u64>,
-    /// Hedge a straggling attempt against a second shard after this
-    /// many milliseconds without an answer. `None` disables hedging.
-    pub hedge_after_ms: Option<u64>,
     /// Consecutive failures after which a shard is ejected from the
     /// rotation.
     pub eject_after: u32,
@@ -758,7 +749,6 @@ impl Default for RemotePolicy {
             base_backoff_ms: 5,
             max_backoff_ms: 100,
             stage_deadline_ms: Some(10_000),
-            hedge_after_ms: None,
             eject_after: 3,
             probe_every: 4,
         }
@@ -769,16 +759,12 @@ impl Default for RemotePolicy {
 /// see [`remote_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RemoteStats {
-    /// Stage dispatches attempted (one per attempt, hedges excluded).
+    /// Stage dispatches attempted (one per attempt).
     pub dispatched: u64,
     /// Stages successfully fetched from a shard.
     pub fetched: u64,
     /// Re-dispatches after a failed attempt.
     pub retries: u64,
-    /// Hedged second dispatches fired.
-    pub hedges: u64,
-    /// Hedges whose answer beat the primary.
-    pub hedge_wins: u64,
     /// Faults at [`ShardStep::Connect`].
     pub connect_faults: u64,
     /// Faults at [`ShardStep::Send`].
@@ -812,8 +798,6 @@ struct Counters {
     dispatched: AtomicU64,
     fetched: AtomicU64,
     retries: AtomicU64,
-    hedges: AtomicU64,
-    hedge_wins: AtomicU64,
     connect_faults: AtomicU64,
     send_faults: AtomicU64,
     recv_faults: AtomicU64,
@@ -832,8 +816,6 @@ impl Counters {
             dispatched: self.dispatched.load(Ordering::Relaxed),
             fetched: self.fetched.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
-            hedges: self.hedges.load(Ordering::Relaxed),
-            hedge_wins: self.hedge_wins.load(Ordering::Relaxed),
             connect_faults: self.connect_faults.load(Ordering::Relaxed),
             send_faults: self.send_faults.load(Ordering::Relaxed),
             recv_faults: self.recv_faults.load(Ordering::Relaxed),
@@ -859,7 +841,7 @@ struct ShardHealth {
 // The engine
 // ---------------------------------------------------------------------------
 
-/// The retry/hedge/fallback state machine in front of a [`ShardIo`].
+/// The retry/fallback state machine in front of a [`ShardIo`].
 pub struct RemoteEngine {
     io: Arc<dyn ShardIo>,
     policy: RemotePolicy,
@@ -867,9 +849,6 @@ pub struct RemoteEngine {
     counters: Counters,
     faults: Mutex<VecDeque<String>>,
 }
-
-/// The winner of one (possibly hedged) exchange.
-type ExchangeWin = (String, usize);
 
 impl RemoteEngine {
     fn new(io: Arc<dyn ShardIo>, policy: RemotePolicy) -> Self {
@@ -928,7 +907,9 @@ impl RemoteEngine {
             let mut health = lock(&self.health);
             for offset in 0..pool {
                 let candidate = (start + offset) % pool;
-                let h = &mut health[candidate];
+                let Some(h) = health.get_mut(candidate) else {
+                    continue;
+                };
                 if !h.ejected {
                     return Some(candidate);
                 }
@@ -942,11 +923,7 @@ impl RemoteEngine {
         for candidate in due_probe {
             self.counters.probes.fetch_add(1, Ordering::Relaxed);
             if self.probe(candidate) {
-                let mut health = lock(&self.health);
-                let h = &mut health[candidate];
-                h.ejected = false;
-                h.consecutive_failures = 0;
-                drop(health);
+                self.note_success(candidate);
                 self.counters.readmissions.fetch_add(1, Ordering::Relaxed);
                 return Some(candidate);
             }
@@ -969,14 +946,6 @@ impl RemoteEngine {
             },
             Err(_) => false,
         }
-    }
-
-    /// A healthy shard other than `primary`, for hedged dispatch.
-    fn hedge_partner(&self, primary: usize, pool: usize) -> Option<usize> {
-        let health = lock(&self.health);
-        (1..pool)
-            .map(|offset| (primary + offset) % pool)
-            .find(|&candidate| !health[candidate].ejected)
     }
 
     fn note_success(&self, shard: usize) {
@@ -1040,107 +1009,20 @@ impl RemoteEngine {
         }
     }
 
-    /// One exchange, optionally hedged: if the primary has not answered
-    /// within `hedge_after_ms`, race a second shard and take the first
-    /// valid answer (the straggler is abandoned, its late answer
-    /// harmlessly dropped — jobs are idempotent).
-    fn exchange_hedged(
-        &self,
-        shard: usize,
-        line: &str,
-        deadline: Option<Duration>,
-        pool: usize,
-    ) -> Result<ExchangeWin, ShardIoError> {
-        let Some(hedge_after) = self.policy.hedge_after_ms else {
-            return self.io.exchange(shard, line, deadline).map(|t| (t, shard));
-        };
-        let (tx, rx) = mpsc::channel::<(usize, Result<String, ShardIoError>)>();
-        let spawn_exchange = |target: usize| {
-            let io = Arc::clone(&self.io);
-            let line = line.to_owned();
-            let tx = tx.clone();
-            std::thread::spawn(move || {
-                let result = io.exchange(target, &line, deadline);
-                drop(tx.send((target, result)));
-            });
-        };
-        spawn_exchange(shard);
-        let overall = deadline.unwrap_or(Duration::from_secs(60));
-        let mut first_fault: Option<ShardIoError> = None;
-        let mut outstanding = 1u32;
-        let mut window = Duration::from_millis(hedge_after).min(overall);
-        let mut hedged = false;
-        loop {
-            match rx.recv_timeout(window) {
-                Ok((who, Ok(text))) => {
-                    if hedged && who != shard {
-                        self.counters.hedge_wins.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return Ok((text, who));
-                }
-                Ok((_, Err(err))) => {
-                    outstanding -= 1;
-                    if first_fault.is_none() {
-                        first_fault = Some(err);
-                    }
-                    if outstanding == 0 {
-                        // Both (or the only) legs failed.
-                        return Err(first_fault.unwrap_or_else(|| {
-                            ShardIoError::new(
-                                ShardStep::Recv,
-                                io::ErrorKind::Other,
-                                "hedged exchange failed without a recorded fault",
-                            )
-                        }));
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if !hedged {
-                        hedged = true;
-                        if let Some(partner) = self.hedge_partner(shard, pool) {
-                            self.counters.hedges.fetch_add(1, Ordering::Relaxed);
-                            spawn_exchange(partner);
-                            outstanding += 1;
-                        }
-                        window = overall;
-                    } else {
-                        return Err(ShardIoError::new(
-                            ShardStep::Recv,
-                            io::ErrorKind::TimedOut,
-                            "hedged exchange timed out on every leg",
-                        ));
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(first_fault.unwrap_or_else(|| {
-                        ShardIoError::new(
-                            ShardStep::Recv,
-                            io::ErrorKind::Other,
-                            "exchange thread disconnected without a result",
-                        )
-                    }));
-                }
-            }
-        }
-    }
-
-    /// The full dispatch loop for one stage: route, exchange (hedged),
-    /// decode, verify — retrying with backoff across the pool, ejecting
-    /// sick shards along the way. `Err` means every remote option is
+    /// The full dispatch loop for one stage: route, exchange, decode,
+    /// verify — retrying with backoff across the pool, ejecting sick
+    /// shards along the way. `None` means every remote option is
     /// exhausted and the caller must recompute locally.
-    fn fetch<S: DistStage>(
+    pub(crate) fn fetch<S: DistStage>(
         &self,
         stage: &S,
         job: &StageJob,
         budget: &Budget,
-    ) -> Result<(S::Artifact, StageOrigin), ()> {
-        let line = match stage_request_line(job) {
-            Ok(line) => line,
-            Err(_) => return Err(()),
-        };
+    ) -> Option<(S::Artifact, StageOrigin)> {
+        let line = stage_request_line(job).ok()?;
         let pool = self.io.shard_count();
         if pool == 0 {
-            return Err(());
+            return None;
         }
         let fingerprint = job.fingerprint();
         let attempts = self.policy.attempts.max(1);
@@ -1158,8 +1040,8 @@ impl RemoteEngine {
                 self.counters.retries.fetch_add(1, Ordering::Relaxed);
             }
             let deadline = self.attempt_deadline(budget);
-            match self.exchange_hedged(shard, &line, deadline, pool) {
-                Ok((text, winner)) => {
+            match self.io.exchange(shard, &line, deadline) {
+                Ok(text) => {
                     let decoded = artifact_payload(&text, S::NAME)
                         .and_then(|payload| S::decode(&payload))
                         .and_then(|artifact| match stage.admissible(&artifact) {
@@ -1176,15 +1058,9 @@ impl RemoteEngine {
                         });
                     match decoded {
                         Ok(artifact) => {
-                            self.note_success(winner);
+                            self.note_success(shard);
                             self.counters.fetched.fetch_add(1, Ordering::Relaxed);
-                            return Ok((
-                                artifact,
-                                StageOrigin::Shard {
-                                    shard: winner,
-                                    attempt,
-                                },
-                            ));
+                            return Some((artifact, StageOrigin::Shard { shard, attempt }));
                         }
                         Err(message) => {
                             let err = ShardIoError::new(
@@ -1192,7 +1068,7 @@ impl RemoteEngine {
                                 io::ErrorKind::InvalidData,
                                 message,
                             );
-                            self.note_fault(S::NAME, fingerprint, winner, attempt, &err);
+                            self.note_fault(S::NAME, fingerprint, shard, attempt, &err);
                         }
                     }
                 }
@@ -1213,7 +1089,7 @@ impl RemoteEngine {
         self.counters
             .local_fallbacks
             .fetch_add(1, Ordering::Relaxed);
-        Err(())
+        None
     }
 }
 
@@ -1226,7 +1102,9 @@ fn engine_slot() -> &'static RwLock<Option<Arc<RemoteEngine>>> {
     SLOT.get_or_init(|| RwLock::new(None))
 }
 
-fn current_engine() -> Option<Arc<RemoteEngine>> {
+/// The configured engine, if any — read once per analysis by
+/// `run_engine`.
+pub(crate) fn current_engine() -> Option<Arc<RemoteEngine>> {
     engine_slot()
         .read()
         .unwrap_or_else(PoisonError::into_inner)
@@ -1251,12 +1129,6 @@ pub fn clear_remote() {
         .unwrap_or_else(PoisonError::into_inner) = None;
 }
 
-/// Whether a shard pool is currently configured.
-#[must_use]
-pub fn remote_active() -> bool {
-    current_engine().is_some()
-}
-
 /// Snapshot of the configured engine's fault-taxonomy counters; `None`
 /// when no pool is configured.
 #[must_use]
@@ -1271,72 +1143,6 @@ pub fn remote_fault_trace() -> Vec<String> {
     current_engine()
         .map(|engine| lock(&engine.faults).iter().cloned().collect())
         .unwrap_or_default()
-}
-
-/// Runs one stage through the configured remote engine, or locally when
-/// none is configured / the stage is pinned local. The local stage
-/// cache is consulted first either way; a fetched artifact is inserted
-/// under the same cacheability rule as a local compute, so warm-path
-/// behavior is identical machine-wide.
-pub(crate) fn run_distributed<S: DistStage>(
-    stage: &S,
-    store: &ArtifactStore,
-    budget: &Budget,
-) -> StageOutcome<S::Artifact> {
-    let Some(engine) = current_engine() else {
-        return stage.run(store, budget);
-    };
-    let clock = Stopwatch::start();
-    let key = stage.key();
-    if let Some(hit) = S::cache(store).lock().get(&key) {
-        let evidence = StageEvidence {
-            stage: S::NAME,
-            detail: S::detail(&hit),
-            work: S::work(&hit),
-            cache: CacheEvent::Hit,
-            wall: clock.elapsed(),
-            origin: StageOrigin::Local,
-            reused: true,
-            subkeys: 0,
-        };
-        return StageOutcome {
-            artifact: hit,
-            evidence,
-        };
-    }
-    let fetched = stage
-        .job(budget)
-        .and_then(|job| engine.fetch::<S>(stage, &job, budget).ok());
-    let (artifact, origin) = match fetched {
-        Some((artifact, origin)) => (artifact, origin),
-        None => {
-            // Pinned local (budget-sensitive) or every remote option
-            // exhausted: graceful degradation to local recompute.
-            let origin = if stage.job(budget).is_some() {
-                StageOrigin::LocalFallback
-            } else {
-                StageOrigin::Local
-            };
-            (stage.compute(budget), origin)
-        }
-    };
-    let cache = if S::cacheable(&artifact) {
-        S::cache(store).lock().insert(key, artifact.clone());
-        CacheEvent::Miss
-    } else {
-        CacheEvent::Uncached
-    };
-    let evidence = StageEvidence {
-        stage: S::NAME,
-        detail: S::detail(&artifact),
-        work: S::work(&artifact),
-        cache,
-        wall: clock.elapsed(),
-        origin,
-        reused: false,
-        subkeys: 0,
-    };
-    StageOutcome { artifact, evidence }
 }
 
 #[cfg(test)]

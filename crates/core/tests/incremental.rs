@@ -12,7 +12,7 @@
 //! would race each other's counters.
 
 use chromata::{
-    analyze, clear_decision_cache, stage_cache_stats, ArtifactKind, PipelineOptions, Verdict,
+    analyze, clear_stage_caches, stage_cache_stats, ArtifactKind, PipelineOptions, Verdict,
 };
 use chromata_task::library::{consensus, hourglass, identity_task, pinwheel, two_set_agreement};
 use chromata_task::{mutate_task, Task};
@@ -62,7 +62,7 @@ fn incremental_reanalysis_matches_cold_runs_and_reuses_branches() {
     for base in &bases {
         for index in 0..MUTANTS_PER_TASK {
             let mutant = mutate_task(base, SEED, index);
-            clear_decision_cache();
+            clear_stage_caches();
             let analysis = analyze(&mutant, options);
             cold.push((
                 mutant.name().to_owned(),
@@ -73,7 +73,7 @@ fn incremental_reanalysis_matches_cold_runs_and_reuses_branches() {
     }
 
     // -- Warm pass: the same mutants through one shared store. --------
-    clear_decision_cache();
+    clear_stage_caches();
     let mut next = cold.iter();
     for base in &bases {
         for index in 0..MUTANTS_PER_TASK {
@@ -120,11 +120,11 @@ fn incremental_reanalysis_matches_cold_runs_and_reuses_branches() {
     })
     .expect("edited task is valid");
 
-    clear_decision_cache();
+    clear_stage_caches();
     let cold_edited = analyze(&edited, options);
     let cold_digest = cold_edited.evidence.deterministic_digest();
 
-    clear_decision_cache();
+    clear_stage_caches();
     let _ = analyze(&base, options);
     let before_edit = granular_totals();
     let warm_edited = analyze(&edited, options);

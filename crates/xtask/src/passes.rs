@@ -129,14 +129,7 @@ fn pass_p3(graph: &Graph, files: &[FileInfo], out: &mut Vec<(usize, Finding)>) {
 
 /// The entry points whose transitive callees must be deterministic:
 /// digest construction and the public analyze family.
-const ANALYZE_ROOTS: &[&str] = &[
-    "analyze",
-    "analyze_governed",
-    "analyze_batch",
-    "analyze_batch_governed",
-    "analyze_persistent",
-    "analyze_batch_persistent",
-];
+const ANALYZE_ROOTS: &[&str] = &["analyze", "analyze_governed", "analyze_batch"];
 
 /// D5: clock/env/RNG/hash-order sources reachable from a determinism
 /// root. The alias-aware source extractor sees through `use ... as`

@@ -7,8 +7,8 @@
 //! 2. **Corruption tolerance** — a flipped byte or torn tail in a
 //!    snapshot degrades to recovery counters and a re-derived artifact,
 //!    never a wrong verdict or a panic.
-//! 3. **Lifecycle** — configuration resolution, the once-per-directory
-//!    warm-start guard, audit and clear behave as documented.
+//! 3. **Lifecycle** — configuration resolution, the load → analyze →
+//!    persist cycle, audit and clear behave as documented.
 //! 4. **Derived flags** — a restored presentation summary re-derives its
 //!    triviality and evident-abelianness flags to the values a fresh
 //!    build computes, for every task of the library.
@@ -22,9 +22,9 @@ use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use chromata::{
-    analyze, analyze_persistent, audit_cache_dir, clear_cache_dir, clear_stage_caches,
-    load_cache_dir, persist_now, warm_start, Analysis, CacheDirConfig, LinkGraphs, PipelineOptions,
-    Presentations, SnapshotAudit, SnapshotStatus, CACHE_DIR_ENV,
+    analyze, audit_cache_dir, clear_cache_dir, clear_stage_caches, load_cache_dir, persist_now,
+    Analysis, CacheDirConfig, LinkGraphs, PipelineOptions, Presentations, SnapshotAudit,
+    SnapshotStatus, CACHE_DIR_ENV,
 };
 use chromata_task::library::{hourglass, identity_task, two_set_agreement};
 use chromata_task::Task;
@@ -99,27 +99,27 @@ fn digest_parity_cold_warm_memory_warm_disk() {
 }
 
 #[test]
-fn persistent_facade_loads_once_per_directory() {
+fn cache_dir_cycle_loads_analyzes_and_persists() {
     let _guard = store_guard();
-    let dir = scratch_dir("facade");
+    let dir = scratch_dir("cycle");
     let config = CacheDirConfig::at(&dir);
     let options = PipelineOptions::default();
     clear_stage_caches();
 
-    let (first, report) = analyze_persistent(&hourglass(), options, &config);
-    let loaded = report
-        .loaded
-        .expect("first touch of a directory warm-starts");
+    let loaded = load_cache_dir(&config).expect("persistence is enabled");
     assert_eq!(loaded.missing, 6, "a fresh directory has no snapshots");
     assert_eq!(loaded.restored, 0);
-    let saved = report.saved.expect("snapshot after analysis");
+    let first = analyze(&hourglass(), options);
+    let saved = persist_now(&config)
+        .expect("persistence is enabled")
+        .expect("snapshot after analysis");
     assert!(saved.entries_written > 0);
-    assert!(report.save_error.is_none());
 
-    // Same directory again in the same process: the warm start is a
-    // no-op (the guard), the answer is identical.
-    let (second, report) = analyze_persistent(&hourglass(), options, &config);
-    assert!(report.loaded.is_none(), "{:?}", report.loaded);
+    // The same cycle again in the same process reads the directory
+    // afresh, and the answer is identical.
+    let reloaded = load_cache_dir(&config).expect("persistence is enabled");
+    assert_eq!(reloaded.missing, 0, "{reloaded:?}");
+    let second = analyze(&hourglass(), options);
     assert_eq!(fingerprint(&first), fingerprint(&second));
 
     let _ = fs::remove_dir_all(&dir);
@@ -310,7 +310,7 @@ fn config_resolution_explicit_beats_env_beats_disabled() {
     assert!(!config.is_enabled());
     assert_eq!(config.dir(), None);
     // Disabled persistence is inert end to end.
-    assert!(warm_start(&config).is_none());
+    assert!(load_cache_dir(&config).is_none());
     assert!(persist_now(&config).is_none());
 }
 
@@ -321,8 +321,9 @@ fn clear_cache_dir_removes_every_snapshot() {
     let config = CacheDirConfig::at(&dir);
     clear_stage_caches();
 
-    let (_, report) = analyze_persistent(&identity_task(2), PipelineOptions::default(), &config);
-    assert!(report.saved.is_some(), "{report:?}");
+    let _ = analyze(&identity_task(2), PipelineOptions::default());
+    let saved = persist_now(&config).expect("persistence is enabled");
+    assert!(saved.is_ok(), "{saved:?}");
 
     let removed = clear_cache_dir(&dir).expect("clear succeeds");
     assert!(

@@ -12,20 +12,25 @@
 //! The matrix mirrors `persist.rs`'s durability torture tests: every
 //! `io::ErrorKind` at every dispatch step, a mid-response kill, a
 //! corrupted artifact payload, and a partitioned-then-healed shard —
-//! each case also asserting the expected fault-taxonomy counter.
+//! each case also asserting the expected fault-taxonomy counter. A
+//! stage runs through one code path whether it is computed locally,
+//! fetched from a shard, or recomputed after every shard failed, so the
+//! stage-cache accounting is pinned equal across all three.
 //!
 //! Every test funnels through [`store_guard`]: the remote engine and
 //! the stage caches are process-wide, so tests serialize and reset both.
 
+use std::collections::BTreeMap;
 use std::io;
+use std::mem::discriminant;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 use chromata::{
-    analyze, analyze_batch, clear_decision_cache, clear_remote, clear_stage_caches,
-    configure_remote, execute_stage_line, parse_stage_fields, remote_fault_trace, remote_stats,
-    Analysis, PipelineOptions, RemotePolicy, ShardIo, ShardIoError, ShardStep, StageOrigin,
+    analyze, analyze_batch, clear_remote, clear_stage_caches, configure_remote, execute_stage_line,
+    parse_stage_fields, remote_fault_trace, remote_stats, stage_cache_stats, Analysis,
+    ArtifactKind, PipelineOptions, RemotePolicy, ShardIo, ShardIoError, ShardStep, StageOrigin,
 };
 use chromata_task::library::{
     consensus, hourglass, identity_task, klein_bottle_doubled_loop, loop_agreement, pinwheel,
@@ -48,7 +53,6 @@ fn store_guard() -> std::sync::MutexGuard<'static, ()> {
 fn reset() {
     clear_remote();
     clear_stage_caches();
-    clear_decision_cache();
 }
 
 /// The single-machine golden for a task: verdict text + evidence digest.
@@ -206,7 +210,6 @@ fn fast_policy(attempts: u32) -> RemotePolicy {
         base_backoff_ms: 1,
         max_backoff_ms: 2,
         stage_deadline_ms: Some(2_000),
-        hedge_after_ms: None,
         eject_after: 3,
         probe_every: 2,
     }
@@ -372,7 +375,8 @@ fn partitioned_then_healed_shard_is_ejected_and_readmitted() {
     // budget and eventually re-admit the healed shard.
     let mut readmitted = false;
     for round in 0..20 {
-        reset_caches_only();
+        // Cold caches, but the configured engine stays.
+        clear_stage_caches();
         let i = round % tasks.len();
         let analysis = analyze(&tasks[i], options);
         assert_parity(&tasks[i], &analysis, &goldens[i], "during healing");
@@ -389,12 +393,6 @@ fn partitioned_then_healed_shard_is_ejected_and_readmitted() {
     );
     assert!(stats.probes >= 1, "{stats:?}");
     clear_remote();
-}
-
-/// Clears caches but keeps the configured engine (mid-scenario reset).
-fn reset_caches_only() {
-    clear_stage_caches();
-    clear_decision_cache();
 }
 
 #[test]
@@ -439,71 +437,82 @@ fn healthy_pool_fans_a_library_batch_and_matches_sequential_goldens() {
     clear_remote();
 }
 
-#[test]
-fn hedged_dispatch_races_a_second_shard_with_parity() {
-    let _guard = store_guard();
-    let task = hourglass();
-    let options = PipelineOptions::default();
-    let gold = golden(&task, options);
-    reset();
-    // Shard exchanges stall 20ms; hedging fires after 5ms to a second
-    // shard which stalls too, so every dispatch exhausts and falls back
-    // — the interesting assertion is parity plus the hedge counters.
-    let policy = RemotePolicy {
-        hedge_after_ms: Some(5),
-        ..fast_policy(1)
-    };
-    configure_remote(Arc::new(FaultIo::always(2, FaultMode::Stall)), policy);
-    let analysis = analyze(&task, options);
-    assert_parity(&task, &analysis, &gold, "hedged stalling pool");
-    let stats = remote_stats().expect("engine is configured");
-    assert!(stats.hedges >= 1, "no hedge fired: {stats:?}");
-    assert!(stats.local_fallbacks >= 1, "{stats:?}");
-    clear_remote();
+/// A healthy pool that answers each request line once through
+/// [`serve_line`] and replays that answer afterwards. The in-process
+/// shard shares this process's stage caches, so only replayed
+/// exchanges leave their counters to the dispatcher alone.
+#[derive(Default)]
+struct ReplayIo(Mutex<BTreeMap<String, String>>);
 
-    // And when only the *primary* is slow, the hedge must win: shard
-    // exchanges succeed, so the race resolves to a fetched artifact.
-    reset();
-    let policy = RemotePolicy {
-        hedge_after_ms: Some(1),
-        ..fast_policy(1)
-    };
-    configure_remote(
-        Arc::new(SlowPrimaryIo {
-            inner_calls: AtomicUsize::new(0),
-        }),
-        policy,
-    );
-    let analysis = analyze(&task, options);
-    assert_parity(&task, &analysis, &gold, "slow-primary hedge");
-    let stats = remote_stats().expect("engine is configured");
-    assert!(stats.fetched >= 1, "{stats:?}");
-    assert!(stats.hedges >= 1, "{stats:?}");
-    clear_remote();
-}
-
-/// Two shards: shard 0 answers slowly (but correctly), shard 1 fast —
-/// the straggler-cutoff scenario hedging exists for.
-struct SlowPrimaryIo {
-    inner_calls: AtomicUsize,
-}
-
-impl ShardIo for SlowPrimaryIo {
+impl ShardIo for ReplayIo {
     fn shard_count(&self) -> usize {
         2
     }
 
-    fn exchange(
-        &self,
-        shard: usize,
-        line: &str,
-        _deadline: Option<Duration>,
-    ) -> Result<String, ShardIoError> {
-        self.inner_calls.fetch_add(1, Ordering::Relaxed);
-        if shard == 0 {
-            std::thread::sleep(Duration::from_millis(15));
+    fn exchange(&self, _: usize, line: &str, _: Option<Duration>) -> Result<String, ShardIoError> {
+        let mut answers = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if !answers.contains_key(line) {
+            answers.insert(line.to_owned(), serve_line(line)?);
         }
-        serve_line(line)
+        Ok(answers[line].clone())
+    }
+}
+
+/// Decides `task` from cleared caches (clearing also zeroes the
+/// counters): the analysis, and per kind the `(lookups, hits, misses)`
+/// it caused, each kind's counters coherent.
+fn cold_decision(task: &Task) -> (Analysis, Vec<(ArtifactKind, u64, u64, u64)>) {
+    clear_stage_caches();
+    let analysis = analyze(task, PipelineOptions::default());
+    let counts = stage_cache_stats()
+        .into_iter()
+        .map(|(kind, s)| {
+            assert!(s.is_coherent(), "{kind:?} incoherent: {s:?}");
+            (kind, s.lookups, s.hits, s.misses)
+        })
+        .collect();
+    (analysis, counts)
+}
+
+#[test]
+fn cache_accounting_is_identical_locally_through_a_pool_and_after_fallback() {
+    let _guard = store_guard();
+    let task = pinwheel();
+    reset();
+    let local = cold_decision(&task);
+    // The first pooled run records every shard answer; the second
+    // replays them.
+    configure_remote(Arc::new(ReplayIo::default()), fast_policy(1));
+    let _ = cold_decision(&task);
+    let healthy = cold_decision(&task);
+    let dead = FaultMode::Fail(ShardStep::Connect, io::ErrorKind::ConnectionRefused);
+    configure_remote(Arc::new(FaultIo::always(2, dead)), fast_policy(1));
+    let faulted = cold_decision(&task);
+    clear_remote();
+
+    let gold = (
+        local.0.verdict.to_string(),
+        local.0.evidence.deterministic_digest(),
+    );
+    let shard = StageOrigin::Shard {
+        shard: 0,
+        attempt: 1,
+    };
+    for ((analysis, counts), context, origin) in [
+        (&local, "local", StageOrigin::Local),
+        (&healthy, "healthy pool", shard),
+        (&faulted, "faulting pool", StageOrigin::LocalFallback),
+    ] {
+        assert_eq!(counts, &local.1, "cache counts under {context}");
+        assert_parity(&task, analysis, &gold, context);
+        // Canonicalization always runs live; every later stage reports
+        // where its artifact came from (any shard, any attempt).
+        let (first, rest) = analysis.evidence.stages.split_first().expect("stages ran");
+        assert_eq!(first.origin, StageOrigin::Local, "{context}");
+        for s in rest {
+            let same_kind = discriminant(&s.origin) == discriminant(&origin);
+            assert!(same_kind, "{context}: {} from {}", s.stage, s.origin);
+        }
     }
 }
 
