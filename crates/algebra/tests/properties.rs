@@ -194,9 +194,10 @@ fn infinite_abelianization() -> impl Strategy<Value = Presentation> {
                     .into_iter()
                     .map(|mut r| {
                         let sum: i32 = r.iter().filter(|x| x.abs() == n).map(|x| x.signum()).sum();
-                        r.extend(
-                            std::iter::repeat(-sum.signum() * n).take(sum.unsigned_abs() as usize),
-                        );
+                        r.extend(std::iter::repeat_n(
+                            -sum.signum() * n,
+                            sum.unsigned_abs() as usize,
+                        ));
                         r
                     })
                     .collect();

@@ -212,7 +212,6 @@ struct Shared {
     analyzed: AtomicU64,
     overloaded: AtomicU64,
     malformed: AtomicU64,
-    save_errors: AtomicU64,
     dirty: AtomicU64,
     poison: PoisonTable,
 }
@@ -307,7 +306,6 @@ impl Server {
             analyzed: AtomicU64::new(0),
             overloaded: AtomicU64::new(0),
             malformed: AtomicU64::new(0),
-            save_errors: AtomicU64::new(0),
             dirty: AtomicU64::new(0),
             poison: PoisonTable::new(),
         });
@@ -725,10 +723,7 @@ fn dispatch(line: &str, shared: &Shared) -> (String, bool) {
                     false,
                 )
             }
-            Some(Err(e)) => {
-                shared.save_errors.fetch_add(1, Ordering::Relaxed);
-                (wire::error_response(&format!("persist failed: {e}")), false)
-            }
+            Some(Err(e)) => (wire::error_response(&format!("persist failed: {e}")), false),
         },
         Ok(Request::Shutdown) => (wire::shutdown_response(), true),
         Ok(Request::Analyze(req)) => (handle_analyze(&req, shared), false),
@@ -883,7 +878,6 @@ fn persist_loop(shared: &Shared) {
             continue;
         }
         if let Some(Err(_)) = persist_now(&shared.cache) {
-            shared.save_errors.fetch_add(1, Ordering::Relaxed);
             // The snapshot failed after `dirty` was already swapped to
             // zero; re-mark it so the next cadence retries instead of
             // silently dropping the delta until another request lands.

@@ -23,10 +23,11 @@
 //!   jobs in-process (the worker code path without sockets), so a
 //!   campaign can run a multi-shard pool inside one process.
 //!
-//! Schedules are produced by [`FaultSchedule`]: xorshift64*-seeded
-//! (the same discipline as the task mutator and the remote engine's
-//! backoff jitter), a pure function of `(seed, round)` so any campaign
-//! replays exactly from its seed.
+//! Schedules are produced by [`FaultSchedule`]: seeded by the
+//! workspace's one xorshift64* generator (`chromata_topology::xorshift`,
+//! which also drives the task mutator and the remote engine's backoff
+//! jitter), a pure function of `(seed, round)` so any campaign replays
+//! exactly from its seed.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -34,6 +35,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use chromata_topology::{fnv1a, xorshift};
 use serde_json::Value;
 
 use super::persist::{self, PersistIo, RealIo};
@@ -43,29 +45,6 @@ use super::remote::{ShardIo, ShardIoError, ShardStep};
 /// so a panicking holder cannot leave them torn.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// xorshift64* step — the workspace's deterministic generator (same as
-/// the task mutator and the remote engine's backoff jitter).
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state | 1;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-}
-
-/// FNV-1a over bytes — the stage-response checksum (same constants as
-/// the persist and remote layers), needed to re-checksum a tampered
-/// artifact so it stays wire-valid.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
 }
 
 // ---------------------------------------------------------------------------

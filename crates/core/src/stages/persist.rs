@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use chromata_task::Task;
-use chromata_topology::govern;
+use chromata_topology::{fnv1a, govern};
 use serde::{Deserialize, Serialize};
 
 use super::artifacts::ExplorationReport;
@@ -73,17 +73,6 @@ const MAGIC_PREFIX: &str = "chromata-snap v2 ";
 /// Environment variable read (via [`govern::env_string`], rule D2) by
 /// [`CacheDirConfig::from_env`].
 pub const CACHE_DIR_ENV: &str = "CHROMATA_CACHE_DIR";
-
-/// FNV-1a over a byte string — the per-record checksum. Same constants
-/// as the workspace's structural fingerprinting, applied to raw bytes.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
 
 // ---------------------------------------------------------------------------
 // The I/O seam

@@ -47,7 +47,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::Duration;
 
 use chromata_task::Task;
-use chromata_topology::{structural_fingerprint, Budget, CancelToken};
+use chromata_topology::{fnv1a, structural_fingerprint, xorshift, Budget, CancelToken};
 use serde_json::Value;
 
 use super::artifacts::{
@@ -69,17 +69,6 @@ pub const STAGE_PROTO_VERSION: u64 = 2;
 
 /// Bound on retained fault-trace lines (oldest evicted first).
 const FAULT_TRACE_CAP: usize = 256;
-
-/// FNV-1a over bytes — the artifact-payload checksum (same constants as
-/// the workspace's structural fingerprinting and the snapshot format).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
 
 /// Locks a mutex, recovering the guard if a previous holder panicked —
 /// health tables and trace rings hold plain data whose invariants the
@@ -862,23 +851,13 @@ impl RemoteEngine {
         }
     }
 
-    /// xorshift64* step — deterministic jitter without an entropy source.
-    fn xorshift(state: &mut u64) -> u64 {
-        let mut x = *state | 1;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        *state = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
     /// Decorrelated jitter: `sleep = min(cap, base + rand(0, 3·prev))`,
     /// seeded from the job fingerprint so a replay backs off identically.
     fn next_backoff(&self, rng: &mut u64, prev: &mut u64) -> Duration {
         let base = self.policy.base_backoff_ms;
         let span = prev.saturating_mul(3).max(1);
         let ms = base
-            .saturating_add(Self::xorshift(rng) % span)
+            .saturating_add(xorshift(rng) % span)
             .min(self.policy.max_backoff_ms.max(base));
         *prev = ms.max(1);
         Duration::from_millis(ms)
@@ -1148,64 +1127,8 @@ pub fn remote_fault_trace() -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stages::chaos::InProcessShards;
     use chromata_task::library::{hourglass, two_set_agreement};
-    use std::sync::atomic::AtomicUsize;
-
-    /// In-process shard: executes the job for real (same process-wide
-    /// store), exercising the full encode → execute → checksum → decode
-    /// round trip without sockets.
-    struct LoopbackIo {
-        shards: usize,
-        calls: AtomicUsize,
-    }
-
-    impl LoopbackIo {
-        fn new(shards: usize) -> Self {
-            LoopbackIo {
-                shards,
-                calls: AtomicUsize::new(0),
-            }
-        }
-    }
-
-    fn serve_line(line: &str) -> Result<String, ShardIoError> {
-        let value: Value = serde_json::from_str(line).map_err(|e| {
-            ShardIoError::new(ShardStep::Recv, io::ErrorKind::InvalidData, e.to_string())
-        })?;
-        let Value::Object(entries) = value else {
-            return Err(ShardIoError::new(
-                ShardStep::Recv,
-                io::ErrorKind::InvalidData,
-                "not an object",
-            ));
-        };
-        if entries
-            .iter()
-            .any(|(k, v)| k == "op" && *v == Value::String("ping".to_owned()))
-        {
-            return Ok(r#"{"status":"ok","op":"ping"}"#.to_owned());
-        }
-        let job = parse_stage_fields(&entries)
-            .map_err(|e| ShardIoError::new(ShardStep::Recv, io::ErrorKind::InvalidData, e))?;
-        execute_stage_line(&job)
-            .map_err(|e| ShardIoError::new(ShardStep::Recv, io::ErrorKind::InvalidData, e))
-    }
-
-    impl ShardIo for LoopbackIo {
-        fn shard_count(&self) -> usize {
-            self.shards
-        }
-
-        fn exchange(
-            &self,
-            _shard: usize,
-            line: &str,
-            _deadline: Option<Duration>,
-        ) -> Result<String, ShardIoError> {
-            self.calls.fetch_add(1, Ordering::Relaxed);
-            serve_line(line)
-        }
-    }
 
     #[test]
     fn job_lines_round_trip_through_the_parser() {
@@ -1305,7 +1228,7 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_and_bounded() {
-        let engine = RemoteEngine::new(Arc::new(LoopbackIo::new(2)), RemotePolicy::default());
+        let engine = RemoteEngine::new(Arc::new(InProcessShards::new(2)), RemotePolicy::default());
         let run = |seed: u64| {
             let mut rng = seed;
             let mut prev = engine.policy.base_backoff_ms.max(1);
@@ -1328,7 +1251,7 @@ mod tests {
 
     #[test]
     fn routing_is_deterministic_and_rotates_on_retry() {
-        let engine = RemoteEngine::new(Arc::new(LoopbackIo::new(3)), RemotePolicy::default());
+        let engine = RemoteEngine::new(Arc::new(InProcessShards::new(3)), RemotePolicy::default());
         let fp = 17u64;
         let first = engine.pick_shard(fp, 1, 3).unwrap();
         assert_eq!(first, engine.pick_shard(fp, 1, 3).unwrap());
@@ -1344,16 +1267,17 @@ mod tests {
     fn ejection_and_probe_readmission_cycle() {
         struct FlakyIo {
             dead: std::sync::atomic::AtomicBool,
+            pool: InProcessShards,
         }
         impl ShardIo for FlakyIo {
             fn shard_count(&self) -> usize {
-                1
+                self.pool.shard_count()
             }
             fn exchange(
                 &self,
-                _shard: usize,
+                shard: usize,
                 line: &str,
-                _deadline: Option<Duration>,
+                deadline: Option<Duration>,
             ) -> Result<String, ShardIoError> {
                 if self.dead.load(Ordering::Relaxed) {
                     return Err(ShardIoError::new(
@@ -1362,11 +1286,12 @@ mod tests {
                         "partitioned",
                     ));
                 }
-                serve_line(line)
+                self.pool.exchange(shard, line, deadline)
             }
         }
         let io = Arc::new(FlakyIo {
             dead: std::sync::atomic::AtomicBool::new(true),
+            pool: InProcessShards::new(1),
         });
         let policy = RemotePolicy {
             attempts: 1,
@@ -1400,7 +1325,7 @@ mod tests {
 
     #[test]
     fn fault_traces_are_single_replayable_lines() {
-        let engine = RemoteEngine::new(Arc::new(LoopbackIo::new(2)), RemotePolicy::default());
+        let engine = RemoteEngine::new(Arc::new(InProcessShards::new(2)), RemotePolicy::default());
         let err = ShardIoError::new(ShardStep::Recv, io::ErrorKind::TimedOut, "stalled");
         engine.note_fault("homology", 0xabcd, 1, 2, &err);
         let faults = lock(&engine.faults);

@@ -1,12 +1,15 @@
-//! Exhaustive and randomized schedulers over asynchronous processes.
+//! Failure-free schedulers over asynchronous processes.
 //!
 //! Processes are deterministic state machines taking one atomic shared-
-//! memory operation per step (§2.1); the *exhaustive* scheduler is a
-//! state-memoizing model checker that enumerates every interleaving (and
-//! every internal nondeterministic branch, used by the adversarial
-//! oracle), collecting the set of reachable terminal outcomes. This is
-//! strictly stronger than testing on real hardware: a property checked
-//! here holds on **all** schedules.
+//! memory operation per step (§2.1). The *exhaustive* scheduler
+//! [`explore`] enumerates every interleaving (and every internal
+//! nondeterministic branch, used by the adversarial oracle), collecting
+//! the set of reachable terminal outcomes; [`find_violation`] stops at
+//! the first outcome a predicate rejects. Both are the zero-crash case
+//! of the one state-memoizing model checker,
+//! [`crate::fault::explore_crash`]. This is strictly stronger than
+//! testing on real hardware: a property checked here holds on **all**
+//! schedules. [`replay`] and [`run_random`] run one schedule.
 //!
 //! Every failure mode is structured: budget exhaustion, cooperative
 //! cancellation, stuck processes and panicking workers all surface as
@@ -15,15 +18,15 @@
 //! failing state from the initial configuration, rendered as a one-line
 //! string (see [`Trace`]'s `Display`/`FromStr`).
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::hash::Hash;
+use std::ops::ControlFlow;
 use std::str::FromStr;
 use std::sync::Arc;
 
-use chromata_topology::{
-    try_par_map, Budget, BuildStructuralHasher, CancelToken, Interrupt, Vertex,
-};
+use chromata_topology::{Budget, CancelToken, Interrupt, Vertex};
 
+use crate::fault::{explore_crash, walk, CrashOutcome};
 use crate::memory::Memory;
 
 /// An asynchronous process: a deterministic (up to explicit branching)
@@ -257,10 +260,6 @@ impl std::error::Error for ExploreError {}
 /// on error paths.
 pub(crate) type TraceLink = Option<Arc<TraceNode>>;
 
-/// One deduplicated BFS level: interned states paired with the trace
-/// link of the first schedule that reached them.
-pub(crate) type Level<S> = Vec<(Arc<S>, TraceLink)>;
-
 /// One node of the shared trace list.
 pub(crate) struct TraceNode {
     event: TraceEvent,
@@ -287,18 +286,14 @@ pub(crate) fn trace_collect(link: &TraceLink) -> Trace {
     Trace(events)
 }
 
-/// What a single state contributed to its breadth-first level: either a
-/// terminal outcome or its successor states (with their trace links).
-enum LevelStep<P> {
-    Terminal(Outcome),
-    Expanded(Vec<(Vec<P>, Memory, TraceLink)>),
-}
-
 /// Exhaustively explores all interleavings (and internal branches) from
-/// the initial system state, memoizing visited states.
+/// the initial system state, memoizing visited states: the failure-free
+/// case (`max_crashes = 0`) of [`explore_crash`], whose outcomes are all
+/// complete.
 ///
-/// Unlimited except for `max_states` and `max_depth`; see
-/// [`explore_governed`] for deadline- and cancellation-aware exploration.
+/// Unlimited except for `max_states` and `max_depth`; call
+/// [`explore_crash`] directly for deadline- and cancellation-aware
+/// exploration.
 ///
 /// # Errors
 ///
@@ -315,7 +310,7 @@ where
     P: Process + Send + Sync,
     P::Config: Sync,
 {
-    explore_governed(
+    let explored = explore_crash(
         processes,
         memory,
         config,
@@ -323,136 +318,23 @@ where
             .with_max_states(max_states)
             .with_max_steps(max_depth),
         &CancelToken::new(),
-    )
-}
-
-/// [`explore`] under a full [`Budget`] and [`CancelToken`]: the search is
-/// additionally bounded by the budget's wall-clock deadline and can be
-/// cancelled cooperatively from another thread (both are checked once per
-/// breadth-first level).
-///
-/// The search is a level-synchronous breadth-first traversal: each level
-/// of distinct unvisited states is expanded as a batch (in parallel with
-/// the `parallel` feature; [`try_par_map`] preserves batch order, so the
-/// outcome and state sets are identical either way). Worker panics are
-/// caught and surfaced as [`ExploreError::WorkerPanicked`] with the
-/// schedule that reaches the offending state.
-///
-/// # Errors
-///
-/// Structured [`ExploreError`]s for budget exhaustion, interruption,
-/// stuck processes and worker panics.
-pub fn explore_governed<P>(
-    processes: Vec<P>,
-    memory: Memory,
-    config: &P::Config,
-    budget: &Budget,
-    cancel: &CancelToken,
-) -> Result<Explored, ExploreError>
-where
-    P: Process + Send + Sync,
-    P::Config: Sync,
-{
-    // Keyed by the structural (FNV) hasher: interned vertices/simplices
-    // replay precomputed fingerprints, so state hashing is a cheap mix
-    // rather than SipHash over the whole state. States are `Arc`-shared
-    // between the visited set and the work list — one hash and zero deep
-    // clones per deduplication. Trace links ride alongside (outside the
-    // memoized key): the first schedule reaching each state is kept as
-    // its replayable witness.
-    let mut visited: HashSet<Arc<(Vec<P>, Memory)>, BuildStructuralHasher> = HashSet::default();
-    let mut outcomes: BTreeSet<Outcome> = BTreeSet::new();
-    let mut frontier: Vec<(Vec<P>, Memory, TraceLink)> = vec![(processes, memory, None)];
-    let mut depth = 0usize;
-    while !frontier.is_empty() {
-        if let Err(interrupt) = budget.check(cancel) {
-            return Err(ExploreError::Interrupted {
-                interrupt,
-                states: visited.len(),
-                trace: trace_collect(&frontier[0].2),
-            });
-        }
-        // Deduplicate this level against everything seen so far.
-        let mut level: Level<(Vec<P>, Memory)> = Vec::with_capacity(frontier.len());
-        for (procs, mem, trace) in frontier.drain(..) {
-            let st = Arc::new((procs, mem));
-            if visited.insert(Arc::clone(&st)) {
-                if visited.len() > budget.max_states {
-                    return Err(ExploreError::StateBudgetExceeded {
-                        max_states: budget.max_states,
-                        trace: trace_collect(&trace),
-                    });
-                }
-                level.push((st, trace));
-            }
-        }
-        let expanded = try_par_map(&level, |(st, trace)| {
-            let (procs, mem) = st.as_ref();
-            let undecided: Vec<usize> = procs
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.decided().is_none())
-                .map(|(i, _)| i)
-                .collect();
-            if undecided.is_empty() {
-                let outcome: Outcome = procs.iter().filter_map(|p| p.decided().cloned()).collect();
-                return Ok(LevelStep::Terminal(outcome));
-            }
-            let mut next = Vec::new();
-            for i in undecided {
-                let successors = procs[i].step(config, mem);
-                if successors.is_empty() {
-                    return Err(i);
-                }
-                for (branch, (next_p, next_mem)) in successors.into_iter().enumerate() {
-                    let mut next_procs = procs.clone();
-                    next_procs[i] = next_p;
-                    let link = trace_push(trace, TraceEvent::Step { process: i, branch });
-                    next.push((next_procs, next_mem, link));
-                }
-            }
-            Ok(LevelStep::Expanded(next))
-        })
-        .map_err(|panic| ExploreError::WorkerPanicked {
-            message: panic.message.clone(),
-            trace: trace_collect(&level[panic.index].1),
-        })?;
-        let mut any_expansion = false;
-        for (step, (_, trace)) in expanded.into_iter().zip(&level) {
-            match step {
-                Ok(LevelStep::Terminal(o)) => {
-                    outcomes.insert(o);
-                }
-                Ok(LevelStep::Expanded(next)) => {
-                    any_expansion = true;
-                    frontier.extend(next);
-                }
-                Err(pid) => {
-                    return Err(ExploreError::StuckProcess {
-                        pid,
-                        trace: trace_collect(trace),
-                    });
-                }
-            }
-        }
-        if any_expansion {
-            // A non-terminal state at depth `max_steps` means some path
-            // needs more than `max_steps` steps.
-            if depth >= budget.max_steps {
-                return Err(ExploreError::StepBoundExceeded(budget.max_steps));
-            }
-            depth += 1;
-        }
-    }
+        0,
+    )?;
     Ok(Explored {
-        outcomes,
-        states: visited.len(),
+        outcomes: explored
+            .outcomes
+            .iter()
+            .filter_map(CrashOutcome::complete)
+            .collect(),
+        states: explored.states,
     })
 }
 
 /// Searches all interleavings for a terminal outcome violating
 /// `acceptable`, returning the exact schedule that produces it — the
-/// model checker's counterexample extractor.
+/// model checker's counterexample extractor. The search is the
+/// failure-free breadth-first one of [`explore`], stopped at the first
+/// rejected outcome, so the schedule is a shortest one.
 ///
 /// Returns `None` if every reachable terminal outcome is acceptable.
 ///
@@ -468,52 +350,29 @@ pub fn find_violation<P, F>(
     mut acceptable: F,
 ) -> Result<Option<(Trace, Outcome)>, ExploreError>
 where
-    P: Process,
+    P: Process + Send + Sync,
+    P::Config: Sync,
     F: FnMut(&Outcome) -> bool,
 {
-    let mut visited: HashSet<(Vec<P>, Memory), BuildStructuralHasher> = HashSet::default();
-    let mut stack: Vec<(Vec<P>, Memory, Vec<TraceEvent>)> = vec![(processes, memory, Vec::new())];
-    while let Some((procs, mem, trace)) = stack.pop() {
-        if !visited.insert((procs.clone(), mem.clone())) {
-            continue;
-        }
-        if visited.len() > max_states {
-            return Err(ExploreError::StateBudgetExceeded {
-                max_states,
-                trace: Trace(trace),
-            });
-        }
-        if procs.iter().all(|p| p.decided().is_some()) {
-            let outcome: Outcome = procs.iter().filter_map(|p| p.decided().cloned()).collect();
-            if !acceptable(&outcome) {
-                return Ok(Some((Trace(trace), outcome)));
+    let mut violation = None;
+    walk(
+        processes,
+        memory,
+        config,
+        &Budget::unlimited()
+            .with_max_states(max_states)
+            .with_max_steps(max_depth),
+        &CancelToken::new(),
+        0,
+        |outcome, trace| match outcome.complete() {
+            Some(outcome) if !acceptable(&outcome) => {
+                violation = Some((trace_collect(trace), outcome));
+                ControlFlow::Break(())
             }
-            continue;
-        }
-        if trace.len() >= max_depth {
-            return Err(ExploreError::StepBoundExceeded(max_depth));
-        }
-        for (i, p) in procs.iter().enumerate() {
-            if p.decided().is_some() {
-                continue;
-            }
-            let successors = p.step(config, &mem);
-            if successors.is_empty() {
-                return Err(ExploreError::StuckProcess {
-                    pid: i,
-                    trace: Trace(trace),
-                });
-            }
-            for (branch, (next_p, next_mem)) in successors.into_iter().enumerate() {
-                let mut next_procs = procs.clone();
-                next_procs[i] = next_p;
-                let mut next_trace = trace.clone();
-                next_trace.push(TraceEvent::Step { process: i, branch });
-                stack.push((next_procs, next_mem, next_trace));
-            }
-        }
-    }
-    Ok(None)
+            _ => ControlFlow::Continue(()),
+        },
+    )?;
+    Ok(violation)
 }
 
 /// Replays a recorded failure-free trace exactly, returning the outcome.
@@ -566,48 +425,6 @@ pub fn run_random<P: Process>(
     partial
         .complete()
         .ok_or(ExploreError::StepBoundExceeded(max_steps))
-}
-
-/// Runs one specific schedule: at each step the next undecided process in
-/// `schedule` takes a step (entries naming decided processes are
-/// skipped); branches are resolved by always taking the first successor.
-/// Useful for reproducing a particular interleaving.
-///
-/// # Errors
-///
-/// Returns [`ExploreError::StepBoundExceeded`] if the schedule ends
-/// before all processes decide, and [`ExploreError::StuckProcess`] if an
-/// undecided process has no successors.
-pub fn run_schedule<P: Process>(
-    mut processes: Vec<P>,
-    mut memory: Memory,
-    config: &P::Config,
-    schedule: &[usize],
-) -> Result<Outcome, ExploreError> {
-    let mut trace = Vec::new();
-    for &i in schedule {
-        if processes.iter().all(|p| p.decided().is_some()) {
-            break;
-        }
-        if processes[i].decided().is_some() {
-            continue;
-        }
-        let successors = processes[i].step(config, &memory);
-        let Some((p, m)) = successors.into_iter().next() else {
-            return Err(ExploreError::StuckProcess {
-                pid: i,
-                trace: Trace(trace),
-            });
-        };
-        trace.push(TraceEvent::Step {
-            process: i,
-            branch: 0,
-        });
-        processes[i] = p;
-        memory = m;
-    }
-    let outcome: Option<Outcome> = processes.iter().map(|p| p.decided().cloned()).collect();
-    outcome.ok_or(ExploreError::StepBoundExceeded(schedule.len()))
 }
 
 #[cfg(test)]
@@ -711,9 +528,9 @@ pub(crate) mod tests {
     #[test]
     fn schedule_runner_is_deterministic() {
         let (procs, mem) = toys(2);
-        let sched = [0usize, 0, 1, 1];
-        let a = run_schedule(procs.clone(), mem.clone(), &(), &sched).unwrap();
-        let b = run_schedule(procs, mem, &(), &sched).unwrap();
+        let schedule: Trace = "0.0 0.0 1.0 1.0".parse().unwrap();
+        let a = replay(procs.clone(), mem.clone(), &(), &schedule).unwrap();
+        let b = replay(procs, mem, &(), &schedule).unwrap();
         assert_eq!(a, b);
         // P0 runs solo first: sees only itself.
         assert_eq!(a[0].value().as_int(), Some(1));
@@ -760,9 +577,10 @@ pub(crate) mod tests {
             }
             other => panic!("expected state-budget error, got {other:?}"),
         }
+        // A trace that ends before every process decides.
         assert!(matches!(
-            run_schedule(procs, mem, &(), &[0]),
-            Err(ExploreError::StepBoundExceeded(_))
+            replay(procs, mem, &(), &"0.0".parse().unwrap()),
+            Err(ExploreError::StepBoundExceeded(1))
         ));
     }
 
@@ -771,7 +589,7 @@ pub(crate) mod tests {
         let (procs, mem) = toys(3);
         let cancel = CancelToken::new();
         cancel.cancel();
-        match explore_governed(procs, mem, &(), &Budget::unlimited(), &cancel) {
+        match explore_crash(procs, mem, &(), &Budget::unlimited(), &cancel, 0) {
             Err(ExploreError::Interrupted {
                 interrupt: Interrupt::Cancelled,
                 ..
@@ -785,7 +603,7 @@ pub(crate) mod tests {
         let (procs, mem) = toys(3);
         let budget = Budget::unlimited().with_deadline_in(std::time::Duration::ZERO);
         std::thread::sleep(std::time::Duration::from_millis(1));
-        match explore_governed(procs, mem, &(), &budget, &CancelToken::new()) {
+        match explore_crash(procs, mem, &(), &budget, &CancelToken::new(), 0) {
             Err(ExploreError::Interrupted {
                 interrupt: Interrupt::DeadlineExceeded,
                 ..

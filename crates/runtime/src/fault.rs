@@ -2,16 +2,19 @@
 //!
 //! Wait-free solvability (paper, Theorem 5.1) is a claim about *crash
 //! tolerance*: every non-crashed process must decide, on every schedule,
-//! under any pattern of process failures. The failure-free model checker
-//! in [`crate::explore`] cannot observe this — so this module makes
-//! crashes first-class, injectable events:
+//! under any pattern of process failures. A failure-free search cannot
+//! observe this — so this module makes crashes first-class, injectable
+//! events:
 //!
-//! * [`explore_crash`] — an exhaustive scheduler where, at every state,
-//!   the adversary may *crash* any live process (up to `max_crashes`) in
-//!   addition to stepping one. Because a crash only removes future steps
-//!   (it never perturbs memory), this single search covers **every**
-//!   "crash process `p` after step `k`" plan at once; terminal states are
-//!   [`CrashOutcome`]s in which crashed processes may be undecided.
+//! * [`explore_crash`] — the crate's one model checker: an exhaustive
+//!   scheduler where, at every state, the adversary may *crash* any live
+//!   process (up to `max_crashes`) in addition to stepping one. Because a
+//!   crash only removes future steps (it never perturbs memory), this
+//!   single search covers **every** "crash process `p` after step `k`"
+//!   plan at once; terminal states are [`CrashOutcome`]s in which crashed
+//!   processes may be undecided. Its `max_crashes = 0` case is the
+//!   failure-free checker: [`crate::explore`], [`crate::find_violation`]
+//!   and [`crate::verify_figure7`] run exactly that.
 //! * [`FaultPlan`] — an explicit, seedable "crash `p` after its `k`-th
 //!   step" schedule for randomized runs ([`run_random_faulted`]) and
 //!   exact replay ([`replay_trace`]); plans can be enumerated
@@ -24,6 +27,7 @@
 
 use std::collections::BTreeSet;
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use chromata_topology::{try_par_map, Budget, BuildStructuralHasher, CancelToken, Vertex};
@@ -31,7 +35,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::explore::{
-    trace_collect, trace_push, ExploreError, Level, Outcome, Process, Trace, TraceEvent, TraceLink,
+    trace_collect, trace_push, ExploreError, Outcome, Process, Trace, TraceEvent, TraceLink,
 };
 use crate::memory::Memory;
 
@@ -238,7 +242,12 @@ pub struct CrashExplored {
     pub states: usize,
 }
 
-/// What a state contributed to its BFS level (crash-aware variant).
+/// One deduplicated BFS level: interned states paired with the trace
+/// link of the first schedule that reached them.
+type Level<S> = Vec<(Arc<S>, TraceLink)>;
+
+/// What a state contributed to its BFS level: either a terminal outcome
+/// or its successor states (with their trace links).
 enum LevelStep<P> {
     Terminal(CrashOutcome),
     Expanded(Vec<(Vec<P>, u32, Memory, TraceLink)>),
@@ -252,9 +261,18 @@ enum LevelStep<P> {
 /// every scheduling point enumerates exactly the reachable partial
 /// executions.
 ///
+/// This is the crate's model checker: with `max_crashes = 0` every
+/// terminal outcome is complete, and [`crate::explore`],
+/// [`crate::find_violation`] and [`crate::verify_figure7`] are exactly
+/// that case. The search is bounded by the budget's state and step
+/// limits and its wall-clock deadline, and can be cancelled
+/// cooperatively from another thread (both checked once per
+/// breadth-first level).
+///
 /// # Errors
 ///
-/// Structured [`ExploreError`]s, as for [`crate::explore_governed`].
+/// Structured [`ExploreError`]s for budget exhaustion, interruption,
+/// stuck processes and worker panics.
 ///
 /// # Panics
 ///
@@ -271,10 +289,58 @@ where
     P: Process + Send + Sync,
     P::Config: Sync,
 {
+    let mut outcomes: BTreeSet<CrashOutcome> = BTreeSet::new();
+    let states = walk(
+        processes,
+        memory,
+        config,
+        budget,
+        cancel,
+        max_crashes,
+        |outcome, _| {
+            outcomes.insert(outcome);
+            ControlFlow::Continue(())
+        },
+    )?;
+    Ok(CrashExplored { outcomes, states })
+}
+
+/// The search behind [`explore_crash`]: a level-synchronous
+/// breadth-first traversal handing each terminal outcome, with the trace
+/// link of the first schedule reaching it, to `on_terminal` in level
+/// order. A `Break` from `on_terminal` ends the search early. Returns
+/// the number of distinct states visited.
+///
+/// Each level of distinct unvisited states is expanded as a batch (in
+/// parallel with the `parallel` feature; [`try_par_map`] preserves batch
+/// order, so outcomes, state counts and the order of `on_terminal` calls
+/// are identical either way). Worker panics are caught and surfaced as
+/// [`ExploreError::WorkerPanicked`] with the schedule that reaches the
+/// offending state.
+pub(crate) fn walk<P, F>(
+    processes: Vec<P>,
+    memory: Memory,
+    config: &P::Config,
+    budget: &Budget,
+    cancel: &CancelToken,
+    max_crashes: usize,
+    mut on_terminal: F,
+) -> Result<usize, ExploreError>
+where
+    P: Process + Send + Sync,
+    P::Config: Sync,
+    F: FnMut(CrashOutcome, &TraceLink) -> ControlFlow<()>,
+{
     assert!(processes.len() <= 32, "crash masks are 32-bit");
+    // Keyed by the structural (FNV) hasher: interned vertices/simplices
+    // replay precomputed fingerprints, so state hashing is a cheap mix
+    // rather than SipHash over the whole state. States are `Arc`-shared
+    // between the visited set and the work list — one hash and zero deep
+    // clones per deduplication. Trace links ride alongside (outside the
+    // memoized key): the first schedule reaching each state is kept as
+    // its replayable witness.
     let mut visited: HashSet<Arc<(Vec<P>, u32, Memory)>, BuildStructuralHasher> =
         HashSet::default();
-    let mut outcomes: BTreeSet<CrashOutcome> = BTreeSet::new();
     let mut frontier: Vec<(Vec<P>, u32, Memory, TraceLink)> = vec![(processes, 0, memory, None)];
     let mut depth = 0usize;
     while !frontier.is_empty() {
@@ -285,6 +351,7 @@ where
                 trace: trace_collect(&frontier[0].3),
             });
         }
+        // Deduplicate this level against everything seen so far.
         let mut level: Level<(Vec<P>, u32, Memory)> = Vec::with_capacity(frontier.len());
         for (procs, crashed, mem, trace) in frontier.drain(..) {
             let st = Arc::new((procs, crashed, mem));
@@ -339,7 +406,9 @@ where
         for (step, (_, trace)) in expanded.into_iter().zip(&level) {
             match step {
                 Ok(LevelStep::Terminal(o)) => {
-                    outcomes.insert(o);
+                    if on_terminal(o, trace).is_break() {
+                        return Ok(visited.len());
+                    }
                 }
                 Ok(LevelStep::Expanded(next)) => {
                     any_expansion = true;
@@ -354,16 +423,15 @@ where
             }
         }
         if any_expansion {
+            // A non-terminal state at depth `max_steps` means some path
+            // needs more than `max_steps` steps.
             if depth >= budget.max_steps {
                 return Err(ExploreError::StepBoundExceeded(budget.max_steps));
             }
             depth += 1;
         }
     }
-    Ok(CrashExplored {
-        outcomes,
-        states: visited.len(),
-    })
+    Ok(visited.len())
 }
 
 /// Runs a single pseudo-random schedule with the given [`FaultPlan`]

@@ -1,8 +1,15 @@
-//! Iterated immediate snapshot: the full-information protocol of §2.4.
+//! Immediate snapshot and its iteration: the full-information protocol
+//! of §2.4.
 //!
-//! Round `r + 1`'s input is the view vertex produced by round `r`; after
-//! `R` rounds the decided views generate — execution by execution — the
-//! iterated chromatic subdivision `Ch^R(σ)`, which this module
+//! The paper's model assumes processes communicate by immediate
+//! snapshots (§2.1). Each round here is the classic Borowsky–Gafni
+//! *levels* algorithm built from update/scan operations; the one-shot
+//! immediate snapshot is the one-round protocol, whose executions form
+//! the standard chromatic subdivision `Ch(σ)` (§2.4, 13 facets for a
+//! triangle). Round `r + 1`'s input is the view vertex produced by round
+//! `r`; after `R` rounds the decided views generate — execution by
+//! execution — the iterated chromatic subdivision `Ch^R(σ)`, which this
+//! module regenerates *empirically* under the exhaustive scheduler and
 //! cross-validates against the combinatorial construction.
 
 use std::collections::BTreeSet;
@@ -21,6 +28,10 @@ const INPUT_OBJECTS: [&str; MAX_ROUNDS] = ["input0", "input1", "input2", "input3
 
 /// One process of the `R`-round iterated immediate-snapshot protocol
 /// (each round a Borowsky–Gafni one-shot immediate snapshot).
+///
+/// In each round the process descends through levels `n, n-1, …`: at
+/// level `ℓ` it writes its level, scans, and returns the set of
+/// processes at level `≤ ℓ` if that set has at least `ℓ` members.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct IteratedImmediateSnapshot {
     id: u8,
@@ -154,6 +165,17 @@ impl Process for IteratedImmediateSnapshot {
     }
 }
 
+/// Runs all one-round immediate-snapshot executions on `inputs` and
+/// returns the complex of decided view-simplices — the *empirical*
+/// protocol complex `Ch(σ)`.
+///
+/// # Errors
+///
+/// Propagates exploration budget errors.
+pub fn empirical_protocol_complex(inputs: &Simplex) -> Result<Complex, ExploreError> {
+    empirical_iterated_protocol_complex(inputs, 1)
+}
+
 /// Enumerates every `rounds`-round iterated-immediate-snapshot execution
 /// on `inputs`, returning the complex generated by the decided views —
 /// the empirical `Ch^rounds(σ)`.
@@ -191,18 +213,73 @@ pub fn empirical_iterated_protocol_complex(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chromata_subdivision::iterated_chromatic_subdivision;
+    use chromata_subdivision::{chromatic_subdivision, iterated_chromatic_subdivision};
 
     fn sigma(n: u8) -> Simplex {
         Simplex::from_iter((0..n).map(|i| Vertex::of(i, i64::from(i))))
     }
 
     #[test]
-    fn one_round_matches_one_shot_module() {
+    fn two_process_executions_match_ch() {
+        let s = sigma(2);
+        let empirical = empirical_protocol_complex(&s).expect("small");
+        assert_eq!(empirical.facet_count(), 3, "3 ordered partitions of 2");
+        let combinatorial = chromatic_subdivision(&Complex::from_facets([s]));
+        assert_eq!(empirical, combinatorial.complex);
+    }
+
+    #[test]
+    fn three_process_executions_match_ch() {
         let s = sigma(3);
-        let iterated = empirical_iterated_protocol_complex(&s, 1).expect("budget");
-        let oneshot = crate::iis::empirical_protocol_complex(&s).expect("budget");
-        assert_eq!(iterated, oneshot);
+        let empirical = empirical_protocol_complex(&s).expect("within budget");
+        assert_eq!(empirical.facet_count(), 13, "the 13 facets of Ch(Δ²)");
+        let combinatorial = chromatic_subdivision(&Complex::from_facets([s]));
+        assert_eq!(empirical, combinatorial.complex);
+    }
+
+    #[test]
+    fn views_are_immediate_snapshots() {
+        // Self-inclusion and comparability of the decided views.
+        let s = sigma(3);
+        let empirical = empirical_protocol_complex(&s).expect("within budget");
+        for facet in empirical.facets() {
+            for v in facet {
+                let view = v.value().as_view().expect("views");
+                assert!(
+                    view.iter().any(|u| u.color() == v.color()),
+                    "self-inclusion"
+                );
+            }
+            // Views within one execution are totally ordered by inclusion.
+            let mut views: Vec<&[Vertex]> = facet
+                .iter()
+                .map(|v| v.value().as_view().expect("views"))
+                .collect();
+            views.sort_by_key(|v| v.len());
+            for w in views.windows(2) {
+                let small: BTreeSet<&Vertex> = w[0].iter().collect();
+                let big: BTreeSet<&Vertex> = w[1].iter().collect();
+                assert!(small.is_subset(&big), "views form a chain");
+            }
+        }
+    }
+
+    #[test]
+    fn solo_execution_sees_itself_only() {
+        let solo = Simplex::vertex(Vertex::of(1, 1));
+        let procs = IteratedImmediateSnapshot::processes_for(&solo, 3, 1);
+        let explored = explore(
+            procs,
+            IteratedImmediateSnapshot::initial_memory(3, 1),
+            &IteratedConfig,
+            10_000,
+            1000,
+        )
+        .expect("tiny");
+        assert_eq!(explored.outcomes.len(), 1);
+        let out = explored.outcomes.iter().next().unwrap();
+        let view = out[0].value().as_view().unwrap();
+        assert_eq!(view, &[Vertex::of(1, 1)]);
     }
 
     #[test]

@@ -7,24 +7,26 @@
 //!
 //! * [`Memory`] / [`Cell`] — simulated single-writer snapshot objects
 //!   with atomic `update`/`scan` (§2.1);
-//! * [`explore`] — a state-memoizing model checker enumerating **every**
-//!   interleaving (and internal nondeterministic branch) of a set of
-//!   [`Process`] state machines, plus seeded-random and fixed-schedule
-//!   runners;
+//! * [`explore_crash`] — the one state-memoizing model checker,
+//!   enumerating **every** interleaving (and internal nondeterministic
+//!   branch) of a set of [`Process`] state machines and every pattern of
+//!   up to `max_crashes` injected crash faults; every failure carries a
+//!   replayable one-line [`Trace`]. [`explore`] and [`find_violation`]
+//!   are its failure-free (`max_crashes = 0`) case; [`replay`],
+//!   [`run_random`] and [`FaultPlan`]-driven runs execute one schedule;
 //! * [`oracle_register`] / [`oracle_return`] — the late-binding
 //!   adversarial *color-agnostic* oracle standing in for the `A_C` of
 //!   §5.2 (see DESIGN.md, substitutions);
 //! * [`Fig7`] — the paper's Figure 7 algorithm as an explicit state
-//!   machine, with [`verify_figure7`] exhaustively validating Lemma 5.3;
-//! * [`explore_crash`] / [`FaultPlan`] — crash-fault injection: the
-//!   adversary may crash processes at any point, and
-//!   [`verify_figure7_with_crashes`] machine-checks *wait-freedom*
-//!   (survivors decide within `Δ(participating)`) under every crash
-//!   pattern; every failure carries a replayable one-line [`Trace`];
-//! * [`ImmediateSnapshot`] — the Borowsky–Gafni one-shot immediate
-//!   snapshot; [`empirical_protocol_complex`] regenerates `Ch(σ)` from
-//!   actual executions (cross-validated against the combinatorial
-//!   subdivision);
+//!   machine; [`verify_figure7_with_crashes`] machine-checks
+//!   *wait-freedom* (survivors decide within `Δ(participating)`) under
+//!   every crash pattern, and [`verify_figure7`], its failure-free case,
+//!   exhaustively validates Lemma 5.3;
+//! * [`IteratedImmediateSnapshot`] — the Borowsky–Gafni immediate
+//!   snapshot, iterated; [`empirical_protocol_complex`] (one round) and
+//!   [`empirical_iterated_protocol_complex`] regenerate `Ch(σ)` and
+//!   `Ch^r(σ)` from actual executions (cross-validated against the
+//!   combinatorial subdivision);
 //! * [`execute_decision_map`] — protocol extraction: a chromatic decision
 //!   map `δ : Ch^r(I) → O` run as an actual `r`-round protocol and
 //!   model-checked against the task;
@@ -49,29 +51,27 @@ mod cell;
 mod color_fix;
 mod explore;
 mod fault;
-mod iis;
 mod iterated;
 mod memory;
 mod oracle;
 mod protocol;
 mod snapshot;
-mod stage;
 mod verify;
 
 pub use cell::Cell;
 pub use chromata_topology::{Budget, CancelToken, Interrupt};
 pub use color_fix::{initial_memory, processes_for, Fig7, Fig7Config, OBJECTS};
 pub use explore::{
-    explore, explore_governed, find_violation, replay, run_random, run_schedule, ExploreError,
-    Explored, Outcome, Process, Trace, TraceEvent,
+    explore, find_violation, replay, run_random, ExploreError, Explored, Outcome, Process, Trace,
+    TraceEvent,
 };
 pub use fault::{
     explore_crash, replay_trace, run_random_faulted, CrashExplored, CrashFault, CrashOutcome,
     FaultPlan,
 };
-pub use iis::{empirical_protocol_complex, IisConfig, ImmediateSnapshot};
 pub use iterated::{
-    empirical_iterated_protocol_complex, IteratedConfig, IteratedImmediateSnapshot, MAX_ROUNDS,
+    empirical_iterated_protocol_complex, empirical_protocol_complex, IteratedConfig,
+    IteratedImmediateSnapshot, MAX_ROUNDS,
 };
 pub use memory::{Memory, ObjectId};
 pub use oracle::{
@@ -79,8 +79,4 @@ pub use oracle::{
 };
 pub use protocol::{execute_decision_map, DecisionConfig, DecisionProtocol};
 pub use snapshot::AtomicSnapshot;
-pub use stage::{verify_figure7_crash_staged, verify_figure7_staged, RuntimeEvidence};
-pub use verify::{
-    verify_figure7, verify_figure7_governed, verify_figure7_with_crashes, CrashVerificationReport,
-    VerificationReport, VerifyError,
-};
+pub use verify::{verify_figure7, verify_figure7_with_crashes, VerificationReport, VerifyError};

@@ -1,16 +1,16 @@
 //! End-to-end verification of the Figure 7 algorithm against a task
 //! specification (the executable content of Lemma 5.3).
 //!
-//! Two verification regimes:
-//!
-//! * [`verify_figure7`] — failure-free: every participant set, every
-//!   interleaving, every adversarial-oracle branch;
-//! * [`verify_figure7_with_crashes`] — additionally injects every crash
-//!   pattern with up to `max_crashes` crash faults
-//!   ([`crate::fault::explore_crash`]), machine-checking *wait-freedom*:
-//!   survivors must decide, and their outputs must form a simplex of
-//!   `Δ(participants)` where the participating set excludes processes
-//!   that crashed before announcing their input.
+//! One verifier, [`verify_figure7_with_crashes`], runs the crate's model
+//! checker ([`crate::fault::explore_crash`]) over every participant set,
+//! every interleaving, every adversarial-oracle branch and every crash
+//! pattern with up to `max_crashes` crash faults, machine-checking
+//! *wait-freedom*: survivors must decide, and their outputs must form a
+//! simplex of `Δ(participants)` where the participating set excludes
+//! processes that crashed before announcing their input.
+//! [`verify_figure7`] is its failure-free case (`max_crashes = 0`): every
+//! outcome is then complete and the participating set is the whole
+//! participant set, so the same checks are exactly Lemma 5.3's.
 //!
 //! Specification violations are structured [`VerifyError::Violation`]s
 //! (carrying the participant set and the offending outcome), not panics,
@@ -20,7 +20,7 @@ use chromata_task::Task;
 use chromata_topology::{Budget, CancelToken, Simplex};
 
 use crate::color_fix::{initial_memory, processes_for, Fig7Config};
-use crate::explore::{explore_governed, ExploreError};
+use crate::explore::ExploreError;
 use crate::fault::explore_crash;
 
 /// Aggregate statistics from exhaustively verifying Figure 7 on a task.
@@ -28,20 +28,11 @@ use crate::fault::explore_crash;
 pub struct VerificationReport {
     /// Participant sets exercised (faces of the input facets).
     pub participant_sets: usize,
-    /// Distinct terminal outcomes observed (all verified correct).
+    /// Distinct terminal (possibly partial) outcomes observed, all
+    /// verified.
     pub outcomes: usize,
-    /// Total distinct system states explored.
-    pub states: usize,
-}
-
-/// Aggregate statistics from crash-injected verification.
-#[derive(Clone, Debug, Default)]
-pub struct CrashVerificationReport {
-    /// Participant sets exercised (faces of the input facets).
-    pub participant_sets: usize,
-    /// Distinct terminal (partial) outcomes observed, all verified.
-    pub outcomes: usize,
-    /// Outcomes in which at least one process crashed.
+    /// Outcomes in which at least one process crashed (0 when no crash
+    /// was injected).
     pub crashed_outcomes: usize,
     /// Total distinct (process states, crash set, memory) states.
     pub states: usize,
@@ -102,72 +93,22 @@ impl std::error::Error for VerifyError {
 /// `task`, over every interleaving and every adversarial-oracle branch —
 /// and checks that each terminal outcome is a simplex of
 /// `Δ(participants)` with every process deciding a vertex of its own
-/// color.
+/// color: [`verify_figure7_with_crashes`] with no crash injected, a
+/// 500-step bound and no deadline.
 ///
 /// # Errors
 ///
 /// [`VerifyError::Explore`] if the state budget is exhausted;
 /// [`VerifyError::Violation`] if Lemma 5.3 fails empirically.
 pub fn verify_figure7(task: &Task, max_states: usize) -> Result<VerificationReport, VerifyError> {
-    verify_figure7_governed(
+    verify_figure7_with_crashes(
         task,
         &Budget::unlimited()
             .with_max_states(max_states)
             .with_max_steps(500),
         &CancelToken::new(),
+        0,
     )
-}
-
-/// [`verify_figure7`] under a full [`Budget`] and [`CancelToken`]: the
-/// per-participant-set explorations additionally respect the wall-clock
-/// deadline and cooperative cancellation.
-///
-/// # Errors
-///
-/// As [`verify_figure7`], plus [`ExploreError::Interrupted`] (wrapped)
-/// when the deadline passes or the token is cancelled.
-pub fn verify_figure7_governed(
-    task: &Task,
-    budget: &Budget,
-    cancel: &CancelToken,
-) -> Result<VerificationReport, VerifyError> {
-    let mut report = VerificationReport::default();
-    for sigma in task.input().facets() {
-        for tau in sigma.faces() {
-            report.participant_sets += 1;
-            let config = Fig7Config::new(task.clone());
-            let explored = explore_governed(
-                processes_for(&tau),
-                initial_memory(),
-                &config,
-                budget,
-                cancel,
-            )?;
-            report.states += explored.states;
-            for outcome in &explored.outcomes {
-                report.outcomes += 1;
-                // Own colors, in participant order.
-                for (x, v) in tau.iter().zip(outcome) {
-                    if x.color() != v.color() {
-                        return Err(violation(
-                            task,
-                            &tau,
-                            format!("process {} decided a foreign-colored vertex {v}", x.color()),
-                        ));
-                    }
-                }
-                let decided = Simplex::new(outcome.clone());
-                if !task.delta().carries(&tau, &decided) {
-                    return Err(violation(
-                        task,
-                        &tau,
-                        format!("outcome {decided} violates Δ({tau})"),
-                    ));
-                }
-            }
-        }
-    }
-    Ok(report)
 }
 
 /// Machine-checks *wait-freedom* of Figure 7 (Lemma 5.3 under crashes):
@@ -193,8 +134,8 @@ pub fn verify_figure7_with_crashes(
     budget: &Budget,
     cancel: &CancelToken,
     max_crashes: usize,
-) -> Result<CrashVerificationReport, VerifyError> {
-    let mut report = CrashVerificationReport::default();
+) -> Result<VerificationReport, VerifyError> {
+    let mut report = VerificationReport::default();
     for sigma in task.input().facets() {
         for tau in sigma.faces() {
             report.participant_sets += 1;

@@ -7,7 +7,7 @@
 //! cheap necessary condition that the test suite cross-checks against the
 //! two-process decider.
 
-use chromata_topology::{CarrierMap, ColorSet, Complex, Simplex, Value, Vertex};
+use chromata_topology::{xorshift, CarrierMap, ColorSet, Complex, Simplex, Value, Vertex};
 
 use crate::task::Task;
 
@@ -105,17 +105,6 @@ pub const MUTATION_KINDS: [MutationKind; 3] = [
     MutationKind::DropSimplex,
     MutationKind::RenameValue,
 ];
-
-/// xorshift64* step — the same tiny deterministic generator the shard
-/// router uses; no OS entropy, so a seed fully determines the campaign.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state | 1;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-}
 
 fn cloned_delta(task: &Task) -> CarrierMap {
     task.delta()

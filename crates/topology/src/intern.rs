@@ -54,6 +54,28 @@ impl Hasher for StructuralHasher {
     }
 }
 
+/// FNV-1a over raw bytes: [`StructuralHasher`]'s loop from its fixed
+/// offset basis. The checksum of snapshot records, shard artifacts and
+/// stage responses.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = StructuralHasher::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// One xorshift64* step: the workspace's deterministic generator (task
+/// mutants, shard backoff jitter, chaos fault schedules). It reads no
+/// entropy source, so a seed fully determines the sequence.
+pub fn xorshift(state: &mut u64) -> u64 {
+    let mut x = *state | 1;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+}
+
 /// The structural fingerprint of any hashable value, via the fixed hasher.
 ///
 /// Identical across runs, builds and feature configurations on a given
@@ -141,6 +163,13 @@ pub fn interner_stats() -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn fingerprints_are_deterministic() {

@@ -55,7 +55,10 @@ pub use color::{Color, ColorSet};
 pub use complex::Complex;
 pub use govern::{Budget, CancelToken, Gate, GatePermit, Interrupt, Stopwatch};
 pub use graph::Graph;
-pub use intern::{interner_stats, structural_fingerprint, BuildStructuralHasher, StructuralHasher};
+pub use intern::{
+    fnv1a, interner_stats, structural_fingerprint, xorshift, BuildStructuralHasher,
+    StructuralHasher,
+};
 pub use map::SimplicialMap;
 pub use par::{par_map, try_par_map, WorkerPanic};
 pub use product::{product, product_simplex, product_vertex, project_first, project_second};

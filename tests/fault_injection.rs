@@ -60,6 +60,13 @@ fn solvable_tasks_wait_free_under_two_crashes() {
             t.name()
         );
         assert!(two.states >= one.states, "{}", t.name());
+        if t.name() == "identity-3" {
+            // Exact counts, as `chromata decide identity` prints them.
+            assert_eq!(two.participant_sets, 7);
+            assert_eq!(two.outcomes, 55);
+            assert_eq!(two.crashed_outcomes, 48);
+            assert_eq!(two.states, 385_299);
+        }
     }
 }
 

@@ -12,7 +12,10 @@ use chromata_topology::Simplex;
 fn identity_exhaustive() {
     let r = verify_figure7(&identity_task(3), 5_000_000).expect("budget");
     assert_eq!(r.participant_sets, 7);
-    assert!(r.outcomes >= 1);
+    // Exact counts, as `chromata verify-fig7 identity` prints them.
+    assert_eq!(r.outcomes, 7);
+    assert_eq!(r.crashed_outcomes, 0);
+    assert_eq!(r.states, 85_311);
 }
 
 #[test]

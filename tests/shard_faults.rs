@@ -28,16 +28,15 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 use chromata::{
-    analyze, analyze_batch, clear_remote, clear_stage_caches, configure_remote, execute_stage_line,
-    parse_stage_fields, remote_fault_trace, remote_stats, stage_cache_stats, Analysis,
-    ArtifactKind, PipelineOptions, RemotePolicy, ShardIo, ShardIoError, ShardStep, StageOrigin,
+    analyze, analyze_batch, clear_remote, clear_stage_caches, configure_remote, remote_fault_trace,
+    remote_stats, stage_cache_stats, Analysis, ArtifactKind, InProcessShards, PipelineOptions,
+    RemotePolicy, ShardIo, ShardIoError, ShardStep, StageOrigin,
 };
 use chromata_task::library::{
     consensus, hourglass, identity_task, klein_bottle_doubled_loop, loop_agreement, pinwheel,
     two_set_agreement,
 };
 use chromata_task::Task;
-use serde_json::Value;
 use std::sync::Arc;
 
 /// Serializes tests that touch the process-wide store + remote engine.
@@ -79,27 +78,6 @@ fn assert_parity(task: &Task, analysis: &Analysis, golden: &(String, u64), conte
     );
 }
 
-/// In-process shard: answers `ping` and executes `stage` jobs for real.
-fn serve_line(line: &str) -> Result<String, ShardIoError> {
-    let invalid = |msg: String| ShardIoError {
-        step: ShardStep::Recv,
-        kind: io::ErrorKind::InvalidData,
-        message: msg,
-    };
-    let value: Value = serde_json::from_str(line).map_err(|e| invalid(e.to_string()))?;
-    let Value::Object(entries) = value else {
-        return Err(invalid("not an object".to_owned()));
-    };
-    if entries
-        .iter()
-        .any(|(k, v)| k == "op" && *v == Value::String("ping".to_owned()))
-    {
-        return Ok(r#"{"status":"ok","op":"ping"}"#.to_owned());
-    }
-    let job = parse_stage_fields(&entries).map_err(invalid)?;
-    execute_stage_line(&job).map_err(invalid)
-}
-
 /// What the fault injector does to an exchange.
 #[derive(Clone, Copy, Debug)]
 enum FaultMode {
@@ -113,31 +91,24 @@ enum FaultMode {
     Stall,
 }
 
-/// A shard pool whose first `fault_budget` exchanges misbehave per
-/// `mode`, then behave; `usize::MAX` misbehaves forever.
+/// An in-process shard pool whose first `fault_budget` exchanges
+/// misbehave per `mode`, then behave; `usize::MAX` misbehaves forever.
 struct FaultIo {
-    shards: usize,
+    pool: InProcessShards,
     mode: FaultMode,
     fault_budget: AtomicUsize,
-    exchanges: AtomicUsize,
 }
 
 impl FaultIo {
     fn always(shards: usize, mode: FaultMode) -> Self {
-        FaultIo {
-            shards,
-            mode,
-            fault_budget: AtomicUsize::new(usize::MAX),
-            exchanges: AtomicUsize::new(0),
-        }
+        FaultIo::healing_after(shards, mode, usize::MAX)
     }
 
     fn healing_after(shards: usize, mode: FaultMode, faults: usize) -> Self {
         FaultIo {
-            shards,
+            pool: InProcessShards::new(shards),
             mode,
             fault_budget: AtomicUsize::new(faults),
-            exchanges: AtomicUsize::new(0),
         }
     }
 
@@ -158,18 +129,17 @@ impl FaultIo {
 
 impl ShardIo for FaultIo {
     fn shard_count(&self) -> usize {
-        self.shards
+        self.pool.shard_count()
     }
 
     fn exchange(
         &self,
-        _shard: usize,
+        shard: usize,
         line: &str,
         deadline: Option<Duration>,
     ) -> Result<String, ShardIoError> {
-        self.exchanges.fetch_add(1, Ordering::Relaxed);
         if !self.take_fault() {
-            return serve_line(line);
+            return self.pool.exchange(shard, line, deadline);
         }
         match self.mode {
             FaultMode::Fail(step, kind) => Err(ShardIoError {
@@ -178,11 +148,11 @@ impl ShardIo for FaultIo {
                 message: format!("injected {kind:?} at {}", step.label()),
             }),
             FaultMode::MidResponseKill => {
-                let full = serve_line(line)?;
+                let full = self.pool.exchange(shard, line, deadline)?;
                 Ok(full[..full.len() / 2].to_owned())
             }
             FaultMode::CorruptPayload => {
-                let full = serve_line(line)?;
+                let full = self.pool.exchange(shard, line, deadline)?;
                 // Flip payload bytes without breaking the JSON framing:
                 // the checksum, not the parser, must catch this.
                 Ok(full.replace(":[", ":[9,"))
@@ -437,22 +407,29 @@ fn healthy_pool_fans_a_library_batch_and_matches_sequential_goldens() {
     clear_remote();
 }
 
-/// A healthy pool that answers each request line once through
-/// [`serve_line`] and replays that answer afterwards. The in-process
-/// shard shares this process's stage caches, so only replayed
-/// exchanges leave their counters to the dispatcher alone.
-#[derive(Default)]
-struct ReplayIo(Mutex<BTreeMap<String, String>>);
+/// A healthy in-process pool that answers each request line once and
+/// replays that answer afterwards. The in-process shard shares this
+/// process's stage caches, so only replayed exchanges leave their
+/// counters to the dispatcher alone.
+struct ReplayIo {
+    pool: InProcessShards,
+    answers: Mutex<BTreeMap<String, String>>,
+}
 
 impl ShardIo for ReplayIo {
     fn shard_count(&self) -> usize {
-        2
+        self.pool.shard_count()
     }
 
-    fn exchange(&self, _: usize, line: &str, _: Option<Duration>) -> Result<String, ShardIoError> {
-        let mut answers = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+    fn exchange(
+        &self,
+        shard: usize,
+        line: &str,
+        deadline: Option<Duration>,
+    ) -> Result<String, ShardIoError> {
+        let mut answers = self.answers.lock().unwrap_or_else(PoisonError::into_inner);
         if !answers.contains_key(line) {
-            answers.insert(line.to_owned(), serve_line(line)?);
+            answers.insert(line.to_owned(), self.pool.exchange(shard, line, deadline)?);
         }
         Ok(answers[line].clone())
     }
@@ -482,7 +459,11 @@ fn cache_accounting_is_identical_locally_through_a_pool_and_after_fallback() {
     let local = cold_decision(&task);
     // The first pooled run records every shard answer; the second
     // replays them.
-    configure_remote(Arc::new(ReplayIo::default()), fast_policy(1));
+    let replay = ReplayIo {
+        pool: InProcessShards::new(2),
+        answers: Mutex::default(),
+    };
+    configure_remote(Arc::new(replay), fast_policy(1));
     let _ = cold_decision(&task);
     let healthy = cold_decision(&task);
     let dead = FaultMode::Fail(ShardStep::Connect, io::ErrorKind::ConnectionRefused);
