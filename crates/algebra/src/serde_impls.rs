@@ -1,14 +1,13 @@
 //! Serde support for the algebra types the pipeline persists.
 //!
-//! Same philosophy as `chromata-topology`'s serde layer: explicit mirror
-//! shapes built on the vendored [`Content`] tree, with every structural
-//! invariant re-established through ordinary constructors on load.
+//! Same philosophy as `chromata-topology`'s serde layer: each type reads
+//! and writes its own `Content` tree, with every structural invariant
+//! re-established through ordinary constructors on load.
 //! Deserialization *validates before constructing* — a corrupt snapshot
 //! entry must surface as an `Err`, never as a panic inside `from_rows` or
 //! an out-of-range generator index.
 
-use serde::de::Error as DeError;
-use serde::{de, ser, Content, Deserialize, Deserializer, Serialize, Serializer};
+use serde::{Content, Deserialize, Error, Serialize};
 
 use chromata_topology::{Graph, Simplex, Vertex};
 
@@ -18,64 +17,26 @@ use crate::matrix::IntMatrix;
 use crate::presentation::Presentation;
 use crate::word::Word;
 
-/// Looks up a required field in a deserialized map.
-fn field<'a>(entries: &'a [(String, Content)], name: &str) -> Result<&'a Content, String> {
-    entries
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field '{name}'"))
-}
-
-/// Unwraps a map content node.
-fn as_map(c: &Content) -> Result<&[(String, Content)], String> {
-    match c {
-        Content::Map(entries) => Ok(entries),
-        other => Err(format!("expected an object, found {other:?}")),
-    }
-}
-
-fn to_content<T: Serialize>(v: &T) -> Result<Content, String> {
-    ser::to_content(v).map_err(|e| e.0)
-}
-
-fn from_content<'de, T: Deserialize<'de>>(c: &Content) -> Result<T, String> {
-    de::from_content(c.clone()).map_err(|e| e.0)
-}
-
 impl Serialize for Presentation {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let err = |e: String| <S::Error as ser::Error>::custom(e);
-        s.serialize_content(serde::map_content(vec![
-            (
-                "generators",
-                to_content(&self.generator_count()).map_err(err)?,
-            ),
-            (
-                "relators",
-                to_content(&self.relators().to_vec()).map_err(err)?,
-            ),
-        ]))
+    fn to_content(&self) -> Content {
+        Content::object([
+            ("generators", self.generator_count().to_content()),
+            ("relators", self.relators().to_content()),
+        ])
     }
 }
 
-impl<'de> Deserialize<'de> for Presentation {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let content = d.deserialize_content()?;
-        let entries = as_map(&content).map_err(D::Error::custom)?;
-        let generators: usize =
-            from_content(field(entries, "generators").map_err(D::Error::custom)?)
-                .map_err(D::Error::custom)?;
-        let relators: Vec<Word> =
-            from_content(field(entries, "relators").map_err(D::Error::custom)?)
-                .map_err(D::Error::custom)?;
+impl Deserialize for Presentation {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        let generators: usize = c.get("generators")?;
+        let relators: Vec<Word> = c.get("relators")?;
         // A letter ±k refers to generator k; 0 or |k| > generators would
         // index out of range downstream (e.g. in `relator_matrix`).
         for w in &relators {
             for &letter in w {
                 let ok = letter != 0 && letter.unsigned_abs() as usize <= generators;
                 if !ok {
-                    return Err(D::Error::custom(format!(
+                    return Err(Error::custom(format!(
                         "relator letter {letter} out of range for {generators} generators"
                     )));
                 }
@@ -88,31 +49,25 @@ impl<'de> Deserialize<'de> for Presentation {
 }
 
 impl Serialize for IntMatrix {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let err = |e: String| <S::Error as ser::Error>::custom(e);
-        s.serialize_content(serde::map_content(vec![
-            ("rows", to_content(&self.rows()).map_err(err)?),
-            ("cols", to_content(&self.cols()).map_err(err)?),
-            ("data", to_content(&self.data().to_vec()).map_err(err)?),
-        ]))
+    fn to_content(&self) -> Content {
+        Content::object([
+            ("rows", self.rows().to_content()),
+            ("cols", self.cols().to_content()),
+            ("data", self.data().to_content()),
+        ])
     }
 }
 
-impl<'de> Deserialize<'de> for IntMatrix {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let content = d.deserialize_content()?;
-        let entries = as_map(&content).map_err(D::Error::custom)?;
-        let rows: usize = from_content(field(entries, "rows").map_err(D::Error::custom)?)
-            .map_err(D::Error::custom)?;
-        let cols: usize = from_content(field(entries, "cols").map_err(D::Error::custom)?)
-            .map_err(D::Error::custom)?;
-        let data: Vec<i64> = from_content(field(entries, "data").map_err(D::Error::custom)?)
-            .map_err(D::Error::custom)?;
+impl Deserialize for IntMatrix {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        let rows: usize = c.get("rows")?;
+        let cols: usize = c.get("cols")?;
+        let data: Vec<i64> = c.get("data")?;
         let expected = rows
             .checked_mul(cols)
-            .ok_or_else(|| D::Error::custom("matrix shape overflows"))?;
+            .ok_or_else(|| Error::custom("matrix shape overflows"))?;
         if data.len() != expected {
-            return Err(D::Error::custom(format!(
+            return Err(Error::custom(format!(
                 "matrix data length {} does not match shape {rows}x{cols}",
                 data.len()
             )));
@@ -122,43 +77,33 @@ impl<'de> Deserialize<'de> for IntMatrix {
 }
 
 impl Serialize for ChainComplex {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let err = |e: String| <S::Error as ser::Error>::custom(e);
-        s.serialize_content(serde::map_content(vec![
-            (
-                "vertices",
-                to_content(&self.vertices().to_vec()).map_err(err)?,
-            ),
-            ("edges", to_content(&self.edges().to_vec()).map_err(err)?),
-            (
-                "triangles",
-                to_content(&self.triangles().to_vec()).map_err(err)?,
-            ),
-            ("boundary1", to_content(&self.boundary1).map_err(err)?),
-            ("boundary2", to_content(&self.boundary2).map_err(err)?),
-        ]))
+    fn to_content(&self) -> Content {
+        Content::object([
+            ("vertices", self.vertices().to_content()),
+            ("edges", self.edges().to_content()),
+            ("triangles", self.triangles().to_content()),
+            ("boundary1", self.boundary1.to_content()),
+            ("boundary2", self.boundary2.to_content()),
+        ])
     }
 }
 
-impl<'de> Deserialize<'de> for ChainComplex {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let content = d.deserialize_content()?;
-        let entries = as_map(&content).map_err(D::Error::custom)?;
-        let get = |name: &str| field(entries, name).map_err(D::Error::custom);
-        let vertices: Vec<Vertex> = from_content(get("vertices")?).map_err(D::Error::custom)?;
-        let edges: Vec<Simplex> = from_content(get("edges")?).map_err(D::Error::custom)?;
-        let triangles: Vec<Simplex> = from_content(get("triangles")?).map_err(D::Error::custom)?;
-        let boundary1: IntMatrix = from_content(get("boundary1")?).map_err(D::Error::custom)?;
-        let boundary2: IntMatrix = from_content(get("boundary2")?).map_err(D::Error::custom)?;
+impl Deserialize for ChainComplex {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        let vertices: Vec<Vertex> = c.get("vertices")?;
+        let edges: Vec<Simplex> = c.get("edges")?;
+        let triangles: Vec<Simplex> = c.get("triangles")?;
+        let boundary1: IntMatrix = c.get("boundary1")?;
+        let boundary2: IntMatrix = c.get("boundary2")?;
         if boundary1.rows() != vertices.len() || boundary1.cols() != edges.len() {
-            return Err(D::Error::custom("boundary1 shape mismatch"));
+            return Err(Error::custom("boundary1 shape mismatch"));
         }
         if boundary2.rows() != edges.len() || boundary2.cols() != triangles.len() {
-            return Err(D::Error::custom("boundary2 shape mismatch"));
+            return Err(Error::custom("boundary2 shape mismatch"));
         }
         // `walk_to_chain` binary-searches the edge basis.
         if !edges.is_sorted_by(|a, b| a < b) {
-            return Err(D::Error::custom("edge basis is not strictly sorted"));
+            return Err(Error::custom("edge basis is not strictly sorted"));
         }
         Ok(ChainComplex::from_parts(
             vertices, edges, triangles, boundary1, boundary2,
@@ -167,41 +112,29 @@ impl<'de> Deserialize<'de> for ChainComplex {
 }
 
 impl Serialize for EdgePathGroup {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let err = |e: String| <S::Error as ser::Error>::custom(e);
-        s.serialize_content(serde::map_content(vec![
-            (
-                "presentation",
-                to_content(self.presentation()).map_err(err)?,
-            ),
-            (
-                "generator_edges",
-                to_content(&self.generator_edges().to_vec()).map_err(err)?,
-            ),
-            ("graph", to_content(self.graph()).map_err(err)?),
-        ]))
+    fn to_content(&self) -> Content {
+        Content::object([
+            ("presentation", self.presentation().to_content()),
+            ("generator_edges", self.generator_edges().to_content()),
+            ("graph", self.graph().to_content()),
+        ])
     }
 }
 
-impl<'de> Deserialize<'de> for EdgePathGroup {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let content = d.deserialize_content()?;
-        let entries = as_map(&content).map_err(D::Error::custom)?;
-        let get = |name: &str| field(entries, name).map_err(D::Error::custom);
-        let presentation: Presentation =
-            from_content(get("presentation")?).map_err(D::Error::custom)?;
-        let generator_edges: Vec<(Vertex, Vertex)> =
-            from_content(get("generator_edges")?).map_err(D::Error::custom)?;
-        let graph: Graph = from_content(get("graph")?).map_err(D::Error::custom)?;
+impl Deserialize for EdgePathGroup {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        let presentation: Presentation = c.get("presentation")?;
+        let generator_edges: Vec<(Vertex, Vertex)> = c.get("generator_edges")?;
+        let graph: Graph = c.get("graph")?;
         if presentation.generator_count() != generator_edges.len() {
-            return Err(D::Error::custom(format!(
+            return Err(Error::custom(format!(
                 "presentation has {} generators but {} generator edges",
                 presentation.generator_count(),
                 generator_edges.len()
             )));
         }
         if generator_edges.len() > i32::MAX as usize {
-            return Err(D::Error::custom("generator count out of range"));
+            return Err(Error::custom("generator count out of range"));
         }
         Ok(EdgePathGroup::from_parts(
             presentation,
@@ -212,26 +145,22 @@ impl<'de> Deserialize<'de> for EdgePathGroup {
 }
 
 impl Serialize for PresentationSummary {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let err = |e: String| <S::Error as ser::Error>::custom(e);
+    fn to_content(&self) -> Content {
         // The `trivial` / `evidently_abelian` flags are not stored: on load
         // they are re-derived from the simplified presentation.
-        s.serialize_content(serde::map_content(vec![
-            ("group", to_content(self.group()).map_err(err)?),
-            ("simplified", to_content(self.simplified()).map_err(err)?),
-        ]))
+        Content::object([
+            ("group", self.group().to_content()),
+            ("simplified", self.simplified().to_content()),
+        ])
     }
 }
 
-impl<'de> Deserialize<'de> for PresentationSummary {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let content = d.deserialize_content()?;
-        let entries = as_map(&content).map_err(D::Error::custom)?;
-        let get = |name: &str| field(entries, name).map_err(D::Error::custom);
-        let group: EdgePathGroup = from_content(get("group")?).map_err(D::Error::custom)?;
-        let simplified: Presentation =
-            from_content(get("simplified")?).map_err(D::Error::custom)?;
-        Ok(PresentationSummary::from_parts(group, simplified))
+impl Deserialize for PresentationSummary {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        Ok(PresentationSummary::from_parts(
+            c.get("group")?,
+            c.get("simplified")?,
+        ))
     }
 }
 
@@ -242,7 +171,7 @@ mod tests {
 
     fn roundtrip<T>(v: &T) -> T
     where
-        T: Serialize + for<'de> Deserialize<'de>,
+        T: Serialize + Deserialize,
     {
         let json = serde_json::to_string(v).expect("serialize");
         serde_json::from_str(&json).expect("deserialize")
@@ -312,7 +241,7 @@ mod tests {
             panic!("edge list expected");
         };
         edges.swap(0, 1);
-        assert!(serde_json::from_value::<ChainComplex>(doc).is_err());
+        assert!(serde_json::from_value::<ChainComplex>(&doc).is_err());
     }
 
     #[test]

@@ -722,17 +722,6 @@ fn parse_shard_list(value: &str) -> Result<Vec<String>, CliError> {
     Ok(shards)
 }
 
-/// Builds an ordered JSON object from string keys (the vendored
-/// `serde_json` has no object-literal macro).
-fn json_object(entries: Vec<(&str, serde_json::Value)>) -> serde_json::Value {
-    serde_json::Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-    )
-}
-
 fn required(it: &mut std::slice::Iter<'_, String>, msg: &str) -> Result<String, CliError> {
     it.next().cloned().ok_or_else(|| CliError(msg.to_owned()))
 }
@@ -958,7 +947,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                     .stages
                     .iter()
                     .map(|s| {
-                        json_object(vec![
+                        Value::object([
                             ("stage", Value::String(s.stage.to_owned())),
                             ("detail", Value::String(s.detail.clone())),
                             ("work", Value::UInt(s.work)),
@@ -973,7 +962,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 let caches: Vec<Value> = stage_cache_stats()
                     .iter()
                     .map(|(kind, stats)| {
-                        json_object(vec![
+                        Value::object([
                             ("cache", Value::String(kind.name().to_owned())),
                             ("hits", Value::UInt(stats.hits)),
                             ("reuse_hits", Value::UInt(stats.reuse_hits)),
@@ -982,7 +971,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                         ])
                     })
                     .collect();
-                let doc = json_object(vec![
+                let doc = Value::object([
                     ("task", Value::String(t.name().to_owned())),
                     ("verdict", Value::String(format!("{}", analysis.verdict))),
                     (
@@ -1489,7 +1478,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                     Value::String(spec)
                 } else {
                     serde_json::to_value(&load_task(&spec)?)
-                        .map_err(|e| CliError(format!("serialize task: {e}")))?
                 };
                 let mut fields = vec![
                     ("op", Value::String("analyze".to_owned())),
@@ -1504,10 +1492,10 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 if let Some(n) = max_states {
                     fields.push(("max_states", Value::UInt(n as u64)));
                 }
-                serde_json::to_string(&json_object(fields))
+                serde_json::to_string(&Value::object(fields))
                     .map_err(|e| CliError(format!("serialize request: {e}")))?
             } else {
-                serde_json::to_string(&json_object(vec![("op", Value::String(op))]))
+                serde_json::to_string(&Value::object([("op", Value::String(op))]))
                     .map_err(|e| CliError(format!("serialize request: {e}")))?
             };
             let mut response = crate::serve::request_line(&addr, &line, 120)?;
@@ -2553,5 +2541,15 @@ mod tests {
         // The ACT baseline is not specific to three processes.
         let out = run(parse(&args(&["act", path])).unwrap()).unwrap();
         assert!(out.starts_with("SOLVABLE"), "{out}");
+    }
+
+    #[test]
+    fn view_nested_color_out_of_range_is_an_error_not_a_panic() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/bad-view-color.json"
+        );
+        let err = run(parse(&args(&["analyze", path])).unwrap()).unwrap_err();
+        assert!(err.0.contains("color 99 out of range"), "{err}");
     }
 }

@@ -150,15 +150,6 @@ impl Daemon {
     }
 }
 
-fn json_object(entries: Vec<(&str, serde_json::Value)>) -> serde_json::Value {
-    serde_json::Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-    )
-}
-
 fn verdict_label(verdict: &Verdict) -> &'static str {
     match verdict {
         Verdict::Solvable { .. } => "SOLVABLE",
@@ -170,11 +161,9 @@ fn verdict_label(verdict: &Verdict) -> &'static str {
 /// The wire line analyzing `task` inline (mutants are not registry
 /// names, so they travel as full task objects).
 fn analyze_line(task: &Task) -> Result<String, CliError> {
-    let value =
-        serde_json::to_value(task).map_err(|e| CliError(format!("chaos: serialize task: {e}")))?;
-    serde_json::to_string(&json_object(vec![
+    serde_json::to_string(&serde_json::Value::object([
         ("op", serde_json::Value::String("analyze".to_owned())),
-        ("task", value),
+        ("task", serde_json::to_value(task)),
     ]))
     .map_err(|e| CliError(format!("chaos: serialize request: {e}")))
 }

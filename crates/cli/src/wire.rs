@@ -226,7 +226,7 @@ fn parse_analyze(entries: &[(String, Value)]) -> Result<Request, WireError> {
             "task" => match value {
                 Value::String(name) => task = Some(TaskSpec::Named(name.clone())),
                 Value::Object(_) => {
-                    let parsed: Task = serde_json::from_value(value.clone())
+                    let parsed: Task = serde_json::from_value(value)
                         .map_err(|e| WireError(format!("invalid inline task: {e}")))?;
                     task = Some(TaskSpec::Inline(Box::new(parsed)));
                 }
@@ -265,32 +265,17 @@ fn parse_analyze(entries: &[(String, Value)]) -> Result<Request, WireError> {
     }))
 }
 
-/// Builds an ordered JSON object (the vendored `serde_json` has no
-/// object-literal macro).
-fn object(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-    )
-}
-
 /// Renders a `Value` as a single response line (no trailing newline;
-/// the transport appends it).
+/// the transport appends it). Writing a tree cannot fail.
 fn line(value: &Value) -> String {
-    serde_json::to_string(value).unwrap_or_else(|_| {
-        // The value trees built here contain no non-serializable parts;
-        // degrade to a generic error line rather than panicking a worker.
-        r#"{"status":"error","error":"internal: response serialization failed"}"#.to_owned()
-    })
+    serde_json::to_string(value).unwrap_or_default()
 }
 
 /// The structured-error response: the request was rejected but the
 /// connection stays usable.
 #[must_use]
 pub fn error_response(error: &str) -> String {
-    line(&object(vec![
+    line(&Value::object([
         ("status", Value::String("error".to_owned())),
         ("error", Value::String(error.to_owned())),
     ]))
@@ -300,7 +285,7 @@ pub fn error_response(error: &str) -> String {
 /// a machine-readable retry hint, sent within a bounded deadline.
 #[must_use]
 pub fn overload_response(reason: &str, retry_after_ms: u64) -> String {
-    line(&object(vec![
+    line(&Value::object([
         ("status", Value::String("ok".to_owned())),
         ("op", Value::String("analyze".to_owned())),
         ("verdict", Value::String("UNKNOWN".to_owned())),
@@ -342,13 +327,13 @@ pub fn analyze_response(
     if let Some(ms) = retry_after_ms {
         fields.push(("retry_after_ms", Value::UInt(ms)));
     }
-    line(&object(fields))
+    line(&Value::object(fields))
 }
 
 /// The liveness answer.
 #[must_use]
 pub fn pong_response() -> String {
-    line(&object(vec![
+    line(&Value::object([
         ("status", Value::String("ok".to_owned())),
         ("op", Value::String("ping".to_owned())),
     ]))
@@ -357,7 +342,7 @@ pub fn pong_response() -> String {
 /// One stage-cache counter row for the stats response.
 #[must_use]
 pub fn cache_stats_value(kind: &str, stats: &chromata::DecisionCacheStats) -> Value {
-    object(vec![
+    Value::object([
         ("cache", Value::String(kind.to_owned())),
         ("lookups", Value::UInt(stats.lookups)),
         ("hits", Value::UInt(stats.hits)),
@@ -395,7 +380,7 @@ pub fn stats_response(
     health: &HealthStats,
     caches: Vec<Value>,
 ) -> String {
-    line(&object(vec![
+    line(&Value::object([
         ("status", Value::String("ok".to_owned())),
         ("op", Value::String("stats".to_owned())),
         ("served", Value::UInt(served)),
@@ -425,7 +410,7 @@ pub fn stats_response(
 /// worker on it.
 #[must_use]
 pub fn poisoned_response(task_name: &str, fingerprint: u64) -> String {
-    line(&object(vec![
+    line(&Value::object([
         ("status", Value::String("ok".to_owned())),
         ("op", Value::String("analyze".to_owned())),
         ("task", Value::String(task_name.to_owned())),
@@ -444,7 +429,7 @@ pub fn poisoned_response(task_name: &str, fingerprint: u64) -> String {
 /// The persist answer.
 #[must_use]
 pub fn persist_response(entries_written: u64, files_written: u64) -> String {
-    line(&object(vec![
+    line(&Value::object([
         ("status", Value::String("ok".to_owned())),
         ("op", Value::String("persist".to_owned())),
         ("entries_written", Value::UInt(entries_written)),
@@ -455,7 +440,7 @@ pub fn persist_response(entries_written: u64, files_written: u64) -> String {
 /// The shutdown acknowledgement (sent before the final persist runs).
 #[must_use]
 pub fn shutdown_response() -> String {
-    line(&object(vec![
+    line(&Value::object([
         ("status", Value::String("ok".to_owned())),
         ("op", Value::String("shutdown".to_owned())),
     ]))

@@ -474,6 +474,38 @@ fn a_stalled_half_request_is_timed_out_and_frees_its_worker_slot() {
     let _ = server.wait();
 }
 
+/// A vertex nested in a view is range-checked like a top-level one: an
+/// inline task with colour 99 there gets a structured error, and the
+/// server's only worker keeps serving.
+#[test]
+fn view_nested_bad_color_is_an_error_and_the_only_worker_survives() {
+    let _guard = store_guard();
+    let server = Server::start(ServeOptions {
+        threads: 1,
+        ..options()
+    })
+    .unwrap();
+    let addr = server.local_addr().to_string();
+    let task = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/bad-view-color.json"
+    ))
+    .unwrap();
+    let request = format!(r#"{{"op":"analyze","task":{}}}"#, task.trim());
+    let raw = request_line(&addr, &request, 60).unwrap();
+    let doc = json_line(&raw);
+    assert_eq!(str_field(&doc, "status"), "error", "{raw}");
+    assert!(
+        str_field(&doc, "error").contains("color 99 out of range"),
+        "{raw}"
+    );
+    let raw = request_line(&addr, r#"{"op":"ping"}"#, 10).unwrap();
+    assert_eq!(str_field(&json_line(&raw), "op"), "ping", "{raw}");
+
+    server.shutdown();
+    let _ = server.wait();
+}
+
 /// Distributed stage execution over real sockets: two in-process
 /// workers serve `op:"stage"` jobs for a batch, one is killed
 /// mid-batch, and every verdict + digest still matches the

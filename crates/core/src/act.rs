@@ -71,11 +71,12 @@ impl ActOutcome {
 /// ```
 #[must_use]
 pub fn solve_act(task: &Task, max_rounds: usize) -> ActOutcome {
-    solve_act_governed(
+    solve_act_governed_with_stats(
         task,
         &Budget::unlimited().with_max_act_rounds(max_rounds),
         &CancelToken::new(),
     )
+    .0
 }
 
 /// [`solve_act`] under a [`Budget`] and [`CancelToken`]: rounds
@@ -84,16 +85,9 @@ pub fn solve_act(task: &Task, max_rounds: usize) -> ActOutcome {
 /// than the last), with the deadline and the token checked every few
 /// thousand backtracking nodes. Interruption degrades to
 /// [`ActOutcome::Interrupted`] carrying the number of rounds already
-/// ruled out.
-#[must_use]
-pub fn solve_act_governed(task: &Task, budget: &Budget, cancel: &CancelToken) -> ActOutcome {
-    solve_act_governed_with_stats(task, budget, cancel).0
-}
-
-/// [`solve_act_governed`] additionally reporting the total number of
-/// backtracking nodes expanded across every round searched — the state
-/// counter the verdict engine's evidence chains record for the
-/// exploration stage.
+/// ruled out. Also reports the total number of backtracking nodes
+/// expanded across every round searched — the state counter the verdict
+/// engine's evidence chains record for the exploration stage.
 #[must_use]
 pub fn solve_act_governed_with_stats(
     task: &Task,
@@ -142,29 +136,17 @@ pub fn solve_act_governed_with_stats(
 #[must_use]
 pub fn find_decision_map(sub: &Subdivision, task: &Task) -> Option<SimplicialMap> {
     // An unlimited budget with a fresh token can never interrupt.
-    find_decision_map_governed(sub, task, &Budget::unlimited(), &CancelToken::new())
+    find_decision_map_counted(sub, task, &Budget::unlimited(), &CancelToken::new())
+        .0
         .ok()
         .flatten()
 }
 
-/// [`find_decision_map`] with cooperative interruption: the deadline and
-/// the token are checked every [`CHECK_INTERVAL`] backtracking nodes.
-///
-/// # Errors
-///
-/// Returns the [`Interrupt`] if the budget's deadline passes or the
-/// token is cancelled mid-search.
-pub fn find_decision_map_governed(
-    sub: &Subdivision,
-    task: &Task,
-    budget: &Budget,
-    cancel: &CancelToken,
-) -> Result<Option<SimplicialMap>, Interrupt> {
-    find_decision_map_counted(sub, task, budget, cancel).0
-}
-
-/// [`find_decision_map_governed`] additionally reporting the number of
-/// backtracking nodes the search expanded (even when interrupted).
+/// [`find_decision_map`] with cooperative interruption — the deadline
+/// and the token are checked every [`CHECK_INTERVAL`] backtracking
+/// nodes, and an interruption is returned as the [`Interrupt`] —
+/// additionally reporting the number of backtracking nodes the search
+/// expanded (even when interrupted).
 pub(crate) fn find_decision_map_counted(
     sub: &Subdivision,
     task: &Task,
@@ -397,11 +379,13 @@ mod tests {
     fn cancelled_act_search_degrades_to_interrupted() {
         let cancel = CancelToken::new();
         cancel.cancel();
-        match solve_act_governed(
+        match solve_act_governed_with_stats(
             &consensus(3),
             &Budget::unlimited().with_max_act_rounds(2),
             &cancel,
-        ) {
+        )
+        .0
+        {
             ActOutcome::Interrupted {
                 rounds_completed: 0,
                 interrupt: Interrupt::Cancelled,
@@ -416,7 +400,7 @@ mod tests {
             .with_max_act_rounds(2)
             .with_deadline_in(std::time::Duration::ZERO);
         std::thread::sleep(std::time::Duration::from_millis(1));
-        match solve_act_governed(&consensus(3), &budget, &CancelToken::new()) {
+        match solve_act_governed_with_stats(&consensus(3), &budget, &CancelToken::new()).0 {
             ActOutcome::Interrupted {
                 interrupt: Interrupt::DeadlineExceeded,
                 ..

@@ -55,10 +55,7 @@ mod splitting;
 pub mod stages;
 mod two_process;
 
-pub use act::{
-    find_decision_map, find_decision_map_governed, solve_act, solve_act_governed, validate_witness,
-    ActOutcome,
-};
+pub use act::{find_decision_map, solve_act, validate_witness, ActOutcome};
 pub use chromata_topology::{Budget, CancelToken, Interrupt};
 pub use continuous::{continuous_map_exists, ContinuousOutcome, ImpossibilityReason};
 pub use corollaries::{corollary_5_5, crossing_graph, every_cycle_crosses_a_lap};
@@ -75,8 +72,7 @@ pub use stages::artifacts::{
     SubdividedComplex, TrianglePresentations,
 };
 pub use stages::cache::{
-    clear_stage_caches, set_stage_cache_capacity, stage_cache_stats, ArtifactKind, ArtifactStore,
-    SharedCache, StageCache,
+    clear_stage_caches, stage_cache_stats, ArtifactKind, ArtifactStore, SharedCache, StageCache,
 };
 pub use stages::chaos::{
     parse_fault_kinds, ChaosShardIo, FaultKind, FaultSchedule, InProcessShards, NetFault,

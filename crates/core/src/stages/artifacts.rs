@@ -249,15 +249,13 @@ pub(crate) fn exists_summary(outcome: &ContinuousOutcome) -> Option<(usize, usiz
 // Serde plumbing — the persistence layer (`super::persist`) snapshots every
 // stage cache, so each artifact (and the verdict record) needs a stable,
 // canonical serialized form. Same rules as the topology/algebra serde
-// layers: explicit mirror shapes on the vendored `Content` tree, ordered
-// containers rendered as sorted sequences, and *validation before
+// layers: each type reads and writes its own `Content` tree, ordered
+// containers render as sorted sequences, and *validation comes before
 // construction* — a corrupt snapshot entry must become an `Err`, never a
 // panic or a malformed artifact.
 // ---------------------------------------------------------------------------
 
-use serde::de::Error as DeError;
-use serde::{de, ser, Content, Deserialize, Deserializer, Serialize, Serializer};
-use std::collections::BTreeMap;
+use serde::{Content, Deserialize, Error, Serialize};
 
 use super::{DecisionRecord, StageTrace};
 use crate::continuous::ImpossibilityReason;
@@ -281,220 +279,173 @@ pub(crate) fn intern_stage_name(name: &str) -> Option<&'static str> {
     KNOWN.iter().find(|&&k| k == name).copied()
 }
 
-fn field<'a>(entries: &'a [(String, Content)], name: &str) -> Result<&'a Content, String> {
-    entries
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing field '{name}'"))
-}
-
-fn as_map(c: &Content) -> Result<&[(String, Content)], String> {
-    match c {
-        Content::Map(entries) => Ok(entries),
-        other => Err(format!("expected an object, found {other:?}")),
-    }
-}
-
-/// Unwraps an externally tagged enum: a map with exactly one entry.
-fn as_variant(c: &Content) -> Result<(&str, &Content), String> {
-    let entries = as_map(c)?;
-    let [(tag, payload)] = entries else {
-        return Err("expected exactly one variant tag".to_owned());
-    };
-    Ok((tag.as_str(), payload))
-}
-
-fn to_content<T: Serialize>(v: &T) -> Result<Content, String> {
-    ser::to_content(v).map_err(|e| e.0)
-}
-
-fn from_content<'de, T: Deserialize<'de>>(c: &Content) -> Result<T, String> {
-    de::from_content(c.clone()).map_err(|e| e.0)
-}
-
-fn variant(tag: &str, payload: Content) -> Content {
-    Content::Map(vec![(tag.to_owned(), payload)])
-}
-
-macro_rules! content_backed {
-    ($ty:ty) => {
-        impl Serialize for $ty {
-            fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-                let content = self
-                    .to_content_repr()
-                    .map_err(<S::Error as ser::Error>::custom)?;
-                s.serialize_content(content)
-            }
-        }
-
-        impl<'de> Deserialize<'de> for $ty {
-            fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-                Self::from_content_repr(&d.deserialize_content()?).map_err(D::Error::custom)
-            }
-        }
-    };
-}
-
-impl Verdict {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        Ok(match self {
+impl Serialize for Verdict {
+    fn to_content(&self) -> Content {
+        match self {
             Verdict::Solvable { certificate } => {
-                variant("solvable", Content::Str(certificate.clone()))
+                Content::tagged("solvable", certificate.to_content())
             }
             Verdict::Unsolvable { obstruction } => {
-                variant("unsolvable", obstruction.to_content_repr()?)
+                Content::tagged("unsolvable", obstruction.to_content())
             }
-            Verdict::Unknown { reason } => variant("unknown", Content::Str(reason.clone())),
-        })
+            Verdict::Unknown { reason } => Content::tagged("unknown", reason.to_content()),
+        }
     }
+}
 
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let (tag, payload) = as_variant(c)?;
+impl Deserialize for Verdict {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        let (tag, payload) = c.variant()?;
         match tag {
             "solvable" => Ok(Verdict::Solvable {
-                certificate: from_content(payload)?,
+                certificate: String::from_content(payload)?,
             }),
             "unsolvable" => Ok(Verdict::Unsolvable {
-                obstruction: Obstruction::from_content_repr(payload)?,
+                obstruction: Obstruction::from_content(payload)?,
             }),
             "unknown" => Ok(Verdict::Unknown {
-                reason: from_content(payload)?,
+                reason: String::from_content(payload)?,
             }),
-            other => Err(format!("unknown verdict variant '{other}'")),
+            other => Err(Error::custom(format!("unknown verdict variant '{other}'"))),
         }
     }
 }
-content_backed!(Verdict);
 
-impl Obstruction {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        Ok(match self {
+impl Serialize for Obstruction {
+    fn to_content(&self) -> Content {
+        match self {
             Obstruction::ArticulationPoints { witness } => {
-                variant("articulation_points", Content::Str(witness.clone()))
+                Content::tagged("articulation_points", witness.to_content())
             }
             Obstruction::Contractibility { witness } => {
-                variant("contractibility", Content::Str(witness.clone()))
+                Content::tagged("contractibility", witness.to_content())
             }
-        })
+        }
     }
+}
 
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let (tag, payload) = as_variant(c)?;
+impl Deserialize for Obstruction {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        let (tag, payload) = c.variant()?;
         match tag {
             "articulation_points" => Ok(Obstruction::ArticulationPoints {
-                witness: from_content(payload)?,
+                witness: String::from_content(payload)?,
             }),
             "contractibility" => Ok(Obstruction::Contractibility {
-                witness: from_content(payload)?,
+                witness: String::from_content(payload)?,
             }),
-            other => Err(format!("unknown obstruction variant '{other}'")),
+            other => Err(Error::custom(format!(
+                "unknown obstruction variant '{other}'"
+            ))),
         }
     }
 }
-content_backed!(Obstruction);
 
-impl ImpossibilityReason {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        Ok(match self {
+impl Serialize for ImpossibilityReason {
+    fn to_content(&self) -> Content {
+        match self {
             ImpossibilityReason::EmptyVertexImage(x) => {
-                variant("empty_vertex_image", to_content(x)?)
+                Content::tagged("empty_vertex_image", x.to_content())
             }
             ImpossibilityReason::SkeletonDisconnected { edge } => {
-                variant("skeleton_disconnected", to_content(edge)?)
+                Content::tagged("skeleton_disconnected", edge.to_content())
             }
             ImpossibilityReason::HomologyObstruction { triangle } => {
-                variant("homology_obstruction", to_content(triangle)?)
+                Content::tagged("homology_obstruction", triangle.to_content())
             }
-        })
-    }
-
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let (tag, payload) = as_variant(c)?;
-        match tag {
-            "empty_vertex_image" => Ok(ImpossibilityReason::EmptyVertexImage(from_content(
-                payload,
-            )?)),
-            "skeleton_disconnected" => Ok(ImpossibilityReason::SkeletonDisconnected {
-                edge: from_content(payload)?,
-            }),
-            "homology_obstruction" => Ok(ImpossibilityReason::HomologyObstruction {
-                triangle: from_content(payload)?,
-            }),
-            other => Err(format!("unknown impossibility variant '{other}'")),
         }
     }
 }
-content_backed!(ImpossibilityReason);
 
-impl ContinuousOutcome {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        Ok(match self {
+impl Deserialize for ImpossibilityReason {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        let (tag, payload) = c.variant()?;
+        match tag {
+            "empty_vertex_image" => Ok(ImpossibilityReason::EmptyVertexImage(
+                Vertex::from_content(payload)?,
+            )),
+            "skeleton_disconnected" => Ok(ImpossibilityReason::SkeletonDisconnected {
+                edge: Simplex::from_content(payload)?,
+            }),
+            "homology_obstruction" => Ok(ImpossibilityReason::HomologyObstruction {
+                triangle: Simplex::from_content(payload)?,
+            }),
+            other => Err(Error::custom(format!(
+                "unknown impossibility variant '{other}'"
+            ))),
+        }
+    }
+}
+
+impl Serialize for ContinuousOutcome {
+    fn to_content(&self) -> Content {
+        match self {
             ContinuousOutcome::Exists {
                 assignment,
                 certificates,
-            } => {
-                // BTreeMap iterates sorted, so the pair list is canonical.
-                let pairs: Vec<(&Vertex, &Vertex)> = assignment.iter().collect();
-                variant(
-                    "exists",
-                    serde::map_content(vec![
-                        ("assignment", to_content(&pairs)?),
-                        ("certificates", to_content(certificates)?),
-                    ]),
-                )
-            }
+            } => Content::tagged(
+                "exists",
+                Content::object([
+                    // BTreeMap iterates sorted, so the pair list is canonical.
+                    (
+                        "assignment",
+                        Content::Array(assignment.iter().map(|p| p.to_content()).collect()),
+                    ),
+                    ("certificates", certificates.to_content()),
+                ]),
+            ),
             ContinuousOutcome::Impossible { reason } => {
-                variant("impossible", reason.to_content_repr()?)
+                Content::tagged("impossible", reason.to_content())
             }
             ContinuousOutcome::Undetermined { reason } => {
-                variant("undetermined", Content::Str(reason.clone()))
+                Content::tagged("undetermined", reason.to_content())
             }
-        })
-    }
-
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let (tag, payload) = as_variant(c)?;
-        match tag {
-            "exists" => {
-                let entries = as_map(payload)?;
-                let pairs: Vec<(Vertex, Vertex)> = from_content(field(entries, "assignment")?)?;
-                let certificates: Vec<String> = from_content(field(entries, "certificates")?)?;
-                let assignment: BTreeMap<Vertex, Vertex> = pairs.into_iter().collect();
-                Ok(ContinuousOutcome::Exists {
-                    assignment,
-                    certificates,
-                })
-            }
-            "impossible" => Ok(ContinuousOutcome::Impossible {
-                reason: ImpossibilityReason::from_content_repr(payload)?,
-            }),
-            "undetermined" => Ok(ContinuousOutcome::Undetermined {
-                reason: from_content(payload)?,
-            }),
-            other => Err(format!("unknown continuous-outcome variant '{other}'")),
         }
     }
 }
-content_backed!(ContinuousOutcome);
 
-impl Lap {
-    fn to_content_repr(&self) -> Result<Content, String> {
+impl Deserialize for ContinuousOutcome {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        let (tag, payload) = c.variant()?;
+        match tag {
+            "exists" => {
+                let pairs: Vec<(Vertex, Vertex)> = payload.get("assignment")?;
+                Ok(ContinuousOutcome::Exists {
+                    assignment: pairs.into_iter().collect(),
+                    certificates: payload.get("certificates")?,
+                })
+            }
+            "impossible" => Ok(ContinuousOutcome::Impossible {
+                reason: ImpossibilityReason::from_content(payload)?,
+            }),
+            "undetermined" => Ok(ContinuousOutcome::Undetermined {
+                reason: String::from_content(payload)?,
+            }),
+            other => Err(Error::custom(format!(
+                "unknown continuous-outcome variant '{other}'"
+            ))),
+        }
+    }
+}
+
+impl Serialize for Lap {
+    fn to_content(&self) -> Content {
         let components: Vec<Vec<&Vertex>> =
             self.components.iter().map(|c| c.iter().collect()).collect();
-        Ok(serde::map_content(vec![
-            ("facet", to_content(&self.facet)?),
-            ("vertex", to_content(&self.vertex)?),
-            ("components", to_content(&components)?),
-        ]))
+        Content::object([
+            ("facet", self.facet.to_content()),
+            ("vertex", self.vertex.to_content()),
+            ("components", components.to_content()),
+        ])
     }
+}
 
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let entries = as_map(c)?;
-        let components: Vec<Vec<Vertex>> = from_content(field(entries, "components")?)?;
+impl Deserialize for Lap {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        let components: Vec<Vec<Vertex>> = c.get("components")?;
         Ok(Lap {
-            facet: from_content(field(entries, "facet")?)?,
-            vertex: from_content(field(entries, "vertex")?)?,
+            facet: c.get("facet")?,
+            vertex: c.get("vertex")?,
             components: components
                 .into_iter()
                 .map(|c| c.into_iter().collect())
@@ -502,63 +453,63 @@ impl Lap {
         })
     }
 }
-content_backed!(Lap);
 
-impl SplitOutcome {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        Ok(serde::map_content(vec![
-            ("task", to_content(&self.task)?),
-            ("steps", to_content(&self.steps)?),
-            ("degenerate", to_content(&self.degenerate)?),
-        ]))
+impl Serialize for SplitOutcome {
+    fn to_content(&self) -> Content {
+        Content::object([
+            ("task", self.task.to_content()),
+            ("steps", self.steps.to_content()),
+            ("degenerate", self.degenerate.to_content()),
+        ])
     }
+}
 
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let entries = as_map(c)?;
+impl Deserialize for SplitOutcome {
+    fn from_content(c: &Content) -> Result<Self, Error> {
         Ok(SplitOutcome {
-            task: from_content(field(entries, "task")?)?,
-            steps: from_content(field(entries, "steps")?)?,
-            degenerate: from_content(field(entries, "degenerate")?)?,
+            task: c.get("task")?,
+            steps: c.get("steps")?,
+            degenerate: c.get("degenerate")?,
         })
     }
 }
-content_backed!(SplitOutcome);
 
 impl Serialize for SubdividedComplex {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        self.split.serialize(s)
+    fn to_content(&self) -> Content {
+        self.split.to_content()
     }
 }
 
-impl<'de> Deserialize<'de> for SubdividedComplex {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+impl Deserialize for SubdividedComplex {
+    fn from_content(c: &Content) -> Result<Self, Error> {
         Ok(SubdividedComplex {
-            split: SplitOutcome::deserialize(d)?,
+            split: SplitOutcome::from_content(c)?,
         })
     }
 }
 
-impl LinkGraphs {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        Ok(serde::map_content(vec![
-            ("vertices", to_content(&self.vertices)?),
-            ("domains", to_content(&self.domains)?),
-            ("edges", to_content(&self.edges)?),
-            ("edge_graphs", to_content(&self.edge_graphs)?),
-            ("edge_cycles", to_content(&self.edge_cycles)?),
-            ("triangles", to_content(&self.triangles)?),
-        ]))
+impl Serialize for LinkGraphs {
+    fn to_content(&self) -> Content {
+        Content::object([
+            ("vertices", self.vertices.to_content()),
+            ("domains", self.domains.to_content()),
+            ("edges", self.edges.to_content()),
+            ("edge_graphs", self.edge_graphs.to_content()),
+            ("edge_cycles", self.edge_cycles.to_content()),
+            ("triangles", self.triangles.to_content()),
+        ])
     }
+}
 
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let entries = as_map(c)?;
+impl Deserialize for LinkGraphs {
+    fn from_content(c: &Content) -> Result<Self, Error> {
         let out = LinkGraphs {
-            vertices: from_content(field(entries, "vertices")?)?,
-            domains: from_content(field(entries, "domains")?)?,
-            edges: from_content(field(entries, "edges")?)?,
-            edge_graphs: from_content(field(entries, "edge_graphs")?)?,
-            edge_cycles: from_content(field(entries, "edge_cycles")?)?,
-            triangles: from_content(field(entries, "triangles")?)?,
+            vertices: c.get("vertices")?,
+            domains: c.get("domains")?,
+            edges: c.get("edges")?,
+            edge_graphs: c.get("edge_graphs")?,
+            edge_cycles: c.get("edge_cycles")?,
+            triangles: c.get("triangles")?,
         };
         // Consumers index these arrays in parallel; a snapshot that broke
         // the parallel-array invariant must not construct.
@@ -566,152 +517,157 @@ impl LinkGraphs {
             || out.edge_graphs.len() != out.edges.len()
             || out.edge_cycles.len() != out.edges.len()
         {
-            return Err("link-graphs parallel arrays disagree in length".to_owned());
+            return Err(Error::custom(
+                "link-graphs parallel arrays disagree in length",
+            ));
         }
         Ok(out)
     }
 }
-content_backed!(LinkGraphs);
 
-impl ComponentPresentation {
-    fn to_content_repr(&self) -> Result<Content, String> {
+impl Serialize for ComponentPresentation {
+    fn to_content(&self) -> Content {
         let members: Vec<&Vertex> = self.members.iter().collect();
-        Ok(serde::map_content(vec![
-            ("members", to_content(&members)?),
-            ("summary", to_content(&self.summary)?),
-        ]))
+        Content::object([
+            ("members", members.to_content()),
+            ("summary", self.summary.to_content()),
+        ])
     }
+}
 
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let entries = as_map(c)?;
-        let members: Vec<Vertex> = from_content(field(entries, "members")?)?;
+impl Deserialize for ComponentPresentation {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        let members: Vec<Vertex> = c.get("members")?;
         Ok(ComponentPresentation {
             members: members.into_iter().collect(),
-            summary: from_content(field(entries, "summary")?)?,
+            summary: c.get("summary")?,
         })
     }
 }
-content_backed!(ComponentPresentation);
 
-impl TrianglePresentations {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        Ok(serde::map_content(vec![
-            ("components", to_content(&self.components)?),
-            ("empty", to_content(&self.empty)?),
-            ("chain", to_content(&self.chain)?),
-        ]))
+impl Serialize for TrianglePresentations {
+    fn to_content(&self) -> Content {
+        Content::object([
+            ("components", self.components.to_content()),
+            ("empty", self.empty.to_content()),
+            ("chain", self.chain.to_content()),
+        ])
     }
+}
 
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let entries = as_map(c)?;
+impl Deserialize for TrianglePresentations {
+    fn from_content(c: &Content) -> Result<Self, Error> {
         Ok(TrianglePresentations {
-            components: from_content(field(entries, "components")?)?,
-            empty: from_content(field(entries, "empty")?)?,
-            chain: from_content(field(entries, "chain")?)?,
+            components: c.get("components")?,
+            empty: c.get("empty")?,
+            chain: c.get("chain")?,
         })
     }
 }
-content_backed!(TrianglePresentations);
 
 impl Serialize for Presentations {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        self.per_triangle.serialize(s)
+    fn to_content(&self) -> Content {
+        self.per_triangle.to_content()
     }
 }
 
-impl<'de> Deserialize<'de> for Presentations {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+impl Deserialize for Presentations {
+    fn from_content(c: &Content) -> Result<Self, Error> {
         Ok(Presentations {
-            per_triangle: Vec::<TrianglePresentations>::deserialize(d)?,
+            per_triangle: Vec::from_content(c)?,
         })
     }
 }
 
-impl HomologyReport {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        Ok(serde::map_content(vec![
-            ("outcome", self.outcome.to_content_repr()?),
-            ("assignments", to_content(&self.assignments)?),
-        ]))
+impl Serialize for HomologyReport {
+    fn to_content(&self) -> Content {
+        Content::object([
+            ("outcome", self.outcome.to_content()),
+            ("assignments", self.assignments.to_content()),
+        ])
     }
+}
 
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let entries = as_map(c)?;
+impl Deserialize for HomologyReport {
+    fn from_content(c: &Content) -> Result<Self, Error> {
         Ok(HomologyReport {
-            outcome: ContinuousOutcome::from_content_repr(field(entries, "outcome")?)?,
-            assignments: from_content(field(entries, "assignments")?)?,
+            outcome: c.get("outcome")?,
+            assignments: c.get("assignments")?,
         })
     }
 }
-content_backed!(HomologyReport);
 
-impl ExplorationReport {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        Ok(serde::map_content(vec![
-            ("verdict", self.verdict.to_content_repr()?),
-            ("nodes", to_content(&self.nodes)?),
-            ("rounds_cap", to_content(&self.rounds_cap)?),
-            ("budget_independent", to_content(&self.budget_independent)?),
-        ]))
+impl Serialize for ExplorationReport {
+    fn to_content(&self) -> Content {
+        Content::object([
+            ("verdict", self.verdict.to_content()),
+            ("nodes", self.nodes.to_content()),
+            ("rounds_cap", self.rounds_cap.to_content()),
+            ("budget_independent", self.budget_independent.to_content()),
+        ])
     }
+}
 
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let entries = as_map(c)?;
+impl Deserialize for ExplorationReport {
+    fn from_content(c: &Content) -> Result<Self, Error> {
         Ok(ExplorationReport {
-            verdict: Verdict::from_content_repr(field(entries, "verdict")?)?,
-            nodes: from_content(field(entries, "nodes")?)?,
-            rounds_cap: from_content(field(entries, "rounds_cap")?)?,
-            budget_independent: from_content(field(entries, "budget_independent")?)?,
+            verdict: c.get("verdict")?,
+            nodes: c.get("nodes")?,
+            rounds_cap: c.get("rounds_cap")?,
+            budget_independent: c.get("budget_independent")?,
         })
     }
 }
-content_backed!(ExplorationReport);
 
-impl StageTrace {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        Ok(serde::map_content(vec![
-            ("stage", Content::Str(self.stage.to_owned())),
-            ("detail", Content::Str(self.detail.clone())),
-            ("work", to_content(&self.work)?),
-        ]))
+impl Serialize for StageTrace {
+    fn to_content(&self) -> Content {
+        Content::object([
+            ("stage", self.stage.to_content()),
+            ("detail", self.detail.to_content()),
+            ("work", self.work.to_content()),
+        ])
     }
+}
 
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let entries = as_map(c)?;
-        let name: String = from_content(field(entries, "stage")?)?;
-        let stage = intern_stage_name(&name)
-            .ok_or_else(|| format!("unknown stage name '{name}' in persisted trace"))?;
+impl Deserialize for StageTrace {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        let name: String = c.get("stage")?;
+        let stage = intern_stage_name(&name).ok_or_else(|| {
+            Error::custom(format!("unknown stage name '{name}' in persisted trace"))
+        })?;
         Ok(StageTrace {
             stage,
-            detail: from_content(field(entries, "detail")?)?,
-            work: from_content(field(entries, "work")?)?,
+            detail: c.get("detail")?,
+            work: c.get("work")?,
         })
     }
 }
-content_backed!(StageTrace);
 
-impl DecisionRecord {
-    fn to_content_repr(&self) -> Result<Content, String> {
-        Ok(serde::map_content(vec![
-            ("verdict", self.verdict.to_content_repr()?),
-            ("decided_by", Content::Str(self.decided_by.to_owned())),
-            ("stages", to_content(&self.stages)?),
-        ]))
+impl Serialize for DecisionRecord {
+    fn to_content(&self) -> Content {
+        Content::object([
+            ("verdict", self.verdict.to_content()),
+            ("decided_by", self.decided_by.to_content()),
+            ("stages", self.stages.to_content()),
+        ])
     }
+}
 
-    fn from_content_repr(c: &Content) -> Result<Self, String> {
-        let entries = as_map(c)?;
-        let decided: String = from_content(field(entries, "decided_by")?)?;
-        let decided_by = intern_stage_name(&decided)
-            .ok_or_else(|| format!("unknown deciding stage '{decided}' in persisted record"))?;
+impl Deserialize for DecisionRecord {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        let decided: String = c.get("decided_by")?;
+        let decided_by = intern_stage_name(&decided).ok_or_else(|| {
+            Error::custom(format!(
+                "unknown deciding stage '{decided}' in persisted record"
+            ))
+        })?;
         Ok(DecisionRecord {
-            verdict: Verdict::from_content_repr(field(entries, "verdict")?)?,
+            verdict: c.get("verdict")?,
             decided_by,
-            stages: from_content(field(entries, "stages")?)?,
+            stages: c.get("stages")?,
         })
     }
 }
-content_backed!(DecisionRecord);
 
 /// Keeps artifact invariants honest in tests without exporting internals.
 #[cfg(test)]

@@ -123,9 +123,8 @@ impl fmt::Display for ArtifactKind {
     }
 }
 
-/// Default capacity of each stage cache (entries), overridable with the
-/// `CHROMATA_DECISION_CACHE_CAP` environment variable or
-/// [`set_stage_cache_capacity`].
+/// Capacity of each process-wide stage cache (entries); a restored
+/// snapshot brings its own.
 const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// A bounded FIFO cache for one artifact kind.
@@ -389,17 +388,6 @@ impl ArtifactStore {
         }
     }
 
-    fn set_capacity_of(&self, kind: ArtifactKind, capacity: usize) {
-        match kind {
-            ArtifactKind::Split => self.split.lock().set_capacity(capacity),
-            ArtifactKind::LinkGraphs => self.links.lock().set_capacity(capacity),
-            ArtifactKind::Presentations => self.presentations.lock().set_capacity(capacity),
-            ArtifactKind::Homology => self.homology.lock().set_capacity(capacity),
-            ArtifactKind::Exploration => self.exploration.lock().set_capacity(capacity),
-            ArtifactKind::Verdict => self.verdict.lock().set_capacity(capacity),
-        }
-    }
-
     fn clear_all(&self) {
         self.split.lock().clear();
         self.links.lock().clear();
@@ -423,13 +411,7 @@ pub(crate) const ALL_KINDS: [ArtifactKind; 6] = [
 /// The process-wide [`ArtifactStore`].
 pub(crate) fn store() -> &'static ArtifactStore {
     static STORE: OnceLock<ArtifactStore> = OnceLock::new();
-    STORE.get_or_init(|| {
-        // Environment reads go through `govern` (rule D2): configuration
-        // is sampled once at store initialization, never on a decision.
-        let capacity = chromata_topology::govern::env_usize("CHROMATA_DECISION_CACHE_CAP")
-            .unwrap_or(DEFAULT_CACHE_CAPACITY);
-        ArtifactStore::with_capacity(capacity)
-    })
+    STORE.get_or_init(|| ArtifactStore::with_capacity(DEFAULT_CACHE_CAPACITY))
 }
 
 /// Serializes the lib tests that clear or poison the process-wide store
@@ -450,13 +432,6 @@ pub(crate) fn store_test_guard() -> std::sync::MutexGuard<'static, ()> {
 pub fn stage_cache_stats() -> Vec<(ArtifactKind, DecisionCacheStats)> {
     let s = store();
     ALL_KINDS.iter().map(|&k| (k, s.stats_of(k))).collect()
-}
-
-/// Replaces one stage cache's capacity (process-wide), evicting the
-/// oldest entries if that cache currently exceeds the new bound. A
-/// capacity of 0 disables caching for that stage.
-pub fn set_stage_cache_capacity(kind: ArtifactKind, capacity: usize) {
-    store().set_capacity_of(kind, capacity);
 }
 
 /// Drops every cached artifact of every stage and resets all counters.

@@ -389,7 +389,7 @@ fn parse_tagged_line(line: &[u8], tag: u8) -> Result<(u64, &[u8]), String> {
 }
 
 /// Verifies and decodes one tagged record's payload as JSON.
-fn decode_record<'a, T: Deserialize<'a>>(line: &'a [u8], tag: u8) -> Result<T, String> {
+fn decode_record<T: Deserialize>(line: &[u8], tag: u8) -> Result<T, String> {
     let (stated, payload) = parse_tagged_line(line, tag)?;
     let actual = fnv1a(payload);
     if stated != actual {
@@ -410,8 +410,8 @@ fn parse_snapshot<K, V>(
     admissible: &dyn Fn(&K, &V) -> bool,
 ) -> Result<ParsedSnapshot<K, V>, String>
 where
-    K: for<'de> Deserialize<'de>,
-    V: for<'de> Deserialize<'de>,
+    K: Deserialize,
+    V: Deserialize,
 {
     let (lines, tail) = split_lines(bytes);
     let mut complete = lines.iter();
@@ -526,8 +526,8 @@ fn load_one<K, V>(
     admissible: &dyn Fn(&K, &V) -> bool,
     report: &mut LoadReport,
 ) where
-    K: Clone + Eq + Hash + for<'de> Deserialize<'de>,
-    V: Clone + for<'de> Deserialize<'de>,
+    K: Clone + Eq + Hash + Deserialize,
+    V: Clone + Deserialize,
 {
     let path = snapshot_path(dir, kind);
     let bytes = match io.read(&path) {
@@ -878,8 +878,8 @@ fn audit_one<K, V>(
     admissible: &dyn Fn(&K, &V) -> bool,
 ) -> SnapshotAudit
 where
-    K: for<'de> Deserialize<'de>,
-    V: for<'de> Deserialize<'de>,
+    K: Deserialize,
+    V: Deserialize,
 {
     let path = snapshot_path(dir, kind);
     let bytes = match io.read(&path) {
@@ -982,7 +982,7 @@ mod tests {
 
     use proptest::prelude::*;
 
-    use chromata_task::library::{constant_task, identity_task, two_set_agreement};
+    use chromata_task::library::{constant_task, hourglass, identity_task, two_set_agreement};
 
     use super::super::artifacts::{HomologyReport, LinkGraphs, Presentations, SubdividedComplex};
     use super::super::{DecisionRecord, StageTrace};
@@ -1110,6 +1110,38 @@ mod tests {
         assert_eq!(snapshot_bytes(&dir), snapshot_bytes(&dir2));
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir2);
+    }
+
+    #[test]
+    fn snapshot_format_is_pinned_byte_for_byte() {
+        // Cache directories outlive builds: a snapshot written by an
+        // older build must restore under a newer one, so every byte of
+        // the format is pinned (FNV-1a and length per file).
+        let store = seeded_store_with(
+            8,
+            &[
+                two_set_agreement(),
+                constant_task(2),
+                chromata_task::canonicalize(&hourglass()),
+            ],
+        );
+        let dir = test_dir("pinned");
+        save_store(&store, &dir, &RealIo).expect("save");
+        let pins: Vec<(ArtifactKind, String, usize)> = snapshot_bytes(&dir)
+            .into_iter()
+            .map(|(kind, bytes)| (kind, format!("{:016x}", fnv1a(&bytes)), bytes.len()))
+            .collect();
+        let expected = [
+            (ArtifactKind::Split, "400be596bdaeb40f", 18_661),
+            (ArtifactKind::LinkGraphs, "fc1ac3f1e54e1fe9", 13_897),
+            (ArtifactKind::Presentations, "df3ac13957914aa1", 25_053),
+            (ArtifactKind::Homology, "d076d529e3bb7b67", 9_547),
+            (ArtifactKind::Exploration, "59755bb8010fbe12", 9_318),
+            (ArtifactKind::Verdict, "1d6e450a82ecd60b", 9_414),
+        ]
+        .map(|(kind, hash, len)| (kind, hash.to_owned(), len));
+        assert_eq!(pins, expected);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1637,6 +1669,40 @@ mod tests {
             .map(|(k, _)| k)
             .collect();
         assert_eq!(keys, vec![(constant_task(2), 1)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn forged_view_nested_bad_color_is_a_corrupt_entry_not_a_panic() {
+        let store = ArtifactStore::with_capacity(4);
+        store.verdict.lock().insert((constant_task(2), 1), record());
+        let dir = test_dir("forged");
+        save_store(&store, &dir, &RealIo).expect("save");
+
+        // Rewrite the entry so its task nests a colour-99 vertex inside a
+        // view, and re-checksum it: only the reader can catch this.
+        let path = snapshot_path(&dir, ArtifactKind::Verdict);
+        let text = std::fs::read_to_string(&path).expect("read");
+        let lines: Vec<&str> = text.lines().collect();
+        let [magic, header, entry] = lines.as_slice() else {
+            panic!("one entry expected: {text}");
+        };
+        let payload = &entry[19..];
+        let forged = payload.replace(
+            r#"{"color":0,"value":{"int":0}}"#,
+            r#"{"color":0,"value":{"view":[{"color":99,"value":{"int":0}}]}}"#,
+        );
+        assert_ne!(forged, payload);
+        let mut body = format!("{magic}\n{header}\n");
+        push_record(&mut body, 'E', &forged);
+        std::fs::write(&path, body).expect("rewrite");
+
+        let fresh = ArtifactStore::with_capacity(4);
+        let report = load_store(&fresh, &dir, &RealIo);
+        assert_eq!(report.corrupt_entries, 1);
+        assert_eq!(report.restored, 0);
+        assert_eq!(report.rejected_snapshots, 0);
+        assert!(fresh.verdict.lock().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

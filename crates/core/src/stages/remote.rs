@@ -259,38 +259,25 @@ impl StageJob {
     }
 }
 
-/// Builds an ordered JSON object (the vendored `serde_json` has no
-/// object-literal macro).
-fn object(entries: Vec<(&str, Value)>) -> Value {
-    Value::Object(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-    )
-}
-
 /// Renders a [`StageJob`] as one `op: "stage"` request line (no
 /// trailing newline; the transport appends it).
 ///
 /// # Errors
 ///
-/// Returns a message if the task fails to serialize (does not happen
-/// for validated tasks; surfaced rather than panicking a dispatcher).
+/// Returns a message if the request fails to serialize (does not
+/// happen; surfaced rather than panicking a dispatcher).
 pub fn stage_request_line(job: &StageJob) -> Result<String, String> {
-    let task_value = serde_json::to_value(job.task())
-        .map_err(|e| format!("stage request: task serialization failed: {e}"))?;
     let mut fields = vec![
         ("op", Value::String("stage".to_owned())),
         ("proto", Value::UInt(STAGE_PROTO_VERSION)),
         ("stage", Value::String(job.stage_name().to_owned())),
-        ("task", task_value),
+        ("task", serde_json::to_value(job.task())),
     ];
     if let StageJob::Explore { rounds, reason, .. } = job {
         fields.push(("rounds", Value::UInt(*rounds as u64)));
         fields.push(("reason", Value::String(reason.clone())));
     }
-    serde_json::to_string(&object(fields))
+    serde_json::to_string(&Value::object(fields))
         .map_err(|e| format!("stage request: serialization failed: {e}"))
 }
 
@@ -315,7 +302,7 @@ pub fn parse_stage_fields(entries: &[(String, Value)]) -> Result<StageJob, Strin
             },
             "task" => match value {
                 Value::Object(_) => {
-                    let parsed: Task = serde_json::from_value(value.clone())
+                    let parsed: Task = serde_json::from_value(value)
                         .map_err(|e| format!("invalid stage task: {e}"))?;
                     task = Some(parsed);
                 }
@@ -440,7 +427,7 @@ pub fn execute_stage_line(job: &StageJob) -> Result<String, String> {
         )
     })?;
     let check = fnv1a(payload.as_bytes());
-    serde_json::to_string(&object(vec![
+    serde_json::to_string(&Value::object([
         ("status", Value::String("ok".to_owned())),
         ("op", Value::String("stage".to_owned())),
         ("proto", Value::UInt(STAGE_PROTO_VERSION)),
@@ -458,32 +445,31 @@ pub fn execute_stage_line(job: &StageJob) -> Result<String, String> {
 fn artifact_payload(text: &str, stage: &str) -> Result<String, String> {
     let value: Value =
         serde_json::from_str(text).map_err(|e| format!("malformed stage response: {e}"))?;
-    let Value::Object(entries) = value else {
+    if !matches!(value, Value::Object(_)) {
         return Err("stage response is not a JSON object".to_owned());
-    };
-    let field = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    match field("status") {
-        Some(Value::String(s)) if s == "ok" => {}
-        Some(Value::String(s)) if s == "error" => {
-            let msg = match field("error") {
-                Some(Value::String(m)) => m.as_str(),
+    }
+    match value.field("status") {
+        Ok(Value::String(s)) if s == "ok" => {}
+        Ok(Value::String(s)) if s == "error" => {
+            let msg = match value.field("error") {
+                Ok(Value::String(m)) => m.as_str(),
                 _ => "unnamed error",
             };
             return Err(format!("shard answered an error: {msg}"));
         }
         _ => return Err("stage response carries no valid `status`".to_owned()),
     }
-    match field("stage") {
-        Some(Value::String(s)) if s == stage => {}
-        _ if field("retry_after_ms").is_some() => {
+    match value.field("stage") {
+        Ok(Value::String(s)) if s == stage => {}
+        _ if value.field("retry_after_ms").is_ok() => {
             return Err("shard is overloaded (retry hinted)".to_owned());
         }
         _ => return Err(format!("stage response is not for stage `{stage}`")),
     }
-    let Some(Value::String(payload)) = field("artifact") else {
+    let Ok(Value::String(payload)) = value.field("artifact") else {
         return Err("stage response carries no `artifact` payload".to_owned());
     };
-    let Some(Value::String(check)) = field("check") else {
+    let Ok(Value::String(check)) = value.field("check") else {
         return Err("stage response carries no `check` checksum".to_owned());
     };
     let expected = u64::from_str_radix(check, 16)
@@ -525,10 +511,7 @@ pub(crate) trait DistStage: Stage {
     }
 }
 
-fn decode_as<T: for<'de> serde::Deserialize<'de>>(
-    payload: &str,
-    stage: &str,
-) -> Result<Arc<T>, String> {
+fn decode_as<T: serde::Deserialize>(payload: &str, stage: &str) -> Result<Arc<T>, String> {
     serde_json::from_str::<T>(payload)
         .map(Arc::new)
         .map_err(|e| format!("stage `{stage}`: artifact deserialization failed: {e}"))

@@ -77,3 +77,12 @@ fn clones_share_serialization() {
         );
     }
 }
+
+#[test]
+fn checked_in_fixture_matches_its_generator() {
+    // Task files are a compatibility contract: the fixture was written by
+    // an earlier build, so any byte drift in the format shows up here.
+    let fixture = include_str!("../../../tests/fixtures/identity-4.json");
+    let json = serde_json::to_string(&identity_task(4)).expect("serialize");
+    assert_eq!(format!("{json}\n"), fixture);
+}

@@ -14,24 +14,14 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Reads a `usize` configuration knob from the process environment.
+/// Reads a string configuration knob from the process environment.
 ///
 /// This module is the *only* place the workspace may observe the
 /// environment (static-analysis rule D2): configuration enters through
 /// here once, at initialization, so decision code stays a pure function
-/// of its inputs and budget. Unset, empty or unparsable values yield
-/// `None`.
-#[must_use]
-pub fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok().and_then(|s| s.trim().parse().ok())
-}
-
-/// Reads a string configuration knob from the process environment.
-///
-/// Same D2 contract as [`env_usize`]: this module is the sole sanctioned
-/// observation point for the environment. Unset or empty values yield
-/// `None` (an empty `CHROMATA_CACHE_DIR` means "no cache dir", not "the
-/// current directory").
+/// of its inputs and budget. Unset or empty values yield `None` (an
+/// empty `CHROMATA_CACHE_DIR` means "no cache dir", not "the current
+/// directory").
 #[must_use]
 pub fn env_string(name: &str) -> Option<String> {
     std::env::var(name).ok().filter(|s| !s.trim().is_empty())
@@ -411,11 +401,6 @@ mod tests {
     fn interrupt_displays() {
         assert_eq!(Interrupt::Cancelled.to_string(), "cancelled");
         assert_eq!(Interrupt::DeadlineExceeded.to_string(), "deadline exceeded");
-    }
-
-    #[test]
-    fn env_usize_parses_or_none() {
-        assert_eq!(env_usize("CHROMATA_TEST_SURELY_UNSET_KNOB"), None);
     }
 
     #[test]

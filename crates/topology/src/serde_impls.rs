@@ -1,14 +1,16 @@
 //! Serde support for the topology types.
 //!
-//! Serialization goes through explicit mirror types so the on-disk format
-//! is stable, human-readable and independent of internal `Arc` sharing:
-//! complexes serialize as facet lists (faces are re-derived on load),
-//! carrier maps as `(simplex, image-facets)` pairs. Deserialization
-//! re-establishes every structural invariant through the ordinary
-//! constructors.
+//! Each type reads and writes its own `Content` tree, so the on-disk
+//! format is stable, human-readable and independent of internal `Arc`
+//! sharing: values are externally tagged (`{"int": 5}`, `{"view": [...]}`,
+//! …), vertices are `{"color": c, "value": v}`, complexes serialize as
+//! facet lists (faces are re-derived on load), carrier maps as
+//! `(simplex, image-facets)` pairs. Deserialization re-establishes every
+//! structural invariant through the ordinary constructors, and every
+//! vertex — also one nested in a view — is range-checked before
+//! construction.
 
-use serde::de::Error as DeError;
-use serde::{Content, Deserialize, Deserializer, Serialize, Serializer};
+use serde::{Content, Deserialize, Error, Serialize};
 
 use crate::carrier::CarrierMap;
 use crate::color::Color;
@@ -18,284 +20,134 @@ use crate::simplex::Simplex;
 use crate::value::Value;
 use crate::vertex::Vertex;
 
-/// Mirror of [`Value`] in the on-disk format: an externally tagged enum
-/// with snake_case tags (`{"int": 5}`, `{"view": [...]}`, …).
-enum ValueRepr {
-    Int(i64),
-    Name(String),
-    Pair(Box<ValueRepr>, Box<ValueRepr>),
-    View(Vec<VertexRepr>),
-    Split(Box<ValueRepr>, u32),
-}
-
-/// Mirror of [`Vertex`]: `{"color": c, "value": v}`.
-struct VertexRepr {
-    color: u8,
-    value: ValueRepr,
-}
-
-impl ValueRepr {
+impl Serialize for Value {
     fn to_content(&self) -> Content {
-        let (tag, payload) = match self {
-            ValueRepr::Int(i) => ("int", Content::I64(*i)),
-            ValueRepr::Name(s) => ("name", Content::Str(s.clone())),
-            ValueRepr::Pair(a, b) => ("pair", Content::Seq(vec![a.to_content(), b.to_content()])),
-            ValueRepr::View(vs) => (
-                "view",
-                Content::Seq(vs.iter().map(VertexRepr::to_content).collect()),
-            ),
-            ValueRepr::Split(b, i) => (
-                "split",
-                Content::Seq(vec![b.to_content(), Content::I64(i64::from(*i))]),
-            ),
-        };
-        Content::Map(vec![(tag.to_owned(), payload)])
+        match self {
+            Value::Int(i) => Content::tagged("int", Content::Int(*i)),
+            Value::Name(s) => Content::tagged("name", s.to_content()),
+            Value::Pair(a, b) => Content::tagged("pair", (a, b).to_content()),
+            Value::View(vs) => Content::tagged("view", vs.to_content()),
+            Value::Split(b, i) => Content::tagged("split", (b, i).to_content()),
+        }
     }
+}
 
-    fn from_content(c: &Content) -> Result<Self, String> {
-        let Content::Map(entries) = c else {
-            return Err(format!("expected a tagged value object, found {c:?}"));
-        };
-        let [(tag, payload)] = entries.as_slice() else {
-            return Err("expected exactly one variant tag".to_owned());
-        };
-        let two = |payload: &Content| -> Result<(Content, Content), String> {
-            match payload {
-                Content::Seq(items) if items.len() == 2 => Ok((items[0].clone(), items[1].clone())),
-                other => Err(format!("expected a 2-element sequence, found {other:?}")),
-            }
-        };
-        match tag.as_str() {
+impl Deserialize for Value {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        let (tag, payload) = c.variant()?;
+        match tag {
             "int" => match payload {
-                Content::I64(i) => Ok(ValueRepr::Int(*i)),
-                other => Err(format!("expected an integer, found {other:?}")),
+                Content::Int(i) => Ok(Value::Int(*i)),
+                other => Err(Error::custom(format!(
+                    "expected an integer, found {other:?}"
+                ))),
             },
             "name" => match payload {
-                Content::Str(s) => Ok(ValueRepr::Name(s.clone())),
-                other => Err(format!("expected a string, found {other:?}")),
+                Content::String(s) => Ok(Value::name(s)),
+                other => Err(Error::custom(format!("expected a string, found {other:?}"))),
             },
             "pair" => {
-                let (a, b) = two(payload)?;
-                Ok(ValueRepr::Pair(
-                    Box::new(ValueRepr::from_content(&a)?),
-                    Box::new(ValueRepr::from_content(&b)?),
-                ))
+                let (a, b) = <(Value, Value)>::from_content(payload)?;
+                Ok(Value::pair(a, b))
             }
-            "view" => match payload {
-                Content::Seq(items) => Ok(ValueRepr::View(
-                    items
-                        .iter()
-                        .map(VertexRepr::from_content)
-                        .collect::<Result<_, _>>()?,
-                )),
-                other => Err(format!("expected a sequence, found {other:?}")),
-            },
+            "view" => Ok(Value::view(Vec::<Vertex>::from_content(payload)?)),
             "split" => {
-                let (base, copy) = two(payload)?;
-                let copy = match copy {
-                    Content::I64(i) => {
-                        u32::try_from(i).map_err(|_| "split copy out of range".to_owned())?
-                    }
-                    other => return Err(format!("expected an integer, found {other:?}")),
-                };
-                Ok(ValueRepr::Split(
-                    Box::new(ValueRepr::from_content(&base)?),
-                    copy,
-                ))
+                let (base, copy) = <(Value, i64)>::from_content(payload)?;
+                let copy =
+                    u32::try_from(copy).map_err(|_| Error::custom("split copy out of range"))?;
+                Ok(Value::split(base, copy))
             }
-            other => Err(format!("unknown value variant '{other}'")),
+            other => Err(Error::custom(format!("unknown value variant '{other}'"))),
         }
-    }
-}
-
-impl VertexRepr {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            ("color".to_owned(), Content::I64(i64::from(self.color))),
-            ("value".to_owned(), self.value.to_content()),
-        ])
-    }
-
-    fn from_content(c: &Content) -> Result<Self, String> {
-        let Content::Map(entries) = c else {
-            return Err(format!("expected a vertex object, found {c:?}"));
-        };
-        let field = |name: &str| -> Result<&Content, String> {
-            entries
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing vertex field '{name}'"))
-        };
-        let color = match field("color")? {
-            Content::I64(i) => {
-                u8::try_from(*i).map_err(|_| format!("color {i} out of u8 range"))?
-            }
-            other => return Err(format!("expected an integer color, found {other:?}")),
-        };
-        let value = ValueRepr::from_content(field("value")?)?;
-        Ok(VertexRepr { color, value })
-    }
-}
-
-impl Serialize for ValueRepr {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_content(self.to_content())
-    }
-}
-
-impl<'de> Deserialize<'de> for ValueRepr {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        ValueRepr::from_content(&d.deserialize_content()?).map_err(D::Error::custom)
-    }
-}
-
-impl Serialize for VertexRepr {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        s.serialize_content(self.to_content())
-    }
-}
-
-impl<'de> Deserialize<'de> for VertexRepr {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        VertexRepr::from_content(&d.deserialize_content()?).map_err(D::Error::custom)
-    }
-}
-
-impl From<&Value> for ValueRepr {
-    fn from(v: &Value) -> Self {
-        match v {
-            Value::Int(i) => ValueRepr::Int(*i),
-            Value::Name(s) => ValueRepr::Name(s.to_string()),
-            Value::Pair(a, b) => ValueRepr::Pair(
-                Box::new(ValueRepr::from(&**a)),
-                Box::new(ValueRepr::from(&**b)),
-            ),
-            Value::View(vs) => ValueRepr::View(vs.iter().map(VertexRepr::from).collect()),
-            Value::Split(b, i) => ValueRepr::Split(Box::new(ValueRepr::from(&**b)), *i),
-        }
-    }
-}
-
-impl From<&VertexRepr> for Vertex {
-    fn from(r: &VertexRepr) -> Self {
-        Vertex::new(Color::new(r.color), Value::from(&r.value))
-    }
-}
-
-impl From<&ValueRepr> for Value {
-    fn from(r: &ValueRepr) -> Self {
-        match r {
-            ValueRepr::Int(i) => Value::Int(*i),
-            ValueRepr::Name(s) => Value::name(s),
-            ValueRepr::Pair(a, b) => Value::pair(Value::from(&**a), Value::from(&**b)),
-            ValueRepr::View(vs) => Value::view(vs.iter().map(Vertex::from)),
-            ValueRepr::Split(b, i) => Value::split(Value::from(&**b), *i),
-        }
-    }
-}
-
-impl From<&Vertex> for VertexRepr {
-    fn from(v: &Vertex) -> Self {
-        VertexRepr {
-            color: v.color().index(),
-            value: ValueRepr::from(v.value()),
-        }
-    }
-}
-
-impl Serialize for Value {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        ValueRepr::from(self).serialize(s)
-    }
-}
-
-impl<'de> Deserialize<'de> for Value {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        Ok(Value::from(&ValueRepr::deserialize(d)?))
     }
 }
 
 impl Serialize for Vertex {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        VertexRepr::from(self).serialize(s)
+    fn to_content(&self) -> Content {
+        Content::object([
+            ("color", self.color().index().to_content()),
+            ("value", self.value().to_content()),
+        ])
     }
 }
 
-impl<'de> Deserialize<'de> for Vertex {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let r = VertexRepr::deserialize(d)?;
-        if usize::from(r.color) >= Color::MAX_COLORS {
-            return Err(D::Error::custom(format!("color {} out of range", r.color)));
+impl Deserialize for Vertex {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        let color = match c.field("color")? {
+            Content::Int(i) => {
+                u8::try_from(*i).map_err(|_| Error::custom(format!("color {i} out of u8 range")))?
+            }
+            other => {
+                return Err(Error::custom(format!(
+                    "expected an integer color, found {other:?}"
+                )))
+            }
+        };
+        if usize::from(color) >= Color::MAX_COLORS {
+            return Err(Error::custom(format!("color {color} out of range")));
         }
-        Ok(Vertex::from(&r))
+        Ok(Vertex::new(Color::new(color), c.get("value")?))
     }
 }
 
 impl Serialize for Simplex {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        self.vertices().serialize(s)
+    fn to_content(&self) -> Content {
+        self.vertices().to_content()
     }
 }
 
-impl<'de> Deserialize<'de> for Simplex {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let verts = Vec::<Vertex>::deserialize(d)?;
+impl Deserialize for Simplex {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        let verts = Vec::<Vertex>::from_content(c)?;
         if verts.is_empty() {
-            return Err(D::Error::custom("a simplex needs at least one vertex"));
+            return Err(Error::custom("a simplex needs at least one vertex"));
         }
         Ok(Simplex::new(verts))
     }
 }
 
 impl Serialize for Complex {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let facets: Vec<&Simplex> = self.facets().collect();
-        facets.serialize(s)
+    fn to_content(&self) -> Content {
+        Content::Array(self.facets().map(Serialize::to_content).collect())
     }
 }
 
-impl<'de> Deserialize<'de> for Complex {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        Ok(Complex::from_facets(Vec::<Simplex>::deserialize(d)?))
+impl Deserialize for Complex {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        Ok(Complex::from_facets(Vec::<Simplex>::from_content(c)?))
     }
 }
 
 impl Serialize for CarrierMap {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let entries: Vec<(&Simplex, Vec<&Simplex>)> = self
-            .iter()
-            .map(|(k, img)| (k, img.facets().collect()))
-            .collect();
-        entries.serialize(s)
+    fn to_content(&self) -> Content {
+        Content::Array(self.iter().map(|entry| entry.to_content()).collect())
     }
 }
 
-impl<'de> Deserialize<'de> for CarrierMap {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let entries = Vec::<(Simplex, Vec<Simplex>)>::deserialize(d)?;
-        Ok(entries
+impl Deserialize for CarrierMap {
+    fn from_content(c: &Content) -> Result<Self, Error> {
+        Ok(Vec::<(Simplex, Complex)>::from_content(c)?
             .into_iter()
-            .map(|(k, facets)| (k, Complex::from_facets(facets)))
             .collect())
     }
 }
 
 impl Serialize for Graph {
-    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+    fn to_content(&self) -> Content {
         // Adjacency list, sorted by vertex; the BTree layout makes this
         // canonical regardless of insertion order.
-        let entries: Vec<(&Vertex, Vec<&Vertex>)> =
-            self.vertices().map(|v| (v, self.neighbors(v))).collect();
-        entries.serialize(s)
+        Content::Array(
+            self.vertices()
+                .map(|v| (v, self.neighbors(v)).to_content())
+                .collect(),
+        )
     }
 }
 
-impl<'de> Deserialize<'de> for Graph {
-    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let entries = Vec::<(Vertex, Vec<Vertex>)>::deserialize(d)?;
+impl Deserialize for Graph {
+    fn from_content(c: &Content) -> Result<Self, Error> {
         let mut g = Graph::new();
-        for (v, neighbors) in entries {
+        for (v, neighbors) in Vec::<(Vertex, Vec<Vertex>)>::from_content(c)? {
             g.add_vertex(v.clone());
             for n in neighbors {
                 g.add_edge(v.clone(), n);
@@ -311,7 +163,7 @@ mod tests {
 
     fn roundtrip<T>(v: &T) -> T
     where
-        T: Serialize + for<'de> Deserialize<'de>,
+        T: Serialize + Deserialize,
     {
         let json = serde_json::to_string(v).expect("serialize");
         serde_json::from_str(&json).expect("deserialize")
@@ -373,6 +225,11 @@ mod tests {
         assert!(serde_json::from_str::<Simplex>("[]").is_err());
         let bad_color = r#"{"color": 99, "value": {"int": 0}}"#;
         assert!(serde_json::from_str::<Vertex>(bad_color).is_err());
+        // A vertex inside a view goes through the same range check as a
+        // top-level one: an error, never `Color::new`'s panic.
+        let nested = r#"{"color":0,"value":{"view":[{"color":99,"value":{"int":0}}]}}"#;
+        let err = serde_json::from_str::<Vertex>(nested).unwrap_err();
+        assert_eq!(err.to_string(), "color 99 out of range");
     }
 
     #[test]
@@ -380,5 +237,23 @@ mod tests {
         let v = Vertex::of(2, 5);
         let json = serde_json::to_string(&v).unwrap();
         assert_eq!(json, r#"{"color":2,"value":{"int":5}}"#);
+        // One value per tag, pinned byte for byte.
+        let pins = [
+            (Value::Int(-7), r#"{"int":-7}"#),
+            (Value::name("top"), r#"{"name":"top"}"#),
+            (
+                Value::pair(Value::Int(1), Value::name("x")),
+                r#"{"pair":[{"int":1},{"name":"x"}]}"#,
+            ),
+            (
+                Value::view([Vertex::of(1, 4), Vertex::of(0, 3)]),
+                r#"{"view":[{"color":0,"value":{"int":3}},{"color":1,"value":{"int":4}}]}"#,
+            ),
+            (Value::split(Value::Int(2), 1), r#"{"split":[{"int":2},1]}"#),
+        ];
+        for (value, expected) in pins {
+            assert_eq!(serde_json::to_string(&value).unwrap(), expected);
+            assert_eq!(roundtrip(&value), value);
+        }
     }
 }
