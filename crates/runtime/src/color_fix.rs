@@ -30,8 +30,8 @@
 //!    is ≤ my largest seen view) or its scan follows my write (its core ⊆
 //!    my view); in both cases its decision lies in my largest seen view.
 
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use chromata_task::Task;
 use chromata_topology::{Color, Graph, Simplex, Vertex};
@@ -51,53 +51,27 @@ pub const OBJECTS: [&str; 6] = [
     "dec",
 ];
 
-/// Immutable per-run configuration.
+/// Immutable per-run configuration. It holds no caches: the model
+/// checker steps each distinct (process state, memory) pair once, so a
+/// link graph is built once per pair that needs it.
 #[derive(Clone, Debug)]
 pub struct Fig7Config {
     /// The (link-connected) task being solved; the adversarial
     /// color-agnostic oracle ([`crate::oracle_return`]) is derived from
     /// it.
     pub task: Task,
-    /// Per-run memo of link graphs `lk_{Δ(τ)}(v*)`: the exhaustive
-    /// scheduler revisits the same `(τ, v*)` pair in thousands of states,
-    /// and τ/v* are interned, so the key is cheap. Shared across clones
-    /// of the config (the model checker clones per level).
-    links: LinkCache,
 }
-
-/// Memo table for link graphs, keyed by `(τ, v*)`.
-type LinkCache = Arc<Mutex<HashMap<(Simplex, Vertex), Arc<Graph>>>>;
 
 impl Fig7Config {
     /// Configuration for one run on `task`.
     #[must_use]
     pub fn new(task: Task) -> Self {
-        Fig7Config {
-            task,
-            links: Arc::default(),
-        }
+        Fig7Config { task }
     }
 
-    /// The (memoized) link graph `lk_{Δ(τ)}(v*)`.
-    fn link_graph(&self, tau: &Simplex, pivot_vertex: &Vertex) -> Arc<Graph> {
-        let key = (tau.clone(), pivot_vertex.clone());
-        if let Some(g) = self
-            .links
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&key)
-        {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(Graph::from_complex(
-            &self.task.delta().image_of(tau).link(pivot_vertex),
-        ));
-        self.links
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .entry(key)
-            .or_insert(g)
-            .clone()
+    /// The link graph `lk_{Δ(τ)}(v*)`.
+    fn link_graph(&self, tau: &Simplex, pivot_vertex: &Vertex) -> Graph {
+        Graph::from_complex(&self.task.delta().image_of(tau).link(pivot_vertex))
     }
 }
 
@@ -172,8 +146,8 @@ pub struct Fig7 {
     pc: Pc,
     /// The anchor `vᵢ` (paper: set at most once, at (7b) or (10)).
     anchor: Option<Vertex>,
-    /// The core `V*` (`Arc`-shared: process states are cloned on every
-    /// expansion of the model checker).
+    /// The core `V*` (`Arc`-shared: every step clones the process
+    /// state).
     core: Arc<BTreeSet<Vertex>>,
     /// The largest view seen in the `M_snap` scan (anchor completion
     /// target; see module docs, clarification 2).
@@ -256,16 +230,15 @@ impl Fig7 {
     }
 
     /// The negotiation path: lexicographically smallest shortest path
-    /// between the two anchors in the link of `v*`, oriented from *my*
-    /// anchor.
+    /// between the two anchors in the link `lk` of `v*` in `Δ(τ)`,
+    /// oriented from *my* anchor.
     fn negotiation_path(
         &self,
-        config: &Fig7Config,
+        lk: &Graph,
         tau: &Simplex,
         my_anchor: &Vertex,
         their_anchor: &Vertex,
     ) -> Vec<Vertex> {
-        let lk = config.link_graph(tau, self.core_vertex());
         let mut path = lk
             .lex_smallest_shortest_path(my_anchor, their_anchor)
             .unwrap_or_else(|| {
@@ -549,8 +522,8 @@ impl Process for Fig7 {
                     (a, cur)
                 };
                 let my_anchor = self.anchor.clone().expect("set by (10)"); // chromata-lint: allow(P1): protocol-state invariant of the color-fixing algorithm; step() panics are caught by try_par_map and surface as ExploreError::WorkerPanicked
-                let path = self.negotiation_path(config, &tau, &my_anchor, &their_anchor);
                 let lk = config.link_graph(&tau, self.core_vertex());
+                let path = self.negotiation_path(&lk, &tau, &my_anchor, &their_anchor);
                 // (14) exit check against the freshly scanned proposal.
                 if lk.has_edge(&my_anchor, &their_current) {
                     return vec![(
@@ -604,7 +577,7 @@ impl Process for Fig7 {
                     )];
                 }
                 let my_anchor = self.anchor.clone().expect("set by (10)"); // chromata-lint: allow(P1): protocol-state invariant of the color-fixing algorithm; step() panics are caught by try_par_map and surface as ExploreError::WorkerPanicked
-                let path = self.negotiation_path(config, &tau, &my_anchor, &their_anchor);
+                let path = self.negotiation_path(&lk, &tau, &my_anchor, &their_anchor);
                 let next = next_proposal(&path, proposal, &their_current);
                 vec![(
                     Fig7 {

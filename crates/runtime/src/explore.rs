@@ -6,10 +6,12 @@
 //! nondeterministic branch, used by the adversarial oracle), collecting
 //! the set of reachable terminal outcomes; [`find_violation`] stops at
 //! the first outcome a predicate rejects. Both are the zero-crash case
-//! of the one state-memoizing model checker,
-//! [`crate::fault::explore_crash`]. This is strictly stronger than
-//! testing on real hardware: a property checked here holds on **all**
-//! schedules. [`replay`] and [`run_random`] run one schedule.
+//! of the one model checker, [`crate::fault::explore_crash`], which
+//! stores each visited state as a row of interned ids and steps each
+//! distinct (process state, memory) pair once. This is strictly
+//! stronger than testing on real hardware: a property checked here
+//! holds on **all** schedules. [`replay`] and [`run_random`] run one
+//! schedule.
 //!
 //! Every failure mode is structured: budget exhaustion, cooperative
 //! cancellation, stuck processes and panicking workers all surface as
@@ -34,6 +36,12 @@ use crate::memory::Memory;
 ///
 /// States are hashed for memoization, so implementations must keep
 /// `Hash` consistent with `Eq` (derive both).
+///
+/// [`Process::step`] must be a pure function of `(self, config,
+/// memory)`. The model checker steps every live undecided process of
+/// each state it expands, but calls `step` only once per distinct
+/// (process state, memory) pair and replays the memoized successors
+/// wherever that pair recurs.
 pub trait Process: Clone + Ord + Hash {
     /// Shared immutable configuration (the task, oracle strategy, …) —
     /// excluded from the memoized state.
@@ -44,7 +52,8 @@ pub trait Process: Clone + Ord + Hash {
 
     /// Performs one atomic step, returning every possible successor
     /// (more than one only for nondeterministic steps such as oracle
-    /// calls). Must return an empty vector only when decided.
+    /// calls). Must return an empty vector only when decided, and must
+    /// depend on nothing but `self`, `config` and `memory`.
     fn step(&self, config: &Self::Config, memory: &Memory) -> Vec<(Self, Memory)>;
 
     /// Whether this process has taken at least one step. Used by the

@@ -14,7 +14,12 @@
 //!   plan at once; terminal states are [`CrashOutcome`]s in which crashed
 //!   processes may be undecided. Its `max_crashes = 0` case is the
 //!   failure-free checker: [`crate::explore`], [`crate::find_violation`]
-//!   and [`crate::verify_figure7`] run exactly that.
+//!   and [`crate::verify_figure7`] run exactly that. A state is a row of
+//!   integers (the ids of its process states and memory in two
+//!   per-search tables, plus the crash mask), and
+//!   [`Process::step`] runs once per distinct (process state, memory)
+//!   pair: crash branches and interleavings that meet the same pair
+//!   reuse its memoized successors.
 //! * [`FaultPlan`] — an explicit, seedable "crash `p` after its `k`-th
 //!   step" schedule for randomized runs ([`run_random_faulted`]) and
 //!   exact replay ([`replay_trace`]); plans can be enumerated
@@ -25,12 +30,13 @@
 //! outcome (see [`Process::has_started`]); verifier checks judge survivor
 //! outputs against `Δ(participating)`.
 
-use std::collections::BTreeSet;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::Hash;
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
-use chromata_topology::{try_par_map, Budget, BuildStructuralHasher, CancelToken, Vertex};
+use chromata_topology::{
+    structural_fingerprint, try_par_map, Budget, BuildStructuralHasher, CancelToken, Vertex,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -242,17 +248,6 @@ pub struct CrashExplored {
     pub states: usize,
 }
 
-/// One deduplicated BFS level: interned states paired with the trace
-/// link of the first schedule that reached them.
-type Level<S> = Vec<(Arc<S>, TraceLink)>;
-
-/// What a state contributed to its BFS level: either a terminal outcome
-/// or its successor states (with their trace links).
-enum LevelStep<P> {
-    Terminal(CrashOutcome),
-    Expanded(Vec<(Vec<P>, u32, Memory, TraceLink)>),
-}
-
 /// Exhaustively explores all interleavings *and all crash patterns with
 /// at most `max_crashes` crashes*: at every state the adversary may step
 /// any live undecided process (through every nondeterministic branch) or
@@ -305,18 +300,60 @@ where
     Ok(CrashExplored { outcomes, states })
 }
 
+/// Dense `u32` ids for the distinct values one walk meets: the id ↔
+/// value bimap that lets a system state be a row of integers.
+struct Table<T> {
+    values: Vec<T>,
+    ids: HashMap<T, u32, BuildStructuralHasher>,
+}
+
+impl<T: Clone + Eq + Hash> Table<T> {
+    fn new() -> Self {
+        Table {
+            values: Vec::new(),
+            ids: HashMap::default(),
+        }
+    }
+
+    /// The id of `value`, the next free one if `value` is new.
+    fn id(&mut self, value: T) -> u32 {
+        let Table { values, ids } = self;
+        *ids.entry(value).or_insert_with_key(|value| {
+            // chromata-lint: allow(P1): an id past u32::MAX needs 2^32 distinct values held in `values` and `ids` at once, at least 2^32 · (size_of::<T>() + 4) bytes; allocation fails long before
+            let id = u32::try_from(values.len()).expect("fewer than 2^32 distinct values");
+            values.push(value.clone());
+            id
+        })
+    }
+}
+
 /// The search behind [`explore_crash`]: a level-synchronous
 /// breadth-first traversal handing each terminal outcome, with the trace
 /// link of the first schedule reaching it, to `on_terminal` in level
 /// order. A `Break` from `on_terminal` ends the search early. Returns
 /// the number of distinct states visited.
 ///
-/// Each level of distinct unvisited states is expanded as a batch (in
-/// parallel with the `parallel` feature; [`try_par_map`] preserves batch
-/// order, so outcomes, state counts and the order of `on_terminal` calls
-/// are identical either way). Worker panics are caught and surfaced as
-/// [`ExploreError::WorkerPanicked`] with the schedule that reaches the
-/// offending state.
+/// A state is a row of `n + 2` integers: the ids of its `n` process
+/// states, the id of its memory and its crash mask. The ids come from two
+/// per-walk tables, so each distinct process state and memory is stored
+/// once and the visited set holds rows (SPIN's COLLAPSE compression).
+/// [`Process::step`] is a pure function of the process state, the
+/// config and the memory, so the walk memoizes it per (process id,
+/// memory id) pair. Each level collects the pairs its states need that
+/// no earlier level stepped, in first-use order, steps them as one
+/// batch (in parallel with the `parallel` feature; [`try_par_map`]
+/// preserves batch order) and interns the results in batch order. It then emits successors in level order, process order
+/// and branch order, each process's crash successor after its branches.
+/// Outcomes, state counts, the schedule kept for each state (the first
+/// in BFS order) and the order of `on_terminal` calls are therefore the
+/// same with and without threads.
+///
+/// A worker panic surfaces as [`ExploreError::WorkerPanicked`] with the
+/// schedule reaching the first state of the level that needs the
+/// panicking pair. Every live undecided process of a state is stepped
+/// before any of them is judged stuck, so a state in which a stuck
+/// process precedes a panicking one reports the panic rather than
+/// [`ExploreError::StuckProcess`]; both are protocol bugs.
 pub(crate) fn walk<P, F>(
     processes: Vec<P>,
     memory: Memory,
@@ -332,96 +369,126 @@ where
     F: FnMut(CrashOutcome, &TraceLink) -> ControlFlow<()>,
 {
     assert!(processes.len() <= 32, "crash masks are 32-bit");
-    // Keyed by the structural (FNV) hasher: interned vertices/simplices
-    // replay precomputed fingerprints, so state hashing is a cheap mix
-    // rather than SipHash over the whole state. States are `Arc`-shared
-    // between the visited set and the work list — one hash and zero deep
-    // clones per deduplication. Trace links ride alongside (outside the
-    // memoized key): the first schedule reaching each state is kept as
-    // its replayable witness.
-    let mut visited: HashSet<Arc<(Vec<P>, u32, Memory)>, BuildStructuralHasher> =
-        HashSet::default();
-    let mut frontier: Vec<(Vec<P>, u32, Memory, TraceLink)> = vec![(processes, 0, memory, None)];
+    let n = processes.len();
+    let width = n + 2;
+    let mut procs = Table::new();
+    let mut mems = Table::new();
+    let mut frontier: Vec<u32> = processes.into_iter().map(|p| procs.id(p)).collect();
+    frontier.extend([mems.id(memory), 0]);
+    // Per frontier row: its parent's index in `parents` and the event
+    // leading from it (`None` only for the initial state). A trace link
+    // is allocated only for a row that turns out to be a new state.
+    let mut edges: Vec<(usize, Option<TraceEvent>)> = vec![(0, None)];
+    let mut parents: Vec<TraceLink> = vec![None];
+    let trace_of = |parents: &[TraceLink], (parent, event): (usize, Option<TraceEvent>)| {
+        event.map_or_else(
+            || parents[parent].clone(),
+            |event| trace_push(&parents[parent], event),
+        )
+    };
+    let mut visited = Visited::new(width);
+    // (process id, memory id) → index into `transitions`, which holds the
+    // id pairs of `step`'s successors in branch order.
+    let mut memo: HashMap<(u32, u32), usize, BuildStructuralHasher> = HashMap::default();
+    let mut transitions: Vec<Vec<(u32, u32)>> = Vec::new();
     let mut depth = 0usize;
-    while !frontier.is_empty() {
+    while !edges.is_empty() {
         if let Err(interrupt) = budget.check(cancel) {
             return Err(ExploreError::Interrupted {
                 interrupt,
                 states: visited.len(),
-                trace: trace_collect(&frontier[0].3),
+                trace: trace_collect(&trace_of(&parents, edges[0])),
             });
         }
         // Deduplicate this level against everything seen so far.
-        let mut level: Level<(Vec<P>, u32, Memory)> = Vec::with_capacity(frontier.len());
-        for (procs, crashed, mem, trace) in frontier.drain(..) {
-            let st = Arc::new((procs, crashed, mem));
-            if visited.insert(Arc::clone(&st)) {
-                if visited.len() > budget.max_states {
-                    return Err(ExploreError::StateBudgetExceeded {
-                        max_states: budget.max_states,
-                        trace: trace_collect(&trace),
-                    });
-                }
-                level.push((st, trace));
+        let mut level: Vec<u32> = Vec::new();
+        let mut links: Vec<TraceLink> = Vec::new();
+        for (row, &edge) in frontier.chunks_exact(width).zip(&edges) {
+            if !visited.insert(row) {
+                continue;
+            }
+            let trace = trace_of(&parents, edge);
+            if visited.len() > budget.max_states {
+                return Err(ExploreError::StateBudgetExceeded {
+                    max_states: budget.max_states,
+                    trace: trace_collect(&trace),
+                });
+            }
+            level.extend_from_slice(row);
+            links.push(trace);
+        }
+        // The memo slot of every (state, live process), in level and
+        // process order; the pairs not stepped yet, each with the first
+        // state that needs it.
+        let mut slots = Vec::new();
+        let mut fresh: Vec<((u32, u32), usize)> = Vec::new();
+        for (k, row) in level.chunks_exact(width).enumerate() {
+            for i in live(row, &procs.values) {
+                let pair = (row[i], row[n]);
+                let next = transitions.len() + fresh.len();
+                slots.push(*memo.entry(pair).or_insert_with(|| {
+                    fresh.push((pair, k));
+                    next
+                }));
             }
         }
-        let expanded = try_par_map(&level, |(st, trace)| {
-            let (procs, crashed, mem) = st.as_ref();
-            let live_undecided: Vec<usize> = procs
-                .iter()
-                .enumerate()
-                .filter(|(i, p)| crashed & (1 << i) == 0 && p.decided().is_none())
-                .map(|(i, _)| i)
-                .collect();
-            if live_undecided.is_empty() {
-                return Ok(LevelStep::Terminal(CrashOutcome::from_final(
-                    procs, *crashed,
-                )));
-            }
-            let mut next = Vec::new();
-            for &i in &live_undecided {
-                let successors = procs[i].step(config, mem);
-                if successors.is_empty() {
-                    return Err(i);
-                }
-                for (branch, (next_p, next_mem)) in successors.into_iter().enumerate() {
-                    let mut next_procs = procs.clone();
-                    next_procs[i] = next_p;
-                    let link = trace_push(trace, TraceEvent::Step { process: i, branch });
-                    next.push((next_procs, *crashed, next_mem, link));
-                }
-                // The adversary may also crash this process here instead.
-                if (crashed.count_ones() as usize) < max_crashes {
-                    let link = trace_push(trace, TraceEvent::Crash { process: i });
-                    next.push((procs.clone(), crashed | (1 << i), mem.clone(), link));
-                }
-            }
-            Ok(LevelStep::Expanded(next))
+        let stepped = try_par_map(&fresh, |&((p, m), _)| {
+            procs.values[p as usize].step(config, &mems.values[m as usize])
         })
         .map_err(|panic| ExploreError::WorkerPanicked {
-            message: panic.message.clone(),
-            trace: trace_collect(&level[panic.index].1),
+            trace: trace_collect(&links[fresh[panic.index].1]),
+            message: panic.message,
         })?;
+        for successors in stepped {
+            transitions.push(
+                successors
+                    .into_iter()
+                    .map(|(p, m)| (procs.id(p), mems.id(m)))
+                    .collect(),
+            );
+        }
+        frontier.clear();
+        edges.clear();
+        let mut slots = slots.into_iter();
         let mut any_expansion = false;
-        for (step, (_, trace)) in expanded.into_iter().zip(&level) {
-            match step {
-                Ok(LevelStep::Terminal(o)) => {
-                    if on_terminal(o, trace).is_break() {
-                        return Ok(visited.len());
-                    }
+        for (k, (row, trace)) in level.chunks_exact(width).zip(&links).enumerate() {
+            let crashed = row[n + 1];
+            let mut live = live(row, &procs.values).peekable();
+            if live.peek().is_none() {
+                let finals: Vec<P> = row[..n]
+                    .iter()
+                    .map(|&p| procs.values[p as usize].clone())
+                    .collect();
+                if on_terminal(CrashOutcome::from_final(&finals, crashed), trace).is_break() {
+                    return Ok(visited.len());
                 }
-                Ok(LevelStep::Expanded(next)) => {
-                    any_expansion = true;
-                    frontier.extend(next);
-                }
-                Err(pid) => {
+                continue;
+            }
+            any_expansion = true;
+            for (i, slot) in live.zip(&mut slots) {
+                let successors = &transitions[slot];
+                if successors.is_empty() {
                     return Err(ExploreError::StuckProcess {
-                        pid,
+                        pid: i,
                         trace: trace_collect(trace),
                     });
                 }
+                for (branch, &(p, m)) in successors.iter().enumerate() {
+                    let at = frontier.len();
+                    frontier.extend_from_slice(row);
+                    frontier[at + i] = p;
+                    frontier[at + n] = m;
+                    edges.push((k, Some(TraceEvent::Step { process: i, branch })));
+                }
+                // The adversary may also crash this process here instead.
+                if (crashed.count_ones() as usize) < max_crashes {
+                    frontier.extend_from_slice(&row[..=n]);
+                    frontier.push(crashed | 1 << i);
+                    edges.push((k, Some(TraceEvent::Crash { process: i })));
+                }
             }
         }
+        parents = links;
         if any_expansion {
             // A non-terminal state at depth `max_steps` means some path
             // needs more than `max_steps` steps.
@@ -432,6 +499,72 @@ where
         }
     }
     Ok(visited.len())
+}
+
+/// The visited set: every visited row, stored back to back in one
+/// vector and found through an open-addressing table of `(hash, row
+/// number)` slots with linear probing (row numbers start at 1; 0 marks
+/// an empty slot). The table doubles when half full and re-places its
+/// slots by their stored hashes, so growth never rereads a row, and no
+/// row is allocated on its own.
+struct Visited {
+    width: usize,
+    rows: Vec<u32>,
+    slots: Vec<(u32, u32)>,
+}
+
+impl Visited {
+    fn new(width: usize) -> Self {
+        Visited {
+            width,
+            rows: Vec::new(),
+            slots: vec![(0, 0); 16],
+        }
+    }
+
+    /// Number of rows held.
+    fn len(&self) -> usize {
+        self.rows.len() / self.width
+    }
+
+    /// Adds `row`, returning whether it was new.
+    fn insert(&mut self, row: &[u32]) -> bool {
+        let wide = structural_fingerprint(row);
+        let hash = (wide ^ wide >> 32) as u32;
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        while let (h, number @ 1..) = self.slots[at] {
+            let start = (number as usize - 1) * self.width;
+            if h == hash && self.rows[start..start + self.width] == *row {
+                return false;
+            }
+            at = (at + 1) & mask;
+        }
+        self.rows.extend_from_slice(row);
+        // chromata-lint: allow(P1): a row number past u32::MAX needs 2^32 stored rows of at least two u32s (32 GiB) and a table of 2^33 eight-byte slots (64 GiB); allocation fails long before
+        let number = u32::try_from(self.len()).expect("fewer than 2^32 visited states");
+        self.slots[at] = (hash, number);
+        if 2 * self.len() > self.slots.len() {
+            let mut slots = vec![(0, 0); 2 * self.slots.len()];
+            let mask = slots.len() - 1;
+            for &(h, number) in self.slots.iter().filter(|slot| slot.1 != 0) {
+                let mut at = h as usize & mask;
+                while slots[at].1 != 0 {
+                    at = (at + 1) & mask;
+                }
+                slots[at] = (h, number);
+            }
+            self.slots = slots;
+        }
+        true
+    }
+}
+
+/// The live undecided processes of a state row, in process order.
+fn live<'a, P: Process>(row: &'a [u32], procs: &'a [P]) -> impl Iterator<Item = usize> + 'a {
+    let n = row.len() - 2;
+    (0..n)
+        .filter(move |&i| row[n + 1] & (1 << i) == 0 && procs[row[i] as usize].decided().is_none())
 }
 
 /// Runs a single pseudo-random schedule with the given [`FaultPlan`]
@@ -458,7 +591,9 @@ pub fn run_random_faulted<P: Process>(
     let mut steps_taken = vec![0usize; n];
     let mut crashed_mask = 0u32;
     let mut trace = Vec::new();
-    for _ in 0..max_steps {
+    // One pass more than `max_steps`: a run that terminates with its
+    // last allowed step is accepted.
+    for taken in 0..=max_steps {
         // Apply due crashes before picking the next step.
         for fault in plan.crashes() {
             let p = fault.process;
@@ -479,6 +614,9 @@ pub fn run_random_faulted<P: Process>(
                 Trace(trace),
                 CrashOutcome::from_final(&processes, crashed_mask),
             ));
+        }
+        if taken == max_steps {
+            break;
         }
         let i = pending[rng.gen_range(0..pending.len())];
         let mut successors = processes[i].step(config, &memory);
@@ -565,8 +703,10 @@ pub fn replay_trace<P: Process>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::explore;
-    use crate::explore::tests::toys;
+    use crate::explore::tests::{toys, Toy};
+    use crate::explore::{explore, run_random};
+    use std::collections::HashSet;
+    use std::sync::Mutex;
 
     #[test]
     fn fault_plan_enumeration_counts() {
@@ -724,6 +864,76 @@ mod tests {
                 format!("{outcome:?}"),
                 "byte-for-byte reproduction"
             );
+        }
+    }
+
+    #[test]
+    fn step_runs_once_per_distinct_state_and_memory() {
+        /// A toy whose config records every (state, memory) pair it is
+        /// stepped on, and which panics when stepped on one twice.
+        #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+        struct Once(Toy);
+
+        impl Process for Once {
+            type Config = Mutex<HashSet<(Toy, Memory)>>;
+
+            fn decided(&self) -> Option<&Vertex> {
+                self.0.decided()
+            }
+
+            fn has_started(&self) -> bool {
+                self.0.has_started()
+            }
+
+            fn step(&self, seen: &Self::Config, memory: &Memory) -> Vec<(Self, Memory)> {
+                let first = seen
+                    .lock()
+                    .expect("no step panics while holding the lock")
+                    .insert((self.0.clone(), memory.clone()));
+                assert!(first, "stepped twice on {:?} with {memory}", self.0);
+                self.0
+                    .step(&(), memory)
+                    .into_iter()
+                    .map(|(t, m)| (Once(t), m))
+                    .collect()
+            }
+        }
+
+        // Crash branches reach the same (state, memory) pairs under
+        // different crash masks; the walk must step each pair once.
+        let (procs, mem) = toys(3);
+        let seen = Mutex::default();
+        explore_crash(
+            procs.into_iter().map(Once).collect(),
+            mem,
+            &seen,
+            &Budget::unlimited()
+                .with_max_states(1_000_000)
+                .with_max_steps(200),
+            &CancelToken::new(),
+            2,
+        )
+        .expect("every pair is stepped once");
+    }
+
+    #[test]
+    fn random_runners_accept_a_run_ending_on_its_last_allowed_step() {
+        // Every schedule of two toys takes exactly four steps.
+        let (procs, mem) = toys(2);
+        let explored = explore(procs.clone(), mem.clone(), &(), 100, 4).expect("4 steps suffice");
+        assert_eq!(explored.states, 13);
+        let none = FaultPlan::none();
+        for seed in 0..20 {
+            assert!(run_random(procs.clone(), mem.clone(), &(), seed, 4).is_ok());
+            assert!(run_random_faulted(procs.clone(), mem.clone(), &(), seed, 4, &none).is_ok());
+            assert_eq!(
+                run_random(procs.clone(), mem.clone(), &(), seed, 3),
+                Err(ExploreError::StepBoundExceeded(3))
+            );
+            assert!(matches!(
+                run_random_faulted(procs.clone(), mem.clone(), &(), seed, 3, &none),
+                Err(ExploreError::StepBoundExceeded(3))
+            ));
         }
     }
 

@@ -16,12 +16,14 @@ pub type ObjectId = &'static str;
 
 /// The entire shared memory: name-sorted single-writer register arrays.
 ///
-/// The model checker clones memory on every atomic step and hashes it for
-/// state memoization, so the register arrays are `Arc`-shared: a clone is
-/// one small allocation plus refcount bumps, and an `update` copies only
-/// the one array it touches (copy-on-write via [`Arc::make_mut`]).
-/// Equality, ordering and hashing all see through the `Arc` to the
-/// register contents, so memoization semantics are unchanged.
+/// A step clones the memory it writes, and the model checker hashes
+/// each memory a step returns to find its id in a per-search table that
+/// keeps every distinct memory once. So the register arrays are
+/// `Arc`-shared: a clone is
+/// one small allocation plus refcount bumps, an `update` copies only the
+/// one array it touches (copy-on-write via [`Arc::make_mut`]), and the
+/// stored memories share their untouched arrays. Equality, ordering and
+/// hashing all see through the `Arc` to the register contents.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Memory {
     objects: Vec<(ObjectId, Arc<Vec<Option<Cell>>>)>,

@@ -2,9 +2,12 @@
 //! the exhaustive scheduler and the adversarial color-agnostic oracle.
 
 use chromata_runtime::{
-    explore, initial_memory, processes_for, run_random, verify_figure7, ExploreError, Fig7Config,
+    explore, explore_crash, find_violation, initial_memory, processes_for, run_random,
+    verify_figure7, Budget, CancelToken, ExploreError, Fig7Config,
 };
-use chromata_task::library::{constant_task, identity_task, two_set_agreement};
+use chromata_task::library::{
+    constant_task, identity_task, simple_example_task, two_set_agreement,
+};
 use chromata_task::Task;
 use chromata_topology::Simplex;
 
@@ -30,8 +33,74 @@ fn two_set_agreement_exhaustive() {
     // correctly chromatizes every adversarial A_C behaviour — Lemma 5.3
     // is about the transformation, not about realizing A_C.
     let r = verify_figure7(&two_set_agreement(), 20_000_000).expect("budget");
-    assert!(r.outcomes > 10, "rich outcome variety expected");
-    assert!(r.states > 100_000, "non-trivial exploration expected");
+    // Exact counts, as `chromata verify-fig7 2-set-agreement` prints them.
+    assert_eq!(r.participant_sets, 7);
+    assert_eq!(r.outcomes, 36);
+    assert_eq!(r.states, 1_306_047);
+}
+
+#[test]
+fn fig3_example_exhaustive() {
+    // Two input facets: every face of each is a participant set.
+    let r = verify_figure7(&simple_example_task(), 5_000_000).expect("budget");
+    // Exact counts, as `chromata verify-fig7 fig3-example` prints them.
+    assert_eq!(r.participant_sets, 14);
+    assert_eq!(r.outcomes, 18);
+    assert_eq!(r.states, 254_922);
+}
+
+#[test]
+fn searches_keep_the_first_schedule_in_breadth_first_order() {
+    // The model checker reports, for every state, the first schedule
+    // that reaches it in breadth-first order: level by level, process by
+    // process, branch by branch, each crash after the branches.
+    let t = two_set_agreement();
+    let sigma = t.input().facets().next().unwrap().clone();
+    let config = Fig7Config::new(t);
+    match explore(
+        processes_for(&sigma),
+        initial_memory(),
+        &config,
+        100_000,
+        500,
+    ) {
+        Err(ExploreError::StateBudgetExceeded { trace, .. }) => assert_eq!(
+            trace.to_string(),
+            "0.0 0.0 1.0 1.0 1.2 1.0 2.0 2.0 0.3 2.0 2.0 1.0 0.0 1.0 2.0 2.0"
+        ),
+        other => panic!("expected a state-budget error, got {other:?}"),
+    }
+    match explore_crash(
+        processes_for(&sigma),
+        initial_memory(),
+        &config,
+        &Budget::unlimited()
+            .with_max_states(300_000)
+            .with_max_steps(500),
+        &CancelToken::new(),
+        2,
+    ) {
+        Err(ExploreError::StateBudgetExceeded { trace, .. }) => assert_eq!(
+            trace.to_string(),
+            "0.0 0.0 !0 1.0 1.0 2.0 2.0 1.1 2.4 2.0 2.0 1.0 1.0 2.0 2.0 2.0"
+        ),
+        other => panic!("expected a state-budget error, got {other:?}"),
+    }
+    let (trace, outcome) = find_violation(
+        processes_for(&sigma),
+        initial_memory(),
+        &config,
+        20_000_000,
+        500,
+        |o| o.iter().all(|v| v.value() == o[0].value()),
+    )
+    .expect("budget")
+    .expect("2-set agreement lets processes disagree");
+    assert_eq!(
+        trace.to_string(),
+        "0.0 0.0 0.0 0.0 0.0 1.0 1.0 1.0 1.0 1.0 2.0 2.0 2.1 2.0 2.0 2.0 2.0 1.0 1.0 0.0 0.0"
+    );
+    assert_eq!(Simplex::new(outcome).to_string(), "{P0:1, P1:2, P2:1}");
 }
 
 #[test]
@@ -141,8 +210,16 @@ fn link_connectivity_hypothesis_is_necessary() {
                 message.contains("not link-connected"),
                 "unexpected panic message: {message}"
             );
-            // The offending schedule is replayable evidence, not noise.
-            assert!(!trace.is_empty(), "diagnostic trace must be non-empty");
+            assert!(
+                message.contains("anchors P1:1 and P2:0"),
+                "unexpected anchors: {message}"
+            );
+            // The offending schedule is replayable evidence, not noise:
+            // the first one in breadth-first order.
+            assert_eq!(
+                trace.to_string(),
+                "0.0 0.0 1.0 1.0 1.1 2.0 2.0 2.3 2.0 2.0 1.0 1.0 2.0 2.0 1.0 1.0 1.0 1.0 2.0 2.0 1.0"
+            );
         }
         Err(other) => panic!("expected a worker panic diagnostic, got {other}"),
         Ok(_) => {
