@@ -438,99 +438,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 cache_dir,
             })
         }
-        "serve" => {
-            let mut addr = "127.0.0.1:7437".to_owned();
-            let mut threads = 0usize;
-            let mut admission = None;
-            let mut queue = None;
-            let mut max_payload = crate::wire::DEFAULT_MAX_PAYLOAD;
-            let mut budget_ms = None;
-            let mut cache_dir = None;
-            let mut persist_secs = 30u64;
-            let mut idle_secs = 30u64;
-            let mut shards = Vec::new();
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--addr" => addr = required(&mut it, "--addr needs HOST:PORT")?,
-                    "--threads" => threads = parse_number(&mut it, "--threads")?,
-                    "--admission" => admission = Some(parse_number(&mut it, "--admission")?),
-                    "--queue" => queue = Some(parse_number(&mut it, "--queue")?),
-                    "--max-payload" => max_payload = parse_number(&mut it, "--max-payload")?,
-                    "--budget-ms" => {
-                        budget_ms = Some(parse_number_u64(&mut it, "--budget-ms")?);
-                    }
-                    "--cache-dir" => {
-                        cache_dir = Some(PathBuf::from(required(
-                            &mut it,
-                            "--cache-dir needs a path",
-                        )?));
-                    }
-                    "--persist-secs" => {
-                        persist_secs = parse_number_u64(&mut it, "--persist-secs")?;
-                    }
-                    "--idle-secs" => idle_secs = parse_number_u64(&mut it, "--idle-secs")?,
-                    "--shards" => {
-                        shards = parse_shard_list(&required(
-                            &mut it,
-                            "--shards needs a comma-separated address list",
-                        )?)?;
-                    }
-                    other => return Err(CliError(format!("unknown flag {other}"))),
-                }
-            }
-            Ok(Command::Serve {
-                addr,
-                threads,
-                admission,
-                queue,
-                max_payload,
-                budget_ms,
-                cache_dir,
-                persist_secs,
-                idle_secs,
-                shards,
-            })
-        }
-        "worker" => {
-            let mut addr = "127.0.0.1:7438".to_owned();
-            let mut threads = 0usize;
-            let mut admission = None;
-            let mut queue = None;
-            let mut max_payload = crate::wire::DEFAULT_MAX_PAYLOAD;
-            let mut cache_dir = None;
-            let mut persist_secs = 30u64;
-            let mut idle_secs = 30u64;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--addr" => addr = required(&mut it, "--addr needs HOST:PORT")?,
-                    "--threads" => threads = parse_number(&mut it, "--threads")?,
-                    "--admission" => admission = Some(parse_number(&mut it, "--admission")?),
-                    "--queue" => queue = Some(parse_number(&mut it, "--queue")?),
-                    "--max-payload" => max_payload = parse_number(&mut it, "--max-payload")?,
-                    "--cache-dir" => {
-                        cache_dir = Some(PathBuf::from(required(
-                            &mut it,
-                            "--cache-dir needs a path",
-                        )?));
-                    }
-                    "--persist-secs" => {
-                        persist_secs = parse_number_u64(&mut it, "--persist-secs")?;
-                    }
-                    "--idle-secs" => idle_secs = parse_number_u64(&mut it, "--idle-secs")?,
-                    other => return Err(CliError(format!("unknown flag {other}"))),
-                }
-            }
-            Ok(Command::Worker {
-                addr,
-                threads,
-                admission,
-                queue,
-                max_payload,
-                cache_dir,
-                persist_secs,
-                idle_secs,
-            })
-        }
+        "serve" => parse_daemon(&mut it, true),
+        "worker" => parse_daemon(&mut it, false),
         "request" => {
             let mut addr = "127.0.0.1:7437".to_owned();
             let mut op = "analyze".to_owned();
@@ -706,6 +615,118 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     }
 }
 
+/// Parses the flags of `serve` (`serve == true`) or `worker`. The two
+/// share every flag but two: a worker runs stage jobs under no budget
+/// and never re-dispatches, so it takes no `--budget-ms` and no
+/// `--shards`.
+fn parse_daemon(it: &mut std::slice::Iter<'_, String>, serve: bool) -> Result<Command, CliError> {
+    let mut addr = if serve {
+        "127.0.0.1:7437"
+    } else {
+        "127.0.0.1:7438"
+    }
+    .to_owned();
+    let mut threads = 0usize;
+    let mut admission = None;
+    let mut queue = None;
+    let mut max_payload = crate::wire::DEFAULT_MAX_PAYLOAD;
+    let mut budget_ms = None;
+    let mut cache_dir = None;
+    let mut persist_secs = 30u64;
+    let mut idle_secs = 30u64;
+    let mut shards = Vec::new();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--addr" => addr = required(it, "--addr needs HOST:PORT")?,
+            "--threads" => threads = parse_number(it, "--threads")?,
+            "--admission" => admission = Some(parse_number(it, "--admission")?),
+            "--queue" => queue = Some(parse_number(it, "--queue")?),
+            "--max-payload" => max_payload = parse_number(it, "--max-payload")?,
+            "--budget-ms" if serve => budget_ms = Some(parse_number_u64(it, "--budget-ms")?),
+            "--cache-dir" => {
+                cache_dir = Some(PathBuf::from(required(it, "--cache-dir needs a path")?));
+            }
+            "--persist-secs" => persist_secs = parse_number_u64(it, "--persist-secs")?,
+            "--idle-secs" => idle_secs = parse_number_u64(it, "--idle-secs")?,
+            "--shards" if serve => {
+                shards = parse_shard_list(&required(
+                    it,
+                    "--shards needs a comma-separated address list",
+                )?)?;
+            }
+            other => return Err(CliError(format!("unknown flag {other}"))),
+        }
+    }
+    Ok(if serve {
+        Command::Serve {
+            addr,
+            threads,
+            admission,
+            queue,
+            max_payload,
+            budget_ms,
+            cache_dir,
+            persist_secs,
+            idle_secs,
+            shards,
+        }
+    } else {
+        Command::Worker {
+            addr,
+            threads,
+            admission,
+            queue,
+            max_payload,
+            cache_dir,
+            persist_secs,
+            idle_secs,
+        }
+    })
+}
+
+/// Boots a `serve` or `worker` daemon (`role` prefixes its banners):
+/// masks the termination signals, starts the server, prints the banners
+/// scripts scrape, and blocks until it shuts down.
+fn boot(
+    role: &str,
+    options: crate::serve::ServeOptions,
+    shards: usize,
+) -> Result<String, CliError> {
+    use std::io::Write as _;
+    // SIGTERM/SIGINT must be masked before the server spawns its
+    // threads so they inherit the mask and delivery funnels to the
+    // dedicated watcher below.
+    let signals_masked = chromata_signal::block_termination();
+    let server = crate::serve::Server::start(options)?;
+    let watch = if signals_masked {
+        let handle = server.shutdown_handle();
+        chromata_signal::watch_termination(move |_sig| handle.request())
+    } else {
+        None
+    };
+    // The banner goes out before the blocking wait (and is flushed) so
+    // scripts can scrape an OS-assigned port.
+    println!("{role}: listening on {}", server.local_addr());
+    if watch.is_some() {
+        println!("{role}: SIGTERM/SIGINT trigger graceful shutdown with persistence");
+    }
+    if shards > 0 {
+        println!("{role}: dispatching stages across {shards} shard(s)");
+    }
+    if let Some(loaded) = server.loaded() {
+        println!(
+            "{role}: warm-started {} artifact(s) ({} rejected, {} torn, {} corrupt)",
+            loaded.restored, loaded.rejected_snapshots, loaded.torn_entries, loaded.corrupt_entries
+        );
+    }
+    let _ = std::io::stdout().flush();
+    let summary = server.wait();
+    if let Some(watch) = watch {
+        watch.stop();
+    }
+    Ok(format!("{summary}\n"))
+}
+
 /// Splits a `--shards` value into its non-empty `host:port` entries.
 fn parse_shard_list(value: &str) -> Result<Vec<String>, CliError> {
     let shards: Vec<String> = value
@@ -835,26 +856,13 @@ fn cache_report_lines(
     }
 }
 
-/// Rejects a task with more than three processes: the pipeline, the
-/// homology tiers and the Figure 7 runtime all assume at most three, so
-/// commands and serve requests check first and answer an error, not a
-/// panic.
-pub(crate) fn check_process_count(task: &Task) -> Result<(), CliError> {
-    if task.process_count() > 3 {
-        return Err(CliError(format!(
-            "task `{}` has {} processes; the characterization covers at most three",
-            task.name(),
-            task.process_count()
-        )));
-    }
-    Ok(())
-}
-
-/// [`load_task`] for a command that decides or inspects the task:
-/// also [`check_process_count`].
+/// [`load_task`] for a command that decides or inspects the task: the
+/// pipeline, the homology tiers and the Figure 7 runtime all assume at
+/// most three processes, so a larger task is an error, not a panic
+/// ([`chromata::check_process_count`]).
 fn load_decidable_task(spec: &str) -> Result<Task, CliError> {
     let task = load_task(spec)?;
-    check_process_count(&task)?;
+    chromata::check_process_count(&task).map_err(CliError)?;
     Ok(task)
 }
 
@@ -1354,15 +1362,10 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             idle_secs,
             shards,
         } => {
-            use std::io::Write as _;
             if !shards.is_empty() {
                 crate::shard::configure_shards(&shards, chromata::RemotePolicy::default())?;
             }
-            // SIGTERM/SIGINT must be masked before the server spawns
-            // its threads so they inherit the mask and delivery funnels
-            // to the dedicated watcher below.
-            let signals_masked = chromata_signal::block_termination();
-            let server = crate::serve::Server::start(crate::serve::ServeOptions {
+            let options = crate::serve::ServeOptions {
                 addr,
                 threads,
                 analysis_slots: admission,
@@ -1373,37 +1376,8 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 cache_dir,
                 persist_secs,
                 idle_timeout_secs: idle_secs,
-            })?;
-            let watch = if signals_masked {
-                let handle = server.shutdown_handle();
-                chromata_signal::watch_termination(move |_sig| handle.request())
-            } else {
-                None
             };
-            // The banner goes out before the blocking wait (and is
-            // flushed) so scripts can scrape an OS-assigned port.
-            println!("serve: listening on {}", server.local_addr());
-            if watch.is_some() {
-                println!("serve: SIGTERM/SIGINT trigger graceful shutdown with persistence");
-            }
-            if !shards.is_empty() {
-                println!("serve: dispatching stages across {} shard(s)", shards.len());
-            }
-            if let Some(loaded) = server.loaded() {
-                println!(
-                    "serve: warm-started {} artifact(s) ({} rejected, {} torn, {} corrupt)",
-                    loaded.restored,
-                    loaded.rejected_snapshots,
-                    loaded.torn_entries,
-                    loaded.corrupt_entries
-                );
-            }
-            let _ = std::io::stdout().flush();
-            let summary = server.wait();
-            if let Some(watch) = watch {
-                watch.stop();
-            }
-            Ok(format!("{summary}\n"))
+            boot("serve", options, shards.len())
         }
         Command::Worker {
             addr,
@@ -1415,13 +1389,11 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             persist_secs,
             idle_secs,
         } => {
-            use std::io::Write as _;
             // A worker is a serve that never re-dispatches remotely:
             // stage requests run against the local store only, so a
             // pool of workers cannot recurse through each other.
             chromata::clear_remote();
-            let signals_masked = chromata_signal::block_termination();
-            let server = crate::serve::Server::start(crate::serve::ServeOptions {
+            let options = crate::serve::ServeOptions {
                 addr,
                 threads,
                 analysis_slots: admission,
@@ -1432,32 +1404,8 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 cache_dir,
                 persist_secs,
                 idle_timeout_secs: idle_secs,
-            })?;
-            let watch = if signals_masked {
-                let handle = server.shutdown_handle();
-                chromata_signal::watch_termination(move |_sig| handle.request())
-            } else {
-                None
             };
-            println!("worker: listening on {}", server.local_addr());
-            if watch.is_some() {
-                println!("worker: SIGTERM/SIGINT trigger graceful shutdown with persistence");
-            }
-            if let Some(loaded) = server.loaded() {
-                println!(
-                    "worker: warm-started {} artifact(s) ({} rejected, {} torn, {} corrupt)",
-                    loaded.restored,
-                    loaded.rejected_snapshots,
-                    loaded.torn_entries,
-                    loaded.corrupt_entries
-                );
-            }
-            let _ = std::io::stdout().flush();
-            let summary = server.wait();
-            if let Some(watch) = watch {
-                watch.stop();
-            }
-            Ok(format!("{summary}\n"))
+            boot("worker", options, 0)
         }
         Command::Request {
             addr,

@@ -60,7 +60,7 @@ use chromata::{
     store_read_through, Budget, CacheDirConfig, CancelToken, LoadReport, PipelineOptions, Verdict,
 };
 
-use crate::app::{check_process_count, CliError};
+use crate::app::CliError;
 use crate::registry;
 use crate::wire::{self, AnalyzeRequest, Request, TaskSpec};
 
@@ -752,7 +752,7 @@ fn handle_stage(job: &chromata::StageJob, shared: &Shared) -> String {
     match outcome {
         Err(_) => wire::error_response(&format!(
             "internal: stage `{}` panicked; the worker recovered",
-            job.stage_name()
+            job.kind
         )),
         Ok(Err(e)) => wire::error_response(&e),
         Ok(Ok(line)) => {
@@ -777,7 +777,7 @@ fn handle_analyze(req: &AnalyzeRequest, shared: &Shared) -> String {
         },
         TaskSpec::Inline(task) => (**task).clone(),
     };
-    if let Err(CliError(message)) = check_process_count(&task) {
+    if let Err(message) = chromata::check_process_count(&task) {
         // `analyze_governed` asserts this; pre-checking keeps the
         // worker alive and the rejection structured.
         shared.malformed.fetch_add(1, Ordering::Relaxed);

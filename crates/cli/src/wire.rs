@@ -610,7 +610,7 @@ mod tests {
     #[test]
     fn parses_a_stage_request_line() {
         let task = chromata_task::canonicalize(&chromata_task::library::hourglass());
-        let job = chromata::StageJob::Links { task };
+        let job = chromata::StageJob::new(chromata::ArtifactKind::LinkGraphs, task);
         let line = chromata::stage_request_line(&job).unwrap();
         let parsed = parse_request(&line, DEFAULT_MAX_PAYLOAD).unwrap();
         assert_eq!(parsed, Request::Stage(Box::new(job)));

@@ -506,6 +506,56 @@ fn view_nested_bad_color_is_an_error_and_the_only_worker_survives() {
     let _ = server.wait();
 }
 
+/// A stage job on a task with more than three processes is rejected
+/// when it is parsed, like an `analyze` request: each stage kind gets
+/// exactly one error line, nothing runs or caches, and the connection
+/// keeps serving.
+#[test]
+fn stage_jobs_beyond_three_processes_are_rejected_and_cache_nothing() {
+    let _guard = store_guard();
+    clear_stage_caches();
+    let server = Server::start(options()).unwrap();
+    let stream = TcpStream::connect(server.local_addr().to_string()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let task = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/fixtures/identity-4.json"
+    ))
+    .unwrap();
+    for stage in ["split", "link-graphs", "presentations", "homology"] {
+        // A ping follows on the same connection, so the first answer is
+        // the stage request's only line.
+        let request = format!(
+            r#"{{"op":"stage","stage":"{stage}","task":{}}}"#,
+            task.trim()
+        );
+        writer
+            .write_all(format!("{request}\n{{\"op\":\"ping\"}}\n").as_bytes())
+            .unwrap();
+        let mut answers = [String::new(), String::new()];
+        for answer in &mut answers {
+            reader.read_line(answer).unwrap();
+        }
+        assert_eq!(
+            answers[0].trim_end(),
+            r#"{"status":"error","error":"task `identity-4` has 4 processes; the characterization covers at most three"}"#,
+            "{stage}"
+        );
+        assert_eq!(str_field(&json_line(answers[1].trim_end()), "op"), "ping");
+    }
+    for (kind, stats) in chromata::stage_cache_stats() {
+        assert_eq!((stats.lookups, stats.misses), (0, 0), "{kind} ran a job");
+    }
+
+    drop((writer, reader));
+    server.shutdown();
+    let _ = server.wait();
+}
+
 /// Distributed stage execution over real sockets: two in-process
 /// workers serve `op:"stage"` jobs for a batch, one is killed
 /// mid-batch, and every verdict + digest still matches the

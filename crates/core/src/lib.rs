@@ -61,8 +61,8 @@ pub use continuous::{continuous_map_exists, ContinuousOutcome, ImpossibilityReas
 pub use corollaries::{corollary_5_5, crossing_graph, every_cycle_crosses_a_lap};
 pub use lap::{first_lap_of_facet, laps, Lap};
 pub use pipeline::{
-    analyze, analyze_batch, analyze_governed, Analysis, DecisionCacheStats, Obstruction,
-    PipelineOptions, Verdict,
+    analyze, analyze_batch, analyze_governed, check_process_count, Analysis, DecisionCacheStats,
+    Obstruction, PipelineOptions, Verdict,
 };
 pub use splitting::{
     split_all, split_once, transport_witness, unsplit_simplex, unsplit_vertex, SplitOutcome,

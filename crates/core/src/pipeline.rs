@@ -168,6 +168,24 @@ pub fn analyze(task: &Task, options: PipelineOptions) -> Analysis {
     analyze_governed(task, options, &Budget::unlimited(), &CancelToken::new())
 }
 
+/// Rejects a task the characterization does not cover — one with more
+/// than three processes — with the message every entry point reports
+/// (the CLI commands, the `analyze` op and the `stage` op alike).
+///
+/// # Errors
+///
+/// Names the task and its process count.
+pub fn check_process_count(task: &Task) -> Result<(), String> {
+    if task.process_count() > 3 {
+        return Err(format!(
+            "task `{}` has {} processes; the characterization covers at most three",
+            task.name(),
+            task.process_count()
+        ));
+    }
+    Ok(())
+}
+
 /// [`analyze`] under a [`Budget`] and [`CancelToken`]: the ACT fallback
 /// respects the wall-clock deadline and cooperative cancellation, and —
 /// when a deadline is set — escalates its round cap through a doubling

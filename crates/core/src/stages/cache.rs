@@ -15,6 +15,13 @@
 //!   rule D1);
 //! * **stats** — hits, misses and evictions are counted per cache and
 //!   survive poison recovery.
+//!
+//! The store names its caches once, in `ArtifactStore::kinds`: every
+//! store-wide operation — [`stage_cache_stats`], [`clear_stage_caches`]
+//! and the snapshot save, load and audit of [`super::persist`] — is one
+//! loop over that list. A cached value's one cacheability predicate is
+//! [`Cacheable::cacheable`], checked at insert, snapshot save, load and
+//! audit alike.
 
 // chromata-lint: allow(D1): imported for the key-addressed stage caches; every use is justified at its site
 use std::collections::{HashMap, VecDeque};
@@ -24,10 +31,12 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use chromata_task::Task;
 use chromata_topology::structural_fingerprint;
+use serde::{Deserialize, Serialize};
 
 use super::artifacts::{
     ExplorationReport, HomologyReport, LinkGraphs, Presentations, SubdividedComplex,
 };
+use super::persist::SnapshotCache;
 use super::DecisionRecord;
 
 /// Hit/miss/eviction counters for one stage cache, as reported per
@@ -120,6 +129,31 @@ impl ArtifactKind {
 impl fmt::Display for ArtifactKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// A value a stage cache holds: cloned out on a hit, serialized into
+/// snapshots, and gated by one cacheability predicate.
+pub trait Cacheable: Clone + Serialize + Deserialize {
+    /// Whether the value is budget-independent and so safe to memoize —
+    /// in memory at insert, and on disk at snapshot save, load and
+    /// audit.
+    fn cacheable(&self) -> bool {
+        true
+    }
+}
+
+impl Cacheable for Arc<SubdividedComplex> {}
+impl Cacheable for Arc<LinkGraphs> {}
+impl Cacheable for Arc<Presentations> {}
+impl Cacheable for Arc<HomologyReport> {}
+impl Cacheable for DecisionRecord {}
+
+impl Cacheable for Arc<ExplorationReport> {
+    /// A budget-truncated exploration depends on the budget that cut it
+    /// short, so it must never be memoized or cross a process boundary.
+    fn cacheable(&self) -> bool {
+        self.budget_independent
     }
 }
 
@@ -376,37 +410,19 @@ impl ArtifactStore {
         }
     }
 
-    /// Stats of one cache by kind.
-    fn stats_of(&self, kind: ArtifactKind) -> DecisionCacheStats {
-        match kind {
-            ArtifactKind::Split => self.split.lock().stats(),
-            ArtifactKind::LinkGraphs => self.links.lock().stats(),
-            ArtifactKind::Presentations => self.presentations.lock().stats(),
-            ArtifactKind::Homology => self.homology.lock().stats(),
-            ArtifactKind::Exploration => self.exploration.lock().stats(),
-            ArtifactKind::Verdict => self.verdict.lock().stats(),
-        }
-    }
-
-    fn clear_all(&self) {
-        self.split.lock().clear();
-        self.links.lock().clear();
-        self.presentations.lock().clear();
-        self.homology.lock().clear();
-        self.exploration.lock().clear();
-        self.verdict.lock().clear();
+    /// The kind list: every cache with its artifact kind, in the fixed
+    /// reporting and snapshot-file order.
+    pub(crate) fn kinds(&self) -> [(ArtifactKind, &dyn SnapshotCache); 6] {
+        [
+            (ArtifactKind::Split, &self.split),
+            (ArtifactKind::LinkGraphs, &self.links),
+            (ArtifactKind::Presentations, &self.presentations),
+            (ArtifactKind::Homology, &self.homology),
+            (ArtifactKind::Exploration, &self.exploration),
+            (ArtifactKind::Verdict, &self.verdict),
+        ]
     }
 }
-
-/// Every artifact kind, in the fixed reporting order.
-pub(crate) const ALL_KINDS: [ArtifactKind; 6] = [
-    ArtifactKind::Split,
-    ArtifactKind::LinkGraphs,
-    ArtifactKind::Presentations,
-    ArtifactKind::Homology,
-    ArtifactKind::Exploration,
-    ArtifactKind::Verdict,
-];
 
 /// The process-wide [`ArtifactStore`].
 pub(crate) fn store() -> &'static ArtifactStore {
@@ -430,13 +446,18 @@ pub(crate) fn store_test_guard() -> std::sync::MutexGuard<'static, ()> {
 /// [`ArtifactKind`] in declaration order.
 #[must_use]
 pub fn stage_cache_stats() -> Vec<(ArtifactKind, DecisionCacheStats)> {
-    let s = store();
-    ALL_KINDS.iter().map(|&k| (k, s.stats_of(k))).collect()
+    store()
+        .kinds()
+        .into_iter()
+        .map(|(kind, cache)| (kind, cache.stats()))
+        .collect()
 }
 
 /// Drops every cached artifact of every stage and resets all counters.
 pub fn clear_stage_caches() {
-    store().clear_all();
+    for (_, cache) in store().kinds() {
+        cache.clear();
+    }
 }
 
 #[cfg(test)]
@@ -744,11 +765,19 @@ mod tests {
 
     #[test]
     fn stage_cache_stats_reports_every_kind() {
-        let all = stage_cache_stats();
-        assert_eq!(all.len(), ALL_KINDS.len());
-        for (kind, _) in &all {
-            assert!(ALL_KINDS.contains(kind));
-        }
+        let all: Vec<ArtifactKind> = stage_cache_stats().into_iter().map(|(k, _)| k).collect();
+        let names: Vec<&str> = all.iter().map(|k| k.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "split",
+                "link-graphs",
+                "presentations",
+                "homology",
+                "explore",
+                "verdict"
+            ]
+        );
         assert_eq!(ArtifactKind::Verdict.name(), "verdict");
         assert_eq!(format!("{}", ArtifactKind::LinkGraphs), "link-graphs");
     }

@@ -630,26 +630,18 @@ fn pop_array_field(entries: &mut [(String, Value)], name: &str) -> Option<Value>
 /// A loopback [`ShardIo`]: every exchange parses the stage request and
 /// executes it in-process against the process-wide store — the worker
 /// code path without sockets. Lets a chaos campaign run a multi-shard
-/// pool (wrapped in [`ChaosShardIo`]) inside one process.
+/// pool (wrapped in [`ChaosShardIo`]) inside one process. Like a TCP
+/// worker, it answers a rejected or failed job with one
+/// `"status":"error"` line.
 pub struct InProcessShards {
     shards: usize,
-    exchanges: AtomicU64,
 }
 
 impl InProcessShards {
     /// A pool of `shards` loopback workers.
     #[must_use]
     pub fn new(shards: usize) -> Self {
-        InProcessShards {
-            shards,
-            exchanges: AtomicU64::new(0),
-        }
-    }
-
-    /// Total exchanges served.
-    #[must_use]
-    pub fn exchanges(&self) -> u64 {
-        self.exchanges.load(Ordering::Relaxed)
+        InProcessShards { shards }
     }
 }
 
@@ -664,7 +656,6 @@ impl ShardIo for InProcessShards {
         line: &str,
         _deadline: Option<std::time::Duration>,
     ) -> Result<String, ShardIoError> {
-        self.exchanges.fetch_add(1, Ordering::Relaxed);
         let value: Value = serde_json::from_str(line).map_err(|e| {
             ShardIoError::new(ShardStep::Recv, io::ErrorKind::InvalidData, e.to_string())
         })?;
@@ -681,10 +672,17 @@ impl ShardIo for InProcessShards {
         {
             return Ok(r#"{"status":"ok","op":"ping"}"#.to_owned());
         }
-        let job = super::remote::parse_stage_fields(&entries)
-            .map_err(|e| ShardIoError::new(ShardStep::Recv, io::ErrorKind::InvalidData, e))?;
-        super::remote::execute_stage_line(&job)
-            .map_err(|e| ShardIoError::new(ShardStep::Recv, io::ErrorKind::InvalidData, e))
+        super::remote::parse_stage_fields(&entries)
+            .and_then(|job| super::remote::execute_stage_line(&job))
+            .or_else(|error| {
+                serde_json::to_string(&Value::object([
+                    ("status", Value::String("error".to_owned())),
+                    ("error", Value::String(error)),
+                ]))
+                .map_err(|e| {
+                    ShardIoError::new(ShardStep::Recv, io::ErrorKind::InvalidData, e.to_string())
+                })
+            })
     }
 }
 

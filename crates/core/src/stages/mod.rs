@@ -10,10 +10,13 @@
 //!     (live)    [cached]     [cached]        [cached]       [cached]   [cached]
 //! ```
 //!
-//! Every stage implements [`Stage`]: it names itself, derives a
-//! structural-fingerprint cache key, and computes its artifact; one
-//! [`run`] function runs any stage against the
-//! [`ArtifactStore`](cache::ArtifactStore), locally or through
+//! Every stage implements [`Stage`], the one declaration of a stage
+//! kind: its [`ArtifactKind`] (which also names it), its cache and
+//! cache key, how it computes its artifact, how it ships as a
+//! [`remote::StageJob`] and how a shard's answer is re-validated. The
+//! artifact type carries the one cacheability predicate
+//! ([`cache::Cacheable`]). One [`run`] function runs any stage against
+//! the [`ArtifactStore`](cache::ArtifactStore), locally or through
 //! [`remote`], returning its typed artifact plus a [`StageEvidence`]
 //! record (detail, work counter, cache event, wall clock). The engine
 //! threads the evidence into the
@@ -57,7 +60,8 @@ use artifacts::{
     exists_summary, ExplorationReport, HomologyReport, LinkGraphs, Presentations,
     SubdividedComplex, TrianglePresentations,
 };
-use cache::{ArtifactKind, ArtifactStore, SharedCache};
+use cache::{ArtifactKind, ArtifactStore, Cacheable, SharedCache};
+use remote::StageJob;
 
 /// How a stage's artifact interacted with its cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -271,19 +275,21 @@ pub struct StageOutcome<A> {
     pub evidence: StageEvidence,
 }
 
-/// One stage of the verdict engine: a name, a structural-fingerprint
-/// cache key, and a `compute` that [`run`] calls on a cache miss —
-/// [`run`] serves the typed artifact from the stage's bounded cache or
-/// computes and caches it, always emitting a [`StageEvidence`] record.
+/// One stage of the verdict engine, declared once: its kind (which names
+/// it in evidence, on the wire and in snapshot files), its cache and
+/// structural-fingerprint cache key, a `compute` that [`run`] calls on a
+/// cache miss, and how it ships to a shard. [`run`] serves the typed
+/// artifact from the stage's bounded cache or computes (or fetches) and
+/// caches it, always emitting a [`StageEvidence`] record.
 pub trait Stage {
-    /// The stage's fixed name (also its evidence label).
-    const NAME: &'static str;
-    /// Which [`ArtifactKind`] cache the stage uses.
+    /// Which [`ArtifactKind`] cache the stage uses; its name is the
+    /// stage's evidence label and wire name.
     const KIND: ArtifactKind;
-    /// Cache key; its structural fingerprint orders poison recovery.
+    /// Cache key; its structural fingerprint orders poison recovery and,
+    /// salted with the stage name, homes the stage's shard job.
     type Key: Clone + Eq + Hash;
     /// The typed artifact the stage produces.
-    type Artifact: Clone;
+    type Artifact: Cacheable;
 
     /// The cache key for this stage instance.
     fn key(&self) -> Self::Key;
@@ -295,9 +301,19 @@ pub trait Stage {
     fn detail(artifact: &Self::Artifact) -> String;
     /// Deterministic work counter of an artifact.
     fn work(artifact: &Self::Artifact) -> u64;
-    /// Whether an artifact is budget-independent and safe to memoize.
-    fn cacheable(_artifact: &Self::Artifact) -> bool {
-        true
+    /// The wire job for this stage instance, or `None` when the stage
+    /// must run locally to stay bit-identical under `budget`.
+    fn job(&self, budget: &Budget) -> Option<StageJob>;
+    /// Semantic re-validation of a shard-computed artifact against the
+    /// stage's own inputs. A checksum only proves the payload arrived as
+    /// the shard sent it; a buggy or adversarial shard can still send a
+    /// *well-formed but wrong* artifact — wrong branch count, a
+    /// non-canonical split task, an assignment over the wrong vertex
+    /// set. A rejection here is counted as `invalid_artifact` in the
+    /// fault taxonomy and the engine retries / falls back local; the
+    /// artifact is never accepted.
+    fn admissible(&self, _artifact: &Self::Artifact) -> Result<(), String> {
+        Ok(())
     }
 }
 
@@ -306,7 +322,7 @@ pub trait Stage {
 /// the lock (a racing miss recomputes the same artifact); insert if
 /// cacheable; evidence emission. Fetched and computed artifacts are
 /// cached alike, so warm-path behavior is identical machine-wide.
-pub(crate) fn run<S: remote::DistStage>(
+pub(crate) fn run<S: Stage>(
     stage: &S,
     store: &ArtifactStore,
     budget: &Budget,
@@ -316,7 +332,7 @@ pub(crate) fn run<S: remote::DistStage>(
     let key = stage.key();
     if let Some(hit) = S::cache(store).lock().get(&key) {
         let evidence = StageEvidence {
-            stage: S::NAME,
+            stage: S::KIND.name(),
             detail: S::detail(&hit),
             work: S::work(&hit),
             cache: CacheEvent::Hit,
@@ -335,18 +351,18 @@ pub(crate) fn run<S: remote::DistStage>(
     let shipped = remote.and_then(|engine| Some((engine, stage.job(budget)?)));
     let (artifact, origin) = match shipped {
         Some((engine, job)) => engine
-            .fetch(stage, &job, budget)
+            .fetch(stage, &key, &job, budget)
             .unwrap_or_else(|| (stage.compute(budget), StageOrigin::LocalFallback)),
         None => (stage.compute(budget), StageOrigin::Local),
     };
-    let cache = if S::cacheable(&artifact) {
+    let cache = if artifact.cacheable() {
         S::cache(store).lock().insert(key, artifact.clone());
         CacheEvent::Miss
     } else {
         CacheEvent::Uncached
     };
     let evidence = StageEvidence {
-        stage: S::NAME,
+        stage: S::KIND.name(),
         detail: S::detail(&artifact),
         work: S::work(&artifact),
         cache,
@@ -364,7 +380,6 @@ pub(crate) struct SplitStage {
 }
 
 impl Stage for SplitStage {
-    const NAME: &'static str = "split";
     const KIND: ArtifactKind = ArtifactKind::Split;
     type Key = Task;
     type Artifact = Arc<SubdividedComplex>;
@@ -381,6 +396,34 @@ impl Stage for SplitStage {
         Arc::new(SubdividedComplex {
             split: split_all(&self.canonical),
         })
+    }
+
+    fn job(&self, _budget: &Budget) -> Option<StageJob> {
+        Some(StageJob::new(Self::KIND, self.canonical.clone()))
+    }
+
+    fn admissible(&self, artifact: &Arc<SubdividedComplex>) -> Result<(), String> {
+        let split = &artifact.split;
+        if split.task.process_count() != self.canonical.process_count() {
+            return Err(format!(
+                "split task has {} processes, canonical input has {}",
+                split.task.process_count(),
+                self.canonical.process_count()
+            ));
+        }
+        // Splitting deforms the output complex and the carrier only;
+        // the input complex must survive untouched.
+        if split.task.input() != self.canonical.input() {
+            return Err("split task's input complex differs from the canonical task's".to_owned());
+        }
+        if let Some(witness) = &split.degenerate {
+            if !self.canonical.input().vertices().any(|v| v == witness) {
+                return Err(format!(
+                    "degenerate witness `{witness}` is not an input vertex"
+                ));
+            }
+        }
+        Ok(())
     }
 
     fn detail(artifact: &Arc<SubdividedComplex>) -> String {
@@ -409,7 +452,6 @@ pub(crate) struct LinkStage {
 }
 
 impl Stage for LinkStage {
-    const NAME: &'static str = "link-graphs";
     const KIND: ArtifactKind = ArtifactKind::LinkGraphs;
     type Key = Task;
     type Artifact = Arc<LinkGraphs>;
@@ -424,6 +466,34 @@ impl Stage for LinkStage {
 
     fn compute(&self, _budget: &Budget) -> Arc<LinkGraphs> {
         Arc::new(LinkGraphs::build(&self.task))
+    }
+
+    fn job(&self, _budget: &Budget) -> Option<StageJob> {
+        Some(StageJob::new(Self::KIND, self.task.clone()))
+    }
+
+    fn admissible(&self, artifact: &Arc<LinkGraphs>) -> Result<(), String> {
+        let input = self.task.input();
+        if !artifact.vertices.iter().eq(input.vertices()) {
+            return Err("link-graph vertex list differs from the task's input vertices".to_owned());
+        }
+        if !artifact.edges.iter().eq(input.simplices_of_dim(1)) {
+            return Err("link-graph edge list differs from the task's input edges".to_owned());
+        }
+        if !artifact.triangles.iter().eq(input.simplices_of_dim(2)) {
+            return Err(format!(
+                "link-graph triangle list has {} branches, the task has {}",
+                artifact.triangles.len(),
+                input.simplices_of_dim(2).count()
+            ));
+        }
+        if artifact.domains.len() != artifact.vertices.len()
+            || artifact.edge_graphs.len() != artifact.edges.len()
+            || artifact.edge_cycles.len() != artifact.edges.len()
+        {
+            return Err("link-graph parallel arrays disagree in length".to_owned());
+        }
+        Ok(())
     }
 
     fn detail(artifact: &Arc<LinkGraphs>) -> String {
@@ -447,7 +517,6 @@ pub(crate) struct PresentationStage {
 }
 
 impl Stage for PresentationStage {
-    const NAME: &'static str = "presentations";
     const KIND: ArtifactKind = ArtifactKind::Presentations;
     type Key = Task;
     type Artifact = Arc<Presentations>;
@@ -462,6 +531,22 @@ impl Stage for PresentationStage {
 
     fn compute(&self, _budget: &Budget) -> Arc<Presentations> {
         Arc::new(Presentations::build(&self.task, &self.links))
+    }
+
+    fn job(&self, _budget: &Budget) -> Option<StageJob> {
+        Some(StageJob::new(Self::KIND, self.task.clone()))
+    }
+
+    fn admissible(&self, artifact: &Arc<Presentations>) -> Result<(), String> {
+        let triangles = self.task.input().simplices_of_dim(2).count();
+        if artifact.per_triangle.len() != triangles {
+            return Err(format!(
+                "presentations cover {} triangles, the task has {}",
+                artifact.per_triangle.len(),
+                triangles
+            ));
+        }
+        Ok(())
     }
 
     fn detail(artifact: &Arc<Presentations>) -> String {
@@ -495,7 +580,6 @@ pub(crate) struct HomologyStage {
 }
 
 impl Stage for HomologyStage {
-    const NAME: &'static str = "homology";
     const KIND: ArtifactKind = ArtifactKind::Homology;
     type Key = Vec<Task>;
     type Artifact = Arc<HomologyReport>;
@@ -514,6 +598,35 @@ impl Stage for HomologyStage {
             outcome,
             assignments,
         })
+    }
+
+    fn job(&self, _budget: &Budget) -> Option<StageJob> {
+        Some(StageJob::new(Self::KIND, self.task.clone()))
+    }
+
+    fn admissible(&self, artifact: &Arc<HomologyReport>) -> Result<(), String> {
+        if let ContinuousOutcome::Exists { assignment, .. } = &artifact.outcome {
+            let input = self.task.input();
+            let vertex_count = input.vertices().count();
+            if assignment.len() != vertex_count {
+                return Err(format!(
+                    "witness assigns {} vertices, the task's input has {}",
+                    assignment.len(),
+                    vertex_count
+                ));
+            }
+            for (x, g_x) in assignment {
+                if !input.vertices().any(|v| v == x) {
+                    return Err(format!("witness assigns non-input vertex `{x}`"));
+                }
+                if !self.task.output().vertices().any(|v| v == g_x) {
+                    return Err(format!(
+                        "witness maps `{x}` to `{g_x}`, which is not an output vertex"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     fn detail(artifact: &Arc<HomologyReport>) -> String {
@@ -554,7 +667,6 @@ pub(crate) struct ExploreStage {
 }
 
 impl Stage for ExploreStage {
-    const NAME: &'static str = "explore";
     const KIND: ArtifactKind = ArtifactKind::Exploration;
     type Key = (Task, usize);
     type Artifact = Arc<ExplorationReport>;
@@ -647,8 +759,31 @@ impl Stage for ExploreStage {
         artifact.nodes
     }
 
-    fn cacheable(artifact: &Arc<ExplorationReport>) -> bool {
-        artifact.budget_independent
+    /// The exploration ladder reads the budget (deadline escalation,
+    /// state/step/round caps), so shipping it under a constrained
+    /// budget would diverge from the local run. It is remote-eligible
+    /// only when the budget cannot influence the result — exactly the
+    /// condition under which its artifact is cacheable at the
+    /// configured cap.
+    fn job(&self, budget: &Budget) -> Option<StageJob> {
+        let unconstrained = budget.deadline.is_none()
+            && budget.max_states == usize::MAX
+            && budget.max_steps == usize::MAX
+            && budget.max_act_rounds >= self.configured_rounds;
+        unconstrained.then(|| StageJob {
+            explore: Some((self.configured_rounds, self.undetermined_reason.clone())),
+            ..StageJob::new(Self::KIND, self.task.clone())
+        })
+    }
+
+    fn admissible(&self, artifact: &Arc<ExplorationReport>) -> Result<(), String> {
+        if artifact.rounds_cap > self.configured_rounds {
+            return Err(format!(
+                "exploration reports a round cap of {}, beyond the configured {}",
+                artifact.rounds_cap, self.configured_rounds
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -805,7 +940,7 @@ pub(crate) fn run_links(
     }
     let global = Arc::new(assemble_links(task, &branch_links));
     let evidence = aggregate_branch_evidence(
-        LinkStage::NAME,
+        LinkStage::KIND.name(),
         LinkStage::detail(&global),
         LinkStage::work(&global),
         &branch_evidence,
@@ -843,7 +978,7 @@ pub(crate) fn run_presentations(
         &branch_presentations,
     ));
     let evidence = aggregate_branch_evidence(
-        PresentationStage::NAME,
+        PresentationStage::KIND.name(),
         PresentationStage::detail(&global),
         PresentationStage::work(&global),
         &branch_evidence,
@@ -852,11 +987,35 @@ pub(crate) fn run_presentations(
     (global, evidence)
 }
 
+/// The homology stage of a split task with its prerequisites built: the
+/// link-graph and presentation stages run per branch (through `remote`
+/// when a shard pool is given) and assembled. Returns the stage plus the
+/// two prerequisites' aggregated evidence, in execution order. The
+/// engine and a worker's homology job both build the stage here.
+pub(crate) fn homology_stage(
+    task: &Task,
+    store: &ArtifactStore,
+    budget: &Budget,
+    remote: Option<&remote::RemoteEngine>,
+) -> (HomologyStage, [StageEvidence; 2]) {
+    let branches = branch_tasks(task);
+    let (links, branch_links, link_evidence) = run_links(task, &branches, store, budget, remote);
+    let (presentations, pres_evidence) =
+        run_presentations(&branches, &branch_links, &links, store, budget, remote);
+    let stage = HomologyStage {
+        task: task.clone(),
+        branches,
+        links,
+        presentations,
+    };
+    (stage, [link_evidence, pres_evidence])
+}
+
 /// Runs one whole-task stage — through `remote` when a shard pool is
 /// given, locally otherwise — appending its evidence to the live chain
 /// and its deterministic trace to the record destined for the verdict
 /// cache.
-fn run_stage<S: remote::DistStage>(
+fn run_stage<S: Stage>(
     stage: &S,
     store: &ArtifactStore,
     budget: &Budget,
@@ -910,27 +1069,12 @@ fn decide_staged(
         );
     }
     let t = &split.split.task;
-    let branches = branch_tasks(t);
-    let (links, branch_links, link_evidence) = run_links(t, &branches, store, budget, remote);
-    traces.push(StageTrace::of(&link_evidence));
-    evidence.stages.push(link_evidence);
-    let (presentations, pres_evidence) =
-        run_presentations(&branches, &branch_links, &links, store, budget, remote);
-    traces.push(StageTrace::of(&pres_evidence));
-    evidence.stages.push(pres_evidence);
-    let homology = run_stage(
-        &HomologyStage {
-            task: t.clone(),
-            branches,
-            links,
-            presentations,
-        },
-        store,
-        budget,
-        remote,
-        evidence,
-        &mut traces,
-    );
+    let (homology, prerequisites) = homology_stage(t, store, budget, remote);
+    for stage_evidence in prerequisites {
+        traces.push(StageTrace::of(&stage_evidence));
+        evidence.stages.push(stage_evidence);
+    }
+    let homology = run_stage(&homology, store, budget, remote, evidence, &mut traces);
     match &homology.outcome {
         ContinuousOutcome::Exists { certificates, .. } => (
             Verdict::Solvable {
@@ -996,8 +1140,12 @@ fn decide_staged(
                 evidence,
                 &mut traces,
             );
-            let cacheable = report.budget_independent;
-            (report.verdict.clone(), "explore", traces, cacheable)
+            (
+                report.verdict.clone(),
+                "explore",
+                traces,
+                report.cacheable(),
+            )
         }
     }
 }
@@ -1275,7 +1423,7 @@ mod tests {
             rounds_cap: 4,
             budget_independent: false,
         };
-        assert!(!ExploreStage::cacheable(&Arc::new(report)));
+        assert!(!Arc::new(report).cacheable());
         let witness = ExplorationReport {
             verdict: Verdict::Solvable {
                 certificate: "c".into(),
@@ -1284,7 +1432,7 @@ mod tests {
             rounds_cap: 4,
             budget_independent: true,
         };
-        assert!(ExploreStage::cacheable(&Arc::new(witness)));
+        assert!(Arc::new(witness).cacheable());
         let _ = identity_task(2);
     }
 }

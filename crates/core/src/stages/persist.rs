@@ -38,8 +38,14 @@
 //!   budget-dependent exploration): the record is skipped.
 //!
 //! Budget-truncated explorations are excluded at save time (and
-//! re-checked at load time): a verdict that depends on the configured
-//! budget must never be memoized across processes.
+//! re-checked at load and audit time) by the one cacheability predicate
+//! of the cached value, [`Cacheable::cacheable`]: a verdict that depends
+//! on the configured budget must never be memoized across processes.
+//!
+//! Save, load and audit are each one loop over the store's kind list
+//! (`ArtifactStore::kinds`), in its fixed file order; each cache is
+//! reached through the type-erased `SnapshotCache` handle, the only
+//! code generic over a cache's key and value types.
 //!
 //! Callers wrap analyses in [`load_cache_dir`] (the only loader; it
 //! reads the directory on every call) and [`persist_now`].
@@ -56,12 +62,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
-use chromata_task::Task;
 use chromata_topology::{fnv1a, govern};
 use serde::{Deserialize, Serialize};
 
-use super::artifacts::ExplorationReport;
-use super::cache::{store, ArtifactKind, ArtifactStore, SharedCache, ALL_KINDS};
+use super::cache::{
+    store, ArtifactKind, ArtifactStore, Cacheable, DecisionCacheStats, SharedCache,
+};
 
 /// Magic prefix of every snapshot file (version-bearing): the first
 /// line is this prefix followed by the artifact-kind name. Bumped to v2
@@ -309,16 +315,15 @@ fn push_record(out: &mut String, tag: char, payload: &str) {
     out.push('\n');
 }
 
-/// Renders a full snapshot body for one cache: magic, header, entries
-/// in insertion (eviction) order, filtered by `keep`.
-fn render_snapshot<K: Serialize, V: Serialize>(
+/// Renders a full snapshot body for one cache: magic, header, then every
+/// cacheable entry in insertion (eviction) order; the others are counted
+/// as skipped.
+fn render_snapshot<K: Serialize, V: Cacheable>(
     kind: ArtifactKind,
     capacity: usize,
-    stats: super::cache::DecisionCacheStats,
+    stats: DecisionCacheStats,
     entries: &[(K, V)],
-    keep: impl Fn(&K, &V) -> bool,
-    skipped: &mut u64,
-    written: &mut u64,
+    report: &mut SaveReport,
 ) -> Result<String, String> {
     let mut out = String::new();
     out.push_str(MAGIC_PREFIX);
@@ -333,13 +338,13 @@ fn render_snapshot<K: Serialize, V: Serialize>(
     .map_err(|e| format!("header: {e}"))?;
     push_record(&mut out, 'H', &header);
     for (k, v) in entries {
-        if !keep(k, v) {
-            *skipped += 1;
+        if !v.cacheable() {
+            report.entries_skipped += 1;
             continue;
         }
         let payload = serde_json::to_string(&(k, v)).map_err(|e| format!("entry: {e}"))?;
         push_record(&mut out, 'E', &payload);
-        *written += 1;
+        report.entries_written += 1;
     }
     Ok(out)
 }
@@ -347,18 +352,6 @@ fn render_snapshot<K: Serialize, V: Serialize>(
 // ---------------------------------------------------------------------------
 // Snapshot parsing
 // ---------------------------------------------------------------------------
-
-/// A decoded snapshot: everything recoverable plus what was skipped.
-struct ParsedSnapshot<K, V> {
-    capacity: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    entries: Vec<(K, V)>,
-    torn_entries: u64,
-    corrupt_entries: u64,
-    issues: Vec<String>,
-}
 
 /// Splits a byte string into complete (newline-terminated) lines plus
 /// the torn trailing fragment, if any bytes follow the last newline.
@@ -401,18 +394,15 @@ fn decode_record<T: Deserialize>(line: &[u8], tag: u8) -> Result<T, String> {
     serde_json::from_str(text).map_err(|e| format!("undecodable payload: {e}"))
 }
 
-/// Parses a whole snapshot body. `Err` rejects the snapshot outright
-/// (nothing before a valid header is trustworthy); after a valid
-/// header, every failure degrades to a per-entry recovery counter.
-fn parse_snapshot<K, V>(
+/// Parses a whole snapshot body into its audit (header counters and
+/// per-entry recovery counts) and its cacheable entries. `Err` rejects
+/// the snapshot outright (nothing before a valid header is trustworthy);
+/// after a valid header, every failure degrades to a per-entry recovery
+/// counter.
+fn parse_snapshot<K: Deserialize, V: Cacheable>(
     kind: ArtifactKind,
     bytes: &[u8],
-    admissible: &dyn Fn(&K, &V) -> bool,
-) -> Result<ParsedSnapshot<K, V>, String>
-where
-    K: Deserialize,
-    V: Deserialize,
-{
+) -> Result<(SnapshotAudit, Vec<(K, V)>), String> {
     let (lines, tail) = split_lines(bytes);
     let mut complete = lines.iter();
     let magic = format!("{MAGIC_PREFIX}{}", kind.name());
@@ -437,151 +427,123 @@ where
     let capacity =
         usize::try_from(capacity).map_err(|_| "capacity exceeds this platform".to_owned())?;
 
-    let mut parsed = ParsedSnapshot {
+    let mut audit = SnapshotAudit {
         capacity,
         hits,
         misses,
         evictions,
-        entries: Vec::new(),
-        torn_entries: 0,
-        corrupt_entries: 0,
-        issues: Vec::new(),
+        ..empty_audit(kind, SnapshotStatus::Valid)
     };
+    let mut entries = Vec::new();
     for (index, line) in complete.enumerate() {
         match decode_record::<(K, V)>(line, b'E') {
-            Ok((k, v)) if admissible(&k, &v) => parsed.entries.push((k, v)),
+            Ok((k, v)) if v.cacheable() => entries.push((k, v)),
             Ok(_) => {
-                parsed.corrupt_entries += 1;
-                parsed.issues.push(format!(
+                audit.corrupt_entries += 1;
+                audit.issues.push(format!(
                     "entry {index}: inadmissible artifact (budget-dependent)"
                 ));
             }
             Err(why) => {
-                parsed.corrupt_entries += 1;
-                parsed.issues.push(format!("entry {index}: {why}"));
+                audit.corrupt_entries += 1;
+                audit.issues.push(format!("entry {index}: {why}"));
             }
         }
     }
     if tail.is_some() {
-        parsed.torn_entries += 1;
-        parsed
+        audit.torn_entries += 1;
+        audit
             .issues
             .push("torn trailing record (no final newline)".to_owned());
     }
-    Ok(parsed)
+    audit.entries = entries.len() as u64;
+    Ok((audit, entries))
 }
 
 // ---------------------------------------------------------------------------
 // Save / load over an ArtifactStore
 // ---------------------------------------------------------------------------
 
-/// Snapshots one cache to disk with the durable write protocol.
-fn save_one<K, V>(
-    cache: &SharedCache<K, V>,
-    kind: ArtifactKind,
-    dir: &Path,
-    io: &dyn PersistIo,
-    keep: impl Fn(&K, &V) -> bool,
-    report: &mut SaveReport,
-) -> Result<(), PersistError>
-where
-    K: Clone + Eq + Hash + Serialize,
-    V: Clone + Serialize,
-{
-    let (capacity, stats, entries) = {
-        let guard = cache.lock();
-        (guard.capacity(), guard.stats(), guard.entries_in_order())
-    };
-    let target = snapshot_path(dir, kind);
-    let body = render_snapshot(
-        kind,
-        capacity,
-        stats,
-        &entries,
-        keep,
-        &mut report.entries_skipped,
-        &mut report.entries_written,
-    )
-    .map_err(|e| PersistError::new("encode", &target, e))?;
-    let tmp = tmp_path(dir, kind);
-    io.write_tmp(&tmp, body.as_bytes())
-        .map_err(|e| PersistError::new("write-tmp", &tmp, e))?;
-    io.sync_tmp(&tmp)
-        .map_err(|e| PersistError::new("sync-tmp", &tmp, e))?;
-    io.rename(&tmp, &target)
-        .map_err(|e| PersistError::new("rename", &target, e))?;
-    io.sync_dir(dir)
-        .map_err(|e| PersistError::new("sync-dir", dir, e))?;
-    report.files_written += 1;
-    Ok(())
+/// One stage cache behind the operations that do not depend on its key
+/// and value types: the handle [`ArtifactStore::kinds`] lists for every
+/// kind, so store-wide stats and clearing and snapshot save, load and
+/// audit are each one loop.
+pub(crate) trait SnapshotCache {
+    /// The cache's counters.
+    fn stats(&self) -> DecisionCacheStats;
+    /// Drops every entry and resets the counters.
+    fn clear(&self);
+    /// Renders the cache's snapshot body (see [`render_snapshot`]). The
+    /// lock is released before this returns, so no lock is held across
+    /// the write protocol's I/O (rule L2).
+    fn render(&self, kind: ArtifactKind, report: &mut SaveReport) -> Result<String, String>;
+    /// Decodes a snapshot body with this cache's types, leaving the
+    /// cache untouched.
+    fn audit(&self, kind: ArtifactKind, bytes: &[u8]) -> Result<SnapshotAudit, String>;
+    /// Merges a read snapshot into the cache: its capacity wins, its
+    /// counters are added, and its entries are appended in snapshot
+    /// order, which becomes the eviction order. An unreadable or rejected
+    /// snapshot only counts a rejected snapshot (`None`).
+    fn restore(&self, kind: ArtifactKind, read: io::Result<Vec<u8>>) -> Option<SnapshotAudit>;
 }
 
-/// Restores one cache from its snapshot file; every failure mode
-/// degrades to recovery counters on that cache's stats.
-fn load_one<K, V>(
-    cache: &SharedCache<K, V>,
-    kind: ArtifactKind,
-    dir: &Path,
-    io: &dyn PersistIo,
-    admissible: &dyn Fn(&K, &V) -> bool,
-    report: &mut LoadReport,
-) where
-    K: Clone + Eq + Hash + Deserialize,
-    V: Clone + Deserialize,
+impl<K, V> SnapshotCache for SharedCache<K, V>
+where
+    K: Clone + Eq + Hash + Serialize + Deserialize,
+    V: Cacheable,
 {
-    let path = snapshot_path(dir, kind);
-    let bytes = match io.read(&path) {
-        Ok(Some(bytes)) => bytes,
-        Ok(None) => {
-            report.missing += 1;
-            return;
+    fn stats(&self) -> DecisionCacheStats {
+        self.lock().stats()
+    }
+
+    fn clear(&self) {
+        self.lock().clear();
+    }
+
+    fn render(&self, kind: ArtifactKind, report: &mut SaveReport) -> Result<String, String> {
+        let (capacity, stats, entries) = {
+            let guard = self.lock();
+            (guard.capacity(), guard.stats(), guard.entries_in_order())
+        };
+        render_snapshot(kind, capacity, stats, &entries, report)
+    }
+
+    fn audit(&self, kind: ArtifactKind, bytes: &[u8]) -> Result<SnapshotAudit, String> {
+        parse_snapshot::<K, V>(kind, bytes).map(|(audit, _)| audit)
+    }
+
+    fn restore(&self, kind: ArtifactKind, read: io::Result<Vec<u8>>) -> Option<SnapshotAudit> {
+        let parsed = read
+            .ok()
+            .and_then(|bytes| parse_snapshot::<K, V>(kind, &bytes).ok());
+        let mut guard = self.lock();
+        let Some((audit, entries)) = parsed else {
+            guard.stats_mut().rejected_snapshots += 1;
+            return None;
+        };
+        guard.set_capacity(audit.capacity);
+        let stats = guard.stats_mut();
+        // The snapshot header predates the `lookups` counter, so the
+        // merged lookups are reconstructed from the invariant
+        // `lookups == hits + misses` to keep coherence observable across
+        // warm starts.
+        stats.lookups += audit.hits + audit.misses;
+        stats.hits += audit.hits;
+        stats.misses += audit.misses;
+        stats.evictions += audit.evictions;
+        stats.torn_entries += audit.torn_entries;
+        stats.corrupt_entries += audit.corrupt_entries;
+        for (k, v) in entries {
+            guard.restore_entry(k, v);
         }
-        Err(_) => {
-            report.rejected_snapshots += 1;
-            cache.lock().stats_mut().rejected_snapshots += 1;
-            return;
-        }
-    };
-    match parse_snapshot(kind, &bytes, admissible) {
-        Err(_) => {
-            report.rejected_snapshots += 1;
-            cache.lock().stats_mut().rejected_snapshots += 1;
-        }
-        Ok(parsed) => {
-            let mut guard = cache.lock();
-            guard.set_capacity(parsed.capacity);
-            {
-                let stats = guard.stats_mut();
-                // The snapshot header predates the `lookups` counter, so
-                // the merged lookups are reconstructed from the invariant
-                // `lookups == hits + misses` to keep coherence observable
-                // across warm starts.
-                stats.lookups += parsed.hits + parsed.misses;
-                stats.hits += parsed.hits;
-                stats.misses += parsed.misses;
-                stats.evictions += parsed.evictions;
-                stats.torn_entries += parsed.torn_entries;
-                stats.corrupt_entries += parsed.corrupt_entries;
-            }
-            report.restored += parsed.entries.len() as u64;
-            report.torn_entries += parsed.torn_entries;
-            report.corrupt_entries += parsed.corrupt_entries;
-            for (k, v) in parsed.entries {
-                guard.restore_entry(k, v);
-            }
-        }
+        Some(audit)
     }
 }
 
-/// Keep-filter for the exploration cache: only budget-independent
-/// reports may cross a process boundary.
-fn exploration_admissible(_k: &(Task, usize), v: &std::sync::Arc<ExplorationReport>) -> bool {
-    v.budget_independent
-}
-
-/// Snapshots every stage cache of `store` into `dir`. Aborts on the
-/// first I/O failure — files already renamed stay valid, files not yet
-/// rewritten keep their previous valid contents.
+/// Snapshots every stage cache of `store` into `dir`, one file per kind
+/// with the durable write protocol. Aborts on the first I/O failure —
+/// files already renamed stay valid, files not yet rewritten keep their
+/// previous valid contents.
 pub(crate) fn save_store(
     store: &ArtifactStore,
     dir: &Path,
@@ -590,109 +552,44 @@ pub(crate) fn save_store(
     io.create_dir_all(dir)
         .map_err(|e| PersistError::new("create-dir", dir, e))?;
     let mut report = SaveReport::default();
-    save_one(
-        &store.split,
-        ArtifactKind::Split,
-        dir,
-        io,
-        |_, _| true,
-        &mut report,
-    )?;
-    save_one(
-        &store.links,
-        ArtifactKind::LinkGraphs,
-        dir,
-        io,
-        |_, _| true,
-        &mut report,
-    )?;
-    save_one(
-        &store.presentations,
-        ArtifactKind::Presentations,
-        dir,
-        io,
-        |_, _| true,
-        &mut report,
-    )?;
-    save_one(
-        &store.homology,
-        ArtifactKind::Homology,
-        dir,
-        io,
-        |_, _| true,
-        &mut report,
-    )?;
-    save_one(
-        &store.exploration,
-        ArtifactKind::Exploration,
-        dir,
-        io,
-        exploration_admissible,
-        &mut report,
-    )?;
-    save_one(
-        &store.verdict,
-        ArtifactKind::Verdict,
-        dir,
-        io,
-        |_, _| true,
-        &mut report,
-    )?;
+    for (kind, cache) in store.kinds() {
+        let target = snapshot_path(dir, kind);
+        let body = cache
+            .render(kind, &mut report)
+            .map_err(|e| PersistError::new("encode", &target, e))?;
+        let tmp = tmp_path(dir, kind);
+        io.write_tmp(&tmp, body.as_bytes())
+            .map_err(|e| PersistError::new("write-tmp", &tmp, e))?;
+        io.sync_tmp(&tmp)
+            .map_err(|e| PersistError::new("sync-tmp", &tmp, e))?;
+        io.rename(&tmp, &target)
+            .map_err(|e| PersistError::new("rename", &target, e))?;
+        io.sync_dir(dir)
+            .map_err(|e| PersistError::new("sync-dir", dir, e))?;
+        report.files_written += 1;
+    }
     Ok(report)
 }
 
 /// Restores every stage cache of `store` from the snapshots in `dir`.
-/// Never fails: every corruption mode degrades to recovery counters.
+/// Never fails: every corruption mode degrades to recovery counters, on
+/// the report and on the cache concerned.
 pub(crate) fn load_store(store: &ArtifactStore, dir: &Path, io: &dyn PersistIo) -> LoadReport {
     let mut report = LoadReport::default();
-    load_one(
-        &store.split,
-        ArtifactKind::Split,
-        dir,
-        io,
-        &|_, _| true,
-        &mut report,
-    );
-    load_one(
-        &store.links,
-        ArtifactKind::LinkGraphs,
-        dir,
-        io,
-        &|_, _| true,
-        &mut report,
-    );
-    load_one(
-        &store.presentations,
-        ArtifactKind::Presentations,
-        dir,
-        io,
-        &|_, _| true,
-        &mut report,
-    );
-    load_one(
-        &store.homology,
-        ArtifactKind::Homology,
-        dir,
-        io,
-        &|_, _| true,
-        &mut report,
-    );
-    load_one(
-        &store.exploration,
-        ArtifactKind::Exploration,
-        dir,
-        io,
-        &exploration_admissible,
-        &mut report,
-    );
-    load_one(
-        &store.verdict,
-        ArtifactKind::Verdict,
-        dir,
-        io,
-        &|_, _| true,
-        &mut report,
-    );
+    for (kind, cache) in store.kinds() {
+        let Some(read) = io.read(&snapshot_path(dir, kind)).transpose() else {
+            report.missing += 1;
+            continue;
+        };
+        match cache.restore(kind, read) {
+            Some(audit) => {
+                report.restored += audit.entries;
+                report.torn_entries += audit.torn_entries;
+                report.corrupt_entries += audit.corrupt_entries;
+            }
+            None => report.rejected_snapshots += 1,
+        }
+    }
     report
 }
 
@@ -870,86 +767,27 @@ fn empty_audit(kind: ArtifactKind, status: SnapshotStatus) -> SnapshotAudit {
     }
 }
 
-/// Typed offline audit of one kind's snapshot.
-fn audit_one<K, V>(
-    kind: ArtifactKind,
-    dir: &Path,
-    io: &dyn PersistIo,
-    admissible: &dyn Fn(&K, &V) -> bool,
-) -> SnapshotAudit
-where
-    K: Deserialize,
-    V: Deserialize,
-{
-    let path = snapshot_path(dir, kind);
-    let bytes = match io.read(&path) {
-        Ok(Some(bytes)) => bytes,
-        Ok(None) => return empty_audit(kind, SnapshotStatus::Missing),
-        Err(e) => {
-            let mut audit = empty_audit(kind, SnapshotStatus::Rejected);
-            audit.issues.push(format!("unreadable: {e}"));
-            return audit;
-        }
-    };
-    match parse_snapshot(kind, &bytes, admissible) {
-        Err(why) => {
-            let mut audit = empty_audit(kind, SnapshotStatus::Rejected);
-            audit.issues.push(why);
-            audit
-        }
-        Ok(parsed) => SnapshotAudit {
-            kind,
-            status: SnapshotStatus::Valid,
-            entries: parsed.entries.len() as u64,
-            capacity: parsed.capacity,
-            hits: parsed.hits,
-            misses: parsed.misses,
-            evictions: parsed.evictions,
-            torn_entries: parsed.torn_entries,
-            corrupt_entries: parsed.corrupt_entries,
-            issues: parsed.issues,
-        },
-    }
-}
-
-fn audit_kind(kind: ArtifactKind, dir: &Path, io: &dyn PersistIo) -> SnapshotAudit {
-    use std::sync::Arc;
-
-    use super::artifacts::{HomologyReport, LinkGraphs, Presentations, SubdividedComplex};
-    use super::DecisionRecord;
-
-    match kind {
-        ArtifactKind::Split => {
-            audit_one::<Task, Arc<SubdividedComplex>>(kind, dir, io, &|_, _| true)
-        }
-        ArtifactKind::LinkGraphs => audit_one::<Task, Arc<LinkGraphs>>(kind, dir, io, &|_, _| true),
-        ArtifactKind::Presentations => {
-            audit_one::<Task, Arc<Presentations>>(kind, dir, io, &|_, _| true)
-        }
-        ArtifactKind::Homology => {
-            audit_one::<Vec<Task>, Arc<HomologyReport>>(kind, dir, io, &|_, _| true)
-        }
-        ArtifactKind::Exploration => audit_one::<(Task, usize), Arc<ExplorationReport>>(
-            kind,
-            dir,
-            io,
-            &exploration_admissible,
-        ),
-        ArtifactKind::Verdict => {
-            audit_one::<(Task, usize), DecisionRecord>(kind, dir, io, &|_, _| true)
-        }
-    }
-}
-
 /// Audits every snapshot in `dir` offline — full typed decode, checksum
-/// verification, admissibility checks — without loading anything into
-/// the process-wide store. One report per artifact kind, in the fixed
-/// reporting order.
+/// verification, cacheability checks — without loading anything into
+/// the process-wide store (its kind list only supplies the types). One
+/// report per artifact kind, in the fixed reporting order.
 #[must_use]
 pub fn audit_cache_dir(dir: &Path) -> Vec<SnapshotAudit> {
-    ALL_KINDS
-        .iter()
-        .map(|&kind| audit_kind(kind, dir, &RealIo))
+    store()
+        .kinds()
+        .into_iter()
+        .map(|(kind, cache)| {
+            let decoded = match RealIo.read(&snapshot_path(dir, kind)) {
+                Ok(None) => return empty_audit(kind, SnapshotStatus::Missing),
+                Ok(Some(bytes)) => cache.audit(kind, &bytes),
+                Err(e) => Err(format!("unreadable: {e}")),
+            };
+            decoded.unwrap_or_else(|why| {
+                let mut audit = empty_audit(kind, SnapshotStatus::Rejected);
+                audit.issues.push(why);
+                audit
+            })
+        })
         .collect()
 }
 
@@ -958,7 +796,7 @@ pub fn audit_cache_dir(dir: &Path) -> Vec<SnapshotAudit> {
 pub fn clear_cache_dir(dir: &Path) -> Result<usize, PersistError> {
     let io = RealIo;
     let mut removed = 0;
-    for &kind in &ALL_KINDS {
+    for (kind, _) in store().kinds() {
         for path in [snapshot_path(dir, kind), tmp_path(dir, kind)] {
             match io.read(&path) {
                 Ok(Some(_)) => {
@@ -984,7 +822,9 @@ mod tests {
 
     use chromata_task::library::{constant_task, hourglass, identity_task, two_set_agreement};
 
-    use super::super::artifacts::{HomologyReport, LinkGraphs, Presentations, SubdividedComplex};
+    use super::super::artifacts::{
+        ExplorationReport, HomologyReport, LinkGraphs, Presentations, SubdividedComplex,
+    };
     use super::super::{DecisionRecord, StageTrace};
     use super::*;
     use crate::continuous::continuous_map_exists_with;
@@ -1072,10 +912,15 @@ mod tests {
         seeded_store_with(capacity, &[two_set_agreement(), constant_task(2)])
     }
 
+    /// The store's kinds, in snapshot-file order.
+    fn all_kinds() -> Vec<ArtifactKind> {
+        store().kinds().into_iter().map(|(kind, _)| kind).collect()
+    }
+
     fn snapshot_bytes(dir: &Path) -> Vec<(ArtifactKind, Vec<u8>)> {
-        ALL_KINDS
-            .iter()
-            .map(|&kind| {
+        all_kinds()
+            .into_iter()
+            .map(|kind| {
                 (
                     kind,
                     std::fs::read(snapshot_path(dir, kind)).expect("snapshot exists"),
@@ -1733,7 +1578,7 @@ mod tests {
         let store = seeded_store_with(4, &[constant_task(2)]);
         let dir = test_dir("old-version");
         save_store(&store, &dir, &RealIo).expect("save");
-        for kind in ALL_KINDS {
+        for kind in all_kinds() {
             let path = snapshot_path(&dir, kind);
             let text = std::fs::read_to_string(&path).expect("read");
             let downgraded = text.replacen("chromata-snap v2 ", "chromata-snap v1 ", 1);
@@ -1743,7 +1588,7 @@ mod tests {
 
         let fresh = ArtifactStore::with_capacity(4);
         let report = load_store(&fresh, &dir, &RealIo);
-        assert_eq!(report.rejected_snapshots, ALL_KINDS.len() as u64);
+        assert_eq!(report.rejected_snapshots, all_kinds().len() as u64);
         assert_eq!(report.restored, 0);
         assert!(fresh.split.lock().is_empty());
         assert!(fresh.links.lock().is_empty());
@@ -1796,27 +1641,23 @@ mod tests {
         assert_eq!(report.entries_skipped, 1);
         assert_eq!(report.entries_written, 1);
 
-        // Load side: a forged snapshot carrying a budget-dependent
-        // report is classified corrupt, not restored.
+        // Load and audit side: a forged snapshot carrying a
+        // budget-dependent report (checksummed like a real record) is
+        // classified corrupt, not restored.
         let forged_dir = test_dir("budget-forge");
         std::fs::create_dir_all(&forged_dir).expect("mkdir");
-        let (capacity, stats, entries) = {
-            let guard = store.exploration.lock();
-            (guard.capacity(), guard.stats(), guard.entries_in_order())
-        };
-        let mut skipped = 0;
-        let mut written = 0;
-        let body = render_snapshot(
-            ArtifactKind::Exploration,
-            capacity,
-            stats,
-            &entries,
-            |_, _| true, // forge: keep even the inadmissible one
-            &mut skipped,
-            &mut written,
-        )
-        .expect("render");
+        let mut body =
+            std::fs::read_to_string(snapshot_path(&dir, ArtifactKind::Exploration)).expect("read");
+        let forged = serde_json::to_string(&((constant_task(2), 9usize), exploration(false)))
+            .expect("serialize");
+        push_record(&mut body, 'E', &forged);
         std::fs::write(snapshot_path(&forged_dir, ArtifactKind::Exploration), body).expect("write");
+        let audit = audit_cache_dir(&forged_dir)
+            .into_iter()
+            .find(|a| a.kind == ArtifactKind::Exploration)
+            .expect("an exploration audit");
+        assert_eq!((audit.entries, audit.corrupt_entries), (1, 1));
+        assert!(audit.issues[0].contains("inadmissible artifact (budget-dependent)"));
         let fresh = ArtifactStore::with_capacity(4);
         let load = load_store(&fresh, &forged_dir, &RealIo);
         assert_eq!(load.corrupt_entries, 1);

@@ -14,9 +14,10 @@
 //!
 //! Robustness machinery, in dispatch order:
 //!
-//! * **routing** — a stage's home shard is its interned cache-key
-//!   fingerprint modulo the pool size; attempt `k` rotates to the next
-//!   shard, so retries naturally migrate off a sick machine;
+//! * **routing** — a stage's home shard is the structural fingerprint
+//!   of (stage name, cache key) modulo the pool size — the key the stage
+//!   itself declares, never re-derived from the job; attempt `k` rotates
+//!   to the next shard, so retries naturally migrate off a sick machine;
 //! * **deadlines** — every attempt is bounded by the engine's per-stage
 //!   deadline clamped to the request [`Budget`]'s remaining wall clock;
 //! * **retries** — bounded attempts with decorrelated-jitter backoff
@@ -34,7 +35,12 @@
 //!
 //! The engine is the compute step of the one stage-run function,
 //! [`super::run`]: `run_engine` passes the configured engine down, the
-//! worker side ([`execute_stage_line`]) passes none.
+//! worker side ([`execute_stage_line`]) passes none. What a stage ships,
+//! how its answer decodes and how it is re-validated are declared on
+//! [`Stage`] itself; this module only frames the [`StageJob`] wire
+//! payload, and the worker's one job-to-stage match turns a job back
+//! into its stage. A job whose task has more than three processes is
+//! rejected when it is parsed, like the `analyze` op rejects it.
 //!
 //! Every fault is counted in [`RemoteStats`] (the wire-layer cousin of
 //! the PR 2 exploration fault taxonomy) and recorded as a replayable
@@ -50,14 +56,12 @@ use chromata_task::Task;
 use chromata_topology::{fnv1a, structural_fingerprint, xorshift, Budget, CancelToken};
 use serde_json::Value;
 
-use super::artifacts::{
-    ExplorationReport, HomologyReport, LinkGraphs, Presentations, SubdividedComplex,
-};
-use super::cache;
+use super::cache::{self, ArtifactKind, ArtifactStore};
 use super::{
-    run, ExploreStage, HomologyStage, LinkStage, PresentationStage, SplitStage, Stage, StageOrigin,
+    branch_tasks, homology_stage, run, run_links, ExploreStage, LinkStage, PresentationStage,
+    SplitStage, Stage, StageOrigin,
 };
-use crate::continuous::ContinuousOutcome;
+use crate::pipeline::check_process_count;
 
 /// The protocol version stage requests carry (`proto` field).
 ///
@@ -174,87 +178,37 @@ pub trait ShardIo: Send + Sync {
 // The stage-op wire payload
 // ---------------------------------------------------------------------------
 
-/// One unit of remotely executable work: a stage plus the task-shaped
-/// key it runs on. The worker recomputes prerequisite artifacts from
-/// the task via its own (warm) stage caches, so a job is self-contained
-/// and idempotent — dispatching it twice, to two shards, or after a
-/// partial failure cannot change any artifact.
+/// One unit of remotely executable work: a stage kind plus the task it
+/// runs on. The worker recomputes prerequisite artifacts from the task
+/// via its own (warm) stage caches, so a job is self-contained and
+/// idempotent — dispatching it twice, to two shards, or after a partial
+/// failure cannot change any artifact. A job is built by [`Stage::job`]
+/// and turned back into its stage by [`execute_stage_line`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StageJob {
-    /// §4 splitting of a canonical three-process task.
-    Split {
-        /// The canonical task to split.
-        canonical: Task,
-    },
-    /// Link graphs of a split task.
-    Links {
-        /// The split task.
-        task: Task,
-    },
-    /// π₁ presentations of a split task (links recomputed shard-side).
-    Presentations {
-        /// The split task.
-        task: Task,
-    },
-    /// The continuous-map tiers of a split task.
-    Homology {
-        /// The split task.
-        task: Task,
-    },
-    /// The bounded ACT exploration ladder. Only dispatched for fully
-    /// unconstrained budgets (see [`DistStage::job`]), so the shard's
-    /// unlimited-budget run is bit-identical to the local one.
-    Explore {
-        /// The split task.
-        task: Task,
-        /// Configured round cap (part of the cache key).
-        rounds: usize,
-        /// Why the continuous tier was undetermined (feeds the verdict
-        /// text, hence the evidence digest — it must travel).
-        reason: String,
-    },
+pub struct StageJob {
+    /// The stage to run (every kind but [`ArtifactKind::Verdict`]).
+    pub kind: ArtifactKind,
+    /// The task it runs on: the canonical task for `split`, a branch
+    /// sub-task for `link-graphs` and `presentations`, the split task
+    /// for `homology` and `explore`.
+    pub task: Task,
+    /// `explore` only: the configured round cap (part of the cache key)
+    /// and why the continuous tier was undetermined (it feeds the
+    /// verdict text, hence the evidence digest, so it must travel). Only
+    /// dispatched for fully unconstrained budgets (see
+    /// [`Stage::job`]), so the shard's unlimited-budget run is
+    /// bit-identical to the local one.
+    pub explore: Option<(usize, String)>,
 }
 
 impl StageJob {
-    /// The stage name the job executes (matches [`Stage::NAME`]).
+    /// A job for `kind` on `task`, with no `explore` inputs.
     #[must_use]
-    pub fn stage_name(&self) -> &'static str {
-        match self {
-            StageJob::Split { .. } => SplitStage::NAME,
-            StageJob::Links { .. } => LinkStage::NAME,
-            StageJob::Presentations { .. } => PresentationStage::NAME,
-            StageJob::Homology { .. } => HomologyStage::NAME,
-            StageJob::Explore { .. } => ExploreStage::NAME,
-        }
-    }
-
-    /// The task the job runs on.
-    #[must_use]
-    pub fn task(&self) -> &Task {
-        match self {
-            StageJob::Split { canonical } => canonical,
-            StageJob::Links { task }
-            | StageJob::Presentations { task }
-            | StageJob::Homology { task }
-            | StageJob::Explore { task, .. } => task,
-        }
-    }
-
-    /// Deterministic routing fingerprint: the interned cache key of the
-    /// stage, salted with the stage name so co-keyed stages of one task
-    /// spread across the pool.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        match self {
-            StageJob::Explore { task, rounds, .. } => {
-                structural_fingerprint(&(self.stage_name(), task, *rounds))
-            }
-            // Homology is keyed (and therefore homed) on the branch
-            // decomposition, matching its cache key.
-            StageJob::Homology { task } => {
-                structural_fingerprint(&(self.stage_name(), super::branch_tasks(task)))
-            }
-            _ => structural_fingerprint(&(self.stage_name(), self.task())),
+    pub fn new(kind: ArtifactKind, task: Task) -> Self {
+        StageJob {
+            kind,
+            task,
+            explore: None,
         }
     }
 }
@@ -270,10 +224,10 @@ pub fn stage_request_line(job: &StageJob) -> Result<String, String> {
     let mut fields = vec![
         ("op", Value::String("stage".to_owned())),
         ("proto", Value::UInt(STAGE_PROTO_VERSION)),
-        ("stage", Value::String(job.stage_name().to_owned())),
-        ("task", serde_json::to_value(job.task())),
+        ("stage", Value::String(job.kind.name().to_owned())),
+        ("task", serde_json::to_value(&job.task)),
     ];
-    if let StageJob::Explore { rounds, reason, .. } = job {
+    if let Some((rounds, reason)) = &job.explore {
         fields.push(("rounds", Value::UInt(*rounds as u64)));
         fields.push(("reason", Value::String(reason.clone())));
     }
@@ -283,11 +237,13 @@ pub fn stage_request_line(job: &StageJob) -> Result<String, String> {
 
 /// Parses the fields of an already-framed `op: "stage"` request object
 /// (the CLI wire layer owns framing; this layer owns the payload).
-/// Every rejection names the offending field.
+/// Every rejection names the offending field; a task with more than
+/// three processes is rejected as the `analyze` op rejects it.
 ///
 /// # Errors
 ///
-/// Returns a message naming the missing, unknown, or ill-typed field.
+/// Returns a message naming the missing, unknown, or ill-typed field,
+/// or the out-of-scope task.
 pub fn parse_stage_fields(entries: &[(String, Value)]) -> Result<StageJob, String> {
     let mut stage = None;
     let mut task = None;
@@ -326,40 +282,44 @@ pub fn parse_stage_fields(entries: &[(String, Value)]) -> Result<StageJob, Strin
     let Some(task) = task else {
         return Err("stage request needs a `task` object".to_owned());
     };
-    let extras_forbidden = |job: StageJob| -> Result<StageJob, String> {
-        if rounds.is_some() || reason.is_some() {
+    let Some(kind) = cache::store()
+        .kinds()
+        .into_iter()
+        .map(|(kind, _)| kind)
+        .find(|kind| *kind != ArtifactKind::Verdict && kind.name() == stage)
+    else {
+        return Err(format!(
+            "unknown stage `{stage}`; expected split, link-graphs, presentations, homology or explore"
+        ));
+    };
+    let explore = match (kind, rounds) {
+        (ArtifactKind::Exploration, Some(rounds)) => Some((rounds, reason.unwrap_or_default())),
+        (ArtifactKind::Exploration, None) => {
+            return Err("stage `explore` needs a `rounds` field".to_owned())
+        }
+        (_, None) if reason.is_none() => None,
+        _ => {
             return Err(format!(
                 "fields `rounds`/`reason` are only valid for stage `{}`",
-                ExploreStage::NAME
-            ));
+                ArtifactKind::Exploration.name()
+            ))
         }
-        Ok(job)
     };
-    match stage.as_str() {
-        "split" => extras_forbidden(StageJob::Split { canonical: task }),
-        "link-graphs" => extras_forbidden(StageJob::Links { task }),
-        "presentations" => extras_forbidden(StageJob::Presentations { task }),
-        "homology" => extras_forbidden(StageJob::Homology { task }),
-        "explore" => {
-            let Some(rounds) = rounds else {
-                return Err("stage `explore` needs a `rounds` field".to_owned());
-            };
-            Ok(StageJob::Explore {
-                task,
-                rounds,
-                reason: reason.unwrap_or_default(),
-            })
-        }
-        other => Err(format!(
-            "unknown stage `{other}`; expected split, link-graphs, presentations, homology or explore"
-        )),
-    }
+    check_process_count(&task)?;
+    Ok(StageJob {
+        kind,
+        task,
+        explore,
+    })
 }
 
 /// Executes a [`StageJob`] against this process's [`ArtifactStore`] and
 /// renders the one-line response: the serialized artifact (as an
 /// embedded JSON string) plus its FNV-1a checksum, so a dispatcher can
-/// reject any truncated or corrupted payload before deserializing.
+/// reject any truncated or corrupted payload before deserializing. This
+/// is the worker's one job-to-stage match; the prerequisites of a
+/// presentations or homology job are built by the functions the engine
+/// uses.
 ///
 /// Jobs run under an **unlimited** budget: every stage shipped here is
 /// budget-independent (the dispatcher pins budget-sensitive work
@@ -370,68 +330,48 @@ pub fn parse_stage_fields(entries: &[(String, Value)]) -> Result<StageJob, Strin
 ///
 /// # Errors
 ///
-/// Returns a message if the artifact fails to (de)serialize.
+/// Returns a message if the job names no shippable stage or the
+/// artifact fails to serialize.
 pub fn execute_stage_line(job: &StageJob) -> Result<String, String> {
     let store = cache::store();
     let budget = Budget::unlimited();
-    let payload = match job {
-        StageJob::Split { canonical } => {
-            let stage = SplitStage {
-                canonical: canonical.clone(),
-            };
-            serde_json::to_string(&*run(&stage, store, &budget, None).artifact)
+    let task = job.task.clone();
+    match (job.kind, job.explore.clone()) {
+        (ArtifactKind::Split, None) => respond(&SplitStage { canonical: task }, store, &budget),
+        (ArtifactKind::LinkGraphs, None) => respond(&LinkStage { task }, store, &budget),
+        (ArtifactKind::Presentations, None) => {
+            let (links, _, _) = run_links(&task, &branch_tasks(&task), store, &budget, None);
+            respond(&PresentationStage { task, links }, store, &budget)
         }
-        StageJob::Links { task } => {
-            let stage = LinkStage { task: task.clone() };
-            serde_json::to_string(&*run(&stage, store, &budget, None).artifact)
-        }
-        StageJob::Presentations { task } => {
-            let links = run(&LinkStage { task: task.clone() }, store, &budget, None).artifact;
-            let stage = PresentationStage {
-                task: task.clone(),
-                links,
-            };
-            serde_json::to_string(&*run(&stage, store, &budget, None).artifact)
-        }
-        StageJob::Homology { task } => {
-            let branches = super::branch_tasks(task);
-            let (links, branch_links, _) = super::run_links(task, &branches, store, &budget, None);
-            let (presentations, _) =
-                super::run_presentations(&branches, &branch_links, &links, store, &budget, None);
-            let stage = HomologyStage {
-                task: task.clone(),
-                branches,
-                links,
-                presentations,
-            };
-            serde_json::to_string(&*run(&stage, store, &budget, None).artifact)
-        }
-        StageJob::Explore {
-            task,
-            rounds,
-            reason,
-        } => {
+        (ArtifactKind::Homology, None) => respond(
+            &homology_stage(&task, store, &budget, None).0,
+            store,
+            &budget,
+        ),
+        (ArtifactKind::Exploration, Some((rounds, reason))) => {
             let stage = ExploreStage {
-                task: task.clone(),
-                undetermined_reason: reason.clone(),
-                configured_rounds: *rounds,
+                task,
+                undetermined_reason: reason,
+                configured_rounds: rounds,
                 cancel: CancelToken::new(),
             };
-            serde_json::to_string(&*run(&stage, store, &budget, None).artifact)
+            respond(&stage, store, &budget)
         }
+        (kind, _) => Err(format!("no stage `{kind}` runs this job")),
     }
-    .map_err(|e| {
-        format!(
-            "stage `{}`: artifact serialization failed: {e}",
-            job.stage_name()
-        )
-    })?;
+}
+
+/// Runs `stage` with no remote engine and renders its response line.
+fn respond<S: Stage>(stage: &S, store: &ArtifactStore, budget: &Budget) -> Result<String, String> {
+    let name = S::KIND.name();
+    let payload = serde_json::to_string(&run(stage, store, budget, None).artifact)
+        .map_err(|e| format!("stage `{name}`: artifact serialization failed: {e}"))?;
     let check = fnv1a(payload.as_bytes());
     serde_json::to_string(&Value::object([
         ("status", Value::String("ok".to_owned())),
         ("op", Value::String("stage".to_owned())),
         ("proto", Value::UInt(STAGE_PROTO_VERSION)),
-        ("stage", Value::String(job.stage_name().to_owned())),
+        ("stage", Value::String(name.to_owned())),
         ("check", Value::String(format!("{check:016x}"))),
         ("artifact", Value::String(payload)),
     ]))
@@ -483,208 +423,14 @@ fn artifact_payload(text: &str, stage: &str) -> Result<String, String> {
     Ok(payload.clone())
 }
 
-// ---------------------------------------------------------------------------
-// Stage → job mapping (dispatcher side)
-// ---------------------------------------------------------------------------
-
-/// A [`Stage`] the engine knows how to ship: how to phrase it as a
-/// [`StageJob`] (or decline, pinning it local) and how to deserialize
-/// its artifact from a shard's payload.
-pub(crate) trait DistStage: Stage {
-    /// The wire job for this stage instance, or `None` when the stage
-    /// must run locally to stay bit-identical under `budget`.
-    fn job(&self, budget: &Budget) -> Option<StageJob>;
-
-    /// Deserializes the checksum-verified artifact payload.
-    fn decode(payload: &str) -> Result<Self::Artifact, String>;
-
-    /// Semantic re-validation of a decoded artifact against the stage's
-    /// own inputs. A checksum only proves the payload arrived as the
-    /// shard sent it; a buggy or adversarial shard can still send a
-    /// *well-formed but wrong* artifact — wrong branch count, a
-    /// non-canonical split task, an assignment over the wrong vertex
-    /// set. A rejection here is counted as `invalid_artifact` in the
-    /// fault taxonomy and the engine retries / falls back local; the
-    /// artifact is never accepted.
-    fn admissible(&self, _artifact: &Self::Artifact) -> Result<(), String> {
-        Ok(())
-    }
-}
-
-fn decode_as<T: serde::Deserialize>(payload: &str, stage: &str) -> Result<Arc<T>, String> {
-    serde_json::from_str::<T>(payload)
-        .map(Arc::new)
-        .map_err(|e| format!("stage `{stage}`: artifact deserialization failed: {e}"))
-}
-
-impl DistStage for SplitStage {
-    fn job(&self, _budget: &Budget) -> Option<StageJob> {
-        Some(StageJob::Split {
-            canonical: self.canonical.clone(),
-        })
-    }
-
-    fn decode(payload: &str) -> Result<Arc<SubdividedComplex>, String> {
-        decode_as(payload, Self::NAME)
-    }
-
-    fn admissible(&self, artifact: &Arc<SubdividedComplex>) -> Result<(), String> {
-        let split = &artifact.split;
-        if split.task.process_count() != self.canonical.process_count() {
-            return Err(format!(
-                "split task has {} processes, canonical input has {}",
-                split.task.process_count(),
-                self.canonical.process_count()
-            ));
-        }
-        // Splitting deforms the output complex and the carrier only;
-        // the input complex must survive untouched.
-        if split.task.input() != self.canonical.input() {
-            return Err("split task's input complex differs from the canonical task's".to_owned());
-        }
-        if let Some(witness) = &split.degenerate {
-            if !self.canonical.input().vertices().any(|v| v == witness) {
-                return Err(format!(
-                    "degenerate witness `{witness}` is not an input vertex"
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-impl DistStage for LinkStage {
-    fn job(&self, _budget: &Budget) -> Option<StageJob> {
-        Some(StageJob::Links {
-            task: self.task.clone(),
-        })
-    }
-
-    fn decode(payload: &str) -> Result<Arc<LinkGraphs>, String> {
-        decode_as(payload, Self::NAME)
-    }
-
-    fn admissible(&self, artifact: &Arc<LinkGraphs>) -> Result<(), String> {
-        let input = self.task.input();
-        if !artifact.vertices.iter().eq(input.vertices()) {
-            return Err("link-graph vertex list differs from the task's input vertices".to_owned());
-        }
-        if !artifact.edges.iter().eq(input.simplices_of_dim(1)) {
-            return Err("link-graph edge list differs from the task's input edges".to_owned());
-        }
-        if !artifact.triangles.iter().eq(input.simplices_of_dim(2)) {
-            return Err(format!(
-                "link-graph triangle list has {} branches, the task has {}",
-                artifact.triangles.len(),
-                input.simplices_of_dim(2).count()
-            ));
-        }
-        if artifact.domains.len() != artifact.vertices.len()
-            || artifact.edge_graphs.len() != artifact.edges.len()
-            || artifact.edge_cycles.len() != artifact.edges.len()
-        {
-            return Err("link-graph parallel arrays disagree in length".to_owned());
-        }
-        Ok(())
-    }
-}
-
-impl DistStage for PresentationStage {
-    fn job(&self, _budget: &Budget) -> Option<StageJob> {
-        Some(StageJob::Presentations {
-            task: self.task.clone(),
-        })
-    }
-
-    fn decode(payload: &str) -> Result<Arc<Presentations>, String> {
-        decode_as(payload, Self::NAME)
-    }
-
-    fn admissible(&self, artifact: &Arc<Presentations>) -> Result<(), String> {
-        let triangles = self.task.input().simplices_of_dim(2).count();
-        if artifact.per_triangle.len() != triangles {
-            return Err(format!(
-                "presentations cover {} triangles, the task has {}",
-                artifact.per_triangle.len(),
-                triangles
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl DistStage for HomologyStage {
-    fn job(&self, _budget: &Budget) -> Option<StageJob> {
-        Some(StageJob::Homology {
-            task: self.task.clone(),
-        })
-    }
-
-    fn decode(payload: &str) -> Result<Arc<HomologyReport>, String> {
-        decode_as(payload, Self::NAME)
-    }
-
-    fn admissible(&self, artifact: &Arc<HomologyReport>) -> Result<(), String> {
-        if let ContinuousOutcome::Exists { assignment, .. } = &artifact.outcome {
-            let input = self.task.input();
-            let vertex_count = input.vertices().count();
-            if assignment.len() != vertex_count {
-                return Err(format!(
-                    "witness assigns {} vertices, the task's input has {}",
-                    assignment.len(),
-                    vertex_count
-                ));
-            }
-            for (x, g_x) in assignment {
-                if !input.vertices().any(|v| v == x) {
-                    return Err(format!("witness assigns non-input vertex `{x}`"));
-                }
-                if !self.task.output().vertices().any(|v| v == g_x) {
-                    return Err(format!(
-                        "witness maps `{x}` to `{g_x}`, which is not an output vertex"
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl DistStage for ExploreStage {
-    /// The exploration ladder reads the budget (deadline escalation,
-    /// state/step/round caps), so shipping it under a constrained
-    /// budget would diverge from the local run. It is remote-eligible
-    /// only when the budget cannot influence the result — exactly the
-    /// condition under which its artifact is cacheable at the
-    /// configured cap.
-    fn job(&self, budget: &Budget) -> Option<StageJob> {
-        let unconstrained = budget.deadline.is_none()
-            && budget.max_states == usize::MAX
-            && budget.max_steps == usize::MAX
-            && budget.max_act_rounds >= self.configured_rounds;
-        if !unconstrained {
-            return None;
-        }
-        Some(StageJob::Explore {
-            task: self.task.clone(),
-            rounds: self.configured_rounds,
-            reason: self.undetermined_reason.clone(),
-        })
-    }
-
-    fn decode(payload: &str) -> Result<Arc<ExplorationReport>, String> {
-        decode_as(payload, Self::NAME)
-    }
-
-    fn admissible(&self, artifact: &Arc<ExplorationReport>) -> Result<(), String> {
-        if artifact.rounds_cap > self.configured_rounds {
-            return Err(format!(
-                "exploration reports a round cap of {}, beyond the configured {}",
-                artifact.rounds_cap, self.configured_rounds
-            ));
-        }
-        Ok(())
-    }
+/// Deserializes a checksum-verified artifact payload into `S`'s artifact.
+fn decode<S: Stage>(payload: &str) -> Result<S::Artifact, String> {
+    serde_json::from_str(payload).map_err(|e| {
+        format!(
+            "stage `{}`: artifact deserialization failed: {e}",
+            S::KIND.name()
+        )
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -975,9 +721,10 @@ impl RemoteEngine {
     /// verify — retrying with backoff across the pool, ejecting sick
     /// shards along the way. `None` means every remote option is
     /// exhausted and the caller must recompute locally.
-    pub(crate) fn fetch<S: DistStage>(
+    pub(crate) fn fetch<S: Stage>(
         &self,
         stage: &S,
+        key: &S::Key,
         job: &StageJob,
         budget: &Budget,
     ) -> Option<(S::Artifact, StageOrigin)> {
@@ -986,7 +733,10 @@ impl RemoteEngine {
         if pool == 0 {
             return None;
         }
-        let fingerprint = job.fingerprint();
+        let name = S::KIND.name();
+        // Salted with the stage name so co-keyed stages of one task
+        // spread across the pool.
+        let fingerprint = structural_fingerprint(&(name, key));
         let attempts = self.policy.attempts.max(1);
         let mut rng = fingerprint ^ 0x9e37_79b9_7f4a_7c15;
         let mut prev_backoff = self.policy.base_backoff_ms.max(1);
@@ -1004,8 +754,8 @@ impl RemoteEngine {
             let deadline = self.attempt_deadline(budget);
             match self.io.exchange(shard, &line, deadline) {
                 Ok(text) => {
-                    let decoded = artifact_payload(&text, S::NAME)
-                        .and_then(|payload| S::decode(&payload))
+                    let decoded = artifact_payload(&text, name)
+                        .and_then(|payload| decode::<S>(&payload))
                         .and_then(|artifact| match stage.admissible(&artifact) {
                             Ok(()) => Ok(artifact),
                             Err(why) => {
@@ -1030,12 +780,12 @@ impl RemoteEngine {
                                 io::ErrorKind::InvalidData,
                                 message,
                             );
-                            self.note_fault(S::NAME, fingerprint, shard, attempt, &err);
+                            self.note_fault(name, fingerprint, shard, attempt, &err);
                         }
                     }
                 }
                 Err(err) => {
-                    self.note_fault(S::NAME, fingerprint, shard, attempt, &err);
+                    self.note_fault(name, fingerprint, shard, attempt, &err);
                 }
             }
             if attempt < attempts {
@@ -1111,22 +861,18 @@ pub fn remote_fault_trace() -> Vec<String> {
 mod tests {
     use super::*;
     use crate::stages::chaos::InProcessShards;
-    use chromata_task::library::{hourglass, two_set_agreement};
+    use crate::stages::HomologyStage;
+    use chromata_task::library::{hourglass, identity_task, two_set_agreement};
 
     #[test]
     fn job_lines_round_trip_through_the_parser() {
         let canonical = chromata_task::canonicalize(&two_set_agreement());
         let jobs = [
-            StageJob::Split {
-                canonical: canonical.clone(),
-            },
-            StageJob::Links {
-                task: canonical.clone(),
-            },
-            StageJob::Explore {
-                task: canonical,
-                rounds: 3,
-                reason: "continuous tier undetermined".to_owned(),
+            StageJob::new(ArtifactKind::Split, canonical.clone()),
+            StageJob::new(ArtifactKind::LinkGraphs, canonical.clone()),
+            StageJob {
+                explore: Some((3, "continuous tier undetermined".to_owned())),
+                ..StageJob::new(ArtifactKind::Exploration, canonical)
             },
         ];
         for job in jobs {
@@ -1179,12 +925,10 @@ mod tests {
     #[test]
     fn executed_artifacts_survive_the_checksum_and_decode() {
         let canonical = chromata_task::canonicalize(&hourglass());
-        let job = StageJob::Split {
-            canonical: canonical.clone(),
-        };
+        let job = StageJob::new(ArtifactKind::Split, canonical.clone());
         let response = execute_stage_line(&job).unwrap();
         let payload = artifact_payload(&response, "split").unwrap();
-        let decoded = SplitStage::decode(&payload).unwrap();
+        let decoded = decode::<SplitStage>(&payload).unwrap();
         let local = SplitStage { canonical }.compute(&Budget::unlimited());
         assert_eq!(decoded.split.task, local.split.task);
         assert_eq!(decoded.split.steps.len(), local.split.steps.len());
@@ -1193,7 +937,7 @@ mod tests {
     #[test]
     fn corrupted_payloads_are_rejected_by_the_checksum() {
         let canonical = chromata_task::canonicalize(&hourglass());
-        let job = StageJob::Split { canonical };
+        let job = StageJob::new(ArtifactKind::Split, canonical);
         let response = execute_stage_line(&job).unwrap();
         // Flip a byte inside the embedded artifact payload.
         let corrupted = response.replacen("split", "spl1t", 2);
@@ -1325,6 +1069,148 @@ mod tests {
             assert!(line.contains(needle), "missing {needle} in {line}");
         }
         assert_eq!(engine.counters.snapshot().timeouts, 1);
+    }
+
+    /// A one-shard pool that records every request line and refuses it.
+    struct Recorder(Mutex<Vec<String>>);
+
+    impl ShardIo for Recorder {
+        fn shard_count(&self) -> usize {
+            1
+        }
+
+        fn exchange(
+            &self,
+            _shard: usize,
+            line: &str,
+            _deadline: Option<Duration>,
+        ) -> Result<String, ShardIoError> {
+            lock(&self.0).push(line.to_owned());
+            Err(ShardIoError::new(
+                ShardStep::Connect,
+                io::ErrorKind::ConnectionRefused,
+                "recorded",
+            ))
+        }
+    }
+
+    /// The request line `stage` ships and the routing fingerprint its
+    /// dispatch uses, read back from the fault trace.
+    fn dispatched<S: Stage>(stage: &S) -> (String, usize, String) {
+        let io = Arc::new(Recorder(Mutex::new(Vec::new())));
+        let policy = RemotePolicy {
+            attempts: 1,
+            ..RemotePolicy::default()
+        };
+        let engine = RemoteEngine::new(Arc::clone(&io) as Arc<dyn ShardIo>, policy);
+        let budget = Budget::unlimited();
+        let job = stage.job(&budget).expect("shippable under no budget");
+        assert!(engine.fetch(stage, &stage.key(), &job, &budget).is_none());
+        let line = lock(&io.0).pop().expect("one request line");
+        let trace = lock(&engine.faults).pop_back().expect("one fault trace");
+        let route = trace
+            .split(' ')
+            .find_map(|field| field.strip_prefix("key="))
+            .expect("the trace names the routing key")
+            .to_owned();
+        (
+            format!("{:016x}", fnv1a(line.as_bytes())),
+            line.len(),
+            route,
+        )
+    }
+
+    #[test]
+    fn stage_wire_and_routing_bytes_are_pinned() {
+        // Workers of other builds parse these lines, and shard homes,
+        // retry rotation and backoff seeds follow the routing
+        // fingerprint: each is pinned per stage kind on canonical
+        // hourglass (FNV-1a and length of the request line).
+        let budget = Budget::unlimited();
+        let canonical = chromata_task::canonicalize(&hourglass());
+        let split = SplitStage { canonical };
+        let task = split.compute(&budget).split.task.clone();
+        let branch = branch_tasks(&task)[0].clone();
+        let links = LinkStage {
+            task: branch.clone(),
+        };
+        let presentations = PresentationStage {
+            task: branch,
+            links: links.compute(&budget),
+        };
+        let store = ArtifactStore::with_capacity(8);
+        let homology: HomologyStage = homology_stage(&task, &store, &budget, None).0;
+        let explore = ExploreStage {
+            task,
+            undetermined_reason: "r".to_owned(),
+            configured_rounds: 3,
+            cancel: CancelToken::new(),
+        };
+        let pins = [
+            dispatched(&split),
+            dispatched(&links),
+            dispatched(&presentations),
+            dispatched(&homology),
+            dispatched(&explore),
+        ];
+        let expected = [
+            ("96fc6106d383dc14", 3_239, "413135fbf45df5b9"),
+            ("8e554e9c7030fec8", 3_403, "f470539eef5879a9"),
+            ("8f9913efb01cf645", 3_405, "76ef34fa886f0246"),
+            ("fab693521beebf68", 3_410, "d7ccddcb1ea3fa2e"),
+            ("90be3815f6ed2963", 3_433, "0644ae2e7c30f19f"),
+        ]
+        .map(|(line, len, route)| (line.to_owned(), len, route.to_owned()));
+        assert_eq!(pins, expected);
+
+        // The worker's answer to the link-graphs job, checksum and bytes.
+        let response = execute_stage_line(&links.job(&budget).unwrap()).unwrap();
+        let value: Value = serde_json::from_str(&response).unwrap();
+        assert_eq!(value["check"], Value::String("8174d412a934712f".to_owned()));
+        assert_eq!(
+            (
+                format!("{:016x}", fnv1a(response.as_bytes())),
+                response.len()
+            ),
+            ("5990ccf554f4091a".to_owned(), 2_975)
+        );
+    }
+
+    #[test]
+    fn stage_jobs_reject_tasks_beyond_three_processes() {
+        // The characterization covers at most three processes: a stage
+        // job on a four-process task is rejected when it is parsed —
+        // before any stage runs or caches — with the `analyze` op's
+        // message, and an in-process shard answers one error line.
+        let task = identity_task(4);
+        let pool = InProcessShards::new(1);
+        let explore = StageJob {
+            explore: Some((1, String::new())),
+            ..StageJob::new(ArtifactKind::Exploration, task.clone())
+        };
+        let kinds = [
+            ArtifactKind::Split,
+            ArtifactKind::LinkGraphs,
+            ArtifactKind::Presentations,
+            ArtifactKind::Homology,
+        ];
+        let jobs = kinds.map(|kind| StageJob::new(kind, task.clone()));
+        let message =
+            "task `identity-4` has 4 processes; the characterization covers at most three";
+        for job in jobs.iter().chain([&explore]) {
+            let line = stage_request_line(job).unwrap();
+            let Value::Object(entries) = serde_json::from_str(&line).unwrap() else {
+                panic!("request must be an object");
+            };
+            assert_eq!(parse_stage_fields(&entries), Err(message.to_owned()));
+            let answer = pool.exchange(0, &line, None).unwrap();
+            assert_eq!(
+                answer,
+                format!(r#"{{"status":"error","error":"{message}"}}"#),
+                "{}",
+                job.kind
+            );
+        }
     }
 
     #[test]
