@@ -1,5 +1,7 @@
 //! Name → task registry for the CLI.
 
+use std::sync::OnceLock;
+
 use chromata_task::library as lib;
 use chromata_task::Task;
 
@@ -122,13 +124,21 @@ pub fn entries() -> Vec<Entry> {
     ]
 }
 
-/// Looks a task up by registry name.
+/// Looks a task up by registry name. Each entry is built the first time
+/// it is found and cloned after that.
 #[must_use]
 pub fn find(name: &str) -> Option<Task> {
-    entries()
-        .into_iter()
-        .find(|e| e.name == name)
-        .map(|e| e.build())
+    static BUILT: OnceLock<Vec<(Entry, OnceLock<Task>)>> = OnceLock::new();
+    let (entry, task) = BUILT
+        .get_or_init(|| {
+            entries()
+                .into_iter()
+                .map(|e| (e, OnceLock::new()))
+                .collect()
+        })
+        .iter()
+        .find(|(e, _)| e.name == name)?;
+    Some(task.get_or_init(|| entry.build()).clone())
 }
 
 #[cfg(test)]
@@ -150,6 +160,9 @@ mod tests {
             let t = e.build();
             assert!(!t.name().is_empty());
             assert!(t.process_count() >= 2);
+            // The first find builds and memoizes, the second clones.
+            assert_eq!(find(e.name).as_ref(), Some(&t), "{}", e.name);
+            assert_eq!(find(e.name).as_ref(), Some(&t), "{}", e.name);
         }
     }
 

@@ -726,7 +726,7 @@ fn dispatch(line: &str, shared: &Shared) -> (String, bool) {
             Some(Err(e)) => (wire::error_response(&format!("persist failed: {e}")), false),
         },
         Ok(Request::Shutdown) => (wire::shutdown_response(), true),
-        Ok(Request::Analyze(req)) => (handle_analyze(&req, shared), false),
+        Ok(Request::Analyze(req)) => (handle_analyze(req, shared), false),
         Ok(Request::Stage(job)) => (handle_stage(&job, shared), false),
     }
 }
@@ -764,9 +764,9 @@ fn handle_stage(job: &chromata::StageJob, shared: &Shared) -> String {
 }
 
 /// Runs one admitted analysis, or answers the structured reject.
-fn handle_analyze(req: &AnalyzeRequest, shared: &Shared) -> String {
-    let task = match &req.task {
-        TaskSpec::Named(name) => match registry::find(name) {
+fn handle_analyze(req: AnalyzeRequest, shared: &Shared) -> String {
+    let task = match req.task {
+        TaskSpec::Named(name) => match registry::find(&name) {
             Some(task) => task,
             None => {
                 shared.malformed.fetch_add(1, Ordering::Relaxed);
@@ -775,7 +775,7 @@ fn handle_analyze(req: &AnalyzeRequest, shared: &Shared) -> String {
                 ));
             }
         },
-        TaskSpec::Inline(task) => (**task).clone(),
+        TaskSpec::Inline(task) => *task,
     };
     if let Err(message) = chromata::check_process_count(&task) {
         // `analyze_governed` asserts this; pre-checking keeps the

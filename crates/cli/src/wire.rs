@@ -63,7 +63,7 @@ pub fn overload_retry_hint(pending: usize, in_flight: usize) -> u64 {
 /// `retry_after_ms` hint when one was given. The server's hint is
 /// load-derived and used as-is; without one (e.g. a transport error)
 /// the client backs off exponentially from [`OVERLOAD_RETRY_MS`].
-/// Either way the delay is capped at [`MAX_RETRY_HINT_MS`].
+/// Either way the delay is capped at `MAX_RETRY_HINT_MS`.
 #[must_use]
 pub fn retry_backoff_ms(attempt: u32, hint: Option<u64>) -> u64 {
     let base = hint.unwrap_or_else(|| OVERLOAD_RETRY_MS.saturating_mul(1u64 << attempt.min(8)));

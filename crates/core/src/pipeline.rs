@@ -214,7 +214,8 @@ pub fn analyze_governed(
 
 /// [`analyze`] over a batch of tasks, fanned out with the workspace's
 /// panic-safe scoped-thread `par_map` (sequential without the `parallel`
-/// feature). All analyses share the process-wide [`ArtifactStore`], so
+/// feature). All analyses share the process-wide
+/// [`ArtifactStore`](crate::ArtifactStore), so
 /// tasks with a common canonical form — or merely common split/link
 /// artifacts — are decided once; verdicts and evidence digests are
 /// byte-identical to running [`analyze`] per task.

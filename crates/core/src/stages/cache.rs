@@ -379,7 +379,7 @@ impl<K: Clone + Eq + Hash, V: Clone> SharedCache<K, V> {
 }
 
 /// The process-wide store of per-stage caches the verdict engine runs
-/// against. One instance exists per process (see [`store`]); every
+/// against. One instance exists per process (see `store`); every
 /// analysis — sequential or batched — shares it, which is what lets
 /// [`crate::analyze_batch`] reuse subdivision and presentation artifacts
 /// across tasks.

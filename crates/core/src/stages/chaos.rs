@@ -318,7 +318,7 @@ impl FaultSchedule {
 // Persist seam injection
 // ---------------------------------------------------------------------------
 
-/// Fault-injecting [`PersistIo`]: delegates to the real filesystem
+/// Fault-injecting `PersistIo`: delegates to the real filesystem
 /// until [`arm`](Self::arm)ed, then fails the next temp-file write in
 /// the armed mode (one-shot — the next save after the fault fires is
 /// healthy again, modeling a disk that filled and was cleared).

@@ -15,8 +15,8 @@
 //! cache key, how it computes its artifact, how it ships as a
 //! [`remote::StageJob`] and how a shard's answer is re-validated. The
 //! artifact type carries the one cacheability predicate
-//! ([`cache::Cacheable`]). One [`run`] function runs any stage against
-//! the [`ArtifactStore`](cache::ArtifactStore), locally or through
+//! ([`cache::Cacheable`]). One `run` function runs any stage against
+//! the [`ArtifactStore`], locally or through
 //! [`remote`], returning its typed artifact plus a [`StageEvidence`]
 //! record (detail, work counter, cache event, wall clock). The engine
 //! threads the evidence into the
@@ -25,7 +25,7 @@
 //!
 //! Since PR 9 the link-graph and presentation stages are keyed **per
 //! split branch**: the split task is decomposed into one name-erased
-//! single-facet sub-task per input facet (see [`branch_tasks`]), each
+//! single-facet sub-task per input facet (see `branch_tasks`), each
 //! branch artifact is cached under that sub-task alone, and the global
 //! artifact is assembled from the branch parts. Two tasks whose splits
 //! overlap — a batch of near-duplicates, or one task across edits —
@@ -277,8 +277,8 @@ pub struct StageOutcome<A> {
 
 /// One stage of the verdict engine, declared once: its kind (which names
 /// it in evidence, on the wire and in snapshot files), its cache and
-/// structural-fingerprint cache key, a `compute` that [`run`] calls on a
-/// cache miss, and how it ships to a shard. [`run`] serves the typed
+/// structural-fingerprint cache key, a `compute` that `run` calls on a
+/// cache miss, and how it ships to a shard. `run` serves the typed
 /// artifact from the stage's bounded cache or computes (or fetches) and
 /// caches it, always emitting a [`StageEvidence`] record.
 pub trait Stage {

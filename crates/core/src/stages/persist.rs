@@ -25,7 +25,7 @@
 //!
 //! Loading is paranoid and graceful — persistence must never poison a
 //! verdict. The recovery taxonomy (counted per cause in
-//! [`DecisionCacheStats`](super::cache::DecisionCacheStats)):
+//! [`DecisionCacheStats`]):
 //!
 //! * **rejected snapshot** — missing newline before the header, bad
 //!   magic, unsupported version, unreadable header, or an I/O error:
@@ -50,7 +50,7 @@
 //! Callers wrap analyses in [`load_cache_dir`] (the only loader; it
 //! reads the directory on every call) and [`persist_now`].
 //!
-//! All filesystem traffic goes through the [`PersistIo`] seam so the
+//! All filesystem traffic goes through the `PersistIo` seam so the
 //! test suite can inject every `io::ErrorKind` at every operation and
 //! kill the process model at every point of the write protocol (rule
 //! D3 confines `std::fs` to this module).
@@ -270,7 +270,7 @@ pub struct SaveReport {
 
 /// What a [`load_cache_dir`] recovered, summed across
 /// every artifact kind. The same per-cause counters also land in each
-/// cache's [`DecisionCacheStats`](super::cache::DecisionCacheStats).
+/// cache's [`DecisionCacheStats`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct LoadReport {
     /// Entries restored intact into the stage caches.

@@ -34,7 +34,7 @@
 //!   stage via [`StageOrigin`] — which the digest deliberately excludes.
 //!
 //! The engine is the compute step of the one stage-run function,
-//! [`super::run`]: `run_engine` passes the configured engine down, the
+//! `stages::run`: `run_engine` passes the configured engine down, the
 //! worker side ([`execute_stage_line`]) passes none. What a stage ships,
 //! how its answer decodes and how it is re-validated are declared on
 //! [`Stage`] itself; this module only frames the [`StageJob`] wire
@@ -849,7 +849,7 @@ pub fn remote_stats() -> Option<RemoteStats> {
 }
 
 /// The engine's replayable one-line fault traces, oldest first (bounded
-/// ring; see [`note_fault`](RemoteEngine::note_fault) for the format).
+/// ring; see `RemoteEngine::note_fault` for the format).
 #[must_use]
 pub fn remote_fault_trace() -> Vec<String> {
     current_engine()

@@ -57,7 +57,7 @@ pub trait Process: Clone + Ord + Hash {
     fn step(&self, config: &Self::Config, memory: &Memory) -> Vec<(Self, Memory)>;
 
     /// Whether this process has taken at least one step. Used by the
-    /// crash-fault analysis ([`crate::fault`]) to decide *participation*:
+    /// crash-fault analysis (`fault`) to decide *participation*:
     /// a process that crashes before its first step never announced its
     /// input, so correctness is judged against the remaining participants
     /// only. The default is conservatively `true` (always counted as a

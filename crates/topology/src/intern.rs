@@ -19,12 +19,22 @@
 //! the complexes actually constructed, and eviction would invalidate the
 //! pointer-equality contract.
 //!
+//! A shard maps each fingerprint to one `Arc`, the first value interned
+//! under it; a value whose fingerprint collides with a different value
+//! goes to the shard's side table. [`Interner::intern`] looks the value up
+//! and, on a miss, builds it with no lock held before inserting it (or
+//! returning the entry a racing thread inserted first). Building a simplex
+//! interns its boundary faces, and a face may live in the same shard:
+//! `std::sync::Mutex` is not reentrant, so no shard lock may be held while
+//! another value is interned.
+//!
 //! Fingerprints are computed with a fixed FNV-1a hasher, never with
 //! `RandomState`, so they are identical across runs, builds and feature
 //! combinations on a given platform.
 
+use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Number of independent shards; a power of two so the shard index is a
 /// mask of the fingerprint.
@@ -95,41 +105,94 @@ pub fn structural_fingerprint<T: Hash + ?Sized>(value: &T) -> u64 {
 /// than SipHash); deterministic, unlike `RandomState`.
 pub type BuildStructuralHasher = std::hash::BuildHasherDefault<StructuralHasher>;
 
+/// One shard of a hash-consing table over `T`.
+struct Shard<T> {
+    /// The first value interned under each fingerprint.
+    // chromata-lint: allow(D1): addressed by fingerprint key; the only traversal is an order-insensitive length sum in `len`
+    first: std::collections::HashMap<u64, Arc<T>, BuildStructuralHasher>,
+    /// Values whose fingerprint collided with a different, earlier value.
+    /// 64-bit structural fingerprints almost never collide, so a scan is
+    /// enough.
+    collided: Vec<(u64, Arc<T>)>,
+}
+
+impl<T> Shard<T> {
+    fn find(&self, hash: u64, matches: impl Fn(&T) -> bool) -> Option<&Arc<T>> {
+        let first = self.first.get(&hash)?;
+        if matches(first) {
+            return Some(first);
+        }
+        self.collided
+            .iter()
+            .find(|(h, value)| *h == hash && matches(value))
+            .map(|(_, value)| value)
+    }
+}
+
 /// A sharded hash-consing table over `T`, bucketed by precomputed
 /// fingerprint. Collisions fall back to the caller-supplied structural
 /// match.
-// chromata-lint: allow(D1): shards are addressed by fingerprint key; the only traversal is an order-insensitive length sum in `stats`
-type Shard<T> = Mutex<std::collections::HashMap<u64, Vec<Arc<T>>, BuildStructuralHasher>>;
-
 pub(crate) struct Interner<T> {
-    shards: Vec<Shard<T>>,
+    shards: Vec<Mutex<Shard<T>>>,
 }
 
 impl<T> Interner<T> {
     pub(crate) fn new() -> Self {
         Interner {
             shards: (0..SHARDS)
-                .map(|_| Mutex::new(std::collections::HashMap::default())) // chromata-lint: allow(D1): shard construction, see `Shard`
+                .map(|_| {
+                    Mutex::new(Shard {
+                        first: std::collections::HashMap::default(), // chromata-lint: allow(D1): shard construction, see `Shard::first`
+                        collided: Vec::new(),
+                    })
+                })
                 .collect(),
         }
     }
 
+    fn shard(&self, hash: u64) -> MutexGuard<'_, Shard<T>> {
+        // Every update is a single insert, so a poisoned shard is still
+        // a valid table.
+        self.shards[(hash as usize) & (SHARDS - 1)] // chromata-lint: allow(P3): the index is masked by `SHARDS - 1` and `shards` holds exactly `SHARDS` (a power of two) entries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Returns the canonical `Arc` for the value with the given
     /// fingerprint: an existing entry for which `matches` holds, or a
-    /// fresh one produced by `build`.
+    /// fresh one produced by `build`. `build` runs with no lock held, so
+    /// it may intern other values into this table.
     pub(crate) fn intern<M, B>(&self, hash: u64, matches: M, build: B) -> Arc<T>
     where
         M: Fn(&T) -> bool,
         B: FnOnce() -> T,
     {
-        let shard = &self.shards[(hash as usize) & (SHARDS - 1)]; // chromata-lint: allow(P3): the index is masked by `SHARDS - 1` and `shards` holds exactly `SHARDS` (a power of two) entries
-        let mut map = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        let bucket = map.entry(hash).or_default();
-        if let Some(existing) = bucket.iter().find(|a| matches(a)) {
-            return Arc::clone(existing);
+        match self.get(hash, &matches) {
+            Some(existing) => existing,
+            None => self.insert(hash, matches, build()),
         }
-        let fresh = Arc::new(build());
-        bucket.push(Arc::clone(&fresh));
+    }
+
+    /// The entry with this fingerprint for which `matches` holds.
+    pub(crate) fn get(&self, hash: u64, matches: impl Fn(&T) -> bool) -> Option<Arc<T>> {
+        self.shard(hash).find(hash, matches).map(Arc::clone)
+    }
+
+    /// Inserts `value`, unless a racing thread inserted a matching entry
+    /// since the caller's lookup missed: then that entry is canonical and
+    /// `value` is dropped.
+    pub(crate) fn insert(&self, hash: u64, matches: impl Fn(&T) -> bool, value: T) -> Arc<T> {
+        let mut shard = self.shard(hash);
+        if let Some(winner) = shard.find(hash, &matches) {
+            return Arc::clone(winner);
+        }
+        let fresh = Arc::new(value);
+        match shard.first.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(Arc::clone(&fresh));
+            }
+            Entry::Occupied(_) => shard.collided.push((hash, Arc::clone(&fresh))),
+        }
         fresh
     }
 
@@ -138,11 +201,8 @@ impl<T> Interner<T> {
         self.shards
             .iter()
             .map(|s| {
-                s.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .values()
-                    .map(Vec::len)
-                    .sum::<usize>()
+                let shard = s.lock().unwrap_or_else(PoisonError::into_inner);
+                shard.first.len() + shard.collided.len()
             })
             .sum()
     }
@@ -190,10 +250,17 @@ mod tests {
         let a = table.intern(7, |s| s == "x", || "x".to_owned());
         let b = table.intern(7, |s| s == "x", || "x".to_owned());
         assert!(Arc::ptr_eq(&a, &b));
-        // Same fingerprint, different structure: both live in one bucket.
+        // Same fingerprint, different structure: the second value goes to
+        // the shard's side table, and both stay canonical and counted.
         let c = table.intern(7, |s| s == "y", || "y".to_owned());
         assert!(!Arc::ptr_eq(&a, &c));
+        let again = table.intern(7, |s| s == "y", || "y".to_owned());
+        assert!(Arc::ptr_eq(&c, &again));
         assert_eq!(table.len(), 2);
+        let shard = table.shard(7);
+        assert!(Arc::ptr_eq(&shard.first[&7], &a));
+        assert_eq!(shard.collided.len(), 1);
+        assert!(Arc::ptr_eq(&shard.collided[0].1, &c));
     }
 
     #[test]

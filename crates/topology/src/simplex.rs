@@ -1,5 +1,14 @@
 //! Simplices: finite non-empty sets of vertices in canonical sorted form.
 //!
+//! An interned simplex carries its boundary: when a simplex is first
+//! interned, its codimension-1 faces are interned too and stored with it
+//! (`boundary[i]` is the face without vertex `i`). Every face query
+//! ([`Simplex::proper_faces`], [`Simplex::faces`],
+//! [`Simplex::boundary_faces`], [`Simplex::without_vertex`]) walks these
+//! stored boundaries instead of interning vertex subsets again, and
+//! [`Complex`](crate::Complex) closes new simplices under faces through
+//! them.
+//!
 //! chromata-lint: allow(P3): vertex indices are bounded by the simplex dimension invariant the type maintains; every site is advisory-flagged by P2 for per-site review
 
 use std::fmt;
@@ -47,6 +56,8 @@ pub(crate) struct SimplexInner {
     vertices: Vec<Vertex>,
     colors: ColorSet,
     hash: u64,
+    /// `boundary[i]` is the face without vertex `i`; empty for a vertex.
+    boundary: Box<[Simplex]>,
 }
 
 static SIMPLICES: OnceLock<Interner<SimplexInner>> = OnceLock::new();
@@ -55,24 +66,56 @@ pub(crate) fn interner() -> &'static Interner<SimplexInner> {
     SIMPLICES.get_or_init(Interner::new)
 }
 
+/// The interning key of a sorted vertex list.
+fn fingerprint(vertices: &[Vertex]) -> u64 {
+    let mut h = StructuralHasher::default();
+    h.write_usize(vertices.len());
+    for v in vertices {
+        h.write_u64(v.fingerprint());
+    }
+    h.finish()
+}
+
+impl SimplexInner {
+    /// Builds the entry for a sorted vertex list, interning its boundary
+    /// faces into `table` (with no shard lock held).
+    fn build(table: &Interner<SimplexInner>, vertices: Vec<Vertex>, hash: u64) -> Self {
+        let boundary = if vertices.len() == 1 {
+            Box::default()
+        } else {
+            (0..vertices.len())
+                .map(|i| {
+                    let mut face = vertices.clone();
+                    face.remove(i);
+                    Simplex::intern_in(table, face)
+                })
+                .collect()
+        };
+        SimplexInner {
+            colors: vertices.iter().map(Vertex::color).collect(),
+            vertices,
+            hash,
+            boundary,
+        }
+    }
+}
+
 impl Simplex {
     /// Interns an already-sorted, deduplicated, non-empty vertex list.
     fn intern(vertices: Vec<Vertex>) -> Self {
+        Simplex::intern_in(interner(), vertices)
+    }
+
+    /// [`Simplex::intern`] into a given table: look the simplex up; on a
+    /// miss, intern its boundary, then insert it or take the entry a
+    /// racing thread inserted first.
+    fn intern_in(table: &Interner<SimplexInner>, vertices: Vec<Vertex>) -> Self {
         debug_assert!(vertices.windows(2).all(|w| w[0] < w[1]));
-        let mut h = StructuralHasher::default();
-        h.write_usize(vertices.len());
-        for v in &vertices {
-            h.write_u64(v.fingerprint());
-        }
-        let hash = h.finish();
-        Simplex(interner().intern(
+        let hash = fingerprint(&vertices);
+        Simplex(table.intern(
             hash,
             |inner| inner.vertices == vertices,
-            || SimplexInner {
-                colors: vertices.iter().map(Vertex::color).collect(),
-                vertices: vertices.clone(),
-                hash,
-            },
+            || SimplexInner::build(table, vertices.clone(), hash),
         ))
     }
 
@@ -162,27 +205,32 @@ impl Simplex {
         self.0.vertices.iter().find(|v| v.color() == c)
     }
 
-    /// All non-empty proper faces of this simplex (excluding itself).
+    /// All non-empty proper faces of this simplex (excluding itself),
+    /// sorted.
     ///
     /// For a triangle this returns its three edges and three vertices.
     #[must_use]
     pub fn proper_faces(&self) -> Vec<Simplex> {
+        // Walk the stored boundaries one dimension down at a time; each
+        // level is sorted and deduplicated before its own boundaries are
+        // read.
         let mut out = Vec::new();
-        let n = self.0.vertices.len();
-        // Enumerate all non-empty proper subsets via bitmask; simplices here
-        // have at most a handful of vertices, so this is never hot.
-        for mask in 1u32..((1 << n) - 1) {
-            let verts: Vec<Vertex> = (0..n)
-                .filter(|i| mask & (1 << i) != 0)
-                .map(|i| self.0.vertices[i].clone())
+        let mut level = self.0.boundary.to_vec();
+        while !level.is_empty() {
+            level.sort();
+            level.dedup();
+            let next = level
+                .iter()
+                .flat_map(|f| f.0.boundary.iter().cloned())
                 .collect();
-            out.push(Simplex::intern(verts));
+            out.append(&mut level);
+            level = next;
         }
         out.sort();
         out
     }
 
-    /// All non-empty faces of this simplex, including itself.
+    /// All non-empty faces of this simplex, including itself, sorted.
     #[must_use]
     pub fn faces(&self) -> Vec<Simplex> {
         let mut out = self.proper_faces();
@@ -191,21 +239,16 @@ impl Simplex {
         out
     }
 
-    /// The codimension-1 faces (facets of the boundary).
+    /// The codimension-1 faces (facets of the boundary); the `i`-th is
+    /// the face without the `i`-th vertex. Empty for a vertex.
     #[must_use]
     pub fn boundary_faces(&self) -> Vec<Simplex> {
-        if self.0.vertices.len() == 1 {
-            return Vec::new();
-        }
-        (0..self.0.vertices.len())
-            .map(|i| self.without_index(i))
-            .collect()
+        self.0.boundary.to_vec()
     }
 
-    fn without_index(&self, i: usize) -> Simplex {
-        let mut v = self.0.vertices.clone();
-        v.remove(i);
-        Simplex::intern(v)
+    /// The stored boundary, as [`Simplex::boundary_faces`] without a copy.
+    pub(crate) fn boundary(&self) -> &[Simplex] {
+        &self.0.boundary
     }
 
     /// The face obtained by removing vertex `v`, or `None` if `v` is not a
@@ -213,10 +256,7 @@ impl Simplex {
     #[must_use]
     pub fn without_vertex(&self, v: &Vertex) -> Option<Simplex> {
         let i = self.0.vertices.binary_search(v).ok()?;
-        if self.0.vertices.len() == 1 {
-            return None;
-        }
-        Some(self.without_index(i))
+        self.0.boundary.get(i).cloned()
     }
 
     /// The simplex with vertex `from` replaced by `to`.
@@ -472,5 +512,111 @@ mod tests {
         assert_eq!(xs, once, "sorting is stable and deterministic");
         xs.dedup();
         assert_eq!(xs.len(), 3);
+    }
+
+    #[test]
+    fn colliding_fingerprints_are_both_canonical_and_counted() {
+        // Two distinct simplices forced under one fingerprint into the
+        // global table: the second lands in its shard's side table. Values
+        // no other test uses keep the forged entries out of their way.
+        let forged = 0x00c0_111d_ed00_0001;
+        let (_, before) = crate::interner_stats();
+        let intern = |vertices: &[Vertex]| {
+            interner().intern(
+                forged,
+                |inner| inner.vertices == vertices,
+                || SimplexInner::build(interner(), vertices.to_vec(), forged),
+            )
+        };
+        let a = [Vertex::of(0, -40_001)];
+        let b = [Vertex::of(1, -40_001)];
+        let (first, second) = (intern(&a), intern(&b));
+        assert!(!Arc::ptr_eq(&first, &second));
+        assert!(
+            Arc::ptr_eq(&intern(&a), &first),
+            "first entry stays canonical"
+        );
+        assert!(
+            Arc::ptr_eq(&intern(&b), &second),
+            "side-table entry stays canonical"
+        );
+        let (_, after) = crate::interner_stats();
+        // Other tests only ever add entries concurrently.
+        assert!(after >= before + 2, "both entries counted");
+    }
+
+    #[test]
+    fn first_time_interning_interleavings_keep_one_canonical_arc() {
+        use crate::interleave::{depth_budget, for_each_interleaving, max_threads};
+        // Every thread interns the same new triangle through the steps of
+        // `Simplex::intern_in`: a lookup, the boundary faces in
+        // `depth_budget() - 2` chunks, then insert-or-take-the-winner. A
+        // thread whose lookup hits is done. Each schedule replays against
+        // a fresh table, so the triangle is new every time.
+        let tri = vec![Vertex::of(0, 0), Vertex::of(1, 0), Vertex::of(2, 0)];
+        let hash = fingerprint(&tri);
+        let matches = |inner: &SimplexInner| inner.vertices == tri;
+        let faces: Vec<Vec<Vertex>> = (0..tri.len())
+            .map(|i| {
+                let mut face = tri.clone();
+                face.remove(i);
+                face
+            })
+            .collect();
+        let chunks = (depth_budget() - 2).min(faces.len());
+        let ops = chunks + 2;
+        let mut schedules = 0;
+        for_each_interleaving(&vec![ops; max_threads()], |schedule| {
+            schedules += 1;
+            let table: Interner<SimplexInner> = Interner::new();
+            let mut step = vec![0; max_threads()];
+            let mut boundary: Vec<Vec<Simplex>> = vec![Vec::new(); max_threads()];
+            let mut result: Vec<Option<Arc<SimplexInner>>> = vec![None; max_threads()];
+            for &t in schedule {
+                let k = step[t];
+                step[t] += 1;
+                if result[t].is_some() {
+                    continue;
+                }
+                if k == 0 {
+                    result[t] = table.get(hash, matches);
+                } else if k <= chunks {
+                    let range = (k - 1) * faces.len() / chunks..k * faces.len() / chunks;
+                    for face in &faces[range] {
+                        boundary[t].push(Simplex::intern_in(&table, face.clone()));
+                    }
+                } else {
+                    let inner = SimplexInner {
+                        vertices: tri.clone(),
+                        colors: tri.iter().map(Vertex::color).collect(),
+                        hash,
+                        boundary: std::mem::take(&mut boundary[t]).into_boxed_slice(),
+                    };
+                    result[t] = Some(table.insert(hash, matches, inner));
+                }
+                // The triangle, 3 edges and 3 vertices, never twice.
+                assert!(table.len() <= 7, "duplicate entry in {schedule:?}");
+            }
+            let winner = result[0].clone().expect("thread 0 finished");
+            for r in &result {
+                let r = r.as_ref().expect("every thread finished");
+                assert!(
+                    Arc::ptr_eq(r, &winner),
+                    "two canonical triangles in {schedule:?}"
+                );
+            }
+            assert_eq!(table.len(), 7, "{schedule:?}");
+            for (stored, face) in winner.boundary.iter().zip(&faces) {
+                let canonical = table
+                    .get(fingerprint(face), |inner| inner.vertices == *face)
+                    .expect("boundary face interned");
+                assert!(Arc::ptr_eq(&stored.0, &canonical), "{schedule:?}");
+            }
+            assert_eq!(winner.boundary.len(), faces.len());
+        });
+        assert_eq!(
+            schedules,
+            crate::interleave::interleaving_count(&vec![ops; max_threads()])
+        );
     }
 }

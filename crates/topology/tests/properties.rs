@@ -258,3 +258,244 @@ fn replace_star_restores_faces_that_lose_their_last_coface() {
     ]);
     assert_eq!(views(&k), views(&expected), "{{a, b}} lost its last coface");
 }
+
+// Differential tests for the face kernel: the stored-boundary face
+// queries and the closure through boundaries against the reference
+// definitions they replaced (every vertex subset interned again, every
+// proper face inserted or demoted).
+
+/// Strategy: a simplex of 1–5 vertices over 5 colors × 3 values, not
+/// necessarily chromatic (duplicates collapse).
+fn wide_simplex() -> impl Strategy<Value = Vec<(u8, i64)>> {
+    proptest::collection::vec((0u8..5, 0i64..3), 1..6)
+}
+
+/// Strategy: a sequence of up to 10 such simplices.
+fn wide_simplices() -> impl Strategy<Value = Vec<Vec<(u8, i64)>>> {
+    proptest::collection::vec(wide_simplex(), 0..10)
+}
+
+fn simplex_of(raw: &[(u8, i64)]) -> Simplex {
+    Simplex::new(raw.iter().map(|&(c, x)| Vertex::of(c, x)).collect())
+}
+
+/// Reference `proper_faces`: every non-empty proper vertex subset,
+/// interned from scratch, sorted.
+fn ref_proper_faces(s: &Simplex) -> Vec<Simplex> {
+    let n = s.len();
+    let mut out: Vec<Simplex> = (1u32..(1 << n) - 1)
+        .map(|mask| {
+            Simplex::new(
+                (0..n)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| s.vertices()[i].clone())
+                    .collect(),
+            )
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+fn ref_faces(s: &Simplex) -> Vec<Simplex> {
+    let mut out = ref_proper_faces(s);
+    out.push(s.clone());
+    out.sort();
+    out
+}
+
+fn ref_without_index(s: &Simplex, i: usize) -> Simplex {
+    let mut vertices = s.vertices().to_vec();
+    vertices.remove(i);
+    Simplex::new(vertices)
+}
+
+fn ref_boundary_faces(s: &Simplex) -> Vec<Simplex> {
+    if s.len() == 1 {
+        return Vec::new();
+    }
+    (0..s.len()).map(|i| ref_without_index(s, i)).collect()
+}
+
+fn ref_without_vertex(s: &Simplex, v: &Vertex) -> Option<Simplex> {
+    let i = s.vertices().binary_search(v).ok()?;
+    (s.len() > 1).then(|| ref_without_index(s, i))
+}
+
+/// The reference complex: the three views `Complex` keeps, maintained by
+/// the closure that inserts every proper face of a new simplex.
+#[derive(Clone, Default)]
+struct RefComplex {
+    all: std::collections::BTreeSet<Simplex>,
+    by_dim: Vec<std::collections::BTreeSet<Simplex>>,
+    facets_by_dim: Vec<std::collections::BTreeSet<Simplex>>,
+}
+
+fn ref_dim_entry(
+    v: &mut Vec<std::collections::BTreeSet<Simplex>>,
+    d: usize,
+) -> &mut std::collections::BTreeSet<Simplex> {
+    if v.len() <= d {
+        v.resize_with(d + 1, Default::default);
+    }
+    &mut v[d]
+}
+
+impl RefComplex {
+    fn from_facets(generators: &[Simplex]) -> Self {
+        let mut k = RefComplex::default();
+        for s in generators {
+            k.add_simplex(s.clone());
+        }
+        k
+    }
+
+    fn add_simplex(&mut self, s: Simplex) -> bool {
+        if self.all.contains(&s) {
+            return false;
+        }
+        for f in ref_proper_faces(&s) {
+            if self.all.insert(f.clone()) {
+                ref_dim_entry(&mut self.by_dim, f.dimension()).insert(f);
+            } else if let Some(set) = self.facets_by_dim.get_mut(f.dimension()) {
+                set.remove(&f);
+            }
+        }
+        self.all.insert(s.clone());
+        ref_dim_entry(&mut self.by_dim, s.dimension()).insert(s.clone());
+        ref_dim_entry(&mut self.facets_by_dim, s.dimension()).insert(s);
+        true
+    }
+
+    fn facets(&self) -> impl Iterator<Item = &Simplex> {
+        self.facets_by_dim.iter().flatten()
+    }
+
+    fn replace_star(&mut self, v: &Vertex, replacements: &[Simplex]) {
+        let star: Vec<Simplex> = self.facets().filter(|m| m.contains(v)).cloned().collect();
+        for m in &star {
+            for f in ref_faces(m) {
+                if f.contains(v) && self.all.remove(&f) {
+                    for view in [&mut self.by_dim, &mut self.facets_by_dim] {
+                        if let Some(set) = view.get_mut(f.dimension()) {
+                            set.remove(&f);
+                        }
+                    }
+                }
+            }
+        }
+        for r in replacements {
+            self.add_simplex(r.clone());
+        }
+        for exposed in star.iter().filter_map(|m| ref_without_vertex(m, v)) {
+            let d = exposed.dimension();
+            let strictly_in = |s: &Simplex| s.dimension() > d && exposed.is_face_of(s);
+            let covered = replacements.iter().any(strictly_in)
+                || self
+                    .facets_by_dim
+                    .iter()
+                    .skip(d + 1)
+                    .flatten()
+                    .any(strictly_in);
+            if !covered {
+                ref_dim_entry(&mut self.facets_by_dim, d).insert(exposed);
+            }
+        }
+    }
+
+    fn views(&self) -> (Vec<Simplex>, Vec<Simplex>) {
+        (
+            self.by_dim.iter().flatten().cloned().collect(),
+            self.facets().cloned().collect(),
+        )
+    }
+
+    /// `Complex`'s `Hash`: the simplex count, then every simplex in
+    /// iteration order.
+    fn fingerprint(&self) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = chromata_topology::StructuralHasher::default();
+        h.write_usize(self.all.len());
+        for s in self.by_dim.iter().flatten() {
+            s.hash(&mut h);
+        }
+        h.finish()
+    }
+}
+
+/// Asserts that `k` and the reference agree on every view, the simplex
+/// count, equality and the structural fingerprint.
+fn agrees(k: &Complex, reference: &RefComplex) -> Result<(), TestCaseError> {
+    prop_assert_eq!(views(k), reference.views());
+    prop_assert_eq!(k.simplex_count(), reference.all.len());
+    prop_assert_eq!(
+        chromata_topology::structural_fingerprint(k),
+        reference.fingerprint()
+    );
+    // The reference's simplices, added faces first, rebuild the same set.
+    let rebuilt = Complex::from_facets(reference.by_dim.iter().flatten().cloned());
+    prop_assert_eq!(k, &rebuilt);
+    prop_assert_eq!(views(&rebuilt), reference.views());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn face_queries_match_the_bitmask_reference(raw in wide_simplex()) {
+        let s = simplex_of(&raw);
+        prop_assert_eq!(s.proper_faces(), ref_proper_faces(&s));
+        prop_assert_eq!(s.faces(), ref_faces(&s));
+        prop_assert_eq!(s.boundary_faces(), ref_boundary_faces(&s));
+        for v in s.vertices() {
+            prop_assert_eq!(s.without_vertex(v), ref_without_vertex(&s, v));
+        }
+        let stranger = Vertex::of(7, 0);
+        prop_assert_eq!(s.without_vertex(&stranger), None);
+    }
+
+    #[test]
+    fn from_facets_matches_the_reference_closure(raw in wide_simplices()) {
+        let generators: Vec<Simplex> = raw.iter().map(|s| simplex_of(s)).collect();
+        let k = Complex::from_facets(generators.iter().cloned());
+        agrees(&k, &RefComplex::from_facets(&generators))?;
+    }
+
+    #[test]
+    fn add_simplex_sequences_match_the_reference(
+        raw in wide_simplices(),
+        more in wide_simplices(),
+    ) {
+        // Faces of earlier simplices, re-added or grown into cofaces, walk
+        // both the fresh and the already-present branches of the closure.
+        let mut k = Complex::new();
+        let mut reference = RefComplex::default();
+        for s in raw.iter().chain(&more).map(|s| simplex_of(s)) {
+            let faces = s.proper_faces();
+            for t in faces.iter().rev().step_by(3).chain([&s]).chain(faces.first()) {
+                prop_assert_eq!(k.add_simplex(t.clone()), reference.add_simplex(t.clone()));
+            }
+            agrees(&k, &reference)?;
+        }
+    }
+
+    #[test]
+    fn replace_star_matches_the_reference(
+        raw in wide_simplices(),
+        pick in 0usize..16,
+        replacements in wide_simplices(),
+    ) {
+        let generators: Vec<Simplex> = raw.iter().map(|s| simplex_of(s)).collect();
+        let k = Complex::from_facets(generators.iter().cloned());
+        let Some(v) = k.vertices().nth(pick % k.vertex_count().max(1)).cloned() else {
+            return Ok(());
+        };
+        let replacements: Vec<Simplex> = replacements.iter().map(|s| simplex_of(s)).collect();
+        let mut in_place = k.clone();
+        in_place.replace_star(&v, &replacements);
+        let mut reference = RefComplex::from_facets(&generators);
+        reference.replace_star(&v, &replacements);
+        agrees(&in_place, &reference)?;
+    }
+}

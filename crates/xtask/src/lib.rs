@@ -2,7 +2,7 @@
 //! decision pipeline.
 //!
 //! The pipeline's contract is that verdicts are *reproducible*: the same
-//! task yields the same [`Verdict`], the same subdivision and
+//! task yields the same `Verdict`, the same subdivision and
 //! byte-identical traces in every feature configuration. That property
 //! is defended dynamically by goldens (`tests/feature_parity.rs`) and
 //! statically by this tool: `cargo xtask lint` parses every workspace

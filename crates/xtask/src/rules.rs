@@ -56,7 +56,7 @@ pub const PRIMARY_RULES: &[&str] = &[
     "D1", "D2", "D3", "D4", "D5", "P1", "P3", "L1", "L2", "A1", "U1",
 ];
 
-/// Crates whose code can influence a [`Verdict`]: canonicalization,
+/// Crates whose code can influence a `Verdict`: canonicalization,
 /// subdivision, the algebraic tiers and the pipeline itself.
 pub const VERDICT_PATH_CRATES: &[&str] = &["topology", "subdivision", "algebra", "core", "task"];
 
