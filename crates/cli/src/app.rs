@@ -41,12 +41,9 @@ pub enum Command {
         /// to `CHROMATA_CACHE_DIR`).
         cache_dir: Option<PathBuf>,
     },
-    /// `chromata batch [--act-fallback N] [--cache-dir DIR]
-    /// [--shards A,B,C] [--digests] [task...]` — analyze many tasks through the
-    /// shared artifact store (whole library if no tasks are named), one
-    /// verdict line per task. With `--shards`, stage execution fans out
-    /// across the named `chromata worker` processes (degrading to local
-    /// recompute on any fault; verdicts and digests are unchanged).
+    /// `chromata batch [--act-fallback N] [--cache-dir DIR] [--digests]
+    /// [task...]` — analyze many tasks through the shared artifact store
+    /// (whole library if no tasks are named), one verdict line per task.
     Batch {
         /// Registry names or paths (empty = the whole library).
         tasks: Vec<String>,
@@ -55,11 +52,8 @@ pub enum Command {
         /// Durable stage-cache directory (`--cache-dir`, falling back
         /// to `CHROMATA_CACHE_DIR`).
         cache_dir: Option<PathBuf>,
-        /// Worker shard addresses (`--shards`, comma-separated; empty =
-        /// purely local execution).
-        shards: Vec<String>,
         /// Print each task's 16-hex evidence digest (`--digests`) —
-        /// the chaos CI greps these against single-machine goldens.
+        /// CI diffs these against the committed golden file.
         digests: bool,
     },
     /// `chromata act <task> [--rounds N]`
@@ -131,37 +125,7 @@ pub enum Command {
         cache_dir: Option<PathBuf>,
         /// Background persistence cadence in seconds (0 = off).
         persist_secs: u64,
-        /// Per-connection idle read timeout in seconds.
-        idle_secs: u64,
-        /// Worker shard addresses (`--shards`, comma-separated): the
-        /// server dispatches stage execution across them, degrading to
-        /// local recompute on any fault.
-        shards: Vec<String>,
-    },
-    /// `chromata worker [--addr A] [--threads N] [--admission N]
-    /// [--queue N] [--max-payload N] [--cache-dir DIR]
-    /// [--persist-secs N] [--idle-secs N]` — a stage-execution shard:
-    /// the same wire protocol and admission control as `serve`, booted
-    /// to answer `op: "stage"` requests from a sharded server or batch.
-    /// Workers never re-dispatch remotely, so a worker pool cannot
-    /// recurse.
-    Worker {
-        /// Bind address (port 0 = OS-assigned; printed on boot).
-        addr: String,
-        /// Worker threads (0 = available parallelism).
-        threads: usize,
-        /// Concurrent-analysis permits (default: one per worker).
-        admission: Option<usize>,
-        /// Pending-connection queue bound (default: 4 × workers).
-        queue: Option<usize>,
-        /// Per-request payload bound in bytes.
-        max_payload: usize,
-        /// Durable stage-cache directory (`--cache-dir`, falling back
-        /// to `CHROMATA_CACHE_DIR`).
-        cache_dir: Option<PathBuf>,
-        /// Background persistence cadence in seconds (0 = off).
-        persist_secs: u64,
-        /// Per-connection idle read timeout in seconds.
+        /// Per-connection idle read timeout in seconds (at least 1).
         idle_secs: u64,
     },
     /// `chromata request [--addr A] [--op OP] [--act-fallback N]
@@ -216,21 +180,18 @@ pub enum Command {
         act_fallback: usize,
     },
     /// `chromata chaos [--seed N] [--rounds K] [--faults LIST]
-    /// [--shards N] [--cache-dir DIR]` — the randomized end-to-end
-    /// fault campaign: replay a seeded mutation-fuzzed task stream
-    /// through a live serve + in-process shard pool while a seeded
-    /// schedule injects persist/shard/net/signal faults, asserting
-    /// verdict and digest parity against a clean oracle run after every
-    /// round (see `crate::chaos`).
+    /// [--cache-dir DIR]` — the randomized end-to-end fault campaign:
+    /// replay a seeded mutation-fuzzed task stream through a live serve
+    /// while a seeded schedule injects persist/net/signal faults,
+    /// asserting verdict and digest parity against a clean oracle run
+    /// after every round (see `crate::chaos`).
     Chaos {
         /// Seed for the mutation stream and the fault schedule.
         seed: u64,
         /// Campaign rounds (one mutant per round).
         rounds: usize,
-        /// Enabled fault families (`--faults persist,shard,net,signal`).
+        /// Enabled fault families (`--faults persist,net,signal`).
         faults: Vec<chromata::FaultKind>,
-        /// In-process shard pool size.
-        shards: usize,
         /// Cache directory (a fresh temp directory when absent).
         cache_dir: Option<PathBuf>,
     },
@@ -329,7 +290,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut tasks = Vec::new();
             let mut act_fallback = 0usize;
             let mut cache_dir = None;
-            let mut shards = Vec::new();
             let mut digests = false;
             while let Some(arg) = it.next() {
                 match arg.as_str() {
@@ -343,12 +303,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                             "--cache-dir needs a path",
                         )?));
                     }
-                    "--shards" => {
-                        shards = parse_shard_list(&required(
-                            &mut it,
-                            "--shards needs a comma-separated address list",
-                        )?)?;
-                    }
                     flag if flag.starts_with('-') => {
                         return Err(CliError(format!("unknown flag {flag}")));
                     }
@@ -359,7 +313,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 tasks,
                 act_fallback,
                 cache_dir,
-                shards,
                 digests,
             })
         }
@@ -438,8 +391,51 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 cache_dir,
             })
         }
-        "serve" => parse_daemon(&mut it, true),
-        "worker" => parse_daemon(&mut it, false),
+        "serve" => {
+            let mut addr = "127.0.0.1:7437".to_owned();
+            let mut threads = 0usize;
+            let mut admission = None;
+            let mut queue = None;
+            let mut max_payload = crate::wire::DEFAULT_MAX_PAYLOAD;
+            let mut budget_ms = None;
+            let mut cache_dir = None;
+            let mut persist_secs = 30u64;
+            let mut idle_secs = 30u64;
+            while let Some(flag) = it.next() {
+                match flag.as_str() {
+                    "--addr" => addr = required(&mut it, "--addr needs HOST:PORT")?,
+                    "--threads" => threads = parse_number(&mut it, "--threads")?,
+                    "--admission" => admission = Some(parse_number(&mut it, "--admission")?),
+                    "--queue" => queue = Some(parse_number(&mut it, "--queue")?),
+                    "--max-payload" => max_payload = parse_number(&mut it, "--max-payload")?,
+                    "--budget-ms" => {
+                        budget_ms = Some(parse_number_u64(&mut it, "--budget-ms")?);
+                    }
+                    "--cache-dir" => {
+                        cache_dir = Some(PathBuf::from(required(
+                            &mut it,
+                            "--cache-dir needs a path",
+                        )?));
+                    }
+                    "--persist-secs" => {
+                        persist_secs = parse_number_u64(&mut it, "--persist-secs")?;
+                    }
+                    "--idle-secs" => idle_secs = parse_number_u64(&mut it, "--idle-secs")?,
+                    other => return Err(CliError(format!("unknown flag {other}"))),
+                }
+            }
+            Ok(Command::Serve {
+                addr,
+                threads,
+                admission,
+                queue,
+                max_payload,
+                budget_ms,
+                cache_dir,
+                persist_secs,
+                idle_secs,
+            })
+        }
         "request" => {
             let mut addr = "127.0.0.1:7437".to_owned();
             let mut op = "analyze".to_owned();
@@ -555,7 +551,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut seed = 1u64;
             let mut rounds = 20usize;
             let mut faults = chromata::ALL_FAULT_KINDS.to_vec();
-            let mut shards = 3usize;
             let mut cache_dir = None;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
@@ -564,11 +559,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "--faults" => {
                         let spec = required(
                             &mut it,
-                            "--faults needs a comma-separated list (persist,shard,net,signal)",
+                            "--faults needs a comma-separated list of fault kinds",
                         )?;
                         faults = chromata::parse_fault_kinds(&spec).map_err(CliError)?;
                     }
-                    "--shards" => shards = parse_number(&mut it, "--shards")?,
                     "--cache-dir" => {
                         cache_dir = Some(PathBuf::from(required(
                             &mut it,
@@ -585,7 +579,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 seed,
                 rounds,
                 faults,
-                shards,
                 cache_dir,
             })
         }
@@ -615,83 +608,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     }
 }
 
-/// Parses the flags of `serve` (`serve == true`) or `worker`. The two
-/// share every flag but two: a worker runs stage jobs under no budget
-/// and never re-dispatches, so it takes no `--budget-ms` and no
-/// `--shards`.
-fn parse_daemon(it: &mut std::slice::Iter<'_, String>, serve: bool) -> Result<Command, CliError> {
-    let mut addr = if serve {
-        "127.0.0.1:7437"
-    } else {
-        "127.0.0.1:7438"
-    }
-    .to_owned();
-    let mut threads = 0usize;
-    let mut admission = None;
-    let mut queue = None;
-    let mut max_payload = crate::wire::DEFAULT_MAX_PAYLOAD;
-    let mut budget_ms = None;
-    let mut cache_dir = None;
-    let mut persist_secs = 30u64;
-    let mut idle_secs = 30u64;
-    let mut shards = Vec::new();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--addr" => addr = required(it, "--addr needs HOST:PORT")?,
-            "--threads" => threads = parse_number(it, "--threads")?,
-            "--admission" => admission = Some(parse_number(it, "--admission")?),
-            "--queue" => queue = Some(parse_number(it, "--queue")?),
-            "--max-payload" => max_payload = parse_number(it, "--max-payload")?,
-            "--budget-ms" if serve => budget_ms = Some(parse_number_u64(it, "--budget-ms")?),
-            "--cache-dir" => {
-                cache_dir = Some(PathBuf::from(required(it, "--cache-dir needs a path")?));
-            }
-            "--persist-secs" => persist_secs = parse_number_u64(it, "--persist-secs")?,
-            "--idle-secs" => idle_secs = parse_number_u64(it, "--idle-secs")?,
-            "--shards" if serve => {
-                shards = parse_shard_list(&required(
-                    it,
-                    "--shards needs a comma-separated address list",
-                )?)?;
-            }
-            other => return Err(CliError(format!("unknown flag {other}"))),
-        }
-    }
-    Ok(if serve {
-        Command::Serve {
-            addr,
-            threads,
-            admission,
-            queue,
-            max_payload,
-            budget_ms,
-            cache_dir,
-            persist_secs,
-            idle_secs,
-            shards,
-        }
-    } else {
-        Command::Worker {
-            addr,
-            threads,
-            admission,
-            queue,
-            max_payload,
-            cache_dir,
-            persist_secs,
-            idle_secs,
-        }
-    })
-}
-
-/// Boots a `serve` or `worker` daemon (`role` prefixes its banners):
-/// masks the termination signals, starts the server, prints the banners
-/// scripts scrape, and blocks until it shuts down.
-fn boot(
-    role: &str,
-    options: crate::serve::ServeOptions,
-    shards: usize,
-) -> Result<String, CliError> {
+/// Boots the `serve` daemon: masks the termination signals, starts the
+/// server, prints the banners scripts scrape, and blocks until it shuts
+/// down.
+fn boot(options: crate::serve::ServeOptions) -> Result<String, CliError> {
     use std::io::Write as _;
     // SIGTERM/SIGINT must be masked before the server spawns its
     // threads so they inherit the mask and delivery funnels to the
@@ -706,16 +626,13 @@ fn boot(
     };
     // The banner goes out before the blocking wait (and is flushed) so
     // scripts can scrape an OS-assigned port.
-    println!("{role}: listening on {}", server.local_addr());
+    println!("serve: listening on {}", server.local_addr());
     if watch.is_some() {
-        println!("{role}: SIGTERM/SIGINT trigger graceful shutdown with persistence");
-    }
-    if shards > 0 {
-        println!("{role}: dispatching stages across {shards} shard(s)");
+        println!("serve: SIGTERM/SIGINT trigger graceful shutdown with persistence");
     }
     if let Some(loaded) = server.loaded() {
         println!(
-            "{role}: warm-started {} artifact(s) ({} rejected, {} torn, {} corrupt)",
+            "serve: warm-started {} artifact(s) ({} rejected, {} torn, {} corrupt)",
             loaded.restored, loaded.rejected_snapshots, loaded.torn_entries, loaded.corrupt_entries
         );
     }
@@ -725,22 +642,6 @@ fn boot(
         watch.stop();
     }
     Ok(format!("{summary}\n"))
-}
-
-/// Splits a `--shards` value into its non-empty `host:port` entries.
-fn parse_shard_list(value: &str) -> Result<Vec<String>, CliError> {
-    let shards: Vec<String> = value
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_owned)
-        .collect();
-    if shards.is_empty() {
-        return Err(CliError(
-            "--shards needs at least one HOST:PORT address".to_owned(),
-        ));
-    }
-    Ok(shards)
 }
 
 fn required(it: &mut std::slice::Iter<'_, String>, msg: &str) -> Result<String, CliError> {
@@ -960,7 +861,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                             ("detail", Value::String(s.detail.clone())),
                             ("work", Value::UInt(s.work)),
                             ("cache", Value::String(s.cache.label().to_owned())),
-                            ("origin", Value::String(s.origin.label())),
                             ("reused", Value::Bool(s.reused)),
                             ("subkeys", Value::UInt(s.subkeys as u64)),
                             ("wall_ms", Value::Float(s.wall.as_secs_f64() * 1e3)),
@@ -1030,7 +930,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             tasks,
             act_fallback,
             cache_dir,
-            shards,
             digests,
         } => {
             let specs: Vec<String> = if tasks.is_empty() {
@@ -1045,9 +944,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 .iter()
                 .map(|s| load_decidable_task(s))
                 .collect::<Result<_, _>>()?;
-            if !shards.is_empty() {
-                crate::shard::configure_shards(&shards, chromata::RemotePolicy::default())?;
-            }
             let cache_config = CacheDirConfig::resolve(cache_dir);
             let loaded = load_cache_dir(&cache_config);
             let analyses = analyze_batch(
@@ -1075,14 +971,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                         spec, a.evidence.decided_by, a.verdict
                     );
                 }
-            }
-            if let Some(stats) = chromata::remote_stats() {
-                let _ = writeln!(
-                    out,
-                    "shards: {} dispatched, {} fetched, {} retried, {} local fallback(s)",
-                    stats.dispatched, stats.fetched, stats.retries, stats.local_fallbacks
-                );
-                chromata::clear_remote();
             }
             cache_report_lines(&mut out, &cache_config, loaded, saved);
             Ok(out)
@@ -1189,13 +1077,11 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             seed,
             rounds,
             faults,
-            shards,
             cache_dir,
         } => crate::chaos::run_campaign(&crate::chaos::ChaosOptions {
             seed,
             rounds,
             kinds: faults,
-            shards,
             cache_dir,
         }),
         Command::Act { task, rounds } => {
@@ -1360,11 +1246,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             cache_dir,
             persist_secs,
             idle_secs,
-            shards,
         } => {
-            if !shards.is_empty() {
-                crate::shard::configure_shards(&shards, chromata::RemotePolicy::default())?;
-            }
             let options = crate::serve::ServeOptions {
                 addr,
                 threads,
@@ -1377,35 +1259,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 persist_secs,
                 idle_timeout_secs: idle_secs,
             };
-            boot("serve", options, shards.len())
-        }
-        Command::Worker {
-            addr,
-            threads,
-            admission,
-            queue,
-            max_payload,
-            cache_dir,
-            persist_secs,
-            idle_secs,
-        } => {
-            // A worker is a serve that never re-dispatches remotely:
-            // stage requests run against the local store only, so a
-            // pool of workers cannot recurse through each other.
-            chromata::clear_remote();
-            let options = crate::serve::ServeOptions {
-                addr,
-                threads,
-                analysis_slots: admission,
-                queue,
-                max_payload,
-                budget_ms: None,
-                max_states: usize::MAX,
-                cache_dir,
-                persist_secs,
-                idle_timeout_secs: idle_secs,
-            };
-            boot("worker", options, 0)
+            boot(options)
         }
         Command::Request {
             addr,
@@ -1577,11 +1431,9 @@ COMMANDS:
                                  verdict plus its evidence chain: deciding
                                  stage, per-stage work/wall-clock counters,
                                  and stage-cache statistics
-    batch [--act-fallback N] [--cache-dir DIR] [--shards A,B,C] [--digests] [task...]
+    batch [--act-fallback N] [--cache-dir DIR] [--digests] [task...]
                                  analyze many tasks (whole library if none
-                                 named) through the shared artifact store;
-                                 --shards fans stage execution across worker
-                                 processes (verdicts and digests unchanged)
+                                 named) through the shared artifact store
     inspect <task>               complex statistics, homology, LAP counts
     act <task> [--rounds N]      run the Herlihy–Shavit ACT baseline
     export <task> [-o FILE]      dump a library task as JSON
@@ -1594,18 +1446,12 @@ COMMANDS:
                                  structured UNKNOWN with a replayable trace
     serve [--addr A] [--threads N] [--admission N] [--queue N] [--max-payload N]
           [--budget-ms N] [--cache-dir DIR] [--persist-secs N] [--idle-secs N]
-          [--shards A,B,C]
                                  long-lived verdict daemon: newline-delimited
                                  JSON over TCP against one shared warm artifact
                                  store; overload degrades to UNKNOWN with a
                                  retry hint, never a dropped connection;
-                                 --shards dispatches stage execution to worker
-                                 processes with retry/local-fallback
-    worker [--addr A] [--threads N] [--admission N] [--queue N] [--max-payload N]
-           [--cache-dir DIR] [--persist-secs N] [--idle-secs N]
-                                 a stage-execution shard: the serve protocol
-                                 plus `op: \"stage\"`, answering artifacts with
-                                 checksums for a sharded serve or batch
+                                 --idle-secs (at least 1) closes a connection
+                                 that stays silent that long
     request [--addr A] [--op OP] [--act-fallback N] [--budget-ms N]
             [--max-states N] [--retry N] [--json] [task]
                                  one-shot client for a running serve
@@ -1622,10 +1468,10 @@ COMMANDS:
                                  the shared per-branch artifact store, then
                                  report the stage-artifact reuse ratio and
                                  warm-vs-cold evidence-digest parity samples
-    chaos [--seed N] [--rounds K] [--faults LIST] [--shards N] [--cache-dir DIR]
+    chaos [--seed N] [--rounds K] [--faults LIST] [--cache-dir DIR]
                                  randomized end-to-end fault campaign: replay
                                  a seeded mutant stream through a live serve
-                                 with injected persist/shard/net/signal faults,
+                                 with injected persist/net/signal faults,
                                  asserting verdict + digest parity against a
                                  clean oracle run; nonzero exit on any breach
     lint [--deny-all] [--json] [PATH...]
@@ -1791,7 +1637,6 @@ mod tests {
                 cache_dir: None,
                 tasks: vec!["hourglass".into(), "consensus".into()],
                 act_fallback: 0,
-                shards: vec![],
                 digests: false
             }
         );
@@ -1801,7 +1646,6 @@ mod tests {
                 cache_dir: None,
                 tasks: vec![],
                 act_fallback: 0,
-                shards: vec![],
                 digests: false
             }
         );
@@ -1848,7 +1692,6 @@ mod tests {
                 seed: 1,
                 rounds: 20,
                 faults: chromata::ALL_FAULT_KINDS.to_vec(),
-                shards: 3,
                 cache_dir: None,
             }
         );
@@ -1861,8 +1704,6 @@ mod tests {
                 "50",
                 "--faults",
                 "persist,net",
-                "--shards",
-                "2",
                 "--cache-dir",
                 "/tmp/chaos",
             ]))
@@ -1871,13 +1712,24 @@ mod tests {
                 seed: 9,
                 rounds: 50,
                 faults: vec![chromata::FaultKind::Persist, chromata::FaultKind::Net],
-                shards: 2,
                 cache_dir: Some(PathBuf::from("/tmp/chaos")),
             }
         );
         assert!(parse(&args(&["chaos", "--rounds", "0"])).is_err());
         assert!(parse(&args(&["chaos", "--faults", "gamma-rays"])).is_err());
         assert!(parse(&args(&["chaos", "--frobnicate"])).is_err());
+        // Stages run in the analyzing process: there is no shard fault
+        // family and no pool to size.
+        assert_eq!(
+            parse(&args(&["chaos", "--faults", "shard"])),
+            Err(CliError(
+                "unknown fault kind `shard` (expected persist, net, signal)".to_owned()
+            ))
+        );
+        assert_eq!(
+            parse(&args(&["chaos", "--shards", "3"])),
+            Err(CliError("unknown flag --shards".to_owned()))
+        );
     }
 
     #[test]
@@ -2007,7 +1859,6 @@ mod tests {
             cache_dir: None,
             tasks: vec!["identity".into(), "hourglass".into()],
             act_fallback: 0,
-            shards: vec![],
             digests: false,
         })
         .unwrap();
@@ -2153,7 +2004,6 @@ mod tests {
                 cache_dir: None,
                 persist_secs: 30,
                 idle_secs: 30,
-                shards: vec![],
             }
         );
         assert_eq!(
@@ -2185,63 +2035,24 @@ mod tests {
                 cache_dir: Some(PathBuf::from("/tmp/c")),
                 persist_secs: 5,
                 idle_secs: 30,
-                shards: vec![],
             }
         );
         assert!(parse(&args(&["serve", "--frobnicate"])).is_err());
+        // Every stage runs in the analyzing process: no worker command,
+        // and no shard list on serve or batch.
         assert_eq!(
-            parse(&args(&[
-                "serve",
-                "--shards",
-                "127.0.0.1:7438, 127.0.0.1:7439",
-            ]))
-            .unwrap(),
-            Command::Serve {
-                addr: "127.0.0.1:7437".into(),
-                threads: 0,
-                admission: None,
-                queue: None,
-                max_payload: crate::wire::DEFAULT_MAX_PAYLOAD,
-                budget_ms: None,
-                cache_dir: None,
-                persist_secs: 30,
-                idle_secs: 30,
-                shards: vec!["127.0.0.1:7438".into(), "127.0.0.1:7439".into()],
-            }
+            parse(&args(&["worker", "--addr", "127.0.0.1:0"])),
+            Err(CliError(
+                "unknown command worker; try `chromata help`".to_owned()
+            ))
         );
-        assert!(parse(&args(&["serve", "--shards", " , "])).is_err());
-        assert_eq!(
-            parse(&args(&[
-                "worker",
-                "--addr",
-                "127.0.0.1:0",
-                "--threads",
-                "2"
-            ]))
-            .unwrap(),
-            Command::Worker {
-                addr: "127.0.0.1:0".into(),
-                threads: 2,
-                admission: None,
-                queue: None,
-                max_payload: crate::wire::DEFAULT_MAX_PAYLOAD,
-                cache_dir: None,
-                persist_secs: 30,
-                idle_secs: 30,
-            }
-        );
-        // A worker never re-dispatches, so it takes no --shards.
-        assert!(parse(&args(&["worker", "--shards", "127.0.0.1:1"])).is_err());
-        assert_eq!(
-            parse(&args(&["batch", "identity", "--shards", "127.0.0.1:7438"])).unwrap(),
-            Command::Batch {
-                tasks: vec!["identity".into()],
-                act_fallback: 0,
-                cache_dir: None,
-                shards: vec!["127.0.0.1:7438".into()],
-                digests: false,
-            }
-        );
+        for command in ["serve", "batch"] {
+            assert_eq!(
+                parse(&args(&[command, "--shards", "127.0.0.1:7438"])),
+                Err(CliError("unknown flag --shards".to_owned())),
+                "{command}"
+            );
+        }
         assert_eq!(
             parse(&args(&[
                 "request",
@@ -2309,7 +2120,6 @@ mod tests {
                 tasks: vec!["identity".into()],
                 act_fallback: 0,
                 cache_dir: Some(PathBuf::from("/tmp/c")),
-                shards: vec![],
                 digests: false,
             }
         );

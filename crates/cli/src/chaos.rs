@@ -2,14 +2,12 @@
 //! serving stack.
 //!
 //! A campaign replays a seeded mutation-fuzzed task stream (the same
-//! generator as `chromata fuzz`) through a live [`Server`] backed by an
-//! in-process shard pool, while a [`FaultSchedule`] fires composed
-//! faults across every seam the production stack has:
+//! generator as `chromata fuzz`) through a live [`Server`], while a
+//! [`FaultSchedule`] fires composed faults across every seam the
+//! production stack has:
 //!
 //! * **persist** — ENOSPC / short-write / kill-point injected into the
 //!   real snapshot path ([`PersistChaos`]);
-//! * **shard** — partitions, stalls, mid-response kills, and
-//!   corrupt-but-checksum-valid artifacts ([`ChaosShardIo`]);
 //! * **net** — connection floods, slow-loris holds, and malformed
 //!   bursts over real TCP against the admission layer;
 //! * **signal** — a SIGTERM delivered through the `chromata-signal`
@@ -21,7 +19,7 @@
 //! the cache directory audits clean. Any breach fails the campaign
 //! (nonzero exit), and the whole run replays exactly from its seed.
 //!
-//! This module (like `serve`/`shard`) is exempt from the socket- and
+//! This module (like `serve`) is exempt from the socket- and
 //! clock-confinement lint rules D4/D2: driving real connections and
 //! timing recovery is its purpose.
 
@@ -29,15 +27,12 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Duration;
 
 use chromata::topology::govern::Stopwatch;
 use chromata::{
-    analyze_governed, audit_cache_dir, clear_remote, clear_stage_caches, configure_remote,
-    persist_failures, store_read_through, Budget, CancelToken, ChaosShardIo, FaultKind,
-    FaultSchedule, InProcessShards, NetFault, PersistChaos, PlannedFault, RemotePolicy, ShardIo,
-    Verdict,
+    analyze_governed, audit_cache_dir, clear_stage_caches, persist_failures, store_read_through,
+    Budget, CancelToken, FaultKind, FaultSchedule, NetFault, PersistChaos, PlannedFault, Verdict,
 };
 use chromata_task::{mutate_task, Task};
 
@@ -72,8 +67,6 @@ pub struct ChaosOptions {
     pub rounds: usize,
     /// Enabled fault families.
     pub kinds: Vec<FaultKind>,
-    /// In-process shard pool size.
-    pub shards: usize,
     /// Cache directory (a fresh temp directory when absent).
     pub cache_dir: Option<PathBuf>,
 }
@@ -87,7 +80,7 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn boot(dir: &Path, shards: usize) -> Result<Daemon, CliError> {
+    fn boot(dir: &Path) -> Result<Daemon, CliError> {
         let server = Server::start(ServeOptions {
             addr: "127.0.0.1:0".to_owned(),
             threads: 2,
@@ -105,7 +98,6 @@ impl Daemon {
             // can pin a worker.
             idle_timeout_secs: 1,
         })?;
-        let _ = shards; // the pool is process-wide; recorded for symmetry
         let addr = server.local_addr().to_string();
         let handle = server.shutdown_handle();
         let watch = if chromata_signal::supported() {
@@ -249,9 +241,6 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
     if opts.rounds == 0 {
         return Err(CliError("chaos: --rounds must be at least 1".to_owned()));
     }
-    if opts.shards == 0 {
-        return Err(CliError("chaos: --shards must be at least 1".to_owned()));
-    }
     let bases: Vec<Task> = BASE_TASKS
         .iter()
         .map(|name| {
@@ -260,9 +249,8 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
         })
         .collect::<Result<_, _>>()?;
 
-    // Oracle pass: the same stream, clean process, purely local — the
-    // ground truth every faulted round must reproduce.
-    clear_remote();
+    // Oracle pass: the same stream in a clean process — the ground truth
+    // every faulted round must reproduce.
     clear_stage_caches();
     let budget = Budget::unlimited();
     let cancel = CancelToken::new();
@@ -283,13 +271,6 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
     });
     let _ = std::fs::remove_dir_all(&dir);
     let persist_chaos = PersistChaos::install();
-    let shard_io = Arc::new(ChaosShardIo::new(Arc::new(InProcessShards::new(
-        opts.shards,
-    ))));
-    configure_remote(
-        Arc::clone(&shard_io) as Arc<dyn ShardIo>,
-        RemotePolicy::default(),
-    );
     let schedule = FaultSchedule::new(opts.seed, &opts.kinds);
 
     let mut breaches: Vec<String> = Vec::new();
@@ -304,13 +285,13 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
 
     // `None` after a failed warm restart: the campaign stops there and
     // reports the breach rather than cascading one per round.
-    let mut daemon: Option<Daemon> = Some(Daemon::boot(&dir, opts.shards)?);
+    let mut daemon: Option<Daemon> = Some(Daemon::boot(&dir)?);
     for (round, (mutant, want_verdict, want_digest)) in stream.iter().enumerate() {
         // Last round's slow-loris sockets are released here; their EOF
         // mid-line is itself served as a (malformed) request.
         held_loris.clear();
-        let seam_fired_before = persist_chaos.fired() + shard_io.fired();
-        let plan = schedule.plan(round as u64, opts.shards);
+        let seam_fired_before = persist_chaos.fired();
+        let plan = schedule.plan(round as u64);
         let clock = Stopwatch::start();
         let mut faults_this_round = 0u64;
         for fault in &plan {
@@ -349,9 +330,6 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
                         )),
                     }
                 }
-                PlannedFault::Shard { shard, fault } => {
-                    shard_io.arm(*shard, *fault);
-                }
                 PlannedFault::Net(net_fault) => {
                     if let Some(live) = daemon.as_ref() {
                         apply_net_fault(&live.addr, *net_fault, &mut held_loris);
@@ -363,7 +341,7 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
                     let _ = old.join();
                     restarts += 1;
                     signal_path_restarts += u64::from(via_signal);
-                    match Daemon::boot(&dir, opts.shards) {
+                    match Daemon::boot(&dir) {
                         Ok(next) => daemon = Some(next),
                         Err(e) => {
                             breaches.push(format!("round {round}: warm restart failed: {e}"));
@@ -406,7 +384,7 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
                         mutant.name()
                     )),
                 }
-                let seam_fired = persist_chaos.fired() + shard_io.fired() - seam_fired_before;
+                let seam_fired = persist_chaos.fired() - seam_fired_before;
                 if faults_this_round > 0 && (seam_fired > 0 || !plan.is_empty()) {
                     recoveries += 1;
                     max_recovery_ms =
@@ -417,7 +395,6 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
         }
         // One-shot discipline: a fault the round's traffic never
         // reached does not leak into the next round.
-        shard_io.disarm();
         persist_chaos.disarm();
     }
     held_loris.clear();
@@ -431,7 +408,6 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
         None => "serve: server lost mid-campaign".to_owned(),
     };
     PersistChaos::uninstall();
-    clear_remote();
 
     // The surviving cache directory must audit clean: every snapshot
     // the campaign's persists (including the failed ones) left behind
@@ -455,10 +431,9 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
     let kinds_label: Vec<&str> = opts.kinds.iter().map(|k| k.label()).collect();
     let _ = writeln!(
         out,
-        "chaos: seed {}, {} round(s), {}-shard pool, faults: {}",
+        "chaos: seed {}, {} round(s), faults: {}",
         opts.seed,
         opts.rounds,
-        opts.shards,
         kinds_label.join(",")
     );
     let fired: Vec<String> = fired_by_kind
@@ -467,14 +442,13 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
         .collect();
     let _ = writeln!(
         out,
-        "faults fired: {} (persist seam {}, shard seam {})",
+        "faults fired: {} (persist seam {})",
         if fired.is_empty() {
             "none".to_owned()
         } else {
             fired.join(", ")
         },
         persist_chaos.fired(),
-        shard_io.fired(),
     );
     let _ = writeln!(
         out,
@@ -513,8 +487,7 @@ mod tests {
         let out = run_campaign(&ChaosOptions {
             seed: 3,
             rounds: 4,
-            kinds: vec![FaultKind::Persist, FaultKind::Shard, FaultKind::Net],
-            shards: 2,
+            kinds: vec![FaultKind::Persist, FaultKind::Net],
             cache_dir: None,
         })
         .unwrap_or_else(|e| panic!("campaign breached: {e}"));
@@ -528,7 +501,6 @@ mod tests {
             seed: 1,
             rounds: 0,
             kinds: vec![FaultKind::Persist],
-            shards: 1,
             cache_dir: None,
         })
         .unwrap_err();

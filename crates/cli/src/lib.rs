@@ -11,10 +11,8 @@ mod app;
 pub mod chaos;
 pub mod registry;
 pub mod serve;
-pub mod shard;
 pub mod wire;
 
 pub use app::{load_task, parse, run, CacheAction, CliError, Command};
 pub use chaos::{run_campaign, ChaosOptions};
 pub use serve::{ServeOptions, Server, ShutdownHandle};
-pub use shard::{configure_shards, TcpShardIo};

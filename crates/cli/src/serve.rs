@@ -163,7 +163,9 @@ pub struct ServeOptions {
     /// background persister (boot warm-start and shutdown persist
     /// still run whenever a cache directory is configured).
     pub persist_secs: u64,
-    /// Per-connection idle read timeout in seconds.
+    /// Per-connection idle read timeout in seconds; at least 1.
+    /// [`Server::start`] refuses 0, which the socket layer cannot
+    /// express: it would leave connections with no read timeout at all.
     pub idle_timeout_secs: u64,
 }
 
@@ -270,8 +272,14 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Fails if the address cannot be bound or a thread cannot spawn.
+    /// Fails if the idle timeout is 0, the address cannot be bound or a
+    /// thread cannot spawn.
     pub fn start(opts: ServeOptions) -> Result<Server, CliError> {
+        if opts.idle_timeout_secs == 0 {
+            return Err(CliError(
+                "serve: the idle timeout (--idle-secs) must be at least 1 second".to_owned(),
+            ));
+        }
         let listener = TcpListener::bind(&opts.addr)
             .map_err(|e| CliError(format!("serve: cannot bind {}: {e}", opts.addr)))?;
         let addr = listener
@@ -727,39 +735,6 @@ fn dispatch(line: &str, shared: &Shared) -> (String, bool) {
         },
         Ok(Request::Shutdown) => (wire::shutdown_response(), true),
         Ok(Request::Analyze(req)) => (handle_analyze(req, shared), false),
-        Ok(Request::Stage(job)) => (handle_stage(&job, shared), false),
-    }
-}
-
-/// Executes one verdict-engine stage under the admission gate (worker
-/// mode). The response line — artifact plus checksum — is built by the
-/// socket-free core layer; a panic costs one response, not one worker.
-fn handle_stage(job: &chromata::StageJob, shared: &Shared) -> String {
-    let Some(_permit) = shared.gate.try_enter() else {
-        shared.overloaded.fetch_add(1, Ordering::Relaxed);
-        let hint = wire::overload_retry_hint(lock(&shared.queue).len(), shared.gate.in_flight());
-        return wire::overload_response(
-            &format!(
-                "worker overloaded: all {} analysis slot(s) in flight",
-                shared.gate.capacity()
-            ),
-            hint,
-        );
-    };
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        chromata::execute_stage_line(job)
-    }));
-    match outcome {
-        Err(_) => wire::error_response(&format!(
-            "internal: stage `{}` panicked; the worker recovered",
-            job.kind
-        )),
-        Ok(Err(e)) => wire::error_response(&e),
-        Ok(Ok(line)) => {
-            shared.analyzed.fetch_add(1, Ordering::Relaxed);
-            shared.dirty.fetch_add(1, Ordering::Relaxed);
-            line
-        }
     }
 }
 
@@ -952,5 +927,25 @@ mod tests {
         }
         table.note_panic(1); // below threshold: not listed
         assert_eq!(table.quarantined(), vec![3, 42, 99]);
+    }
+
+    #[test]
+    fn a_zero_idle_timeout_is_refused_before_binding() {
+        // A zero read timeout is an error to the socket layer, so the
+        // connection would get none: one silent client could hold a
+        // worker forever. The server refuses the setting instead.
+        let refused = Server::start(ServeOptions {
+            addr: "127.0.0.1:0".to_owned(),
+            threads: 1,
+            idle_timeout_secs: 0,
+            ..ServeOptions::default()
+        });
+        let Err(err) = refused else {
+            panic!("a zero idle timeout must be refused");
+        };
+        assert_eq!(
+            err.0,
+            "serve: the idle timeout (--idle-secs) must be at least 1 second"
+        );
     }
 }

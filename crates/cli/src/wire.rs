@@ -38,8 +38,9 @@ pub const OVERLOAD_RETRY_MS: u64 = 25;
 /// is answered with a named error rather than a misparse.
 ///
 /// v2: the stage engine re-keyed link-graph/presentation/homology
-/// artifacts per split branch, so v1 peers would disagree about which
-/// artifacts a shard owns; the version gate keeps mixed fleets honest.
+/// artifacts per split branch, which changed the lines of the since
+/// removed `stage` op. No other op changed; clients that send
+/// `proto: 2` keep working.
 pub const PROTO_VERSION: u64 = 2;
 
 /// Upper bound on the load-derived retry hint (milliseconds).
@@ -130,9 +131,6 @@ pub struct AnalyzeRequest {
 pub enum Request {
     /// Decide a task (the default op).
     Analyze(AnalyzeRequest),
-    /// Execute one verdict-engine stage (worker mode; the dispatch side
-    /// lives in `chromata::stages::remote`).
-    Stage(Box<chromata::StageJob>),
     /// Liveness probe.
     Ping,
     /// Server + stage-cache counters.
@@ -195,9 +193,6 @@ pub fn parse_request(line: &str, max_payload: usize) -> Result<Request, WireErro
     };
     match op.as_str() {
         "analyze" => parse_analyze(&entries),
-        "stage" => chromata::parse_stage_fields(&entries)
-            .map(|job| Request::Stage(Box::new(job)))
-            .map_err(WireError),
         "ping" | "stats" | "persist" | "shutdown" => {
             if let Some((key, _)) = entries.iter().find(|(k, _)| k != "op" && k != "proto") {
                 return Err(WireError(format!("unknown field `{key}` for op `{op}`")));
@@ -210,7 +205,7 @@ pub fn parse_request(line: &str, max_payload: usize) -> Result<Request, WireErro
             })
         }
         other => Err(WireError(format!(
-            "unknown op `{other}`; expected analyze, stage, ping, stats, persist or shutdown"
+            "unknown op `{other}`; expected analyze, ping, stats, persist or shutdown"
         ))),
     }
 }
@@ -594,8 +589,7 @@ mod tests {
             parse_request(r#"{"task":"consensus","proto":2}"#, DEFAULT_MAX_PAYLOAD).unwrap(),
             Request::Analyze(_)
         ));
-        // Unsupported: a named error, not a misparse. v1 peers keyed
-        // stage artifacts per whole task, so they are refused by name.
+        // Unsupported: a named error, not a misparse.
         let err = parse_request(r#"{"op":"ping","proto":1}"#, DEFAULT_MAX_PAYLOAD).unwrap_err();
         assert!(
             err.0.contains("unsupported proto version 1")
@@ -609,14 +603,20 @@ mod tests {
 
     #[test]
     fn parses_a_stage_request_line() {
+        // A full stage job, as the removed shard dispatcher wrote it: it
+        // carries a `task`, but is named as an unknown op rather than
+        // misparsed as an analyze request.
         let task = chromata_task::canonicalize(&chromata_task::library::hourglass());
-        let job = chromata::StageJob::new(chromata::ArtifactKind::LinkGraphs, task);
-        let line = chromata::stage_request_line(&job).unwrap();
-        let parsed = parse_request(&line, DEFAULT_MAX_PAYLOAD).unwrap();
-        assert_eq!(parsed, Request::Stage(Box::new(job)));
-        // Bad stage payloads surface the core layer's named rejection.
+        let line = format!(
+            r#"{{"op":"stage","proto":{PROTO_VERSION},"stage":"link-graphs","task":{}}}"#,
+            serde_json::to_string(&task).unwrap()
+        );
+        let expected = "unknown op `stage`; expected analyze, ping, stats, persist or shutdown";
+        let err = parse_request(&line, DEFAULT_MAX_PAYLOAD).unwrap_err();
+        assert_eq!(err.0, expected);
+        // Bare or partial stage lines get the same named cause.
         let err = parse_request(r#"{"op":"stage"}"#, DEFAULT_MAX_PAYLOAD).unwrap_err();
-        assert!(err.0.contains("needs a `stage`"), "{err}");
+        assert_eq!(err.0, expected);
     }
 
     #[test]

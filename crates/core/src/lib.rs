@@ -75,20 +75,15 @@ pub use stages::cache::{
     clear_stage_caches, stage_cache_stats, ArtifactKind, ArtifactStore, SharedCache, StageCache,
 };
 pub use stages::chaos::{
-    parse_fault_kinds, ChaosShardIo, FaultKind, FaultSchedule, InProcessShards, NetFault,
-    PersistChaos, PersistFault, PlannedFault, ShardFault, ALL_FAULT_KINDS,
+    parse_fault_kinds, FaultKind, FaultSchedule, NetFault, PersistChaos, PersistFault,
+    PlannedFault, ALL_FAULT_KINDS,
 };
 pub use stages::persist::{
     audit_cache_dir, clear_cache_dir, load_cache_dir, persist_failures, persist_now,
     store_read_through, CacheDirConfig, LoadReport, PersistError, SaveReport, SnapshotAudit,
     SnapshotStatus, CACHE_DIR_ENV,
 };
-pub use stages::remote::{
-    clear_remote, configure_remote, execute_stage_line, parse_stage_fields, remote_fault_trace,
-    remote_stats, stage_request_line, RemotePolicy, RemoteStats, ShardIo, ShardIoError, ShardStep,
-    StageJob, STAGE_PROTO_VERSION,
-};
-pub use stages::{CacheEvent, EvidenceChain, Stage, StageEvidence, StageOrigin, StageOutcome};
+pub use stages::{CacheEvent, EvidenceChain, Stage, StageEvidence, StageOutcome};
 pub use two_process::{decide_two_process, synthesize_two_process};
 
 pub use chromata_algebra as algebra;

@@ -257,26 +257,28 @@ pub(crate) fn exists_summary(outcome: &ContinuousOutcome) -> Option<(usize, usiz
 
 use serde::{Content, Deserialize, Error, Serialize};
 
+use super::cache::{store, ArtifactKind};
 use super::{DecisionRecord, StageTrace};
 use crate::continuous::ImpossibilityReason;
 use crate::lap::Lap;
 use crate::pipeline::Obstruction;
 
-/// The engine's fixed stage names (plus the governance pseudo-stages),
-/// interned back to `&'static str` on load. A snapshot naming any other
-/// stage is treated as corrupt by the persist layer.
+/// Interns a persisted stage name back to `&'static str`: the name of
+/// every stage kind in the store's kind list (all but the verdict
+/// record), plus the engine's three pseudo-stages. A snapshot naming any
+/// other stage is treated as corrupt by the persist layer.
 pub(crate) fn intern_stage_name(name: &str) -> Option<&'static str> {
-    const KNOWN: [&str; 8] = [
-        "canonicalize",
-        "split",
-        "link-graphs",
-        "presentations",
-        "homology",
-        "explore",
-        "budget",
-        "unknown",
-    ];
-    KNOWN.iter().find(|&&k| k == name).copied()
+    const PSEUDO_STAGES: [&str; 3] = ["canonicalize", "budget", "unknown"];
+    let stages = store()
+        .kinds()
+        .into_iter()
+        .map(|(kind, _)| kind)
+        .filter(|kind| *kind != ArtifactKind::Verdict)
+        .map(ArtifactKind::name);
+    PSEUDO_STAGES
+        .into_iter()
+        .chain(stages)
+        .find(|known| *known == name)
 }
 
 impl Serialize for Verdict {
@@ -712,6 +714,25 @@ mod tests {
         if let Some(c) = tp.components.first() {
             let seed = c.members.iter().next().expect("nonempty component");
             assert!(std::ptr::eq(tp.summary_for(seed), &c.summary));
+        }
+    }
+
+    #[test]
+    fn persisted_stage_names_are_the_stage_kinds_and_three_pseudo_stages() {
+        for name in [
+            "canonicalize",
+            "split",
+            "link-graphs",
+            "presentations",
+            "homology",
+            "explore",
+            "budget",
+            "unknown",
+        ] {
+            assert_eq!(intern_stage_name(name), Some(name));
+        }
+        for name in ["verdict", "stage", "Split", ""] {
+            assert_eq!(intern_stage_name(name), None, "{name:?}");
         }
     }
 }

@@ -12,16 +12,14 @@
 //!
 //! Every stage implements [`Stage`], the one declaration of a stage
 //! kind: its [`ArtifactKind`] (which also names it), its cache and
-//! cache key, how it computes its artifact, how it ships as a
-//! [`remote::StageJob`] and how a shard's answer is re-validated. The
-//! artifact type carries the one cacheability predicate
-//! ([`cache::Cacheable`]). One `run` function runs any stage against
-//! the [`ArtifactStore`], locally or through
-//! [`remote`], returning its typed artifact plus a [`StageEvidence`]
-//! record (detail, work counter, cache event, wall clock). The engine
-//! threads the evidence into the
-//! [`EvidenceChain`] every [`crate::Analysis`] now carries, which is
-//! what `chromata explain` prints.
+//! cache key, and how it computes its artifact. The artifact type
+//! carries the one cacheability predicate ([`cache::Cacheable`]). One
+//! `run` function runs any stage in this process against the
+//! [`ArtifactStore`], returning its typed artifact plus a
+//! [`StageEvidence`] record (detail, work counter, cache event, wall
+//! clock). The engine threads the evidence into the [`EvidenceChain`]
+//! every [`crate::Analysis`] now carries, which is what `chromata
+//! explain` prints.
 //!
 //! Since PR 9 the link-graph and presentation stages are keyed **per
 //! split branch**: the split task is decomposed into one name-erased
@@ -39,7 +37,6 @@ pub mod artifacts;
 pub mod cache;
 pub mod chaos;
 pub mod persist;
-pub mod remote;
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -61,7 +58,6 @@ use artifacts::{
     SubdividedComplex, TrianglePresentations,
 };
 use cache::{ArtifactKind, ArtifactStore, Cacheable, SharedCache};
-use remote::StageJob;
 
 /// How a stage's artifact interacted with its cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -95,47 +91,6 @@ impl fmt::Display for CacheEvent {
     }
 }
 
-/// Where a stage's artifact was computed. Circumstantial provenance —
-/// like [`StageEvidence::wall`] and [`StageEvidence::cache`] it is
-/// excluded from [`EvidenceChain::deterministic_digest`], so a
-/// shard-computed analysis and a single-machine run agree byte-for-byte
-/// on their digests.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StageOrigin {
-    /// Computed in-process (no remote engine configured, a cache hit,
-    /// or a budget-sensitive stage pinned local for determinism).
-    Local,
-    /// Fetched from a worker shard on the given dispatch attempt
-    /// (1-based).
-    Shard {
-        /// Shard index within the configured pool.
-        shard: usize,
-        /// Dispatch attempt that succeeded (1 = first try).
-        attempt: u32,
-    },
-    /// Every remote option was exhausted; the stage was recomputed
-    /// locally (graceful degradation, never a missing artifact).
-    LocalFallback,
-}
-
-impl StageOrigin {
-    /// Stable label, e.g. `local`, `shard-1#2`, `local-fallback`.
-    #[must_use]
-    pub fn label(self) -> String {
-        match self {
-            StageOrigin::Local => "local".to_owned(),
-            StageOrigin::Shard { shard, attempt } => format!("shard-{shard}#{attempt}"),
-            StageOrigin::LocalFallback => "local-fallback".to_owned(),
-        }
-    }
-}
-
-impl fmt::Display for StageOrigin {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label())
-    }
-}
-
 /// One stage's contribution to an analysis: what it concluded, how much
 /// work it did, and how it interacted with its cache.
 #[derive(Clone, Debug)]
@@ -151,9 +106,6 @@ pub struct StageEvidence {
     /// Wall-clock time the stage took in this run (zero when replayed).
     /// Excluded from [`EvidenceChain::deterministic_digest`].
     pub wall: Duration,
-    /// Which machine computed the artifact (shard, local, or fallback).
-    /// Excluded from [`EvidenceChain::deterministic_digest`].
-    pub origin: StageOrigin,
     /// Whether any part of the artifact was served from a cache — for
     /// branch-keyed stages, whether at least one branch hit. Excluded
     /// from [`EvidenceChain::deterministic_digest`] (it legitimately
@@ -213,9 +165,6 @@ impl fmt::Display for EvidenceChain {
                 s.wall.as_secs_f64() * 1e3,
                 s.detail,
             )?;
-            if s.origin != StageOrigin::Local {
-                write!(f, "  [{}]", s.origin)?;
-            }
             if s.reused && s.subkeys > 0 {
                 write!(f, "  [reused across {} sub-key(s)]", s.subkeys)?;
             }
@@ -250,7 +199,6 @@ impl StageTrace {
             work: self.work,
             cache: CacheEvent::Replayed,
             wall: Duration::ZERO,
-            origin: StageOrigin::Local,
             reused: true,
             subkeys: 0,
         }
@@ -276,17 +224,16 @@ pub struct StageOutcome<A> {
 }
 
 /// One stage of the verdict engine, declared once: its kind (which names
-/// it in evidence, on the wire and in snapshot files), its cache and
-/// structural-fingerprint cache key, a `compute` that `run` calls on a
-/// cache miss, and how it ships to a shard. `run` serves the typed
-/// artifact from the stage's bounded cache or computes (or fetches) and
-/// caches it, always emitting a [`StageEvidence`] record.
+/// it in evidence and in snapshot files), its cache and
+/// structural-fingerprint cache key, and a `compute` that `run` calls on
+/// a cache miss. `run` serves the typed artifact from the stage's
+/// bounded cache or computes and caches it, always emitting a
+/// [`StageEvidence`] record.
 pub trait Stage {
     /// Which [`ArtifactKind`] cache the stage uses; its name is the
-    /// stage's evidence label and wire name.
+    /// stage's evidence label.
     const KIND: ArtifactKind;
-    /// Cache key; its structural fingerprint orders poison recovery and,
-    /// salted with the stage name, homes the stage's shard job.
+    /// Cache key; its structural fingerprint orders poison recovery.
     type Key: Clone + Eq + Hash;
     /// The typed artifact the stage produces.
     type Artifact: Cacheable;
@@ -301,32 +248,16 @@ pub trait Stage {
     fn detail(artifact: &Self::Artifact) -> String;
     /// Deterministic work counter of an artifact.
     fn work(artifact: &Self::Artifact) -> u64;
-    /// The wire job for this stage instance, or `None` when the stage
-    /// must run locally to stay bit-identical under `budget`.
-    fn job(&self, budget: &Budget) -> Option<StageJob>;
-    /// Semantic re-validation of a shard-computed artifact against the
-    /// stage's own inputs. A checksum only proves the payload arrived as
-    /// the shard sent it; a buggy or adversarial shard can still send a
-    /// *well-formed but wrong* artifact — wrong branch count, a
-    /// non-canonical split task, an assignment over the wrong vertex
-    /// set. A rejection here is counted as `invalid_artifact` in the
-    /// fault taxonomy and the engine retries / falls back local; the
-    /// artifact is never accepted.
-    fn admissible(&self, _artifact: &Self::Artifact) -> Result<(), String> {
-        Ok(())
-    }
 }
 
 /// Runs one stage — the only place a stage runs: cache lookup; on a
-/// miss, the artifact fetched through `remote` or computed here, outside
-/// the lock (a racing miss recomputes the same artifact); insert if
-/// cacheable; evidence emission. Fetched and computed artifacts are
-/// cached alike, so warm-path behavior is identical machine-wide.
+/// miss, the artifact computed outside the lock (a racing miss
+/// recomputes the same artifact); insert if cacheable; evidence
+/// emission.
 pub(crate) fn run<S: Stage>(
     stage: &S,
     store: &ArtifactStore,
     budget: &Budget,
-    remote: Option<&remote::RemoteEngine>,
 ) -> StageOutcome<S::Artifact> {
     let clock = Stopwatch::start();
     let key = stage.key();
@@ -337,7 +268,6 @@ pub(crate) fn run<S: Stage>(
             work: S::work(&hit),
             cache: CacheEvent::Hit,
             wall: clock.elapsed(),
-            origin: StageOrigin::Local,
             reused: true,
             subkeys: 0,
         };
@@ -346,15 +276,7 @@ pub(crate) fn run<S: Stage>(
             evidence,
         };
     }
-    // Without a pool, or for a stage pinned local (budget-sensitive),
-    // compute here; when every remote option fails, recompute here.
-    let shipped = remote.and_then(|engine| Some((engine, stage.job(budget)?)));
-    let (artifact, origin) = match shipped {
-        Some((engine, job)) => engine
-            .fetch(stage, &key, &job, budget)
-            .unwrap_or_else(|| (stage.compute(budget), StageOrigin::LocalFallback)),
-        None => (stage.compute(budget), StageOrigin::Local),
-    };
+    let artifact = stage.compute(budget);
     let cache = if artifact.cacheable() {
         S::cache(store).lock().insert(key, artifact.clone());
         CacheEvent::Miss
@@ -367,7 +289,6 @@ pub(crate) fn run<S: Stage>(
         work: S::work(&artifact),
         cache,
         wall: clock.elapsed(),
-        origin,
         reused: false,
         subkeys: 0,
     };
@@ -396,34 +317,6 @@ impl Stage for SplitStage {
         Arc::new(SubdividedComplex {
             split: split_all(&self.canonical),
         })
-    }
-
-    fn job(&self, _budget: &Budget) -> Option<StageJob> {
-        Some(StageJob::new(Self::KIND, self.canonical.clone()))
-    }
-
-    fn admissible(&self, artifact: &Arc<SubdividedComplex>) -> Result<(), String> {
-        let split = &artifact.split;
-        if split.task.process_count() != self.canonical.process_count() {
-            return Err(format!(
-                "split task has {} processes, canonical input has {}",
-                split.task.process_count(),
-                self.canonical.process_count()
-            ));
-        }
-        // Splitting deforms the output complex and the carrier only;
-        // the input complex must survive untouched.
-        if split.task.input() != self.canonical.input() {
-            return Err("split task's input complex differs from the canonical task's".to_owned());
-        }
-        if let Some(witness) = &split.degenerate {
-            if !self.canonical.input().vertices().any(|v| v == witness) {
-                return Err(format!(
-                    "degenerate witness `{witness}` is not an input vertex"
-                ));
-            }
-        }
-        Ok(())
     }
 
     fn detail(artifact: &Arc<SubdividedComplex>) -> String {
@@ -468,34 +361,6 @@ impl Stage for LinkStage {
         Arc::new(LinkGraphs::build(&self.task))
     }
 
-    fn job(&self, _budget: &Budget) -> Option<StageJob> {
-        Some(StageJob::new(Self::KIND, self.task.clone()))
-    }
-
-    fn admissible(&self, artifact: &Arc<LinkGraphs>) -> Result<(), String> {
-        let input = self.task.input();
-        if !artifact.vertices.iter().eq(input.vertices()) {
-            return Err("link-graph vertex list differs from the task's input vertices".to_owned());
-        }
-        if !artifact.edges.iter().eq(input.simplices_of_dim(1)) {
-            return Err("link-graph edge list differs from the task's input edges".to_owned());
-        }
-        if !artifact.triangles.iter().eq(input.simplices_of_dim(2)) {
-            return Err(format!(
-                "link-graph triangle list has {} branches, the task has {}",
-                artifact.triangles.len(),
-                input.simplices_of_dim(2).count()
-            ));
-        }
-        if artifact.domains.len() != artifact.vertices.len()
-            || artifact.edge_graphs.len() != artifact.edges.len()
-            || artifact.edge_cycles.len() != artifact.edges.len()
-        {
-            return Err("link-graph parallel arrays disagree in length".to_owned());
-        }
-        Ok(())
-    }
-
     fn detail(artifact: &Arc<LinkGraphs>) -> String {
         format!(
             "{} vertex domain(s), {} edge graph(s), {} triangle(s)",
@@ -533,22 +398,6 @@ impl Stage for PresentationStage {
         Arc::new(Presentations::build(&self.task, &self.links))
     }
 
-    fn job(&self, _budget: &Budget) -> Option<StageJob> {
-        Some(StageJob::new(Self::KIND, self.task.clone()))
-    }
-
-    fn admissible(&self, artifact: &Arc<Presentations>) -> Result<(), String> {
-        let triangles = self.task.input().simplices_of_dim(2).count();
-        if artifact.per_triangle.len() != triangles {
-            return Err(format!(
-                "presentations cover {} triangles, the task has {}",
-                artifact.per_triangle.len(),
-                triangles
-            ));
-        }
-        Ok(())
-    }
-
     fn detail(artifact: &Arc<Presentations>) -> String {
         format!(
             "{} component presentation(s) across {} triangle(s); {} fully simply connected",
@@ -571,9 +420,8 @@ impl Stage for PresentationStage {
 /// determined by the branches — so renamed or re-batched tasks with the
 /// same decomposition share the report.
 pub(crate) struct HomologyStage {
-    /// The whole split task (what a remote homology job ships).
-    pub task: Task,
-    /// Its branch decomposition (see [`branch_tasks`]) — the cache key.
+    /// The split task's branch decomposition (see [`branch_tasks`]) —
+    /// the cache key.
     pub branches: Vec<Task>,
     pub links: Arc<LinkGraphs>,
     pub presentations: Arc<Presentations>,
@@ -598,35 +446,6 @@ impl Stage for HomologyStage {
             outcome,
             assignments,
         })
-    }
-
-    fn job(&self, _budget: &Budget) -> Option<StageJob> {
-        Some(StageJob::new(Self::KIND, self.task.clone()))
-    }
-
-    fn admissible(&self, artifact: &Arc<HomologyReport>) -> Result<(), String> {
-        if let ContinuousOutcome::Exists { assignment, .. } = &artifact.outcome {
-            let input = self.task.input();
-            let vertex_count = input.vertices().count();
-            if assignment.len() != vertex_count {
-                return Err(format!(
-                    "witness assigns {} vertices, the task's input has {}",
-                    assignment.len(),
-                    vertex_count
-                ));
-            }
-            for (x, g_x) in assignment {
-                if !input.vertices().any(|v| v == x) {
-                    return Err(format!("witness assigns non-input vertex `{x}`"));
-                }
-                if !self.task.output().vertices().any(|v| v == g_x) {
-                    return Err(format!(
-                        "witness maps `{x}` to `{g_x}`, which is not an output vertex"
-                    ));
-                }
-            }
-        }
-        Ok(())
     }
 
     fn detail(artifact: &Arc<HomologyReport>) -> String {
@@ -758,33 +577,6 @@ impl Stage for ExploreStage {
     fn work(artifact: &Arc<ExplorationReport>) -> u64 {
         artifact.nodes
     }
-
-    /// The exploration ladder reads the budget (deadline escalation,
-    /// state/step/round caps), so shipping it under a constrained
-    /// budget would diverge from the local run. It is remote-eligible
-    /// only when the budget cannot influence the result — exactly the
-    /// condition under which its artifact is cacheable at the
-    /// configured cap.
-    fn job(&self, budget: &Budget) -> Option<StageJob> {
-        let unconstrained = budget.deadline.is_none()
-            && budget.max_states == usize::MAX
-            && budget.max_steps == usize::MAX
-            && budget.max_act_rounds >= self.configured_rounds;
-        unconstrained.then(|| StageJob {
-            explore: Some((self.configured_rounds, self.undetermined_reason.clone())),
-            ..StageJob::new(Self::KIND, self.task.clone())
-        })
-    }
-
-    fn admissible(&self, artifact: &Arc<ExplorationReport>) -> Result<(), String> {
-        if artifact.rounds_cap > self.configured_rounds {
-            return Err(format!(
-                "exploration reports a round cap of {}, beyond the configured {}",
-                artifact.rounds_cap, self.configured_rounds
-            ));
-        }
-        Ok(())
-    }
 }
 
 /// The name-erased branch decomposition of a (typically split) task: one
@@ -802,7 +594,7 @@ pub(crate) fn branch_tasks(task: &Task) -> Vec<Task> {
 /// evidence chain carries: detail and work come from the *global*
 /// artifact (so the deterministic digest is identical to a whole-task
 /// run), cache is `Hit` only when every branch hit, `reused` when any
-/// branch did, and the origin reports the first non-local branch.
+/// branch did.
 fn aggregate_branch_evidence(
     stage: &'static str,
     detail: String,
@@ -812,11 +604,6 @@ fn aggregate_branch_evidence(
 ) -> StageEvidence {
     let all_hit = !branches.is_empty() && branches.iter().all(|e| e.cache == CacheEvent::Hit);
     let any_hit = branches.iter().any(|e| e.cache == CacheEvent::Hit);
-    let origin = branches
-        .iter()
-        .map(|e| e.origin)
-        .find(|o| *o != StageOrigin::Local)
-        .unwrap_or(StageOrigin::Local);
     StageEvidence {
         stage,
         detail,
@@ -827,7 +614,6 @@ fn aggregate_branch_evidence(
             CacheEvent::Miss
         },
         wall,
-        origin,
         reused: any_hit,
         subkeys: branches.len(),
     }
@@ -916,16 +702,14 @@ fn assemble_presentations(
     Presentations { per_triangle }
 }
 
-/// Runs the link-graph stage per branch — through `remote` when a shard
-/// pool is given — and assembles the global artifact, emitting one
-/// aggregated evidence record. Returns the branch artifacts too (the
-/// presentation stage consumes them branch-wise).
+/// Runs the link-graph stage per branch and assembles the global
+/// artifact, emitting one aggregated evidence record. Returns the branch
+/// artifacts too (the presentation stage consumes them branch-wise).
 pub(crate) fn run_links(
     task: &Task,
     branches: &[Task],
     store: &ArtifactStore,
     budget: &Budget,
-    remote: Option<&remote::RemoteEngine>,
 ) -> (Arc<LinkGraphs>, Vec<Arc<LinkGraphs>>, StageEvidence) {
     let clock = Stopwatch::start();
     let mut branch_links = Vec::with_capacity(branches.len());
@@ -934,7 +718,7 @@ pub(crate) fn run_links(
         let stage = LinkStage {
             task: branch.clone(),
         };
-        let outcome = run(&stage, store, budget, remote);
+        let outcome = run(&stage, store, budget);
         branch_links.push(outcome.artifact);
         branch_evidence.push(outcome.evidence);
     }
@@ -958,7 +742,6 @@ pub(crate) fn run_presentations(
     global_links: &Arc<LinkGraphs>,
     store: &ArtifactStore,
     budget: &Budget,
-    remote: Option<&remote::RemoteEngine>,
 ) -> (Arc<Presentations>, StageEvidence) {
     let clock = Stopwatch::start();
     let mut branch_presentations = Vec::with_capacity(branches.len());
@@ -968,7 +751,7 @@ pub(crate) fn run_presentations(
             task: branch.clone(),
             links: Arc::clone(links),
         };
-        let outcome = run(&stage, store, budget, remote);
+        let outcome = run(&stage, store, budget);
         branch_presentations.push(outcome.artifact);
         branch_evidence.push(outcome.evidence);
     }
@@ -987,45 +770,23 @@ pub(crate) fn run_presentations(
     (global, evidence)
 }
 
-/// The homology stage of a split task with its prerequisites built: the
-/// link-graph and presentation stages run per branch (through `remote`
-/// when a shard pool is given) and assembled. Returns the stage plus the
-/// two prerequisites' aggregated evidence, in execution order. The
-/// engine and a worker's homology job both build the stage here.
-pub(crate) fn homology_stage(
-    task: &Task,
-    store: &ArtifactStore,
-    budget: &Budget,
-    remote: Option<&remote::RemoteEngine>,
-) -> (HomologyStage, [StageEvidence; 2]) {
-    let branches = branch_tasks(task);
-    let (links, branch_links, link_evidence) = run_links(task, &branches, store, budget, remote);
-    let (presentations, pres_evidence) =
-        run_presentations(&branches, &branch_links, &links, store, budget, remote);
-    let stage = HomologyStage {
-        task: task.clone(),
-        branches,
-        links,
-        presentations,
-    };
-    (stage, [link_evidence, pres_evidence])
+/// Appends one stage's evidence to the live chain and its
+/// deterministic trace to the record destined for the verdict cache.
+fn record(evidence: &mut EvidenceChain, traces: &mut Vec<StageTrace>, stage: StageEvidence) {
+    traces.push(StageTrace::of(&stage));
+    evidence.stages.push(stage);
 }
 
-/// Runs one whole-task stage — through `remote` when a shard pool is
-/// given, locally otherwise — appending its evidence to the live chain
-/// and its deterministic trace to the record destined for the verdict
-/// cache.
+/// Runs one whole-task stage and [`record`]s its evidence.
 fn run_stage<S: Stage>(
     stage: &S,
     store: &ArtifactStore,
     budget: &Budget,
-    remote: Option<&remote::RemoteEngine>,
     evidence: &mut EvidenceChain,
     traces: &mut Vec<StageTrace>,
 ) -> S::Artifact {
-    let outcome = run(stage, store, budget, remote);
-    traces.push(StageTrace::of(&outcome.evidence));
-    evidence.stages.push(outcome.evidence);
+    let outcome = run(stage, store, budget);
+    record(evidence, traces, outcome.evidence);
     outcome.artifact
 }
 
@@ -1039,7 +800,6 @@ fn decide_staged(
     budget: &Budget,
     cancel: &CancelToken,
     store: &ArtifactStore,
-    remote: Option<&remote::RemoteEngine>,
     evidence: &mut EvidenceChain,
 ) -> (Verdict, &'static str, Vec<StageTrace>, bool) {
     let mut traces = Vec::new();
@@ -1069,12 +829,18 @@ fn decide_staged(
         );
     }
     let t = &split.split.task;
-    let (homology, prerequisites) = homology_stage(t, store, budget, remote);
-    for stage_evidence in prerequisites {
-        traces.push(StageTrace::of(&stage_evidence));
-        evidence.stages.push(stage_evidence);
-    }
-    let homology = run_stage(&homology, store, budget, remote, evidence, &mut traces);
+    let branches = branch_tasks(t);
+    let (links, branch_links, link_evidence) = run_links(t, &branches, store, budget);
+    record(evidence, &mut traces, link_evidence);
+    let (presentations, pres_evidence) =
+        run_presentations(&branches, &branch_links, &links, store, budget);
+    record(evidence, &mut traces, pres_evidence);
+    let homology = HomologyStage {
+        branches,
+        links,
+        presentations,
+    };
+    let homology = run_stage(&homology, store, budget, evidence, &mut traces);
     match &homology.outcome {
         ContinuousOutcome::Exists { certificates, .. } => (
             Verdict::Solvable {
@@ -1136,7 +902,6 @@ fn decide_staged(
                 },
                 store,
                 budget,
-                remote,
                 evidence,
                 &mut traces,
             );
@@ -1154,9 +919,7 @@ fn decide_staged(
 /// canonicalization, the (possibly skipped) split stage, verdict-cache
 /// replay, and the per-branch decision tiers. This is the whole former
 /// monolith pipeline folded into the stage layer; the pipeline module
-/// keeps only the public entry points and types. The shard pool is read
-/// once here and passed down, so one analysis never straddles a pool
-/// reconfiguration.
+/// keeps only the public entry points and types.
 pub(crate) fn run_engine(
     task: &Task,
     options: PipelineOptions,
@@ -1164,8 +927,6 @@ pub(crate) fn run_engine(
     cancel: &CancelToken,
 ) -> Analysis {
     let store = cache::store();
-    let engine = remote::current_engine();
-    let remote = engine.as_deref();
     let mut evidence = EvidenceChain::new();
 
     // Canonicalization is a cheap pure quotient — always run live so the
@@ -1183,7 +944,6 @@ pub(crate) fn run_engine(
         work: canonical.output().facet_count() as u64,
         cache: CacheEvent::Uncached,
         wall: clock.elapsed(),
-        origin: StageOrigin::Local,
         reused: false,
         subkeys: 0,
     });
@@ -1195,7 +955,6 @@ pub(crate) fn run_engine(
             },
             store,
             budget,
-            remote,
         );
         evidence.stages.push(outcome.evidence);
         outcome.artifact
@@ -1219,7 +978,6 @@ pub(crate) fn run_engine(
             work: 0,
             cache: CacheEvent::Uncached,
             wall: clock.elapsed(),
-            origin: StageOrigin::Local,
             reused: false,
             subkeys: 0,
         });
@@ -1240,15 +998,8 @@ pub(crate) fn run_engine(
             record.verdict
         }
         None => {
-            let (v, decided_by, traces, cacheable) = decide_staged(
-                &split_art,
-                options,
-                budget,
-                cancel,
-                store,
-                remote,
-                &mut evidence,
-            );
+            let (v, decided_by, traces, cacheable) =
+                decide_staged(&split_art, options, budget, cancel, store, &mut evidence);
             evidence.decided_by = decided_by;
             // Budget-induced answers are circumstantial — never poison the
             // cache with them; a later unstarved run must re-decide.
@@ -1289,8 +1040,8 @@ mod tests {
             canonical: canonical.clone(),
         };
         let budget = Budget::unlimited();
-        let first = run(&stage, cache::store(), &budget, None);
-        let second = run(&stage, cache::store(), &budget, None);
+        let first = run(&stage, cache::store(), &budget);
+        let second = run(&stage, cache::store(), &budget);
         assert_eq!(second.evidence.cache, CacheEvent::Hit);
         assert_eq!(first.evidence.detail, second.evidence.detail);
         assert_eq!(first.evidence.work, second.evidence.work);
@@ -1307,17 +1058,12 @@ mod tests {
             work: 0,
             cache: CacheEvent::Miss,
             wall: Duration::from_millis(7),
-            origin: StageOrigin::Local,
             reused: false,
             subkeys: 0,
         });
         let mut b = a.clone();
         b.stages[0].cache = CacheEvent::Hit;
         b.stages[0].wall = Duration::ZERO;
-        b.stages[0].origin = StageOrigin::Shard {
-            shard: 1,
-            attempt: 2,
-        };
         b.stages[0].reused = true;
         b.stages[0].subkeys = 5;
         assert_eq!(a.deterministic_digest(), b.deterministic_digest());
@@ -1357,19 +1103,12 @@ mod tests {
         let budget = Budget::unlimited();
         let branches = branch_tasks(&base);
         assert_eq!(branches.len(), 2);
-        let (cold_links, cold_branch_links, cold_ev) =
-            run_links(&base, &branches, &store, &budget, None);
+        let (cold_links, cold_branch_links, cold_ev) = run_links(&base, &branches, &store, &budget);
         assert_eq!(cold_ev.cache, CacheEvent::Miss);
         assert!(!cold_ev.reused);
         assert_eq!(cold_ev.subkeys, 2);
-        let (_, cold_pres_ev) = run_presentations(
-            &branches,
-            &cold_branch_links,
-            &cold_links,
-            &store,
-            &budget,
-            None,
-        );
+        let (_, cold_pres_ev) =
+            run_presentations(&branches, &cold_branch_links, &cold_links, &store, &budget);
         assert_eq!(cold_pres_ev.subkeys, 2);
         let after_cold = store.links.lock().stats();
         assert_eq!(after_cold.reuse_hits, 0, "cold run reuses nothing");
@@ -1379,7 +1118,7 @@ mod tests {
         // τ1's branch artifact is served from the cache (a reuse hit).
         let edited_branches = branch_tasks(&edited);
         let (edited_links, edited_branch_links, warm_ev) =
-            run_links(&edited, &edited_branches, &store, &budget, None);
+            run_links(&edited, &edited_branches, &store, &budget);
         assert!(warm_ev.reused, "the unedited branch must be reused");
         assert_eq!(warm_ev.cache, CacheEvent::Miss, "one branch recomputed");
         let after_edit = store.links.lock().stats();
@@ -1392,7 +1131,6 @@ mod tests {
             &edited_links,
             &store,
             &budget,
-            None,
         );
         assert!(warm_pres_ev.reused);
         assert_eq!(store.presentations.lock().stats().reuse_hits, 1);

@@ -248,13 +248,6 @@ impl Budget {
         self
     }
 
-    /// Time remaining until the deadline (`None` = no deadline).
-    #[must_use]
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
-    }
-
     /// Whether the deadline has passed.
     #[must_use]
     pub fn deadline_exceeded(&self) -> bool {
@@ -288,7 +281,6 @@ mod tests {
         let t = CancelToken::new();
         assert!(b.check(&t).is_ok());
         assert!(!b.deadline_exceeded());
-        assert_eq!(b.remaining(), None);
     }
 
     #[test]
@@ -306,7 +298,6 @@ mod tests {
         let b = Budget::unlimited().with_deadline_in(Duration::ZERO);
         std::thread::sleep(Duration::from_millis(1));
         assert!(b.deadline_exceeded());
-        assert_eq!(b.remaining(), Some(Duration::ZERO));
         assert_eq!(
             b.check(&CancelToken::new()),
             Err(Interrupt::DeadlineExceeded)
@@ -321,7 +312,6 @@ mod tests {
         let b = Budget::unlimited().with_deadline_in(Duration::from_millis(u64::MAX));
         assert!(b.deadline.is_none(), "overflowed deadline degrades to none");
         assert!(!b.deadline_exceeded());
-        assert_eq!(b.remaining(), None);
         assert!(b.check(&CancelToken::new()).is_ok());
         // A representable deadline still works after the fix.
         let soon = Budget::unlimited().with_deadline_in(Duration::from_secs(3600));

@@ -65,8 +65,7 @@ impl Hasher for StructuralHasher {
 }
 
 /// FNV-1a over raw bytes: [`StructuralHasher`]'s loop from its fixed
-/// offset basis. The checksum of snapshot records, shard artifacts and
-/// stage responses.
+/// offset basis. The checksum of snapshot records.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = StructuralHasher::default();
@@ -75,8 +74,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// One xorshift64* step: the workspace's deterministic generator (task
-/// mutants, shard backoff jitter, chaos fault schedules). It reads no
-/// entropy source, so a seed fully determines the sequence.
+/// mutants, chaos fault schedules). It reads no entropy source, so a
+/// seed fully determines the sequence.
 pub fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state | 1;
     x ^= x << 13;

@@ -190,8 +190,6 @@ fn pass_d5(graph: &Graph, files: &[FileInfo], out: &mut Vec<(usize, Finding)>) {
 /// fixtures can opt in with a matching relative path.
 const L2_SCOPE: &[&str] = &[
     "src/serve.rs",
-    "src/shard.rs",
-    "src/stages/remote.rs",
     "src/stages/cache.rs",
     "src/stages/persist.rs",
 ];

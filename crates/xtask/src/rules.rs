@@ -8,7 +8,7 @@
 //! | D1 | hash-order  | no hash-ordered container on the verdict path |
 //! | D2 | clock-env   | no wall-clock / environment reads in pure decision code (alias-aware) |
 //! | D3 | fs-confine  | filesystem access on the verdict path lives in `stages/persist.rs` |
-//! | D4 | net-confine | socket construction lives in `cli/src/serve.rs` + `cli/src/shard.rs` |
+//! | D4 | net-confine | socket construction lives in `cli/src/serve.rs` + `cli/src/chaos.rs` |
 //! | D5 | digest-taint| no clock/env/RNG/hash-order source reachable from a determinism root |
 //! | P1 | panic       | library code degrades structurally, it does not panic |
 //! | P2 | index       | (advisory) prefer `get` over panicking indexing |
@@ -117,9 +117,7 @@ pub fn role_for(rel: &str) -> Option<Role> {
         clock_exempt: rel.ends_with("src/govern.rs") || rel == "crates/cli/src/chaos.rs",
         lock_exempt: rel == "crates/core/src/stages/cache.rs",
         fs_exempt: rel == "crates/core/src/stages/persist.rs",
-        net_exempt: rel == "crates/cli/src/serve.rs"
-            || rel == "crates/cli/src/shard.rs"
-            || rel == "crates/cli/src/chaos.rs",
+        net_exempt: rel == "crates/cli/src/serve.rs" || rel == "crates/cli/src/chaos.rs",
     })
 }
 
@@ -510,10 +508,10 @@ fn rule_d3(code: &[&Tok], role: Role, findings: &mut Vec<Finding>) {
 /// source the decision pipeline must never observe directly. The
 /// sanctioned homes are `crates/cli/src/serve.rs` (every request framed,
 /// budgeted, and admission-controlled before it can reach
-/// `analyze_governed`), `crates/cli/src/shard.rs`, and
-/// `crates/cli/src/chaos.rs` (the fault campaign abuses sockets on
-/// purpose). Naming a socket type (in a signature or a `use`) is fine;
-/// *constructing* one (`bind`, `connect`, …) is the access.
+/// `analyze_governed`) and `crates/cli/src/chaos.rs` (the fault campaign
+/// abuses sockets on purpose). Naming a socket type (in a signature or a
+/// `use`) is fine; *constructing* one (`bind`, `connect`, …) is the
+/// access.
 fn rule_d4(code: &[&Tok], role: Role, findings: &mut Vec<Finding>) {
     if role.net_exempt {
         return;
@@ -529,9 +527,8 @@ fn rule_d4(code: &[&Tok], role: Role, findings: &mut Vec<Finding>) {
                 t.col,
                 t.text.chars().count(),
                 format!(
-                    "`{}` constructor outside `cli/src/serve.rs`/`cli/src/shard.rs`/\
-                     `cli/src/chaos.rs`: sockets are confined to the \
-                     verdict-service modules",
+                    "`{}` constructor outside `cli/src/serve.rs`/`cli/src/chaos.rs`: \
+                     sockets are confined to the verdict-service modules",
                     t.text
                 ),
                 "route network I/O through `chromata_cli::serve` (framed, \
