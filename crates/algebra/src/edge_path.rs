@@ -71,27 +71,6 @@ impl EdgePathGroup {
         }
     }
 
-    /// Reassembles an edge-path group from its serialized parts; the
-    /// generator index is re-derived from the oriented edge list (the
-    /// serde layer has already checked that the generator count matches).
-    pub(crate) fn from_parts(
-        presentation: Presentation,
-        generator_edges: Vec<(Vertex, Vertex)>,
-        graph: Graph,
-    ) -> Self {
-        let generator_index: BTreeMap<(Vertex, Vertex), i32> = generator_edges
-            .iter()
-            .enumerate()
-            .map(|(k, e)| (e.clone(), k as i32 + 1))
-            .collect();
-        EdgePathGroup {
-            presentation,
-            generator_edges,
-            generator_index,
-            graph,
-        }
-    }
-
     /// The group presentation (generators = non-tree edges, relators =
     /// triangle boundaries).
     #[must_use]
@@ -155,14 +134,6 @@ impl PresentationSummary {
     pub fn of(k: &Complex) -> Self {
         let group = EdgePathGroup::new(k);
         let simplified = group.presentation().simplified();
-        PresentationSummary::from_parts(group, simplified)
-    }
-
-    /// Reassembles a summary from its edge-path group and the group's
-    /// simplified presentation, deriving both flags from the latter (a
-    /// restored snapshot is trusted for the presentation itself, so
-    /// nothing is simplified again).
-    pub(crate) fn from_parts(group: EdgePathGroup, simplified: Presentation) -> Self {
         let trivial = simplified.is_trivial_group();
         let evidently_abelian = simplified.has_all_commutators();
         PresentationSummary {

@@ -82,25 +82,6 @@ impl ChainComplex {
         }
     }
 
-    /// Reassembles a chain complex from already-validated parts (the
-    /// serde layer checks the boundary-matrix shapes and that the edge
-    /// basis is strictly sorted before calling).
-    pub(crate) fn from_parts(
-        vertices: Vec<Vertex>,
-        edges: Vec<Simplex>,
-        triangles: Vec<Simplex>,
-        boundary1: IntMatrix,
-        boundary2: IntMatrix,
-    ) -> Self {
-        ChainComplex {
-            vertices,
-            edges,
-            triangles,
-            boundary1,
-            boundary2,
-        }
-    }
-
     /// The ordered edge basis.
     #[must_use]
     pub fn edges(&self) -> &[Simplex] {

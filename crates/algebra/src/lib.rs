@@ -40,7 +40,6 @@ mod homology;
 mod linear;
 mod matrix;
 mod presentation;
-mod serde_impls;
 mod smith;
 mod todd_coxeter;
 mod word;

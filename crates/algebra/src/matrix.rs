@@ -64,12 +64,6 @@ impl IntMatrix {
         IntMatrix { rows, cols, data }
     }
 
-    /// The row-major backing storage (for serialization).
-    #[must_use]
-    pub(crate) fn data(&self) -> &[i64] {
-        &self.data
-    }
-
     /// Number of rows.
     #[must_use]
     pub fn rows(&self) -> usize {

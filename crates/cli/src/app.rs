@@ -6,7 +6,7 @@ use std::path::PathBuf;
 
 use chromata::{
     analyze, analyze_batch, analyze_governed, audit_cache_dir, clear_cache_dir, clear_stage_caches,
-    laps, load_cache_dir, persist_now, solve_act, stage_cache_stats, ActOutcome, Budget,
+    laps, load_cache_dir, persist_if_changed, solve_act, stage_cache_stats, ActOutcome, Budget,
     CacheDirConfig, CancelToken, LoadReport, PersistError, PipelineOptions, SaveReport, Verdict,
 };
 use chromata_runtime::{verify_figure7, verify_figure7_with_crashes, VerifyError};
@@ -37,8 +37,8 @@ pub enum Command {
         act_fallback: usize,
         /// Emit machine-readable JSON instead of the text table.
         json: bool,
-        /// Durable stage-cache directory (`--cache-dir`, falling back
-        /// to `CHROMATA_CACHE_DIR`).
+        /// Durable verdict-record directory (`--cache-dir`, falling
+        /// back to `CHROMATA_CACHE_DIR`).
         cache_dir: Option<PathBuf>,
     },
     /// `chromata batch [--act-fallback N] [--cache-dir DIR] [--digests]
@@ -49,8 +49,8 @@ pub enum Command {
         tasks: Vec<String>,
         /// ACT fallback rounds for undetermined verdicts.
         act_fallback: usize,
-        /// Durable stage-cache directory (`--cache-dir`, falling back
-        /// to `CHROMATA_CACHE_DIR`).
+        /// Durable verdict-record directory (`--cache-dir`, falling
+        /// back to `CHROMATA_CACHE_DIR`).
         cache_dir: Option<PathBuf>,
         /// Print each task's 16-hex evidence digest (`--digests`) —
         /// CI diffs these against the committed golden file.
@@ -97,8 +97,8 @@ pub enum Command {
         act_rounds: usize,
         /// Maximum crash faults injected by the wait-freedom check.
         max_crashes: usize,
-        /// Durable stage-cache directory (`--cache-dir`, falling back
-        /// to `CHROMATA_CACHE_DIR`).
+        /// Durable verdict-record directory (`--cache-dir`, falling
+        /// back to `CHROMATA_CACHE_DIR`).
         cache_dir: Option<PathBuf>,
     },
     /// `chromata serve [--addr A] [--threads N] [--admission N]
@@ -120,8 +120,8 @@ pub enum Command {
         max_payload: usize,
         /// Server-side per-request wall-clock cap in milliseconds.
         budget_ms: Option<u64>,
-        /// Durable stage-cache directory (`--cache-dir`, falling back
-        /// to `CHROMATA_CACHE_DIR`).
+        /// Durable verdict-record directory (`--cache-dir`, falling
+        /// back to `CHROMATA_CACHE_DIR`).
         cache_dir: Option<PathBuf>,
         /// Background persistence cadence in seconds (0 = off).
         persist_secs: u64,
@@ -152,8 +152,9 @@ pub enum Command {
         json: bool,
     },
     /// `chromata cache <stats|verify|clear> [--cache-dir DIR]` —
-    /// offline maintenance of a durable stage-cache directory. `verify`
-    /// exits nonzero when any snapshot is rejected, torn, or corrupt.
+    /// offline maintenance of a durable verdict-record directory.
+    /// `verify` exits nonzero when the snapshot is rejected, torn, or
+    /// corrupt.
     Cache {
         /// `stats`, `verify`, or `clear`.
         action: CacheAction,
@@ -213,11 +214,11 @@ pub enum Command {
 /// The three offline `chromata cache` maintenance actions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheAction {
-    /// Print per-kind snapshot statistics.
+    /// Print the snapshot's statistics and any ignored v2 files.
     Stats,
     /// Audit snapshot integrity; nonzero exit on any corruption.
     Verify,
-    /// Delete every snapshot (and stray temp file) in the directory.
+    /// Delete the snapshot, v2 snapshots and stray temp files.
     Clear,
 }
 
@@ -632,7 +633,7 @@ fn boot(options: crate::serve::ServeOptions) -> Result<String, CliError> {
     }
     if let Some(loaded) = server.loaded() {
         println!(
-            "serve: warm-started {} artifact(s) ({} rejected, {} torn, {} corrupt)",
+            "serve: warm-started {} verdict record(s) ({} rejected, {} torn, {} corrupt)",
             loaded.restored, loaded.rejected_snapshots, loaded.torn_entries, loaded.corrupt_entries
         );
     }
@@ -718,7 +719,8 @@ fn summarize_response(raw: &str) -> Result<String, CliError> {
 
 /// Appends the persistence bookkeeping lines a command prints when a
 /// durable cache directory is active: what [`load_cache_dir`] restored
-/// and what [`persist_now`] wrote — or, non-fatally, why it did not.
+/// and what [`persist_if_changed`] wrote — nothing, when no verdict
+/// record changed — or, non-fatally, why it did not.
 fn cache_report_lines(
     out: &mut String,
     config: &CacheDirConfig,
@@ -729,7 +731,7 @@ fn cache_report_lines(
     if let Some(loaded) = loaded {
         let _ = writeln!(
             out,
-            "cache: restored {} artifact(s) from {} ({} rejected, {} torn, {} corrupt)",
+            "cache: restored {} verdict record(s) from {} ({} rejected, {} torn, {} corrupt)",
             loaded.restored,
             dir.display(),
             loaded.rejected_snapshots,
@@ -737,23 +739,23 @@ fn cache_report_lines(
             loaded.corrupt_entries
         );
     }
-    if let Some(Ok(saved)) = &saved {
-        let _ = writeln!(
-            out,
-            "cache: persisted {} entr{} across {} snapshot(s) to {}",
-            saved.entries_written,
-            if saved.entries_written == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-            saved.files_written,
-            dir.display()
-        );
-    }
-    if let Some(Err(err)) = &saved {
+    match saved {
+        Some(Ok(saved)) if saved.files_written == 0 => {
+            let _ = writeln!(out, "cache: snapshot unchanged in {}", dir.display());
+        }
+        Some(Ok(saved)) => {
+            let _ = writeln!(
+                out,
+                "cache: persisted {} verdict record(s) to {}",
+                saved.entries_written,
+                dir.display()
+            );
+        }
         // Persistence failures never poison a verdict: warn and go on.
-        let _ = writeln!(out, "cache: WARNING — snapshot not written: {err}");
+        Some(Err(err)) => {
+            let _ = writeln!(out, "cache: WARNING — snapshot not written: {err}");
+        }
+        None => {}
     }
 }
 
@@ -848,7 +850,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                     act_fallback_rounds: act_fallback,
                 },
             );
-            let saved = persist_now(&cache_config);
+            let saved = persist_if_changed(&cache_config);
             if json {
                 use serde_json::Value;
                 let stages: Vec<Value> = analysis
@@ -952,7 +954,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                     act_fallback_rounds: act_fallback,
                 },
             );
-            let saved = persist_now(&cache_config);
+            let saved = persist_if_changed(&cache_config);
             let mut out = String::new();
             for (spec, a) in specs.iter().zip(&analyses) {
                 if digests {
@@ -1232,7 +1234,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                     }
                 }
             }
-            let saved = persist_now(&cache_config);
+            let saved = persist_if_changed(&cache_config);
             cache_report_lines(&mut out, &cache_config, loaded, saved);
             Ok(out)
         }
@@ -1341,39 +1343,34 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                     );
                 }
                 CacheAction::Stats | CacheAction::Verify => {
-                    let audits = audit_cache_dir(dir);
-                    let mut dirty = 0usize;
-                    for a in &audits {
+                    let audit = audit_cache_dir(dir);
+                    let _ = writeln!(
+                        out,
+                        "verdict  {:<8} entries {:>5}  torn {:>3}  corrupt {:>3}",
+                        audit.status.label(),
+                        audit.entries,
+                        audit.torn_entries,
+                        audit.corrupt_entries
+                    );
+                    for issue in &audit.issues {
+                        let _ = writeln!(out, "    issue: {issue}");
+                    }
+                    if !audit.ignored.is_empty() {
                         let _ = writeln!(
                             out,
-                            "{:<13} {:<8} entries {:>5}  capacity {:>5}  hits {:>6}  misses {:>6}  \
-                             evictions {:>6}  torn {:>3}  corrupt {:>3}",
-                            a.kind.name(),
-                            a.status.label(),
-                            a.entries,
-                            a.capacity,
-                            a.hits,
-                            a.misses,
-                            a.evictions,
-                            a.torn_entries,
-                            a.corrupt_entries
+                            "ignored: {} (retired v2 snapshots, never read)",
+                            audit.ignored.join(", ")
                         );
-                        for issue in &a.issues {
-                            let _ = writeln!(out, "    issue: {issue}");
-                        }
-                        if !a.is_clean() {
-                            dirty += 1;
-                        }
                     }
                     if action == CacheAction::Verify {
-                        if dirty > 0 {
+                        if !audit.is_clean() {
                             let _ = writeln!(
                                 out,
-                                "verify: FAILED — {dirty} snapshot(s) rejected, torn or corrupt"
+                                "verify: FAILED — the verdict snapshot is rejected, torn or corrupt"
                             );
                             return Err(CliError(out));
                         }
-                        let _ = writeln!(out, "verify: OK — every snapshot intact");
+                        let _ = writeln!(out, "verify: OK — the verdict snapshot is intact");
                     }
                 }
             }
@@ -1460,8 +1457,8 @@ COMMANDS:
                                  honoring the server's retry_after_ms hint
     cache <stats|verify|clear> [--cache-dir DIR]
                                  offline audit / maintenance of a durable
-                                 stage-cache directory; `verify` exits nonzero
-                                 on any rejected, torn or corrupt snapshot
+                                 verdict-record directory; `verify` exits
+                                 nonzero on a rejected, torn or corrupt snapshot
     fuzz [--seed N] [--rounds K] [--act-fallback N] [task...]
                                  mutation-fuzzing campaign: analyze K seeded
                                  near-duplicate mutants per base task through

@@ -409,18 +409,16 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
     };
     PersistChaos::uninstall();
 
-    // The surviving cache directory must audit clean: every snapshot
-    // the campaign's persists (including the failed ones) left behind
-    // is intact or absent, never torn.
+    // The surviving cache directory must audit clean: the snapshot the
+    // campaign's persists (including the failed ones) left behind is
+    // intact or absent, never torn.
     if dir.exists() {
-        for audit in audit_cache_dir(&dir) {
-            if !audit.is_clean() {
-                breaches.push(format!(
-                    "cache audit: {} snapshot unclean: {:?}",
-                    audit.kind.name(),
-                    audit.issues
-                ));
-            }
+        let audit = audit_cache_dir(&dir);
+        if !audit.is_clean() {
+            breaches.push(format!(
+                "cache audit: verdict snapshot unclean: {:?}",
+                audit.issues
+            ));
         }
     }
     if opts.cache_dir.is_none() {

@@ -19,11 +19,13 @@
 //!   cannot monopolize a worker forever.
 //!
 //! Durability rides on the PR 5 snapshot layer: the server warm-starts
-//! from `--cache-dir` on boot, persists dirty caches in the background
-//! on a fixed cadence, and persists once more on graceful shutdown.
-//! Because snapshots are written atomically (temp + fsync + rename), an
-//! abrupt SIGKILL loses at most the last cadence interval, never the
-//! on-disk history. SIGTERM/SIGINT are gentler: the CLI entry point
+//! its verdict records from `--cache-dir` on boot, persists them in the
+//! background on a fixed cadence, and once more on graceful shutdown —
+//! each time only if a record changed, so a replay-only daemon never
+//! rewrites its snapshot. The wire `persist` op always writes. Because
+//! snapshots are written atomically (temp + fsync + rename), an abrupt
+//! SIGKILL loses at most the last cadence interval, never the on-disk
+//! history. SIGTERM/SIGINT are gentler: the CLI entry point
 //! watches for them with `chromata-signal` and turns either into the
 //! same graceful shutdown a wire `{"op":"shutdown"}` triggers — final
 //! persist included — via [`Server::shutdown_handle`].
@@ -56,8 +58,9 @@ use std::time::Duration;
 use chromata::topology::govern::{Gate, Stopwatch};
 use chromata::topology::structural_fingerprint;
 use chromata::{
-    analyze_governed, load_cache_dir, persist_failures, persist_now, stage_cache_stats,
-    store_read_through, Budget, CacheDirConfig, CancelToken, LoadReport, PipelineOptions, Verdict,
+    analyze_governed, load_cache_dir, persist_failures, persist_if_changed, persist_now,
+    stage_cache_stats, store_read_through, Budget, CacheDirConfig, CancelToken, LoadReport,
+    PipelineOptions, Verdict,
 };
 
 use crate::app::CliError;
@@ -214,7 +217,6 @@ struct Shared {
     analyzed: AtomicU64,
     overloaded: AtomicU64,
     malformed: AtomicU64,
-    dirty: AtomicU64,
     poison: PoisonTable,
 }
 
@@ -314,7 +316,6 @@ impl Server {
             analyzed: AtomicU64::new(0),
             overloaded: AtomicU64::new(0),
             malformed: AtomicU64::new(0),
-            dirty: AtomicU64::new(0),
             poison: PoisonTable::new(),
         });
         let spawn_err = |e: std::io::Error| CliError(format!("serve: cannot spawn thread: {e}"));
@@ -416,19 +417,12 @@ impl Server {
         if let Some(persister) = self.persister.take() {
             drop(persister.join());
         }
-        let mut persisted = String::new();
-        if self.shared.cache.is_enabled() {
-            match persist_now(&self.shared.cache) {
-                Some(Ok(report)) => {
-                    persisted = format!(
-                        "; persisted {} entr(ies) across {} file(s)",
-                        report.entries_written, report.files_written
-                    );
-                }
-                Some(Err(e)) => persisted = format!("; final persist failed: {e}"),
-                None => {}
-            }
-        }
+        let persisted = match persist_if_changed(&self.shared.cache) {
+            Some(Ok(report)) if report.files_written == 0 => "; snapshot unchanged".to_owned(),
+            Some(Ok(report)) => format!("; persisted {} verdict record(s)", report.entries_written),
+            Some(Err(e)) => format!("; final persist failed: {e}"),
+            None => String::new(),
+        };
         let shared = &self.shared;
         let abandoned = if stalled > 0 {
             format!("; abandoned {stalled} stalled connection(s)")
@@ -535,7 +529,11 @@ enum LineError {
     /// client stalled mid-line (answer a structured timeout error, then
     /// close) from an idle connection between requests (close quietly).
     TimedOut { partial: bool },
-    /// Disconnect or non-UTF-8 input: close the connection.
+    /// A line that is not valid UTF-8: answer a structured error.
+    /// `at_eof` says it was the stream's unterminated tail (then close);
+    /// a newline-framed one keeps the connection.
+    NotUtf8 { at_eof: bool },
+    /// Disconnect or another read error: close the connection.
     Io,
 }
 
@@ -568,7 +566,9 @@ fn read_bounded_line(
             }
             // EOF mid-line: serve the unterminated tail as a request so
             // `printf '{...}' | nc` style clients still get an answer.
-            return String::from_utf8(buf).map(Some).map_err(|_| LineError::Io);
+            return String::from_utf8(buf)
+                .map(Some)
+                .map_err(|_| LineError::NotUtf8 { at_eof: true });
         }
         if let Some(pos) = chunk.iter().position(|&b| b == b'\n') {
             buf.extend_from_slice(&chunk[..pos]);
@@ -576,7 +576,9 @@ fn read_bounded_line(
             if buf.len() > max {
                 return Err(LineError::Oversized { resynced: true });
             }
-            return String::from_utf8(buf).map(Some).map_err(|_| LineError::Io);
+            return String::from_utf8(buf)
+                .map(Some)
+                .map_err(|_| LineError::NotUtf8 { at_eof: false });
         }
         let n = chunk.len();
         buf.extend_from_slice(chunk);
@@ -679,6 +681,14 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 }
                 return;
             }
+            Err(LineError::NotUtf8 { at_eof }) => {
+                shared.served.fetch_add(1, Ordering::Relaxed);
+                shared.malformed.fetch_add(1, Ordering::Relaxed);
+                let response = wire::error_response("request is not valid UTF-8");
+                if write_line(&mut writer, &response).is_err() || at_eof {
+                    return;
+                }
+            }
             Err(LineError::Io) => return,
         }
     }
@@ -724,13 +734,10 @@ fn dispatch(line: &str, shared: &Shared) -> (String, bool) {
         }
         Ok(Request::Persist) => match persist_now(&shared.cache) {
             None => (wire::error_response("no cache directory configured"), false),
-            Some(Ok(report)) => {
-                shared.dirty.store(0, Ordering::Release);
-                (
-                    wire::persist_response(report.entries_written, report.files_written as u64),
-                    false,
-                )
-            }
+            Some(Ok(report)) => (
+                wire::persist_response(report.entries_written, report.files_written as u64),
+                false,
+            ),
             Some(Err(e)) => (wire::error_response(&format!("persist failed: {e}")), false),
         },
         Ok(Request::Shutdown) => (wire::shutdown_response(), true),
@@ -813,7 +820,6 @@ fn handle_analyze(req: AnalyzeRequest, shared: &Shared) -> String {
         }
         Ok(analysis) => {
             shared.analyzed.fetch_add(1, Ordering::Relaxed);
-            shared.dirty.fetch_add(1, Ordering::Relaxed);
             // A budget-induced UNKNOWN carries a retry hint: come back
             // after roughly twice the budget that just ran out.
             let retry_after_ms = match (&analysis.verdict, effective_ms) {
@@ -832,9 +838,10 @@ fn handle_analyze(req: AnalyzeRequest, shared: &Shared) -> String {
     }
 }
 
-/// Background persister: every `persist_secs`, snapshot the caches if
-/// any analysis completed since the last snapshot. Persist failures are
-/// counted and retried next tick, never fatal.
+/// Background persister: every `persist_secs`, snapshot the verdict
+/// records if one changed since the last load or save. A failed save
+/// leaves the change flag set, so the next tick retries; failures are
+/// counted, never fatal.
 fn persist_loop(shared: &Shared) {
     // chromata-lint: allow(L2): the baton exists to serialize the single
     // persister thread; holding it across the snapshot is its purpose,
@@ -849,15 +856,7 @@ fn persist_loop(shared: &Shared) {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        if shared.dirty.swap(0, Ordering::AcqRel) == 0 {
-            continue;
-        }
-        if let Some(Err(_)) = persist_now(&shared.cache) {
-            // The snapshot failed after `dirty` was already swapped to
-            // zero; re-mark it so the next cadence retries instead of
-            // silently dropping the delta until another request lands.
-            shared.dirty.fetch_add(1, Ordering::Relaxed);
-        }
+        drop(persist_if_changed(&shared.cache));
     }
 }
 

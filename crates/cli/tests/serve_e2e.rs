@@ -319,6 +319,56 @@ fn malformed_requests_get_structured_errors_and_the_connection_survives() {
     let _ = server.wait();
 }
 
+#[test]
+fn a_non_utf8_line_is_answered_and_the_connection_survives() {
+    // A framed line that is not UTF-8 is still one request: it gets one
+    // structured error, counts as served and malformed, and the
+    // connection keeps serving.
+    let _guard = store_guard();
+    let server = Server::start(options()).unwrap();
+    let addr = server.local_addr().to_string();
+    let stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut exchange = |request: &[u8]| -> Value {
+        writer.write_all(request).unwrap();
+        writer.write_all(b"\n").unwrap();
+        writer.flush().unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(!line.trim().is_empty(), "no response to {request:?}");
+        json_line(line.trim_end())
+    };
+    let malformed = |doc: &Value| uint_field(doc, "malformed").expect("a malformed count");
+
+    assert_eq!(str_field(&exchange(br#"{"op":"ping"}"#), "op"), "ping");
+    let before = malformed(&exchange(br#"{"op":"stats"}"#));
+    let doc = exchange(b"{\"op\":\"\xff\"}");
+    assert_eq!(str_field(&doc, "status"), "error");
+    assert_eq!(str_field(&doc, "error"), "request is not valid UTF-8");
+    assert_eq!(str_field(&exchange(br#"{"op":"ping"}"#), "op"), "ping");
+    assert_eq!(malformed(&exchange(br#"{"op":"stats"}"#)), before + 1);
+
+    // An unterminated non-UTF-8 tail at EOF gets the same answer.
+    let mut tail = TcpStream::connect(&addr).unwrap();
+    tail.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    tail.write_all(b"\xfe\xff").unwrap();
+    tail.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut line = String::new();
+    BufReader::new(tail).read_line(&mut line).unwrap();
+    assert_eq!(
+        str_field(&json_line(line.trim_end()), "error"),
+        "request is not valid UTF-8"
+    );
+
+    server.shutdown();
+    let _ = server.wait();
+}
+
 /// Deterministic xorshift byte-mutation fuzz: hundreds of corrupted
 /// variants of a valid request are thrown at the live server on fresh
 /// connections. Whatever happens — accepted, structured error, or a

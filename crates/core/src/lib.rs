@@ -79,9 +79,9 @@ pub use stages::chaos::{
     PlannedFault, ALL_FAULT_KINDS,
 };
 pub use stages::persist::{
-    audit_cache_dir, clear_cache_dir, load_cache_dir, persist_failures, persist_now,
-    store_read_through, CacheDirConfig, LoadReport, PersistError, SaveReport, SnapshotAudit,
-    SnapshotStatus, CACHE_DIR_ENV,
+    audit_cache_dir, clear_cache_dir, load_cache_dir, persist_failures, persist_if_changed,
+    persist_now, store_read_through, CacheDirConfig, LoadReport, PersistError, SaveReport,
+    SnapshotAudit, SnapshotStatus, CACHE_DIR_ENV,
 };
 pub use stages::{CacheEvent, EvidenceChain, Stage, StageEvidence, StageOutcome};
 pub use two_process::{decide_two_process, synthesize_two_process};

@@ -246,21 +246,19 @@ pub(crate) fn exists_summary(outcome: &ContinuousOutcome) -> Option<(usize, usiz
 }
 
 // ---------------------------------------------------------------------------
-// Serde plumbing — the persistence layer (`super::persist`) snapshots every
-// stage cache, so each artifact (and the verdict record) needs a stable,
-// canonical serialized form. Same rules as the topology/algebra serde
-// layers: each type reads and writes its own `Content` tree, ordered
-// containers render as sorted sequences, and *validation comes before
-// construction* — a corrupt snapshot entry must become an `Err`, never a
-// panic or a malformed artifact.
+// Serde plumbing — the persistence layer (`super::persist`) snapshots the
+// verdict records, so the record (and the verdict it carries) needs a
+// stable, canonical serialized form. Same rules as the topology serde
+// layer: each type reads and writes its own `Content` tree, and
+// *validation comes before construction* — a corrupt snapshot entry must
+// become an `Err`, never a panic or a malformed record. The intermediate
+// artifacts above never leave memory, so they have no serialized form.
 // ---------------------------------------------------------------------------
 
 use serde::{Content, Deserialize, Error, Serialize};
 
 use super::cache::{store, ArtifactKind};
 use super::{DecisionRecord, StageTrace};
-use crate::continuous::ImpossibilityReason;
-use crate::lap::Lap;
 use crate::pipeline::Obstruction;
 
 /// Interns a persisted stage name back to `&'static str`: the name of
@@ -340,284 +338,6 @@ impl Deserialize for Obstruction {
                 "unknown obstruction variant '{other}'"
             ))),
         }
-    }
-}
-
-impl Serialize for ImpossibilityReason {
-    fn to_content(&self) -> Content {
-        match self {
-            ImpossibilityReason::EmptyVertexImage(x) => {
-                Content::tagged("empty_vertex_image", x.to_content())
-            }
-            ImpossibilityReason::SkeletonDisconnected { edge } => {
-                Content::tagged("skeleton_disconnected", edge.to_content())
-            }
-            ImpossibilityReason::HomologyObstruction { triangle } => {
-                Content::tagged("homology_obstruction", triangle.to_content())
-            }
-        }
-    }
-}
-
-impl Deserialize for ImpossibilityReason {
-    fn from_content(c: &Content) -> Result<Self, Error> {
-        let (tag, payload) = c.variant()?;
-        match tag {
-            "empty_vertex_image" => Ok(ImpossibilityReason::EmptyVertexImage(
-                Vertex::from_content(payload)?,
-            )),
-            "skeleton_disconnected" => Ok(ImpossibilityReason::SkeletonDisconnected {
-                edge: Simplex::from_content(payload)?,
-            }),
-            "homology_obstruction" => Ok(ImpossibilityReason::HomologyObstruction {
-                triangle: Simplex::from_content(payload)?,
-            }),
-            other => Err(Error::custom(format!(
-                "unknown impossibility variant '{other}'"
-            ))),
-        }
-    }
-}
-
-impl Serialize for ContinuousOutcome {
-    fn to_content(&self) -> Content {
-        match self {
-            ContinuousOutcome::Exists {
-                assignment,
-                certificates,
-            } => Content::tagged(
-                "exists",
-                Content::object([
-                    // BTreeMap iterates sorted, so the pair list is canonical.
-                    (
-                        "assignment",
-                        Content::Array(assignment.iter().map(|p| p.to_content()).collect()),
-                    ),
-                    ("certificates", certificates.to_content()),
-                ]),
-            ),
-            ContinuousOutcome::Impossible { reason } => {
-                Content::tagged("impossible", reason.to_content())
-            }
-            ContinuousOutcome::Undetermined { reason } => {
-                Content::tagged("undetermined", reason.to_content())
-            }
-        }
-    }
-}
-
-impl Deserialize for ContinuousOutcome {
-    fn from_content(c: &Content) -> Result<Self, Error> {
-        let (tag, payload) = c.variant()?;
-        match tag {
-            "exists" => {
-                let pairs: Vec<(Vertex, Vertex)> = payload.get("assignment")?;
-                Ok(ContinuousOutcome::Exists {
-                    assignment: pairs.into_iter().collect(),
-                    certificates: payload.get("certificates")?,
-                })
-            }
-            "impossible" => Ok(ContinuousOutcome::Impossible {
-                reason: ImpossibilityReason::from_content(payload)?,
-            }),
-            "undetermined" => Ok(ContinuousOutcome::Undetermined {
-                reason: String::from_content(payload)?,
-            }),
-            other => Err(Error::custom(format!(
-                "unknown continuous-outcome variant '{other}'"
-            ))),
-        }
-    }
-}
-
-impl Serialize for Lap {
-    fn to_content(&self) -> Content {
-        let components: Vec<Vec<&Vertex>> =
-            self.components.iter().map(|c| c.iter().collect()).collect();
-        Content::object([
-            ("facet", self.facet.to_content()),
-            ("vertex", self.vertex.to_content()),
-            ("components", components.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for Lap {
-    fn from_content(c: &Content) -> Result<Self, Error> {
-        let components: Vec<Vec<Vertex>> = c.get("components")?;
-        Ok(Lap {
-            facet: c.get("facet")?,
-            vertex: c.get("vertex")?,
-            components: components
-                .into_iter()
-                .map(|c| c.into_iter().collect())
-                .collect(),
-        })
-    }
-}
-
-impl Serialize for SplitOutcome {
-    fn to_content(&self) -> Content {
-        Content::object([
-            ("task", self.task.to_content()),
-            ("steps", self.steps.to_content()),
-            ("degenerate", self.degenerate.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for SplitOutcome {
-    fn from_content(c: &Content) -> Result<Self, Error> {
-        Ok(SplitOutcome {
-            task: c.get("task")?,
-            steps: c.get("steps")?,
-            degenerate: c.get("degenerate")?,
-        })
-    }
-}
-
-impl Serialize for SubdividedComplex {
-    fn to_content(&self) -> Content {
-        self.split.to_content()
-    }
-}
-
-impl Deserialize for SubdividedComplex {
-    fn from_content(c: &Content) -> Result<Self, Error> {
-        Ok(SubdividedComplex {
-            split: SplitOutcome::from_content(c)?,
-        })
-    }
-}
-
-impl Serialize for LinkGraphs {
-    fn to_content(&self) -> Content {
-        Content::object([
-            ("vertices", self.vertices.to_content()),
-            ("domains", self.domains.to_content()),
-            ("edges", self.edges.to_content()),
-            ("edge_graphs", self.edge_graphs.to_content()),
-            ("edge_cycles", self.edge_cycles.to_content()),
-            ("triangles", self.triangles.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for LinkGraphs {
-    fn from_content(c: &Content) -> Result<Self, Error> {
-        let out = LinkGraphs {
-            vertices: c.get("vertices")?,
-            domains: c.get("domains")?,
-            edges: c.get("edges")?,
-            edge_graphs: c.get("edge_graphs")?,
-            edge_cycles: c.get("edge_cycles")?,
-            triangles: c.get("triangles")?,
-        };
-        // Consumers index these arrays in parallel; a snapshot that broke
-        // the parallel-array invariant must not construct.
-        if out.domains.len() != out.vertices.len()
-            || out.edge_graphs.len() != out.edges.len()
-            || out.edge_cycles.len() != out.edges.len()
-        {
-            return Err(Error::custom(
-                "link-graphs parallel arrays disagree in length",
-            ));
-        }
-        Ok(out)
-    }
-}
-
-impl Serialize for ComponentPresentation {
-    fn to_content(&self) -> Content {
-        let members: Vec<&Vertex> = self.members.iter().collect();
-        Content::object([
-            ("members", members.to_content()),
-            ("summary", self.summary.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for ComponentPresentation {
-    fn from_content(c: &Content) -> Result<Self, Error> {
-        let members: Vec<Vertex> = c.get("members")?;
-        Ok(ComponentPresentation {
-            members: members.into_iter().collect(),
-            summary: c.get("summary")?,
-        })
-    }
-}
-
-impl Serialize for TrianglePresentations {
-    fn to_content(&self) -> Content {
-        Content::object([
-            ("components", self.components.to_content()),
-            ("empty", self.empty.to_content()),
-            ("chain", self.chain.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for TrianglePresentations {
-    fn from_content(c: &Content) -> Result<Self, Error> {
-        Ok(TrianglePresentations {
-            components: c.get("components")?,
-            empty: c.get("empty")?,
-            chain: c.get("chain")?,
-        })
-    }
-}
-
-impl Serialize for Presentations {
-    fn to_content(&self) -> Content {
-        self.per_triangle.to_content()
-    }
-}
-
-impl Deserialize for Presentations {
-    fn from_content(c: &Content) -> Result<Self, Error> {
-        Ok(Presentations {
-            per_triangle: Vec::from_content(c)?,
-        })
-    }
-}
-
-impl Serialize for HomologyReport {
-    fn to_content(&self) -> Content {
-        Content::object([
-            ("outcome", self.outcome.to_content()),
-            ("assignments", self.assignments.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for HomologyReport {
-    fn from_content(c: &Content) -> Result<Self, Error> {
-        Ok(HomologyReport {
-            outcome: c.get("outcome")?,
-            assignments: c.get("assignments")?,
-        })
-    }
-}
-
-impl Serialize for ExplorationReport {
-    fn to_content(&self) -> Content {
-        Content::object([
-            ("verdict", self.verdict.to_content()),
-            ("nodes", self.nodes.to_content()),
-            ("rounds_cap", self.rounds_cap.to_content()),
-            ("budget_independent", self.budget_independent.to_content()),
-        ])
-    }
-}
-
-impl Deserialize for ExplorationReport {
-    fn from_content(c: &Content) -> Result<Self, Error> {
-        Ok(ExplorationReport {
-            verdict: c.get("verdict")?,
-            nodes: c.get("nodes")?,
-            rounds_cap: c.get("rounds_cap")?,
-            budget_independent: c.get("budget_independent")?,
-        })
     }
 }
 

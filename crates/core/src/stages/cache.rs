@@ -14,29 +14,29 @@
 //!   (hash-map iteration order must never decide future evictions —
 //!   rule D1);
 //! * **stats** — hits, misses and evictions are counted per cache and
-//!   survive poison recovery.
+//!   survive poison recovery;
+//! * **change flag** — set by every insert and eviction, taken by a
+//!   snapshot save: [`super::persist`] writes the verdict records only
+//!   when they changed.
 //!
-//! The store names its caches once, in `ArtifactStore::kinds`: every
-//! store-wide operation — [`stage_cache_stats`], [`clear_stage_caches`]
-//! and the snapshot save, load and audit of [`super::persist`] — is one
-//! loop over that list. A cached value's one cacheability predicate is
-//! [`Cacheable::cacheable`], checked at insert, snapshot save, load and
-//! audit alike.
+//! The store names its caches once, in `ArtifactStore::kinds`: the
+//! store-wide operations [`stage_cache_stats`] and [`clear_stage_caches`]
+//! are each one loop over that list. A cached value's one cacheability
+//! predicate is [`Cacheable::cacheable`], checked at insert.
 
 // chromata-lint: allow(D1): imported for the key-addressed stage caches; every use is justified at its site
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::Hash;
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use chromata_task::Task;
 use chromata_topology::structural_fingerprint;
-use serde::{Deserialize, Serialize};
 
 use super::artifacts::{
     ExplorationReport, HomologyReport, LinkGraphs, Presentations, SubdividedComplex,
 };
-use super::persist::SnapshotCache;
 use super::DecisionRecord;
 
 /// Hit/miss/eviction counters for one stage cache, as reported per
@@ -55,7 +55,7 @@ pub struct DecisionCacheStats {
     pub misses: u64,
     /// Entries evicted to keep the cache within its capacity.
     pub evictions: u64,
-    /// Entries restored intact from a disk snapshot (see
+    /// Verdict records restored intact from a disk snapshot (see
     /// [`super::persist`]). Process-local, never persisted.
     pub restored: u64,
     /// Whole snapshot files discarded on load: bad magic, unsupported
@@ -64,9 +64,8 @@ pub struct DecisionCacheStats {
     /// Truncated trailing records skipped on load — the signature of a
     /// torn write (crash mid-append before the final newline).
     pub torn_entries: u64,
-    /// Complete-looking records skipped on load: checksum mismatch,
-    /// undecodable payload, or an inadmissible artifact (e.g. a
-    /// budget-dependent exploration that must never be memoized).
+    /// Complete-looking records skipped on load: checksum mismatch or
+    /// undecodable payload.
     pub corrupt_entries: u64,
     /// Hits on *sub-task-granular* entries (per-branch link graphs and
     /// presentations): a nonzero value is the proof that an edited or
@@ -86,8 +85,7 @@ impl DecisionCacheStats {
 
     /// The coherence invariant every observation must satisfy: each
     /// lookup was classified as exactly one hit or miss. Snapshot
-    /// restores merge `hits + misses` into `lookups` so the invariant
-    /// survives warm starts too.
+    /// restores touch none of the three.
     #[must_use]
     pub fn is_coherent(&self) -> bool {
         self.lookups == self.hits + self.misses
@@ -132,12 +130,10 @@ impl fmt::Display for ArtifactKind {
     }
 }
 
-/// A value a stage cache holds: cloned out on a hit, serialized into
-/// snapshots, and gated by one cacheability predicate.
-pub trait Cacheable: Clone + Serialize + Deserialize {
-    /// Whether the value is budget-independent and so safe to memoize —
-    /// in memory at insert, and on disk at snapshot save, load and
-    /// audit.
+/// A value a stage cache holds: cloned out on a hit, and gated by one
+/// cacheability predicate.
+pub trait Cacheable: Clone {
+    /// Whether the value is budget-independent and so safe to memoize.
     fn cacheable(&self) -> bool {
         true
     }
@@ -151,14 +147,13 @@ impl Cacheable for DecisionRecord {}
 
 impl Cacheable for Arc<ExplorationReport> {
     /// A budget-truncated exploration depends on the budget that cut it
-    /// short, so it must never be memoized or cross a process boundary.
+    /// short, so it must never be memoized.
     fn cacheable(&self) -> bool {
         self.budget_independent
     }
 }
 
-/// Capacity of each process-wide stage cache (entries); a restored
-/// snapshot brings its own.
+/// Capacity of each process-wide stage cache (entries).
 const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// A bounded FIFO cache for one artifact kind.
@@ -177,6 +172,10 @@ pub struct StageCache<K, V> {
     /// `stats.reuse_hits` — the observable signal that an edit or a
     /// near-duplicate task shared a branch artifact.
     granular: bool,
+    /// Whether an entry was inserted or evicted since the last
+    /// [`take_changed`](Self::take_changed): the verdict cache's says
+    /// whether its snapshot is stale.
+    changed: bool,
 }
 
 impl<K: Clone + Eq + Hash, V: Clone> StageCache<K, V> {
@@ -189,6 +188,7 @@ impl<K: Clone + Eq + Hash, V: Clone> StageCache<K, V> {
             capacity,
             stats: DecisionCacheStats::default(),
             granular: false,
+            changed: false,
         }
     }
 
@@ -226,7 +226,20 @@ impl<K: Clone + Eq + Hash, V: Clone> StageCache<K, V> {
         if self.map.insert(key.clone(), value).is_none() {
             self.queue.push_back(key);
         }
+        self.changed = true;
         self.evict_to_capacity();
+    }
+
+    /// Reads and clears the change flag: whether an entry was inserted
+    /// or evicted since the last call (or since [`clear`](Self::clear)).
+    /// Lookups and [`restore_entry`](Self::restore_entry) leave it be.
+    pub(crate) fn take_changed(&mut self) -> bool {
+        std::mem::take(&mut self.changed)
+    }
+
+    /// Sets the change flag (a failed save, a damaged snapshot).
+    pub(crate) fn mark_changed(&mut self) {
+        self.changed = true;
     }
 
     /// Current counters.
@@ -281,13 +294,6 @@ impl<K: Clone + Eq + Hash, V: Clone> StageCache<K, V> {
         self.map.is_empty()
     }
 
-    /// Replaces the capacity bound, evicting the oldest entries if the
-    /// cache currently exceeds it. A capacity of 0 disables caching.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        self.restore_invariants();
-    }
-
     /// Validate-or-drop after recovering a poisoned lock: a worker that
     /// panicked mid-update may have inserted into `map` without
     /// recording the key in `queue` (or vice versa). Individual entries
@@ -316,11 +322,12 @@ impl<K: Clone + Eq + Hash, V: Clone> StageCache<K, V> {
         self.evict_to_capacity();
     }
 
-    /// Drops all artifacts and resets the counters.
+    /// Drops all artifacts and resets the counters and the change flag.
     pub fn clear(&mut self) {
         self.map.clear();
         self.queue.clear();
         self.stats = DecisionCacheStats::default();
+        self.changed = false;
     }
 
     fn evict_to_capacity(&mut self) {
@@ -330,6 +337,7 @@ impl<K: Clone + Eq + Hash, V: Clone> StageCache<K, V> {
             };
             self.map.remove(&oldest);
             self.stats.evictions += 1;
+            self.changed = true;
         }
     }
 
@@ -378,6 +386,26 @@ impl<K: Clone + Eq + Hash, V: Clone> SharedCache<K, V> {
     }
 }
 
+/// One stage cache behind the operations that do not depend on its key
+/// and value types: the handle [`ArtifactStore::kinds`] lists for every
+/// kind.
+pub(crate) trait ErasedCache {
+    /// The cache's counters.
+    fn stats(&self) -> DecisionCacheStats;
+    /// Drops every entry and resets the counters.
+    fn clear(&self);
+}
+
+impl<K: Clone + Eq + Hash, V: Clone> ErasedCache for SharedCache<K, V> {
+    fn stats(&self) -> DecisionCacheStats {
+        self.lock().stats()
+    }
+
+    fn clear(&self) {
+        self.lock().clear();
+    }
+}
+
 /// The process-wide store of per-stage caches the verdict engine runs
 /// against. One instance exists per process (see `store`); every
 /// analysis — sequential or batched — shares it, which is what lets
@@ -396,6 +424,10 @@ pub struct ArtifactStore {
     pub(crate) homology: SharedCache<Vec<Task>, Arc<HomologyReport>>,
     pub(crate) exploration: SharedCache<(Task, usize), Arc<ExplorationReport>>,
     pub(crate) verdict: SharedCache<(Task, usize), DecisionRecord>,
+    /// The cache directory the verdict cache's change flag refers to:
+    /// the one it was last loaded from or saved to (see
+    /// [`super::persist`]).
+    pub(crate) synced_dir: Mutex<Option<PathBuf>>,
 }
 
 impl ArtifactStore {
@@ -407,12 +439,13 @@ impl ArtifactStore {
             homology: SharedCache::new(capacity),
             exploration: SharedCache::new(capacity),
             verdict: SharedCache::new(capacity),
+            synced_dir: Mutex::new(None),
         }
     }
 
     /// The kind list: every cache with its artifact kind, in the fixed
-    /// reporting and snapshot-file order.
-    pub(crate) fn kinds(&self) -> [(ArtifactKind, &dyn SnapshotCache); 6] {
+    /// reporting order.
+    pub(crate) fn kinds(&self) -> [(ArtifactKind, &dyn ErasedCache); 6] {
         [
             (ArtifactKind::Split, &self.split),
             (ArtifactKind::LinkGraphs, &self.links),
@@ -499,31 +532,29 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_capacity_evicts_fifo_and_counts() {
-        // Regression (satellite): shrinking the bound below the current
-        // population must evict the *oldest* entries first and count each
-        // one, exactly like an insert-driven eviction would.
-        let mut cache: StageCache<(Task, usize), Verdict> = StageCache::with_capacity(4);
+    fn change_flag_tracks_inserts_and_evictions_only() {
+        let mut cache: StageCache<(Task, usize), Verdict> = StageCache::with_capacity(2);
         let key = |n: usize| (identity_task(2), n);
         let v = Verdict::Unknown { reason: "x".into() };
-        for n in 0..4 {
-            cache.insert(key(n), v.clone());
-        }
-        assert_eq!(cache.len(), 4);
-        assert_eq!(cache.stats().evictions, 0);
-        cache.set_capacity(2);
-        assert_eq!(cache.capacity(), 2);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 2, "shrink evictions are counted");
-        // FIFO: the two oldest went, the two newest survive.
-        assert!(cache.get(&key(0)).is_none());
-        assert!(cache.get(&key(1)).is_none());
-        assert!(cache.get(&key(2)).is_some());
-        assert!(cache.get(&key(3)).is_some());
-        // Growing the bound never evicts.
-        cache.set_capacity(10);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 2);
+        assert!(!cache.take_changed(), "a new cache is unchanged");
+        cache.insert(key(0), v.clone());
+        assert!(cache.take_changed(), "an insert changes the cache");
+        assert!(!cache.take_changed(), "taking the flag clears it");
+        // Lookups and restores leave the flag alone...
+        cache.get(&key(0));
+        cache.get(&key(7));
+        cache.restore_entry(key(1), v.clone());
+        assert!(!cache.take_changed());
+        // ...unless a restore evicts.
+        cache.restore_entry(key(2), v.clone());
+        assert!(cache.take_changed(), "an eviction changes the cache");
+        cache.mark_changed();
+        cache.clear();
+        assert!(!cache.take_changed(), "clear resets the flag");
+        // A zero-capacity cache never changes.
+        let mut off: StageCache<(Task, usize), Verdict> = StageCache::with_capacity(0);
+        off.insert(key(9), v);
+        assert!(!off.take_changed());
     }
 
     #[test]

@@ -359,10 +359,6 @@ impl PersistIo for PersistChaos {
     fn read(&self, path: &Path) -> io::Result<Option<Vec<u8>>> {
         self.inner.read(path)
     }
-
-    fn remove(&self, path: &Path) -> io::Result<()> {
-        self.inner.remove(path)
-    }
 }
 
 #[cfg(test)]

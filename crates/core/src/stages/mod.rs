@@ -224,7 +224,7 @@ pub struct StageOutcome<A> {
 }
 
 /// One stage of the verdict engine, declared once: its kind (which names
-/// it in evidence and in snapshot files), its cache and
+/// it in evidence and in persisted verdict records), its cache and
 /// structural-fingerprint cache key, and a `compute` that `run` calls on
 /// a cache miss. `run` serves the typed artifact from the stage's
 /// bounded cache or computes and caches it, always emitting a

@@ -1,84 +1,97 @@
-//! Crash-safe persistence for the [`ArtifactStore`]: durable stage-cache
-//! snapshots with corruption-tolerant recovery.
+//! Crash-safe persistence of the verdict records: a durable snapshot of
+//! the [`ArtifactStore`]'s verdict cache with corruption-tolerant
+//! recovery.
 //!
-//! Each stage cache is snapshot to its own file under a cache directory
-//! (`<dir>/<kind>.snap`), written with the classic durable protocol —
-//! temp file, fsync, atomic rename, directory fsync — so a crash at any
-//! instant leaves each kind's file equal to either the old snapshot or
-//! the new one, never a mix. The format is line-oriented and
-//! per-record-checksummed:
+//! Only the verdict records are durable. A verdict hit replays the
+//! whole post-split evidence chain, so it needs no other artifact, and
+//! each of the five intermediate kinds (split, link graphs,
+//! presentations, homology, exploration) recomputes faster than its
+//! snapshot restores (EXPERIMENTS.md, E10); they stay in memory.
+//!
+//! The snapshot is one file, `<dir>/verdict.snap`, written with the
+//! classic durable protocol — temp file, fsync, atomic rename, directory
+//! fsync — so a crash at any instant leaves it equal to either the old
+//! snapshot or the new one, never a mix. One process-wide lock
+//! serializes every save, so two writers never share the temp file. The
+//! format is line-oriented and per-record-checksummed:
 //!
 //! ```text
-//! chromata-snap v2 <kind>\n          (magic + version + kind)
-//! H <fnv1a-16hex> [cap,h,m,e]\n      (capacity + cumulative counters)
-//! E <fnv1a-16hex> [key,value]\n      (one cache entry, insertion order)
+//! chromata-snap v3 verdict\n          (magic + version + kind)
+//! E <fnv1a-16hex> [key,record]\n      (one verdict record, FIFO order)
 //! ```
 //!
 //! Version history: v1 keyed link-graph, presentation, and homology
-//! entries on whole tasks; v2 keys them per split branch (`links` and
-//! `presentations` on single-facet restriction tasks, `homology` on the
-//! branch vector). A v1 snapshot therefore fails the magic check and is
-//! rejected wholesale — the engine degrades to a cold recompute, which
-//! is always sound, rather than attempting a cross-version key
-//! migration that could alias artifacts. `reuse_hits` is process-local
-//! telemetry and is deliberately absent from the `H` record.
+//! entries on whole tasks; v2 keyed them per split branch, in one file
+//! per kind, each with an `H` header of capacity and hit/miss/eviction
+//! counters. v3 keeps the verdict file alone and drops the header: the
+//! capacity is a constant and the counters are process-local telemetry.
+//! An older snapshot fails the magic check and is rejected wholesale —
+//! the engine degrades to a cold recompute, which is always sound,
+//! rather than attempting a cross-version migration. The five other v2
+//! files are never read; [`clear_cache_dir`] removes them.
 //!
 //! Loading is paranoid and graceful — persistence must never poison a
 //! verdict. The recovery taxonomy (counted per cause in
-//! [`DecisionCacheStats`]):
+//! [`DecisionCacheStats`](crate::DecisionCacheStats)):
 //!
-//! * **rejected snapshot** — missing newline before the header, bad
-//!   magic, unsupported version, unreadable header, or an I/O error:
-//!   the whole file is discarded and the cache stays as it was;
+//! * **rejected snapshot** — missing magic line, bad magic, unsupported
+//!   version, or an I/O error: the whole file is discarded and the cache
+//!   stays as it was;
 //! * **torn entry** — a trailing record with no final newline (crash
 //!   mid-append): the fragment is skipped, every complete record
 //!   before it is kept;
-//! * **corrupt entry** — a complete-looking record whose checksum,
-//!   payload, or admissibility check fails (e.g. a forged
-//!   budget-dependent exploration): the record is skipped.
-//!
-//! Budget-truncated explorations are excluded at save time (and
-//! re-checked at load and audit time) by the one cacheability predicate
-//! of the cached value, [`Cacheable::cacheable`]: a verdict that depends
-//! on the configured budget must never be memoized across processes.
-//!
-//! Save, load and audit are each one loop over the store's kind list
-//! (`ArtifactStore::kinds`), in its fixed file order; each cache is
-//! reached through the type-erased `SnapshotCache` handle, the only
-//! code generic over a cache's key and value types.
+//! * **corrupt entry** — a complete-looking record whose checksum or
+//!   payload fails (an invalid task key, an unknown stage name): the
+//!   record is skipped.
 //!
 //! Callers wrap analyses in [`load_cache_dir`] (the only loader; it
-//! reads the directory on every call) and [`persist_now`].
+//! reads the directory on every call) and one of two writers:
+//! [`persist_now`] always writes, [`persist_if_changed`] only when the
+//! verdict cache's change flag says the records differ from the last
+//! load or save (see `StageCache::take_changed`).
 //!
-//! All filesystem traffic goes through the `PersistIo` seam so the
-//! test suite can inject every `io::ErrorKind` at every operation and
-//! kill the process model at every point of the write protocol (rule
-//! D3 confines `std::fs` to this module).
+//! All snapshot traffic goes through the `PersistIo` seam so the test
+//! suite can inject every `io::ErrorKind` at every operation and kill
+//! the process model at every point of the write protocol (rule D3
+//! confines `std::fs` to this module).
 
 use std::fmt;
-use std::hash::Hash;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
+use chromata_task::Task;
 use chromata_topology::{fnv1a, govern};
-use serde::{Deserialize, Serialize};
 
-use super::cache::{
-    store, ArtifactKind, ArtifactStore, Cacheable, DecisionCacheStats, SharedCache,
-};
+use super::cache::{store, ArtifactStore};
+use super::DecisionRecord;
 
-/// Magic prefix of every snapshot file (version-bearing): the first
-/// line is this prefix followed by the artifact-kind name. Bumped to v2
-/// with the per-branch re-keying of link-graph/presentation/homology
-/// artifacts; v1 snapshots are rejected (degrading to recompute), never
-/// reinterpreted under the new keys.
-const MAGIC_PREFIX: &str = "chromata-snap v2 ";
+/// The first line of every snapshot: magic, format version, kind. Bumped
+/// to v3 when the snapshot shrank to the verdict records; older
+/// snapshots are rejected (degrading to recompute), never reinterpreted.
+const MAGIC: &str = "chromata-snap v3 verdict";
+
+/// The snapshot's file name inside the cache directory.
+const SNAPSHOT_FILE: &str = "verdict.snap";
+
+/// The files v2 wrote for the intermediate kinds: never read, reported
+/// as ignored by [`audit_cache_dir`], removed by [`clear_cache_dir`].
+const RETIRED_FILES: [&str; 5] = [
+    "split.snap",
+    "link-graphs.snap",
+    "presentations.snap",
+    "homology.snap",
+    "explore.snap",
+];
 
 /// Environment variable read (via [`govern::env_string`], rule D2) by
 /// [`CacheDirConfig::from_env`].
 pub const CACHE_DIR_ENV: &str = "CHROMATA_CACHE_DIR";
+
+/// A persisted verdict record: the cache key (canonical task, ACT
+/// fallback bound) and the record.
+type Entry = ((Task, usize), DecisionRecord);
 
 // ---------------------------------------------------------------------------
 // The I/O seam
@@ -100,8 +113,6 @@ pub(crate) trait PersistIo {
     fn sync_dir(&self, dir: &Path) -> io::Result<()>;
     /// Reads a whole file; `Ok(None)` when it does not exist.
     fn read(&self, path: &Path) -> io::Result<Option<Vec<u8>>>;
-    /// Removes a file; missing files are not an error.
-    fn remove(&self, path: &Path) -> io::Result<()>;
 }
 
 /// The real filesystem.
@@ -141,14 +152,6 @@ impl PersistIo for RealIo {
             Err(e) => Err(e),
         }
     }
-
-    fn remove(&self, path: &Path) -> io::Result<()> {
-        match std::fs::remove_file(path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -156,9 +159,10 @@ impl PersistIo for RealIo {
 // ---------------------------------------------------------------------------
 
 /// Process-global [`PersistIo`] override consulted by the snapshot
-/// entry points ([`persist_now`], [`load_cache_dir`]).
-/// The chaos layer (`super::chaos`) installs a fault-injecting
-/// implementation here; `None` means the real filesystem.
+/// entry points ([`persist_now`], [`persist_if_changed`],
+/// [`load_cache_dir`]). The chaos layer (`super::chaos`) installs a
+/// fault-injecting implementation here; `None` means the real
+/// filesystem.
 fn io_override() -> &'static RwLock<Option<Arc<dyn PersistIo + Send + Sync>>> {
     static SLOT: OnceLock<RwLock<Option<Arc<dyn PersistIo + Send + Sync>>>> = OnceLock::new();
     SLOT.get_or_init(|| RwLock::new(None))
@@ -189,18 +193,18 @@ fn current_io() -> Arc<dyn PersistIo + Send + Sync> {
         .unwrap_or_else(|| Arc::new(RealIo))
 }
 
-/// Failed [`persist_now`] snapshots since process start (ENOSPC,
-/// permission loss, injected faults, …). A failure never wedges
-/// serving: the old snapshot stays intact on disk and the store keeps
-/// answering from memory (see [`store_read_through`]).
+/// Failed snapshots since process start (ENOSPC, permission loss,
+/// injected faults, …). A failure never wedges serving: the old
+/// snapshot stays intact on disk and the store keeps answering from
+/// memory (see [`store_read_through`]).
 static PERSIST_FAILURES: AtomicU64 = AtomicU64::new(0);
 
 /// Whether the store is currently *read-through*: the most recent
 /// snapshot attempt failed, so the in-memory caches are ahead of disk.
-/// Cleared by the next successful [`persist_now`].
+/// Cleared by the next successful save.
 static READ_THROUGH: AtomicBool = AtomicBool::new(false);
 
-/// How many [`persist_now`] snapshots have failed in this process.
+/// How many snapshots have failed in this process.
 #[must_use]
 pub fn persist_failures() -> u64 {
     PERSIST_FAILURES.load(Ordering::Relaxed)
@@ -218,9 +222,8 @@ pub fn store_read_through() -> bool {
 // ---------------------------------------------------------------------------
 
 /// A persistence failure: which protocol step failed, on which path,
-/// and the underlying message. Saving aborts on the first error (the
-/// per-file atomic protocol keeps everything already on disk
-/// consistent); loading never raises this — corruption degrades to
+/// and the underlying message. The atomic protocol keeps the file on
+/// disk consistent; loading never raises this — corruption degrades to
 /// recovery counters instead.
 #[derive(Clone, Debug)]
 pub struct PersistError {
@@ -257,32 +260,30 @@ impl fmt::Display for PersistError {
 
 impl std::error::Error for PersistError {}
 
-/// What a successful [`persist_now`] wrote.
+/// What a successful save wrote.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SaveReport {
-    /// Snapshot files written (one per artifact kind).
+    /// Snapshot files written: 1, or 0 when [`persist_if_changed`]
+    /// found nothing changed and wrote nothing.
     pub files_written: usize,
-    /// Cache entries persisted across all kinds.
+    /// Verdict records persisted.
     pub entries_written: u64,
-    /// Entries excluded as budget-dependent (never memoized on disk).
-    pub entries_skipped: u64,
 }
 
-/// What a [`load_cache_dir`] recovered, summed across
-/// every artifact kind. The same per-cause counters also land in each
-/// cache's [`DecisionCacheStats`].
+/// What a [`load_cache_dir`] recovered. The same per-cause counters also
+/// land in the verdict cache's [`DecisionCacheStats`](crate::DecisionCacheStats).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct LoadReport {
-    /// Entries restored intact into the stage caches.
+    /// Verdict records restored intact.
     pub restored: u64,
-    /// Whole snapshot files discarded (bad magic/version/header/read).
+    /// Whole snapshots discarded (bad magic or version, read error).
     pub rejected_snapshots: u64,
     /// Truncated trailing records skipped (torn writes).
     pub torn_entries: u64,
-    /// Complete-looking records skipped (checksum/payload/admissibility).
+    /// Complete-looking records skipped (checksum or payload).
     pub corrupt_entries: u64,
-    /// Kinds with no snapshot file at all (a fresh directory).
-    pub missing: usize,
+    /// Whether the directory held no snapshot at all (a fresh directory).
+    pub missing: bool,
 }
 
 impl LoadReport {
@@ -294,16 +295,8 @@ impl LoadReport {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot rendering
+// Snapshot rendering and parsing
 // ---------------------------------------------------------------------------
-
-fn snapshot_path(dir: &Path, kind: ArtifactKind) -> PathBuf {
-    dir.join(format!("{}.snap", kind.name()))
-}
-
-fn tmp_path(dir: &Path, kind: ArtifactKind) -> PathBuf {
-    dir.join(format!("{}.snap.tmp", kind.name()))
-}
 
 /// Appends `<tag> <16-hex fnv1a(payload)> <payload>\n`.
 fn push_record(out: &mut String, tag: char, payload: &str) {
@@ -315,43 +308,18 @@ fn push_record(out: &mut String, tag: char, payload: &str) {
     out.push('\n');
 }
 
-/// Renders a full snapshot body for one cache: magic, header, then every
-/// cacheable entry in insertion (eviction) order; the others are counted
-/// as skipped.
-fn render_snapshot<K: Serialize, V: Cacheable>(
-    kind: ArtifactKind,
-    capacity: usize,
-    stats: DecisionCacheStats,
-    entries: &[(K, V)],
-    report: &mut SaveReport,
-) -> Result<String, String> {
+/// Renders a full snapshot body: the magic line, then every record in
+/// insertion (eviction) order.
+fn render_snapshot(entries: &[Entry]) -> Result<String, String> {
     let mut out = String::new();
-    out.push_str(MAGIC_PREFIX);
-    out.push_str(kind.name());
+    out.push_str(MAGIC);
     out.push('\n');
-    let header = serde_json::to_string(&vec![
-        capacity as u64,
-        stats.hits,
-        stats.misses,
-        stats.evictions,
-    ])
-    .map_err(|e| format!("header: {e}"))?;
-    push_record(&mut out, 'H', &header);
     for (k, v) in entries {
-        if !v.cacheable() {
-            report.entries_skipped += 1;
-            continue;
-        }
         let payload = serde_json::to_string(&(k, v)).map_err(|e| format!("entry: {e}"))?;
         push_record(&mut out, 'E', &payload);
-        report.entries_written += 1;
     }
     Ok(out)
 }
-
-// ---------------------------------------------------------------------------
-// Snapshot parsing
-// ---------------------------------------------------------------------------
 
 /// Splits a byte string into complete (newline-terminated) lines plus
 /// the torn trailing fragment, if any bytes follow the last newline.
@@ -381,9 +349,11 @@ fn parse_tagged_line(line: &[u8], tag: u8) -> Result<(u64, &[u8]), String> {
     Ok((checksum, payload))
 }
 
-/// Verifies and decodes one tagged record's payload as JSON.
-fn decode_record<T: Deserialize>(line: &[u8], tag: u8) -> Result<T, String> {
-    let (stated, payload) = parse_tagged_line(line, tag)?;
+/// Verifies and decodes one entry record: the checksum, then the JSON
+/// payload (which validates the task key through `Task::new` and interns
+/// every stage name).
+fn decode_entry(line: &[u8]) -> Result<Entry, String> {
+    let (stated, payload) = parse_tagged_line(line, b'E')?;
     let actual = fnv1a(payload);
     if stated != actual {
         return Err(format!(
@@ -394,56 +364,29 @@ fn decode_record<T: Deserialize>(line: &[u8], tag: u8) -> Result<T, String> {
     serde_json::from_str(text).map_err(|e| format!("undecodable payload: {e}"))
 }
 
-/// Parses a whole snapshot body into its audit (header counters and
-/// per-entry recovery counts) and its cacheable entries. `Err` rejects
-/// the snapshot outright (nothing before a valid header is trustworthy);
-/// after a valid header, every failure degrades to a per-entry recovery
-/// counter.
-fn parse_snapshot<K: Deserialize, V: Cacheable>(
-    kind: ArtifactKind,
-    bytes: &[u8],
-) -> Result<(SnapshotAudit, Vec<(K, V)>), String> {
+/// Parses a whole snapshot body into its audit (per-entry recovery
+/// counts) and its records. `Err` rejects the snapshot outright (nothing
+/// is trustworthy without the magic line); after it, every failure
+/// degrades to a per-entry recovery counter.
+fn parse_snapshot(bytes: &[u8]) -> Result<(SnapshotAudit, Vec<Entry>), String> {
     let (lines, tail) = split_lines(bytes);
     let mut complete = lines.iter();
-    let magic = format!("{MAGIC_PREFIX}{}", kind.name());
     match complete.next() {
         None if tail.is_some() => return Err("truncated before the magic line".to_owned()),
         None => return Err("empty snapshot".to_owned()),
-        Some(first) if *first != magic.as_bytes() => {
+        Some(first) if *first != MAGIC.as_bytes() => {
             return Err(format!(
-                "bad magic (expected '{magic}', found '{}')",
+                "bad magic (expected '{MAGIC}', found '{}')",
                 String::from_utf8_lossy(first)
             ))
         }
         Some(_) => {}
     }
-    let Some(header_line) = complete.next() else {
-        return Err("truncated before the header".to_owned());
-    };
-    let header: Vec<u64> = decode_record(header_line, b'H').map_err(|e| format!("header: {e}"))?;
-    let &[capacity, hits, misses, evictions] = header.as_slice() else {
-        return Err("header must hold exactly [capacity, hits, misses, evictions]".to_owned());
-    };
-    let capacity =
-        usize::try_from(capacity).map_err(|_| "capacity exceeds this platform".to_owned())?;
-
-    let mut audit = SnapshotAudit {
-        capacity,
-        hits,
-        misses,
-        evictions,
-        ..empty_audit(kind, SnapshotStatus::Valid)
-    };
+    let mut audit = SnapshotAudit::empty(SnapshotStatus::Valid);
     let mut entries = Vec::new();
     for (index, line) in complete.enumerate() {
-        match decode_record::<(K, V)>(line, b'E') {
-            Ok((k, v)) if v.cacheable() => entries.push((k, v)),
-            Ok(_) => {
-                audit.corrupt_entries += 1;
-                audit.issues.push(format!(
-                    "entry {index}: inadmissible artifact (budget-dependent)"
-                ));
-            }
+        match decode_entry(line) {
+            Ok(entry) => entries.push(entry),
             Err(why) => {
                 audit.corrupt_entries += 1;
                 audit.issues.push(format!("entry {index}: {why}"));
@@ -464,131 +407,115 @@ fn parse_snapshot<K: Deserialize, V: Cacheable>(
 // Save / load over an ArtifactStore
 // ---------------------------------------------------------------------------
 
-/// One stage cache behind the operations that do not depend on its key
-/// and value types: the handle [`ArtifactStore::kinds`] lists for every
-/// kind, so store-wide stats and clearing and snapshot save, load and
-/// audit are each one loop.
-pub(crate) trait SnapshotCache {
-    /// The cache's counters.
-    fn stats(&self) -> DecisionCacheStats;
-    /// Drops every entry and resets the counters.
-    fn clear(&self);
-    /// Renders the cache's snapshot body (see [`render_snapshot`]). The
-    /// lock is released before this returns, so no lock is held across
-    /// the write protocol's I/O (rule L2).
-    fn render(&self, kind: ArtifactKind, report: &mut SaveReport) -> Result<String, String>;
-    /// Decodes a snapshot body with this cache's types, leaving the
-    /// cache untouched.
-    fn audit(&self, kind: ArtifactKind, bytes: &[u8]) -> Result<SnapshotAudit, String>;
-    /// Merges a read snapshot into the cache: its capacity wins, its
-    /// counters are added, and its entries are appended in snapshot
-    /// order, which becomes the eviction order. An unreadable or rejected
-    /// snapshot only counts a rejected snapshot (`None`).
-    fn restore(&self, kind: ArtifactKind, read: io::Result<Vec<u8>>) -> Option<SnapshotAudit>;
-}
+/// Serializes every save in the process. Each save writes the one temp
+/// file, so two unserialized saves (the serve persister and a wire
+/// `persist` op, say) could rename each other's temp file away or
+/// truncate it just before the other renames it.
+static SAVE_LOCK: Mutex<()> = Mutex::new(());
 
-impl<K, V> SnapshotCache for SharedCache<K, V>
-where
-    K: Clone + Eq + Hash + Serialize + Deserialize,
-    V: Cacheable,
-{
-    fn stats(&self) -> DecisionCacheStats {
-        self.lock().stats()
-    }
-
-    fn clear(&self) {
-        self.lock().clear();
-    }
-
-    fn render(&self, kind: ArtifactKind, report: &mut SaveReport) -> Result<String, String> {
-        let (capacity, stats, entries) = {
-            let guard = self.lock();
-            (guard.capacity(), guard.stats(), guard.entries_in_order())
-        };
-        render_snapshot(kind, capacity, stats, &entries, report)
-    }
-
-    fn audit(&self, kind: ArtifactKind, bytes: &[u8]) -> Result<SnapshotAudit, String> {
-        parse_snapshot::<K, V>(kind, bytes).map(|(audit, _)| audit)
-    }
-
-    fn restore(&self, kind: ArtifactKind, read: io::Result<Vec<u8>>) -> Option<SnapshotAudit> {
-        let parsed = read
-            .ok()
-            .and_then(|bytes| parse_snapshot::<K, V>(kind, &bytes).ok());
-        let mut guard = self.lock();
-        let Some((audit, entries)) = parsed else {
-            guard.stats_mut().rejected_snapshots += 1;
-            return None;
-        };
-        guard.set_capacity(audit.capacity);
-        let stats = guard.stats_mut();
-        // The snapshot header predates the `lookups` counter, so the
-        // merged lookups are reconstructed from the invariant
-        // `lookups == hits + misses` to keep coherence observable across
-        // warm starts.
-        stats.lookups += audit.hits + audit.misses;
-        stats.hits += audit.hits;
-        stats.misses += audit.misses;
-        stats.evictions += audit.evictions;
-        stats.torn_entries += audit.torn_entries;
-        stats.corrupt_entries += audit.corrupt_entries;
-        for (k, v) in entries {
-            guard.restore_entry(k, v);
-        }
-        Some(audit)
-    }
-}
-
-/// Snapshots every stage cache of `store` into `dir`, one file per kind
-/// with the durable write protocol. Aborts on the first I/O failure —
-/// files already renamed stay valid, files not yet rewritten keep their
-/// previous valid contents.
+/// Snapshots the verdict records of `store` into `dir` with the durable
+/// write protocol. With `only_if_changed`, a store whose change flag is
+/// clear and whose last load or save was of `dir` writes nothing and
+/// reports no file. A failed save re-sets the flag, so the next implicit
+/// save retries.
 pub(crate) fn save_store(
     store: &ArtifactStore,
     dir: &Path,
     io: &dyn PersistIo,
+    only_if_changed: bool,
 ) -> Result<SaveReport, PersistError> {
-    io.create_dir_all(dir)
-        .map_err(|e| PersistError::new("create-dir", dir, e))?;
-    let mut report = SaveReport::default();
-    for (kind, cache) in store.kinds() {
-        let target = snapshot_path(dir, kind);
-        let body = cache
-            .render(kind, &mut report)
-            .map_err(|e| PersistError::new("encode", &target, e))?;
-        let tmp = tmp_path(dir, kind);
-        io.write_tmp(&tmp, body.as_bytes())
-            .map_err(|e| PersistError::new("write-tmp", &tmp, e))?;
-        io.sync_tmp(&tmp)
-            .map_err(|e| PersistError::new("sync-tmp", &tmp, e))?;
-        io.rename(&tmp, &target)
-            .map_err(|e| PersistError::new("rename", &target, e))?;
-        io.sync_dir(dir)
-            .map_err(|e| PersistError::new("sync-dir", dir, e))?;
-        report.files_written += 1;
+    // chromata-lint: allow(L2): serializing the write protocol across its
+    // I/O is this lock's purpose; it guards no data and nests only the
+    // verdict cache's lock, which is never held while taking it.
+    let _serial = SAVE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let synced = synced_dir(store).as_deref() == Some(dir);
+    let entries = {
+        let mut cache = store.verdict.lock();
+        let changed = cache.take_changed();
+        if only_if_changed && !changed && synced {
+            return Ok(SaveReport::default());
+        }
+        cache.entries_in_order()
+    };
+    let written = write_snapshot(dir, io, &entries);
+    match written {
+        Ok(_) => *synced_dir(store) = Some(dir.to_path_buf()),
+        Err(_) => store.verdict.lock().mark_changed(),
     }
-    Ok(report)
+    written
 }
 
-/// Restores every stage cache of `store` from the snapshots in `dir`.
-/// Never fails: every corruption mode degrades to recovery counters, on
-/// the report and on the cache concerned.
+/// The directory `store`'s change flag refers to (poison-safe: the
+/// slot holds one value, valid after any update).
+fn synced_dir(store: &ArtifactStore) -> MutexGuard<'_, Option<PathBuf>> {
+    store
+        .synced_dir
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The durable write protocol: temp file, fsync, rename, directory
+/// fsync. Called with no cache lock held (rule L2).
+fn write_snapshot(
+    dir: &Path,
+    io: &dyn PersistIo,
+    entries: &[Entry],
+) -> Result<SaveReport, PersistError> {
+    let target = dir.join(SNAPSHOT_FILE);
+    io.create_dir_all(dir)
+        .map_err(|e| PersistError::new("create-dir", dir, e))?;
+    let body = render_snapshot(entries).map_err(|e| PersistError::new("encode", &target, e))?;
+    let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp"));
+    io.write_tmp(&tmp, body.as_bytes())
+        .map_err(|e| PersistError::new("write-tmp", &tmp, e))?;
+    io.sync_tmp(&tmp)
+        .map_err(|e| PersistError::new("sync-tmp", &tmp, e))?;
+    io.rename(&tmp, &target)
+        .map_err(|e| PersistError::new("rename", &target, e))?;
+    io.sync_dir(dir)
+        .map_err(|e| PersistError::new("sync-dir", dir, e))?;
+    Ok(SaveReport {
+        files_written: 1,
+        entries_written: entries.len() as u64,
+    })
+}
+
+/// Restores the verdict records of `store` from the snapshot in `dir`,
+/// appended in snapshot order, which becomes the eviction order. Never
+/// fails: every corruption mode degrades to recovery counters, on the
+/// report and on the verdict cache. The cache's counters are otherwise
+/// untouched. The change flag then refers to `dir`; it is set when the
+/// load recovered from anything, or when the cache holds records the
+/// snapshot lacked, so the next implicit save rewrites the file.
 pub(crate) fn load_store(store: &ArtifactStore, dir: &Path, io: &dyn PersistIo) -> LoadReport {
+    *synced_dir(store) = Some(dir.to_path_buf());
     let mut report = LoadReport::default();
-    for (kind, cache) in store.kinds() {
-        let Some(read) = io.read(&snapshot_path(dir, kind)).transpose() else {
-            report.missing += 1;
-            continue;
-        };
-        match cache.restore(kind, read) {
-            Some(audit) => {
-                report.restored += audit.entries;
-                report.torn_entries += audit.torn_entries;
-                report.corrupt_entries += audit.corrupt_entries;
-            }
-            None => report.rejected_snapshots += 1,
+    let parsed = match io.read(&dir.join(SNAPSHOT_FILE)) {
+        Ok(None) => {
+            report.missing = true;
+            Ok((SnapshotAudit::empty(SnapshotStatus::Missing), Vec::new()))
         }
+        Ok(Some(bytes)) => parse_snapshot(&bytes),
+        Err(e) => Err(format!("unreadable: {e}")),
+    };
+    let mut cache = store.verdict.lock();
+    let Ok((audit, entries)) = parsed else {
+        report.rejected_snapshots = 1;
+        cache.stats_mut().rejected_snapshots += 1;
+        cache.mark_changed();
+        return report;
+    };
+    report.restored = audit.entries;
+    report.torn_entries = audit.torn_entries;
+    report.corrupt_entries = audit.corrupt_entries;
+    let stats = cache.stats_mut();
+    stats.torn_entries += audit.torn_entries;
+    stats.corrupt_entries += audit.corrupt_entries;
+    for (k, v) in entries {
+        cache.restore_entry(k, v);
+    }
+    if report.recovery_events() > 0 || cache.len() as u64 > report.restored {
+        cache.mark_changed();
     }
     report
 }
@@ -597,7 +524,7 @@ pub(crate) fn load_store(store: &ArtifactStore, dir: &Path, io: &dyn PersistIo) 
 // Public configuration + entry points
 // ---------------------------------------------------------------------------
 
-/// Where (and whether) to persist the stage caches. Disabled by
+/// Where (and whether) to persist the verdict records. Disabled by
 /// default; enabled by an explicit directory (`--cache-dir`) or the
 /// `CHROMATA_CACHE_DIR` environment variable.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -661,16 +588,33 @@ pub fn load_cache_dir(config: &CacheDirConfig) -> Option<LoadReport> {
     Some(load_store(store(), dir, current_io().as_ref()))
 }
 
-/// Snapshots the process-wide store into the configured cache
-/// directory. `None` when persistence is disabled.
+/// Snapshots the process-wide verdict records into the configured cache
+/// directory, whether or not they changed: the explicit snapshot (the
+/// wire `persist` op). `None` when persistence is disabled.
 ///
 /// A failed save is counted in [`persist_failures`] and flips the store
-/// into read-through mode ([`store_read_through`]); the per-file atomic
-/// protocol guarantees the previous snapshot is still intact on disk,
-/// so serving continues unharmed and the next cadence retries.
+/// into read-through mode ([`store_read_through`]); the atomic protocol
+/// guarantees the previous snapshot is still intact on disk, so serving
+/// continues unharmed and the next save retries.
 pub fn persist_now(config: &CacheDirConfig) -> Option<Result<SaveReport, PersistError>> {
+    persist(config, false)
+}
+
+/// [`persist_now`], but a no-op (`files_written == 0`, no I/O at all)
+/// unless a verdict record was inserted or evicted since the last load
+/// or save, that load skipped a damaged snapshot or record, or the last
+/// load or save was of another directory: the implicit snapshot of
+/// command epilogues, the serve cadence and serve shutdown.
+pub fn persist_if_changed(config: &CacheDirConfig) -> Option<Result<SaveReport, PersistError>> {
+    persist(config, true)
+}
+
+fn persist(
+    config: &CacheDirConfig,
+    only_if_changed: bool,
+) -> Option<Result<SaveReport, PersistError>> {
     let dir = config.dir()?;
-    let result = save_store(store(), dir, current_io().as_ref());
+    let result = save_store(store(), dir, current_io().as_ref(), only_if_changed);
     match &result {
         Ok(_) => READ_THROUGH.store(false, Ordering::Release),
         Err(_) => {
@@ -685,15 +629,15 @@ pub fn persist_now(config: &CacheDirConfig) -> Option<Result<SaveReport, Persist
 // Offline audit + maintenance
 // ---------------------------------------------------------------------------
 
-/// Integrity status of one kind's snapshot file.
+/// Integrity status of the snapshot file.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SnapshotStatus {
-    /// No snapshot file exists for this kind.
+    /// No snapshot file exists.
     Missing,
     /// The snapshot decoded (possibly with skipped entries — check the
     /// recovery counters).
     Valid,
-    /// The whole snapshot was rejected (bad magic/version/header/read).
+    /// The whole snapshot was rejected (bad magic or version, read error).
     Rejected,
 }
 
@@ -715,34 +659,38 @@ impl fmt::Display for SnapshotStatus {
     }
 }
 
-/// The offline integrity report for one kind's snapshot, produced by
+/// The offline integrity report of a cache directory, produced by
 /// [`audit_cache_dir`] without touching the process-wide store.
 #[derive(Clone, Debug)]
 pub struct SnapshotAudit {
-    /// The artifact kind this snapshot caches.
-    pub kind: ArtifactKind,
-    /// Whole-file status.
+    /// Whole-file status of the verdict snapshot.
     pub status: SnapshotStatus,
-    /// Fully decoded, admissible entries.
+    /// Fully decoded entries.
     pub entries: u64,
-    /// The capacity recorded in the header.
-    pub capacity: usize,
-    /// Cumulative hits recorded in the header.
-    pub hits: u64,
-    /// Cumulative misses recorded in the header.
-    pub misses: u64,
-    /// Cumulative evictions recorded in the header.
-    pub evictions: u64,
     /// Torn trailing records detected.
     pub torn_entries: u64,
-    /// Corrupt (checksum/payload/admissibility) records detected.
+    /// Corrupt (checksum or payload) records detected.
     pub corrupt_entries: u64,
     /// Human-readable descriptions of every problem found.
     pub issues: Vec<String>,
+    /// Retired v2 snapshot files present in the directory: never read,
+    /// and never a reason to call the directory unclean.
+    pub ignored: Vec<&'static str>,
 }
 
 impl SnapshotAudit {
-    /// Whether this snapshot is fully intact (missing counts as clean —
+    fn empty(status: SnapshotStatus) -> Self {
+        SnapshotAudit {
+            status,
+            entries: 0,
+            torn_entries: 0,
+            corrupt_entries: 0,
+            issues: Vec::new(),
+            ignored: Vec::new(),
+        }
+    }
+
+    /// Whether the snapshot is fully intact (missing counts as clean —
     /// a fresh directory is not corrupt).
     #[must_use]
     pub fn is_clean(&self) -> bool {
@@ -752,59 +700,38 @@ impl SnapshotAudit {
     }
 }
 
-fn empty_audit(kind: ArtifactKind, status: SnapshotStatus) -> SnapshotAudit {
-    SnapshotAudit {
-        kind,
-        status,
-        entries: 0,
-        capacity: 0,
-        hits: 0,
-        misses: 0,
-        evictions: 0,
-        torn_entries: 0,
-        corrupt_entries: 0,
-        issues: Vec::new(),
-    }
-}
-
-/// Audits every snapshot in `dir` offline — full typed decode, checksum
-/// verification, cacheability checks — without loading anything into
-/// the process-wide store (its kind list only supplies the types). One
-/// report per artifact kind, in the fixed reporting order.
+/// Audits the snapshot in `dir` offline — checksum verification and a
+/// full typed decode of every record — without loading anything into
+/// the process-wide store.
 #[must_use]
-pub fn audit_cache_dir(dir: &Path) -> Vec<SnapshotAudit> {
-    store()
-        .kinds()
+pub fn audit_cache_dir(dir: &Path) -> SnapshotAudit {
+    let decoded = match RealIo.read(&dir.join(SNAPSHOT_FILE)) {
+        Ok(None) => Ok(SnapshotAudit::empty(SnapshotStatus::Missing)),
+        Ok(Some(bytes)) => parse_snapshot(&bytes).map(|(audit, _)| audit),
+        Err(e) => Err(format!("unreadable: {e}")),
+    };
+    let mut audit = decoded.unwrap_or_else(|why| {
+        let mut audit = SnapshotAudit::empty(SnapshotStatus::Rejected);
+        audit.issues.push(why);
+        audit
+    });
+    audit.ignored = RETIRED_FILES
         .into_iter()
-        .map(|(kind, cache)| {
-            let decoded = match RealIo.read(&snapshot_path(dir, kind)) {
-                Ok(None) => return empty_audit(kind, SnapshotStatus::Missing),
-                Ok(Some(bytes)) => cache.audit(kind, &bytes),
-                Err(e) => Err(format!("unreadable: {e}")),
-            };
-            decoded.unwrap_or_else(|why| {
-                let mut audit = empty_audit(kind, SnapshotStatus::Rejected);
-                audit.issues.push(why);
-                audit
-            })
-        })
-        .collect()
+        .filter(|name| dir.join(name).exists())
+        .collect();
+    audit
 }
 
-/// Removes every snapshot (and stray temp file) in `dir`, returning how
-/// many files were deleted. The directory itself is kept.
+/// Removes the snapshot, the retired v2 snapshots and any stray temp
+/// file in `dir`, returning how many files were deleted. The directory
+/// itself is kept.
 pub fn clear_cache_dir(dir: &Path) -> Result<usize, PersistError> {
-    let io = RealIo;
     let mut removed = 0;
-    for (kind, _) in store().kinds() {
-        for path in [snapshot_path(dir, kind), tmp_path(dir, kind)] {
-            match io.read(&path) {
-                Ok(Some(_)) => {
-                    io.remove(&path)
-                        .map_err(|e| PersistError::new("remove", &path, e))?;
-                    removed += 1;
-                }
-                Ok(None) => {}
+    for name in std::iter::once(SNAPSHOT_FILE).chain(RETIRED_FILES) {
+        for path in [dir.join(name), dir.join(format!("{name}.tmp"))] {
+            match std::fs::remove_file(&path) {
+                Ok(()) => removed += 1,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
                 Err(e) => return Err(PersistError::new("remove", &path, e)),
             }
         }
@@ -816,19 +743,25 @@ pub fn clear_cache_dir(dir: &Path) -> Result<usize, PersistError> {
 mod tests {
     use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, MutexGuard};
+    use std::time::Duration;
 
     use proptest::prelude::*;
 
-    use chromata_task::library::{constant_task, hourglass, identity_task, two_set_agreement};
+    use chromata_task::library::{
+        constant_task, hourglass, identity_task, klein_bottle_doubled_loop, loop_agreement,
+        two_set_agreement,
+    };
+    use chromata_topology::{Budget, CancelToken};
 
     use super::super::artifacts::{
         ExplorationReport, HomologyReport, LinkGraphs, Presentations, SubdividedComplex,
     };
-    use super::super::{DecisionRecord, StageTrace};
+    use super::super::cache::store_test_guard;
+    use super::super::StageTrace;
     use super::*;
     use crate::continuous::continuous_map_exists_with;
-    use crate::pipeline::Verdict;
+    use crate::pipeline::{PipelineOptions, Verdict};
     use crate::splitting::split_all;
 
     // -- fixtures ----------------------------------------------------------
@@ -843,37 +776,11 @@ mod tests {
         dir
     }
 
-    type Built = (
-        Arc<SubdividedComplex>,
-        Arc<LinkGraphs>,
-        Arc<Presentations>,
-        Arc<HomologyReport>,
-    );
-
-    /// Real pipeline artifacts for `task`, built the way the stages do.
-    fn artifacts_for(task: &chromata_task::Task) -> Built {
-        let split = Arc::new(SubdividedComplex {
-            split: split_all(task),
-        });
-        let links = Arc::new(LinkGraphs::build(&split.split.task));
-        let pres = Arc::new(Presentations::build(&split.split.task, &links));
-        let (outcome, assignments) = continuous_map_exists_with(&links, &pres);
-        let hom = Arc::new(HomologyReport {
-            outcome,
-            assignments,
-        });
-        (split, links, pres, hom)
-    }
-
-    fn exploration(budget_independent: bool) -> Arc<ExplorationReport> {
-        Arc::new(ExplorationReport {
-            verdict: Verdict::Unknown {
-                reason: "exploration exhausted".to_owned(),
-            },
-            nodes: 17,
-            rounds_cap: 3,
-            budget_independent,
-        })
+    /// Serializes the tests that install a process-wide `PersistIo`
+    /// override: one would otherwise replace the other's seam mid-test.
+    fn io_override_guard() -> MutexGuard<'static, ()> {
+        static GUARD: Mutex<()> = Mutex::new(());
+        GUARD.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn record() -> DecisionRecord {
@@ -890,19 +797,10 @@ mod tests {
         }
     }
 
-    /// A private store seeded with real artifacts for `tasks`.
-    fn seeded_store_with(capacity: usize, tasks: &[chromata_task::Task]) -> ArtifactStore {
+    /// A private store holding one verdict record per task.
+    fn seeded_store_with(capacity: usize, tasks: &[Task]) -> ArtifactStore {
         let store = ArtifactStore::with_capacity(capacity);
         for task in tasks {
-            let (s, l, p, h) = artifacts_for(task);
-            store.split.lock().insert(task.clone(), s);
-            store.links.lock().insert(task.clone(), l);
-            store.presentations.lock().insert(task.clone(), p);
-            store.homology.lock().insert(vec![task.clone()], h);
-            store
-                .exploration
-                .lock()
-                .insert((task.clone(), 5), exploration(true));
             store.verdict.lock().insert((task.clone(), 5), record());
         }
         store
@@ -912,46 +810,86 @@ mod tests {
         seeded_store_with(capacity, &[two_set_agreement(), constant_task(2)])
     }
 
-    /// The store's kinds, in snapshot-file order.
-    fn all_kinds() -> Vec<ArtifactKind> {
-        store().kinds().into_iter().map(|(kind, _)| kind).collect()
+    /// Seeds every intermediate kind for `task` with real artifacts,
+    /// built the way the stages build them.
+    fn seed_intermediates(store: &ArtifactStore, task: &Task) {
+        let split = Arc::new(SubdividedComplex {
+            split: split_all(task),
+        });
+        let links = Arc::new(LinkGraphs::build(&split.split.task));
+        let pres = Arc::new(Presentations::build(&split.split.task, &links));
+        let (outcome, assignments) = continuous_map_exists_with(&links, &pres);
+        store.split.lock().insert(task.clone(), split);
+        store.links.lock().insert(task.clone(), links);
+        store.presentations.lock().insert(task.clone(), pres);
+        store.homology.lock().insert(
+            vec![task.clone()],
+            Arc::new(HomologyReport {
+                outcome,
+                assignments,
+            }),
+        );
+        store.exploration.lock().insert(
+            (task.clone(), 5),
+            Arc::new(ExplorationReport {
+                verdict: Verdict::Unknown {
+                    reason: "exploration exhausted".to_owned(),
+                },
+                nodes: 17,
+                rounds_cap: 3,
+                budget_independent: true,
+            }),
+        );
     }
 
-    fn snapshot_bytes(dir: &Path) -> Vec<(ArtifactKind, Vec<u8>)> {
-        all_kinds()
+    fn snapshot_bytes(dir: &Path) -> Vec<u8> {
+        std::fs::read(dir.join(SNAPSHOT_FILE)).expect("snapshot exists")
+    }
+
+    fn keys(store: &ArtifactStore) -> Vec<(Task, usize)> {
+        store
+            .verdict
+            .lock()
+            .entries_in_order()
             .into_iter()
-            .map(|kind| {
-                (
-                    kind,
-                    std::fs::read(snapshot_path(dir, kind)).expect("snapshot exists"),
-                )
-            })
+            .map(|(k, _)| k)
             .collect()
     }
 
     // -- round trips -------------------------------------------------------
 
     #[test]
-    fn roundtrip_is_byte_identical_and_restores_capacity() {
+    fn roundtrip_is_byte_identical_and_keeps_the_capacity() {
         let store = seeded_store(8);
+        seed_intermediates(&store, &two_set_agreement());
         let dir = test_dir("roundtrip");
-        let report = save_store(&store, &dir, &RealIo).expect("save");
-        assert_eq!(report.files_written, 6);
-        assert_eq!(report.entries_written, 12);
-        assert_eq!(report.entries_skipped, 0);
+        let report = save_store(&store, &dir, &RealIo, false).expect("save");
+        assert_eq!(
+            report,
+            SaveReport {
+                files_written: 1,
+                entries_written: 2,
+            }
+        );
+        // Only the verdict records reach the disk.
+        let files: Vec<String> = std::fs::read_dir(&dir)
+            .expect("list")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(files, [SNAPSHOT_FILE]);
 
-        // Load into a store with a *different* capacity: the snapshot's
-        // capacity must win, and a re-save must be byte-identical.
+        // A store of another capacity keeps its own: the snapshot has
+        // no header to impose one.
         let fresh = ArtifactStore::with_capacity(99);
         let load = load_store(&fresh, &dir, &RealIo);
-        assert_eq!(load.restored, 12);
+        assert_eq!(load.restored, 2);
         assert_eq!(load.recovery_events(), 0);
-        assert_eq!(load.missing, 0);
-        assert_eq!(fresh.verdict.lock().capacity(), 8);
-        assert_eq!(fresh.split.lock().capacity(), 8);
+        assert!(!load.missing);
+        assert_eq!(fresh.verdict.lock().capacity(), 99);
+        assert!(fresh.split.lock().is_empty());
 
         let dir2 = test_dir("roundtrip-resave");
-        save_store(&fresh, &dir2, &RealIo).expect("re-save");
+        save_store(&fresh, &dir2, &RealIo, false).expect("re-save");
         assert_eq!(snapshot_bytes(&dir), snapshot_bytes(&dir2));
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir2);
@@ -961,7 +899,7 @@ mod tests {
     fn snapshot_format_is_pinned_byte_for_byte() {
         // Cache directories outlive builds: a snapshot written by an
         // older build must restore under a newer one, so every byte of
-        // the format is pinned (FNV-1a and length per file).
+        // the format is pinned (FNV-1a and length).
         let store = seeded_store_with(
             8,
             &[
@@ -971,44 +909,38 @@ mod tests {
             ],
         );
         let dir = test_dir("pinned");
-        save_store(&store, &dir, &RealIo).expect("save");
-        let pins: Vec<(ArtifactKind, String, usize)> = snapshot_bytes(&dir)
-            .into_iter()
-            .map(|(kind, bytes)| (kind, format!("{:016x}", fnv1a(&bytes)), bytes.len()))
-            .collect();
-        let expected = [
-            (ArtifactKind::Split, "400be596bdaeb40f", 18_661),
-            (ArtifactKind::LinkGraphs, "fc1ac3f1e54e1fe9", 13_897),
-            (ArtifactKind::Presentations, "df3ac13957914aa1", 25_053),
-            (ArtifactKind::Homology, "d076d529e3bb7b67", 9_547),
-            (ArtifactKind::Exploration, "59755bb8010fbe12", 9_318),
-            (ArtifactKind::Verdict, "1d6e450a82ecd60b", 9_414),
-        ]
-        .map(|(kind, hash, len)| (kind, hash.to_owned(), len));
-        assert_eq!(pins, expected);
+        save_store(&store, &dir, &RealIo, false).expect("save");
+        let bytes = snapshot_bytes(&dir);
+        assert_eq!(
+            (format!("{:016x}", fnv1a(&bytes)), bytes.len()),
+            ("b7e51a725a39db4c".to_owned(), 9_385)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn stats_merge_additively_and_restored_is_counted() {
+    fn restore_counts_restored_and_merges_no_counters() {
         let store = seeded_store(8);
-        // Bump some counters: 2 hits, 1 miss on the verdict cache.
+        // 2 hits and 1 miss on the saved store: telemetry that stays in
+        // its process.
         let probe = two_set_agreement();
         store.verdict.lock().get(&(probe.clone(), 5));
         store.verdict.lock().get(&(probe.clone(), 5));
         store.verdict.lock().get(&(probe, 999));
         let dir = test_dir("stats");
-        save_store(&store, &dir, &RealIo).expect("save");
+        save_store(&store, &dir, &RealIo, false).expect("save");
 
         let fresh = ArtifactStore::with_capacity(4);
-        // Pre-existing counters must survive the merge.
-        fresh.verdict.lock().stats_mut().hits = 10;
+        fresh.verdict.lock().get(&(identity_task(3), 1));
         load_store(&fresh, &dir, &RealIo);
         let stats = fresh.verdict.lock().stats();
-        assert_eq!(stats.hits, 12);
-        assert_eq!(stats.misses, 1);
+        assert_eq!(
+            (stats.lookups, stats.hits, stats.misses, stats.evictions),
+            (1, 0, 1, 0)
+        );
         assert_eq!(stats.restored, 2);
         assert_eq!(stats.recovery_events(), 0);
+        assert!(stats.is_coherent());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1025,66 +957,47 @@ mod tests {
             store.verdict.lock().insert((t.clone(), 1), record());
         }
         let dir = test_dir("order");
-        save_store(&store, &dir, &RealIo).expect("save");
+        save_store(&store, &dir, &RealIo, false).expect("save");
 
         let fresh = ArtifactStore::with_capacity(4);
         load_store(&fresh, &dir, &RealIo);
-        {
-            let guard = fresh.verdict.lock();
-            let keys: Vec<_> = guard
-                .entries_in_order()
-                .into_iter()
-                .map(|(k, _)| k)
-                .collect();
-            let expected: Vec<_> = tasks.iter().map(|t| (t.clone(), 1usize)).collect();
-            assert_eq!(keys, expected, "snapshot order must be insertion order");
-        }
+        let expected: Vec<_> = tasks.iter().map(|t| (t.clone(), 1usize)).collect();
+        assert_eq!(
+            keys(&fresh),
+            expected,
+            "snapshot order must be insertion order"
+        );
         // One more insert evicts the *oldest restored* entry.
         fresh.verdict.lock().insert((identity_task(3), 1), record());
-        let guard = fresh.verdict.lock();
-        assert_eq!(guard.len(), 4);
-        let keys: Vec<_> = guard
-            .entries_in_order()
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        assert!(!keys.contains(&(two_set_agreement(), 1)));
+        assert_eq!(fresh.verdict.lock().len(), 4);
+        assert!(!keys(&fresh).contains(&(two_set_agreement(), 1)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn serialization_is_independent_of_construction_order() {
-        // Build the same artifacts in opposite orders: the serialized
-        // form must not depend on global interning history.
-        let a1 = artifacts_for(&two_set_agreement());
-        let b1 = artifacts_for(&constant_task(2));
-        let b2 = artifacts_for(&constant_task(2));
-        let a2 = artifacts_for(&two_set_agreement());
-        for (x, y) in [(&a1, &a2), (&b1, &b2)] {
-            assert_eq!(
-                serde_json::to_string(&x.0).expect("ser"),
-                serde_json::to_string(&y.0).expect("ser")
-            );
-            assert_eq!(
-                serde_json::to_string(&x.1).expect("ser"),
-                serde_json::to_string(&y.1).expect("ser")
-            );
-            assert_eq!(
-                serde_json::to_string(&x.2).expect("ser"),
-                serde_json::to_string(&y.2).expect("ser")
-            );
-            assert_eq!(
-                serde_json::to_string(&x.3).expect("ser"),
-                serde_json::to_string(&y.3).expect("ser")
-            );
-        }
+        // Build the same keys in opposite orders: the snapshot bytes
+        // must not depend on global interning history.
+        let a1 = two_set_agreement();
+        let b1 = constant_task(2);
+        let b2 = constant_task(2);
+        let a2 = two_set_agreement();
+        let render = |a: &Task, b: &Task| {
+            let store = ArtifactStore::with_capacity(4);
+            store.verdict.lock().insert((a.clone(), 1), record());
+            store.verdict.lock().insert((b.clone(), 1), record());
+            let entries = store.verdict.lock().entries_in_order();
+            render_snapshot(&entries).expect("render")
+        };
+        assert_eq!(render(&a1, &b1), render(&a2, &b2));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
-        /// Snapshot → reload preserves entries, order and capacity for
-        /// any insertion sequence, under any pre-existing capacity.
+        /// Snapshot → reload preserves the records and their order for
+        /// any insertion sequence; a smaller reload capacity keeps the
+        /// newest, as if they had been inserted in snapshot order.
         #[test]
         fn roundtrip_identity_under_any_order(
             capacity in 1usize..6,
@@ -1103,7 +1016,7 @@ mod tests {
                 store.verdict.lock().insert(key, record());
             }
             let dir = test_dir("prop");
-            save_store(&store, &dir, &RealIo).expect("save");
+            save_store(&store, &dir, &RealIo, false).expect("save");
             let fresh = ArtifactStore::with_capacity(reload_capacity);
             let report = load_store(&fresh, &dir, &RealIo);
             prop_assert_eq!(report.recovery_events(), 0);
@@ -1111,9 +1024,9 @@ mod tests {
             let original = store.verdict.lock().entries_in_order();
             let restored = fresh.verdict.lock().entries_in_order();
             prop_assert_eq!(report.restored as usize, original.len());
-            prop_assert_eq!(fresh.verdict.lock().capacity(), capacity);
-            prop_assert_eq!(original.len(), restored.len());
-            for ((k1, v1), (k2, v2)) in original.iter().zip(restored.iter()) {
+            let kept = original.len().min(reload_capacity);
+            prop_assert_eq!(restored.len(), kept);
+            for ((k1, v1), (k2, v2)) in original[original.len() - kept..].iter().zip(&restored) {
                 prop_assert_eq!(k1, k2);
                 prop_assert_eq!(
                     serde_json::to_string(v1).expect("ser"),
@@ -1132,39 +1045,44 @@ mod tests {
         store.verdict.lock().insert((constant_task(2), 1), record());
         store.verdict.lock().insert((identity_task(2), 1), record());
         let dir = test_dir("torn-src");
-        save_store(&store, &dir, &RealIo).expect("save");
-        let full = std::fs::read(snapshot_path(&dir, ArtifactKind::Verdict)).expect("read");
+        save_store(&store, &dir, &RealIo, false).expect("save");
+        let full = snapshot_bytes(&dir);
         let _ = std::fs::remove_dir_all(&dir);
 
         let work = test_dir("torn");
         std::fs::create_dir_all(&work).expect("mkdir");
-        let target = snapshot_path(&work, ArtifactKind::Verdict);
+        let target = work.join(SNAPSHOT_FILE);
         for cut in 0..=full.len() {
             let prefix = &full[..cut];
             std::fs::write(&target, prefix).expect("write truncated");
             let fresh = ArtifactStore::with_capacity(4);
             let report = load_store(&fresh, &work, &RealIo);
-            assert_eq!(report.missing, 5, "only verdict.snap exists (cut {cut})");
+            assert!(!report.missing, "cut {cut}");
 
             let newlines = prefix.iter().filter(|&&b| b == b'\n').count();
             let torn_tail = !prefix.is_empty() && *prefix.last().expect("nonempty") != b'\n';
-            if newlines < 2 {
-                // Magic or header incomplete: the whole snapshot goes.
+            if newlines == 0 {
+                // Magic incomplete: the whole snapshot goes.
                 assert_eq!(report.rejected_snapshots, 1, "cut {cut}");
                 assert_eq!(report.restored, 0, "cut {cut}");
                 assert_eq!(report.torn_entries, 0, "cut {cut}");
             } else {
-                let complete_entries = (newlines - 2) as u64;
+                let complete_entries = (newlines - 1) as u64;
                 assert_eq!(report.rejected_snapshots, 0, "cut {cut}");
                 assert_eq!(report.restored, complete_entries, "cut {cut}");
                 assert_eq!(report.torn_entries, u64::from(torn_tail), "cut {cut}");
                 assert_eq!(report.corrupt_entries, 0, "cut {cut}");
-                assert_eq!(fresh.verdict.lock().capacity(), 4, "cut {cut}");
                 // Restored entries must be checksum-valid originals.
-                for (k, _) in fresh.verdict.lock().entries_in_order() {
+                for k in keys(&fresh) {
                     assert!(k == (constant_task(2), 1) || k == (identity_task(2), 1));
                 }
             }
+            // A torn snapshot is rewritten by the next implicit save.
+            assert_eq!(
+                fresh.verdict.lock().take_changed(),
+                report.recovery_events() > 0,
+                "cut {cut}"
+            );
         }
         let _ = std::fs::remove_dir_all(&work);
     }
@@ -1201,6 +1119,11 @@ mod tests {
                 trigger_op,
                 mode,
             }
+        }
+
+        /// An injector that never fires: it only counts operations.
+        fn counting() -> Self {
+            FaultIo::new(u64::MAX, IoFaultMode::Kill)
         }
 
         /// Counts this operation; `Ok(true)` means "fault it now".
@@ -1280,17 +1203,11 @@ mod tests {
             }
             self.inner.read(path)
         }
-
-        fn remove(&self, path: &Path) -> io::Result<()> {
-            if self.gate()? {
-                return Err(self.fault());
-            }
-            self.inner.remove(path)
-        }
     }
 
-    /// Operations a full save performs: 1 create-dir + 4 per kind.
-    const SAVE_OPS: u64 = 1 + 4 * 6;
+    /// Operations a full save performs: create-dir, write-tmp, sync-tmp,
+    /// rename, sync-dir.
+    const SAVE_OPS: u64 = 5;
 
     #[test]
     fn every_errorkind_at_every_killpoint_leaves_store_consistent() {
@@ -1325,8 +1242,8 @@ mod tests {
         let new_store = seeded_store_with(8, &[two_set_agreement(), identity_task(2)]);
         let old_dir = test_dir("fault-old");
         let new_dir = test_dir("fault-new");
-        save_store(&old_store, &old_dir, &RealIo).expect("baseline old");
-        save_store(&new_store, &new_dir, &RealIo).expect("baseline new");
+        save_store(&old_store, &old_dir, &RealIo, false).expect("baseline old");
+        save_store(&new_store, &new_dir, &RealIo, false).expect("baseline new");
         let old_bytes = snapshot_bytes(&old_dir);
         let new_bytes = snapshot_bytes(&new_dir);
 
@@ -1335,23 +1252,21 @@ mod tests {
             for trigger in 0..SAVE_OPS {
                 // Reset to the old, fully valid on-disk state.
                 let _ = std::fs::remove_dir_all(&work);
-                save_store(&old_store, &work, &RealIo).expect("reset");
+                save_store(&old_store, &work, &RealIo, false).expect("reset");
 
                 let io = FaultIo::new(trigger, mode);
-                let result = save_store(&new_store, &work, &io);
+                let result = save_store(&new_store, &work, &io, false);
                 assert!(result.is_err(), "op {trigger} under {mode:?} must fail");
+                // The failure keeps the store marked changed.
+                assert!(new_store.verdict.lock().take_changed());
 
-                // Crash-consistency: every kind's file is wholly the old
-                // or wholly the new snapshot — never a mix, never torn.
-                for (i, &(kind, ref old)) in old_bytes.iter().enumerate() {
-                    let on_disk =
-                        std::fs::read(snapshot_path(&work, kind)).expect("snapshot survives");
-                    let (_, ref new) = new_bytes[i];
-                    assert!(
-                        &on_disk == old || &on_disk == new,
-                        "{kind} is a hybrid after faulting op {trigger} ({mode:?})"
-                    );
-                }
+                // Crash-consistency: the file is wholly the old or wholly
+                // the new snapshot — never a mix, never torn.
+                let on_disk = snapshot_bytes(&work);
+                assert!(
+                    on_disk == old_bytes || on_disk == new_bytes,
+                    "hybrid snapshot after faulting op {trigger} ({mode:?})"
+                );
                 // And a paranoid load sees zero corruption.
                 let fresh = ArtifactStore::with_capacity(8);
                 let report = load_store(&fresh, &work, &RealIo);
@@ -1362,7 +1277,7 @@ mod tests {
                 );
 
                 // A healthy retry converges to the new state exactly.
-                save_store(&new_store, &work, &RealIo).expect("retry");
+                save_store(&new_store, &work, &RealIo, false).expect("retry");
                 assert_eq!(
                     snapshot_bytes(&work),
                     new_bytes,
@@ -1379,39 +1294,38 @@ mod tests {
     fn enospc_mid_snapshot_keeps_the_old_snapshot_at_every_op() {
         // Disk-full at every possible point of the save protocol: the
         // previous snapshot must stay wholly intact (old or complete
-        // new per file, never torn), a paranoid load must be clean, and
-        // the next cadence with space back must converge exactly.
+        // new, never torn), a paranoid load must be clean, and the
+        // next implicit save with space back must converge exactly.
         let old_store = seeded_store_with(8, &[two_set_agreement()]);
         let new_store = seeded_store_with(8, &[two_set_agreement(), identity_task(2)]);
         let old_dir = test_dir("enospc-old");
         let new_dir = test_dir("enospc-new");
-        save_store(&old_store, &old_dir, &RealIo).expect("baseline old");
-        save_store(&new_store, &new_dir, &RealIo).expect("baseline new");
+        save_store(&old_store, &old_dir, &RealIo, false).expect("baseline old");
+        save_store(&new_store, &new_dir, &RealIo, false).expect("baseline new");
         let old_bytes = snapshot_bytes(&old_dir);
         let new_bytes = snapshot_bytes(&new_dir);
 
         let work = test_dir("enospc-work");
         for trigger in 0..SAVE_OPS {
             let _ = std::fs::remove_dir_all(&work);
-            save_store(&old_store, &work, &RealIo).expect("reset");
+            save_store(&old_store, &work, &RealIo, false).expect("reset");
 
             let io = FaultIo::new(trigger, IoFaultMode::Error(io::ErrorKind::StorageFull));
-            save_store(&new_store, &work, &io).expect_err("disk full must fail the save");
+            save_store(&new_store, &work, &io, false).expect_err("disk full must fail the save");
 
-            for (i, &(kind, ref old)) in old_bytes.iter().enumerate() {
-                let on_disk = std::fs::read(snapshot_path(&work, kind)).expect("snapshot survives");
-                let (_, ref new) = new_bytes[i];
-                assert!(
-                    &on_disk == old || &on_disk == new,
-                    "{kind} torn after ENOSPC at op {trigger}"
-                );
-            }
+            let on_disk = snapshot_bytes(&work);
+            assert!(
+                on_disk == old_bytes || on_disk == new_bytes,
+                "torn after ENOSPC at op {trigger}"
+            );
             let fresh = ArtifactStore::with_capacity(8);
             let report = load_store(&fresh, &work, &RealIo);
             assert_eq!(report.recovery_events(), 0, "ENOSPC at op {trigger}");
 
-            // Space is back: the next cadence succeeds and converges.
-            save_store(&new_store, &work, &RealIo).expect("retry once space is back");
+            // Space is back: the failure left the store marked changed,
+            // so the next implicit save retries and converges.
+            let retry = save_store(&new_store, &work, &RealIo, true).expect("retry");
+            assert_eq!(retry.files_written, 1, "op {trigger}");
             assert_eq!(snapshot_bytes(&work), new_bytes, "retry after op {trigger}");
         }
         for d in [&old_dir, &new_dir, &work] {
@@ -1423,10 +1337,11 @@ mod tests {
     fn enospc_through_the_chaos_seam_degrades_and_heals_persist_now() {
         use super::super::chaos::{PersistChaos, PersistFault};
 
+        let _io = io_override_guard();
         let dir = test_dir("enospc-seam");
         let config = CacheDirConfig::resolve(Some(dir.clone()));
 
-        // Baseline cadence with the seam installed but disarmed.
+        // Baseline snapshot with the seam installed but disarmed.
         let chaos = PersistChaos::install();
         persist_now(&config)
             .expect("persistence is configured")
@@ -1434,8 +1349,8 @@ mod tests {
         let failures_before = persist_failures();
         assert!(!store_read_through(), "clean save must not be read-through");
 
-        // Disk full mid-snapshot: the cadence fails, is counted, and
-        // flips the store to read-through — but never wedges.
+        // Disk full mid-snapshot: the save fails, is counted, and flips
+        // the store to read-through — but never wedges.
         chaos.arm(PersistFault::Enospc);
         persist_now(&config)
             .expect("persistence is configured")
@@ -1446,11 +1361,10 @@ mod tests {
 
         // The on-disk state is still a clean, loadable snapshot.
         PersistChaos::uninstall();
-        for audit in audit_cache_dir(&dir) {
-            assert!(audit.is_clean(), "unclean after ENOSPC: {audit:?}");
-        }
+        let audit = audit_cache_dir(&dir);
+        assert!(audit.is_clean(), "unclean after ENOSPC: {audit:?}");
 
-        // Fault cleared: the next cadence succeeds and clears the flag.
+        // Fault cleared: the next save succeeds and clears the flag.
         persist_now(&config)
             .expect("persistence is configured")
             .expect("save heals once the fault clears");
@@ -1458,21 +1372,183 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Counts saves that found another save inside `write_tmp`. Each
+    /// write holds itself open until a second save joins it or 100 ms
+    /// pass, so unserialized saves meet there on every run.
+    #[derive(Default)]
+    struct OverlapIo {
+        /// (saves inside `write_tmp`, overlaps seen)
+        writing: Mutex<(usize, usize)>,
+        joined: std::sync::Condvar,
+    }
+
+    impl PersistIo for OverlapIo {
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            RealIo.create_dir_all(dir)
+        }
+
+        fn write_tmp(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            {
+                let mut writing = self.writing.lock().expect("no test thread panics");
+                writing.0 += 1;
+                if writing.0 > 1 {
+                    writing.1 += 1;
+                    self.joined.notify_all();
+                }
+                drop(
+                    self.joined
+                        .wait_timeout_while(writing, Duration::from_millis(100), |w| w.0 < 2)
+                        .expect("no test thread panics"),
+                );
+            }
+            let written = RealIo.write_tmp(path, bytes);
+            self.writing.lock().expect("no test thread panics").0 -= 1;
+            written
+        }
+
+        fn sync_tmp(&self, path: &Path) -> io::Result<()> {
+            RealIo.sync_tmp(path)
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            RealIo.rename(from, to)
+        }
+
+        fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+            RealIo.sync_dir(dir)
+        }
+
+        fn read(&self, path: &Path) -> io::Result<Option<Vec<u8>>> {
+            RealIo.read(path)
+        }
+    }
+
+    #[test]
+    fn concurrent_saves_never_overlap_the_write_protocol() {
+        // The serve persister and any number of wire `persist` ops may
+        // save at once; they share one temp file, so the protocol must
+        // run one save at a time, and every save must succeed.
+        let _io = io_override_guard();
+        let dir = test_dir("concurrent");
+        let config = CacheDirConfig::at(&dir);
+        let io = Arc::new(OverlapIo::default());
+        set_persist_io(Arc::clone(&io) as Arc<dyn PersistIo + Send + Sync>);
+        let start = std::sync::Barrier::new(4);
+        let results: Vec<_> = std::thread::scope(|s| {
+            let saves: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        persist_now(&config)
+                    })
+                })
+                .collect();
+            saves
+                .into_iter()
+                .map(|save| save.join().expect("a save panicked"))
+                .collect()
+        });
+        clear_persist_io();
+        for result in results {
+            result
+                .expect("persistence is configured")
+                .expect("every concurrent save succeeds");
+        }
+        let overlaps = io.writing.lock().expect("no test thread panics").1;
+        assert_eq!(overlaps, 0, "saves overlapped");
+        assert!(audit_cache_dir(&dir).is_clean());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unchanged_store_writes_nothing() {
+        let store = seeded_store_with(8, &[constant_task(2)]);
+        let dir = test_dir("unchanged");
+        // The insert marked the store changed: the implicit save writes.
+        let io = FaultIo::counting();
+        let saved = save_store(&store, &dir, &io, true).expect("save");
+        assert_eq!(saved.files_written, 1);
+        assert_eq!(io.op.get(), SAVE_OPS);
+
+        // Since then only lookups: no I/O at all.
+        store.verdict.lock().get(&(constant_task(2), 5));
+        store.verdict.lock().get(&(identity_task(2), 5));
+        let io = FaultIo::counting();
+        let skipped = save_store(&store, &dir, &io, true).expect("skip");
+        assert_eq!(skipped, SaveReport::default());
+        assert_eq!(io.op.get(), 0);
+
+        // A store restored from the directory is unchanged too, but an
+        // explicit save writes regardless.
+        let fresh = ArtifactStore::with_capacity(8);
+        assert_eq!(load_store(&fresh, &dir, &RealIo).restored, 1);
+        let io = FaultIo::counting();
+        assert_eq!(
+            save_store(&fresh, &dir, &io, true)
+                .expect("skip")
+                .files_written,
+            0
+        );
+        assert_eq!(io.op.get(), 0);
+        let io = FaultIo::counting();
+        assert_eq!(
+            save_store(&fresh, &dir, &io, false)
+                .expect("save")
+                .files_written,
+            1
+        );
+        assert_eq!(io.op.get(), SAVE_OPS);
+
+        // The flag refers to the directory last loaded or saved: an
+        // unchanged store still writes to another one.
+        let elsewhere = test_dir("unchanged-elsewhere");
+        let saved = save_store(&fresh, &elsewhere, &RealIo, true).expect("save");
+        assert_eq!(saved.files_written, 1);
+        let io = FaultIo::counting();
+        assert_eq!(
+            save_store(&fresh, &elsewhere, &io, true)
+                .expect("skip")
+                .files_written,
+            0
+        );
+        assert_eq!(io.op.get(), 0);
+        let _ = std::fs::remove_dir_all(&elsewhere);
+
+        // A store holding a record the snapshot lacks is changed after
+        // loading it.
+        let ahead = seeded_store_with(8, &[identity_task(2)]);
+        let _ = ahead.verdict.lock().take_changed();
+        load_store(&ahead, &dir, &RealIo);
+        let saved = save_store(&ahead, &dir, &RealIo, true).expect("save");
+        assert_eq!(saved.entries_written, 2);
+
+        // A failed save leaves the flag set, so the next one retries.
+        fresh.verdict.lock().insert((identity_task(3), 1), record());
+        let full = FaultIo::new(1, IoFaultMode::Error(io::ErrorKind::StorageFull));
+        save_store(&fresh, &dir, &full, true).expect_err("disk full");
+        let retry = save_store(&fresh, &dir, &RealIo, true).expect("retry");
+        assert_eq!(retry.entries_written, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn read_failure_rejects_that_snapshot_only() {
         let store = seeded_store_with(4, &[constant_task(2)]);
         let dir = test_dir("read-fail");
-        save_store(&store, &dir, &RealIo).expect("save");
+        save_store(&store, &dir, &RealIo, false).expect("save");
 
-        // Op 0 is the first read (the split snapshot).
+        // Op 0 is the read.
         let io = FaultIo::new(0, IoFaultMode::Error(io::ErrorKind::PermissionDenied));
-        let fresh = ArtifactStore::with_capacity(4);
+        let fresh = seeded_store_with(4, &[identity_task(2)]);
+        let _ = fresh.verdict.lock().take_changed();
         let report = load_store(&fresh, &dir, &io);
         assert_eq!(report.rejected_snapshots, 1);
-        assert_eq!(fresh.split.lock().stats().rejected_snapshots, 1);
-        assert!(fresh.split.lock().is_empty());
-        // The other five kinds load normally.
-        assert_eq!(report.restored, 5);
+        assert_eq!(report.restored, 0);
+        assert_eq!(fresh.verdict.lock().stats().rejected_snapshots, 1);
+        // The records already in memory stay, and the store is marked
+        // changed so the next implicit save replaces the snapshot.
+        assert_eq!(keys(&fresh), [(identity_task(2), 5)]);
+        assert!(fresh.verdict.lock().take_changed());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1484,9 +1560,9 @@ mod tests {
         store.verdict.lock().insert((constant_task(2), 1), record());
         store.verdict.lock().insert((identity_task(2), 1), record());
         let dir = test_dir("flip");
-        save_store(&store, &dir, &RealIo).expect("save");
+        save_store(&store, &dir, &RealIo, false).expect("save");
 
-        let path = snapshot_path(&dir, ArtifactKind::Verdict);
+        let path = dir.join(SNAPSHOT_FILE);
         let mut bytes = std::fs::read(&path).expect("read");
         // Flip one payload byte of the last entry record: 'E', space,
         // 16 hex digits, space — the payload starts 19 bytes in.
@@ -1506,14 +1582,9 @@ mod tests {
         let stats = fresh.verdict.lock().stats();
         assert_eq!(stats.corrupt_entries, 1);
         assert_eq!(stats.restored, 1);
-        let keys: Vec<_> = fresh
-            .verdict
-            .lock()
-            .entries_in_order()
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        assert_eq!(keys, vec![(constant_task(2), 1)]);
+        assert_eq!(keys(&fresh), vec![(constant_task(2), 1)]);
+        // The damaged record is rewritten away by the next implicit save.
+        assert!(fresh.verdict.lock().take_changed());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1522,14 +1593,14 @@ mod tests {
         let store = ArtifactStore::with_capacity(4);
         store.verdict.lock().insert((constant_task(2), 1), record());
         let dir = test_dir("forged");
-        save_store(&store, &dir, &RealIo).expect("save");
+        save_store(&store, &dir, &RealIo, false).expect("save");
 
         // Rewrite the entry so its task nests a colour-99 vertex inside a
         // view, and re-checksum it: only the reader can catch this.
-        let path = snapshot_path(&dir, ArtifactKind::Verdict);
+        let path = dir.join(SNAPSHOT_FILE);
         let text = std::fs::read_to_string(&path).expect("read");
         let lines: Vec<&str> = text.lines().collect();
-        let [magic, header, entry] = lines.as_slice() else {
+        let [magic, entry] = lines.as_slice() else {
             panic!("one entry expected: {text}");
         };
         let payload = &entry[19..];
@@ -1538,7 +1609,7 @@ mod tests {
             r#"{"color":0,"value":{"view":[{"color":99,"value":{"int":0}}]}}"#,
         );
         assert_ne!(forged, payload);
-        let mut body = format!("{magic}\n{header}\n");
+        let mut body = format!("{magic}\n");
         push_record(&mut body, 'E', &forged);
         std::fs::write(&path, body).expect("rewrite");
 
@@ -1555,8 +1626,8 @@ mod tests {
     fn bad_magic_rejects_the_whole_snapshot() {
         let store = seeded_store_with(4, &[constant_task(2)]);
         let dir = test_dir("magic");
-        save_store(&store, &dir, &RealIo).expect("save");
-        let path = snapshot_path(&dir, ArtifactKind::Homology);
+        save_store(&store, &dir, &RealIo, false).expect("save");
+        let path = dir.join(SNAPSHOT_FILE);
         let mut bytes = std::fs::read(&path).expect("read");
         bytes[0] ^= 0x20;
         std::fs::write(&path, &bytes).expect("rewrite");
@@ -1564,135 +1635,137 @@ mod tests {
         let fresh = ArtifactStore::with_capacity(4);
         let report = load_store(&fresh, &dir, &RealIo);
         assert_eq!(report.rejected_snapshots, 1);
-        assert!(fresh.homology.lock().is_empty());
-        assert_eq!(fresh.homology.lock().stats().rejected_snapshots, 1);
-        assert_eq!(report.restored, 5);
+        assert_eq!(report.restored, 0);
+        assert!(fresh.verdict.lock().is_empty());
+        assert_eq!(fresh.verdict.lock().stats().rejected_snapshots, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn old_version_snapshot_degrades_to_recompute() {
-        // A pre-re-keying (v1) snapshot must be rejected wholesale, not
-        // reinterpreted under the per-branch keys: the cost is a cold
-        // recompute, never a wrong verdict from an aliased artifact.
+        // A v2-era directory: a v2 verdict snapshot, header and all,
+        // beside the v2 files of the intermediate kinds. The verdict
+        // file must be rejected wholesale, not reinterpreted — the cost
+        // is a cold recompute, never a wrong verdict — and the others
+        // are never read.
         let store = seeded_store_with(4, &[constant_task(2)]);
         let dir = test_dir("old-version");
-        save_store(&store, &dir, &RealIo).expect("save");
-        for kind in all_kinds() {
-            let path = snapshot_path(&dir, kind);
-            let text = std::fs::read_to_string(&path).expect("read");
-            let downgraded = text.replacen("chromata-snap v2 ", "chromata-snap v1 ", 1);
-            assert_ne!(text, downgraded, "version token must be present");
-            std::fs::write(&path, downgraded).expect("rewrite");
+        save_store(&store, &dir, &RealIo, false).expect("save");
+        let v3 = std::fs::read_to_string(dir.join(SNAPSHOT_FILE)).expect("read");
+        let (_, records) = v3.split_once('\n').expect("a magic line");
+        let mut v2 = "chromata-snap v2 verdict\n".to_owned();
+        push_record(&mut v2, 'H', "[4,0,0,0]");
+        v2.push_str(records);
+        std::fs::write(dir.join(SNAPSHOT_FILE), v2).expect("downgrade");
+        for name in RETIRED_FILES {
+            std::fs::write(dir.join(name), "chromata-snap v2 split\n").expect("write");
         }
 
         let fresh = ArtifactStore::with_capacity(4);
         let report = load_store(&fresh, &dir, &RealIo);
-        assert_eq!(report.rejected_snapshots, all_kinds().len() as u64);
+        assert_eq!(report.rejected_snapshots, 1);
         assert_eq!(report.restored, 0);
-        assert!(fresh.split.lock().is_empty());
-        assert!(fresh.links.lock().is_empty());
-        assert!(fresh.presentations.lock().is_empty());
-        assert!(fresh.homology.lock().is_empty());
-        assert!(fresh.exploration.lock().is_empty());
         assert!(fresh.verdict.lock().is_empty());
-        // The degraded store re-saves as v2 and round-trips cleanly.
-        save_store(&store, &dir, &RealIo).expect("re-save");
+        let audit = audit_cache_dir(&dir);
+        assert_eq!(audit.status, SnapshotStatus::Rejected);
+        assert_eq!(audit.ignored, RETIRED_FILES);
+
+        // The cold recompute is written back as v3 by the implicit save
+        // and restores cleanly.
+        fresh.verdict.lock().insert((constant_task(2), 5), record());
+        let saved = save_store(&fresh, &dir, &RealIo, true).expect("re-save");
+        assert_eq!(saved.files_written, 1);
+        assert_eq!(
+            std::fs::read_to_string(dir.join(SNAPSHOT_FILE)).expect("read"),
+            v3
+        );
         let again = ArtifactStore::with_capacity(4);
         let report = load_store(&again, &dir, &RealIo);
-        assert_eq!(report.rejected_snapshots, 0);
-        assert_eq!(report.restored, 6);
+        assert_eq!(report.recovery_events(), 0);
+        assert_eq!(report.restored, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn mismatched_kind_magic_is_rejected() {
-        // A verdict snapshot copied over the split snapshot must not
-        // load: the magic line binds the file to its kind.
+        // The magic line binds the file to its kind: a snapshot naming
+        // another kind must not load as verdict records.
         let store = seeded_store_with(4, &[constant_task(2)]);
         let dir = test_dir("cross-kind");
-        save_store(&store, &dir, &RealIo).expect("save");
-        std::fs::copy(
-            snapshot_path(&dir, ArtifactKind::Verdict),
-            snapshot_path(&dir, ArtifactKind::Split),
-        )
-        .expect("copy");
+        save_store(&store, &dir, &RealIo, false).expect("save");
+        let path = dir.join(SNAPSHOT_FILE);
+        let text = std::fs::read_to_string(&path).expect("read");
+        let other = text.replacen("chromata-snap v3 verdict", "chromata-snap v3 split", 1);
+        assert_ne!(text, other);
+        std::fs::write(&path, other).expect("rewrite");
         let fresh = ArtifactStore::with_capacity(4);
         let report = load_store(&fresh, &dir, &RealIo);
         assert_eq!(report.rejected_snapshots, 1);
-        assert!(fresh.split.lock().is_empty());
+        assert!(fresh.verdict.lock().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn budget_dependent_explorations_never_cross_the_disk() {
-        // Save side: filtered out and counted.
-        let store = ArtifactStore::with_capacity(4);
-        store
-            .exploration
-            .lock()
-            .insert((constant_task(2), 9), exploration(false));
-        store
-            .exploration
-            .lock()
-            .insert((constant_task(2), 5), exploration(true));
-        let dir = test_dir("budget-save");
-        let report = save_store(&store, &dir, &RealIo).expect("save");
-        assert_eq!(report.entries_skipped, 1);
-        assert_eq!(report.entries_written, 1);
+        // Budget-induced answers are circumstantial: neither a
+        // budget-truncated exploration nor an expired deadline may leave
+        // a verdict record behind, in memory or on disk.
+        let _store = store_test_guard();
+        super::super::cache::clear_stage_caches();
+        let task = loop_agreement("loop-klein-squared", klein_bottle_doubled_loop());
+        let cancel = CancelToken::new();
+        let analyze = |rounds: usize, budget: Budget| {
+            crate::analyze_governed(
+                &task,
+                PipelineOptions {
+                    act_fallback_rounds: rounds,
+                },
+                &budget,
+                &cancel,
+            )
+        };
+        // The ladder stops at 1 of the 2 configured rounds.
+        let truncated = analyze(2, Budget::unlimited().with_max_act_rounds(1));
+        assert_eq!(truncated.evidence.decided_by, "explore");
+        assert!(matches!(truncated.verdict, Verdict::Unknown { .. }));
+        let expired = analyze(3, Budget::unlimited().with_deadline_in(Duration::ZERO));
+        assert_eq!(expired.evidence.decided_by, "budget");
+        // Control: the exhausted exploration at its configured bound is
+        // budget-independent, so its record persists.
+        let exhausted = analyze(1, Budget::unlimited());
+        assert_eq!(exhausted.evidence.decided_by, "explore");
 
-        // Load and audit side: a forged snapshot carrying a
-        // budget-dependent report (checksummed like a real record) is
-        // classified corrupt, not restored.
-        let forged_dir = test_dir("budget-forge");
-        std::fs::create_dir_all(&forged_dir).expect("mkdir");
-        let mut body =
-            std::fs::read_to_string(snapshot_path(&dir, ArtifactKind::Exploration)).expect("read");
-        let forged = serde_json::to_string(&((constant_task(2), 9usize), exploration(false)))
-            .expect("serialize");
-        push_record(&mut body, 'E', &forged);
-        std::fs::write(snapshot_path(&forged_dir, ArtifactKind::Exploration), body).expect("write");
-        let audit = audit_cache_dir(&forged_dir)
-            .into_iter()
-            .find(|a| a.kind == ArtifactKind::Exploration)
-            .expect("an exploration audit");
-        assert_eq!((audit.entries, audit.corrupt_entries), (1, 1));
-        assert!(audit.issues[0].contains("inadmissible artifact (budget-dependent)"));
-        let fresh = ArtifactStore::with_capacity(4);
-        let load = load_store(&fresh, &forged_dir, &RealIo);
-        assert_eq!(load.corrupt_entries, 1);
-        assert_eq!(load.restored, 1);
-        let keys: Vec<_> = fresh
-            .exploration
-            .lock()
-            .entries_in_order()
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect();
-        assert_eq!(keys, vec![(constant_task(2), 5)]);
+        let dir = test_dir("budget");
+        save_store(store(), &dir, &RealIo, false).expect("save");
+        let fresh = ArtifactStore::with_capacity(64);
+        load_store(&fresh, &dir, &RealIo);
+        let persisted = keys(&fresh);
+        let canonical = exhausted.canonical.clone();
+        assert!(persisted.contains(&(canonical.clone(), 1)));
+        assert!(!persisted.contains(&(canonical.clone(), 2)));
+        assert!(!persisted.contains(&(canonical, 3)));
         let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&forged_dir);
     }
 
     // -- audit + clear -----------------------------------------------------
 
     #[test]
     fn audit_classifies_valid_corrupt_and_missing() {
-        let store = seeded_store_with(4, &[constant_task(2)]);
         let dir = test_dir("audit");
-        save_store(&store, &dir, &RealIo).expect("save");
+        let audit = audit_cache_dir(&dir);
+        assert_eq!(audit.status, SnapshotStatus::Missing);
+        assert!(audit.is_clean());
 
-        let audits = audit_cache_dir(&dir);
-        assert_eq!(audits.len(), 6);
-        for audit in &audits {
-            assert_eq!(audit.status, SnapshotStatus::Valid, "{}", audit.kind);
-            assert!(audit.is_clean(), "{}", audit.kind);
-            assert_eq!(audit.entries, 1, "{}", audit.kind);
-            assert_eq!(audit.capacity, 4, "{}", audit.kind);
-        }
+        let store = seeded_store_with(4, &[constant_task(2), identity_task(2)]);
+        save_store(&store, &dir, &RealIo, false).expect("save");
+        let audit = audit_cache_dir(&dir);
+        assert_eq!(audit.status, SnapshotStatus::Valid);
+        assert!(audit.is_clean());
+        assert_eq!(audit.entries, 2);
+        assert!(audit.ignored.is_empty());
 
-        // Flip a payload byte: the audit must flag exactly that kind.
-        let path = snapshot_path(&dir, ArtifactKind::Presentations);
+        // Flip a payload byte: the audit must flag exactly that record.
+        let path = dir.join(SNAPSHOT_FILE);
         let mut bytes = std::fs::read(&path).expect("read");
         let last_e = bytes
             .windows(3)
@@ -1700,20 +1773,26 @@ mod tests {
             .expect("an entry record");
         bytes[last_e + 20] ^= 0x01;
         std::fs::write(&path, &bytes).expect("rewrite");
-        let audits = audit_cache_dir(&dir);
-        let flagged: Vec<_> = audits.iter().filter(|a| !a.is_clean()).collect();
-        assert_eq!(flagged.len(), 1);
-        assert_eq!(flagged[0].kind, ArtifactKind::Presentations);
-        assert_eq!(flagged[0].corrupt_entries, 1);
-        assert!(!flagged[0].issues.is_empty());
+        let audit = audit_cache_dir(&dir);
+        assert!(!audit.is_clean());
+        assert_eq!((audit.entries, audit.corrupt_entries), (1, 1));
+        assert!(!audit.issues.is_empty());
 
-        // Clearing removes every snapshot; the audit then reads missing.
-        let removed = clear_cache_dir(&dir).expect("clear");
-        assert_eq!(removed, 6);
-        for audit in audit_cache_dir(&dir) {
-            assert_eq!(audit.status, SnapshotStatus::Missing);
-            assert!(audit.is_clean());
+        // A v2-era directory holds all six v2 file names (and maybe
+        // stray temp files): clearing removes every one; the audit then
+        // reads missing.
+        for name in RETIRED_FILES {
+            std::fs::write(dir.join(name), "v2").expect("write");
         }
+        std::fs::write(dir.join("verdict.snap.tmp"), "torn").expect("write");
+        std::fs::write(dir.join("split.snap.tmp"), "torn").expect("write");
+        assert_eq!(audit_cache_dir(&dir).ignored, RETIRED_FILES);
+        let removed = clear_cache_dir(&dir).expect("clear");
+        assert_eq!(removed, 8);
+        let audit = audit_cache_dir(&dir);
+        assert_eq!(audit.status, SnapshotStatus::Missing);
+        assert!(audit.is_clean() && audit.ignored.is_empty());
+        assert_eq!(std::fs::read_dir(&dir).expect("list").count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1748,7 +1827,7 @@ mod tests {
         let config = CacheDirConfig::at(&dir);
         for _ in 0..2 {
             let report = load_cache_dir(&config).expect("persistence is enabled");
-            assert_eq!(report.missing, 6, "empty directory: nothing to restore");
+            assert!(report.missing, "empty directory: nothing to restore");
             assert_eq!(report.restored, 0);
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -15,7 +15,6 @@ use serde::{Content, Deserialize, Error, Serialize};
 use crate::carrier::CarrierMap;
 use crate::color::Color;
 use crate::complex::Complex;
-use crate::graph::Graph;
 use crate::simplex::Simplex;
 use crate::value::Value;
 use crate::vertex::Vertex;
@@ -132,31 +131,6 @@ impl Deserialize for CarrierMap {
     }
 }
 
-impl Serialize for Graph {
-    fn to_content(&self) -> Content {
-        // Adjacency list, sorted by vertex; the BTree layout makes this
-        // canonical regardless of insertion order.
-        Content::Array(
-            self.vertices()
-                .map(|v| (v, self.neighbors(v)).to_content())
-                .collect(),
-        )
-    }
-}
-
-impl Deserialize for Graph {
-    fn from_content(c: &Content) -> Result<Self, Error> {
-        let mut g = Graph::new();
-        for (v, neighbors) in Vec::<(Vertex, Vec<Vertex>)>::from_content(c)? {
-            g.add_vertex(v.clone());
-            for n in neighbors {
-                g.add_edge(v.clone(), n);
-            }
-        }
-        Ok(g)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,25 +173,6 @@ mod tests {
         let cm: CarrierMap = [(x, img)].into_iter().collect();
         let cm2 = roundtrip(&cm);
         assert_eq!(cm2, cm);
-    }
-
-    #[test]
-    fn graph_roundtrips() {
-        let mut g = Graph::new();
-        g.add_edge(Vertex::of(0, 0), Vertex::of(1, 1));
-        g.add_edge(Vertex::of(1, 1), Vertex::of(2, 2));
-        g.add_vertex(Vertex::of(2, 9));
-        let g2 = roundtrip(&g);
-        assert_eq!(g2.vertex_count(), g.vertex_count());
-        assert!(g2.has_edge(&Vertex::of(0, 0), &Vertex::of(1, 1)));
-        assert!(g2.has_edge(&Vertex::of(1, 1), &Vertex::of(2, 2)));
-        assert!(g2.contains_vertex(&Vertex::of(2, 9)));
-        assert!(g2.neighbors(&Vertex::of(2, 9)).is_empty());
-        // Canonical bytes: reserializing the reload is an identity.
-        assert_eq!(
-            serde_json::to_string(&g2).unwrap(),
-            serde_json::to_string(&g).unwrap()
-        );
     }
 
     #[test]

@@ -1,17 +1,18 @@
-//! End-to-end persistence: durable stage caches must never change an
+//! End-to-end persistence: durable verdict records must never change an
 //! answer. The four acceptance properties pinned here:
 //!
 //! 1. **Digest parity** — verdicts and evidence-chain digests are
 //!    byte-identical across a cold run, a warm-in-memory rerun, and a
 //!    warm-from-disk rerun in a wiped store.
 //! 2. **Corruption tolerance** — a flipped byte or torn tail in a
-//!    snapshot degrades to recovery counters and a re-derived artifact,
+//!    snapshot degrades to recovery counters and a re-derived verdict,
 //!    never a wrong verdict or a panic.
 //! 3. **Lifecycle** — configuration resolution, the load → analyze →
-//!    persist cycle, audit and clear behave as documented.
-//! 4. **Derived flags** — a restored presentation summary re-derives its
-//!    triviality and evident-abelianness flags to the values a fresh
-//!    build computes, for every task of the library.
+//!    persist cycle (which writes only what changed), audit and clear
+//!    behave as documented.
+//! 4. **Verdicts only** — a warm-from-disk boot restores the verdict
+//!    records and nothing else, and every task of the library replays
+//!    its cold answer from them.
 //!
 //! Every test funnels through [`store_guard`]: the stage caches are
 //! process-wide, so tests that clear or repopulate them must not
@@ -22,9 +23,9 @@ use std::path::PathBuf;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use chromata::{
-    analyze, audit_cache_dir, clear_cache_dir, clear_stage_caches, load_cache_dir, persist_now,
-    Analysis, CacheDirConfig, LinkGraphs, PipelineOptions, Presentations, SnapshotAudit,
-    SnapshotStatus, CACHE_DIR_ENV,
+    analyze, audit_cache_dir, clear_cache_dir, clear_stage_caches, load_cache_dir,
+    persist_if_changed, persist_now, stage_cache_stats, Analysis, ArtifactKind, CacheDirConfig,
+    CacheEvent, PipelineOptions, SnapshotStatus, CACHE_DIR_ENV,
 };
 use chromata_task::library::{hourglass, identity_task, two_set_agreement};
 use chromata_task::Task;
@@ -80,20 +81,26 @@ fn digest_parity_cold_warm_memory_warm_disk() {
     let saved = persist_now(&config)
         .expect("persistence is enabled")
         .expect("snapshot write succeeds");
-    assert_eq!(saved.files_written, 6, "one snapshot per artifact kind");
-    assert!(saved.entries_written > 0);
+    assert_eq!(saved.files_written, 1, "one snapshot: the verdict records");
+    assert_eq!(saved.entries_written, suite.len() as u64);
 
     clear_stage_caches();
     let loaded = load_cache_dir(&config).expect("persistence is enabled");
-    assert!(loaded.restored > 0, "{loaded:?}");
+    assert_eq!(loaded.restored, suite.len() as u64, "{loaded:?}");
     assert_eq!(loaded.recovery_events(), 0, "{loaded:?}");
-    assert_eq!(loaded.missing, 0, "{loaded:?}");
+    assert!(!loaded.missing, "{loaded:?}");
 
     let warm_disk: Vec<_> = suite
         .iter()
         .map(|t| fingerprint(&analyze(t, options)))
         .collect();
     assert_eq!(cold, warm_disk, "disk-restored replay changed an answer");
+
+    // Replaying restored records changed no record: nothing to write.
+    let unchanged = persist_if_changed(&config)
+        .expect("persistence is enabled")
+        .expect("no write, no failure");
+    assert_eq!(unchanged.files_written, 0, "{unchanged:?}");
 
     let _ = fs::remove_dir_all(&dir);
 }
@@ -107,7 +114,7 @@ fn cache_dir_cycle_loads_analyzes_and_persists() {
     clear_stage_caches();
 
     let loaded = load_cache_dir(&config).expect("persistence is enabled");
-    assert_eq!(loaded.missing, 6, "a fresh directory has no snapshots");
+    assert!(loaded.missing, "a fresh directory has no snapshot");
     assert_eq!(loaded.restored, 0);
     let first = analyze(&hourglass(), options);
     let saved = persist_now(&config)
@@ -118,7 +125,7 @@ fn cache_dir_cycle_loads_analyzes_and_persists() {
     // The same cycle again in the same process reads the directory
     // afresh, and the answer is identical.
     let reloaded = load_cache_dir(&config).expect("persistence is enabled");
-    assert_eq!(reloaded.missing, 0, "{reloaded:?}");
+    assert!(!reloaded.missing, "{reloaded:?}");
     let second = analyze(&hourglass(), options);
     assert_eq!(fingerprint(&first), fingerprint(&second));
 
@@ -145,18 +152,10 @@ fn flipped_byte_degrades_to_recovery_counters_not_a_wrong_verdict() {
     bytes[n - 3] ^= 0x01;
     fs::write(&path, &bytes).expect("rewrite snapshot");
 
-    // The audit sees the damage, confined to the one kind...
-    let audits = audit_cache_dir(&dir);
-    assert_eq!(audits.len(), 6);
-    let verdict_audit = audits
-        .iter()
-        .find(|a| a.kind.name() == "verdict")
-        .expect("verdict kind audited");
-    assert!(!verdict_audit.is_clean(), "{verdict_audit:?}");
-    assert!(audits
-        .iter()
-        .filter(|a| a.kind.name() != "verdict")
-        .all(SnapshotAudit::is_clean));
+    // The audit sees the damage...
+    let audit = audit_cache_dir(&dir);
+    assert!(!audit.is_clean(), "{audit:?}");
+    assert_eq!(audit.corrupt_entries, 1, "{audit:?}");
 
     // ...the load classifies it as a recovery event, not a failure...
     clear_stage_caches();
@@ -178,14 +177,15 @@ fn torn_tail_skips_only_the_final_record() {
     let options = PipelineOptions::default();
 
     clear_stage_caches();
+    let kept = fingerprint(&analyze(&hourglass(), options));
     let cold = fingerprint(&analyze(&two_set_agreement(), options));
     persist_now(&config)
         .expect("persistence is enabled")
         .expect("snapshot write succeeds");
 
-    // Tear the split snapshot mid-way through its last record, as a
-    // crash without the atomic-rename protocol would.
-    let path = dir.join("split.snap");
+    // Tear the snapshot mid-way through its last record, as a crash
+    // without the atomic-rename protocol would.
+    let path = dir.join("verdict.snap");
     let bytes = fs::read(&path).expect("snapshot exists");
     fs::write(&path, &bytes[..bytes.len() - 2]).expect("rewrite snapshot");
 
@@ -193,7 +193,9 @@ fn torn_tail_skips_only_the_final_record() {
     let loaded = load_cache_dir(&config).expect("persistence is enabled");
     assert_eq!(loaded.torn_entries, 1, "{loaded:?}");
     assert_eq!(loaded.rejected_snapshots, 0, "{loaded:?}");
+    assert_eq!(loaded.restored, 1, "the record before the tear survives");
 
+    assert_eq!(kept, fingerprint(&analyze(&hourglass(), options)));
     let recovered = fingerprint(&analyze(&two_set_agreement(), options));
     assert_eq!(cold, recovered);
 
@@ -227,9 +229,9 @@ fn library() -> Vec<Task> {
 }
 
 #[test]
-fn restored_presentation_summaries_match_fresh_ones_across_the_library() {
+fn warm_from_disk_library_restores_only_verdicts_and_matches_cold() {
     let _guard = store_guard();
-    let dir = scratch_dir("summaries");
+    let dir = scratch_dir("library");
     let config = CacheDirConfig::at(&dir);
     let options = PipelineOptions::default();
     let suite = library();
@@ -239,54 +241,43 @@ fn restored_presentation_summaries_match_fresh_ones_across_the_library() {
         .iter()
         .map(|t| fingerprint(&analyze(t, options)))
         .collect();
-    persist_now(&config)
+    persist_if_changed(&config)
         .expect("persistence is enabled")
         .expect("snapshot write succeeds");
     clear_stage_caches();
     let loaded = load_cache_dir(&config).expect("persistence is enabled");
     assert_eq!(loaded.recovery_events(), 0, "{loaded:?}");
+    assert_eq!(loaded.restored, suite.len() as u64, "{loaded:?}");
 
-    // Restore derives a summary's flags from its persisted simplified
-    // presentation instead of simplifying again. Decode every persisted
-    // presentation artifact the way the load did and compare each summary
-    // with one built from scratch for the same branch task.
-    let body = fs::read_to_string(dir.join("presentations.snap")).expect("snapshot exists");
-    let mut summaries = 0;
-    for record in body.lines().filter(|l| l.starts_with("E ")) {
-        let payload = record.get(19..).expect("tag, checksum and separator");
-        let (branch, restored): (Task, Presentations) =
-            serde_json::from_str(payload).expect("record decodes");
-        let fresh = Presentations::build(&branch, &LinkGraphs::build(&branch));
-        assert_eq!(restored.per_triangle.len(), fresh.per_triangle.len());
-        for (r, f) in restored.per_triangle.iter().zip(&fresh.per_triangle) {
-            assert_eq!(r.components.len(), f.components.len());
-            let pairs = r
-                .components
-                .iter()
-                .map(|c| &c.summary)
-                .zip(f.components.iter().map(|c| &c.summary))
-                .chain([(&r.empty, &f.empty)]);
-            for (r, f) in pairs {
-                assert_eq!(r.is_trivial(), f.is_trivial(), "{}", branch.name());
-                assert_eq!(
-                    r.is_evidently_abelian(),
-                    f.is_evidently_abelian(),
-                    "{}",
-                    branch.name()
-                );
-                summaries += 1;
-            }
-        }
+    // Only the verdict cache was restored; the intermediate kinds start
+    // empty and the split stage recomputes.
+    for (kind, stats) in stage_cache_stats() {
+        let expected = if kind == ArtifactKind::Verdict {
+            loaded.restored
+        } else {
+            0
+        };
+        assert_eq!(stats.restored, expected, "{kind}");
     }
-    assert!(
-        summaries > suite.len(),
-        "only {summaries} summaries restored"
-    );
 
-    // And the restored store answers exactly as the cold one did.
+    // Every task replays its cold answer from its restored record: no
+    // stage after the split runs.
     let warm: Vec<_> = suite
         .iter()
-        .map(|t| fingerprint(&analyze(t, options)))
+        .map(|t| {
+            let analysis = analyze(t, options);
+            assert!(
+                analysis
+                    .evidence
+                    .stages
+                    .iter()
+                    .filter(|s| !matches!(s.stage, "canonicalize" | "split"))
+                    .all(|s| s.cache == CacheEvent::Replayed),
+                "{}",
+                t.name()
+            );
+            fingerprint(&analysis)
+        })
         .collect();
     assert_eq!(cold, warm, "disk-restored replay changed an answer");
 
@@ -324,15 +315,22 @@ fn clear_cache_dir_removes_every_snapshot() {
     let _ = analyze(&identity_task(2), PipelineOptions::default());
     let saved = persist_now(&config).expect("persistence is enabled");
     assert!(saved.is_ok(), "{saved:?}");
+    // The snapshot files a v2-era directory also holds go too.
+    for kind in [
+        "split",
+        "link-graphs",
+        "presentations",
+        "homology",
+        "explore",
+    ] {
+        fs::write(dir.join(format!("{kind}.snap")), "chromata-snap v2\n").expect("write");
+    }
 
     let removed = clear_cache_dir(&dir).expect("clear succeeds");
-    assert!(
-        removed >= 6,
-        "all six kind snapshots removed, got {removed}"
-    );
-    assert!(audit_cache_dir(&dir)
-        .iter()
-        .all(|a| a.status == SnapshotStatus::Missing));
+    assert_eq!(removed, 6, "every snapshot file removed");
+    let audit = audit_cache_dir(&dir);
+    assert_eq!(audit.status, SnapshotStatus::Missing);
+    assert!(audit.ignored.is_empty(), "{audit:?}");
 
     let _ = fs::remove_dir_all(&dir);
 }
