@@ -2,15 +2,16 @@
 //!
 //! Three comparisons on the task library:
 //!
-//! * **cold vs warm** — a first `analyze` populates the per-stage caches;
-//!   the warm rerun is answered from the verdict cache (evidence chains
-//!   replay, digests unchanged);
+//! * **cold vs warm** — a first `analyze` runs every stage and records
+//!   the verdict; the warm rerun is answered from the verdict cache
+//!   (evidence chains replay, digests unchanged);
 //! * **batch vs sequential** — `analyze_batch` fans the library out over
-//!   the `par_map` pool while sharing every stage cache, versus a
+//!   the `par_map` pool while sharing the verdict cache, versus a
 //!   sequential per-task loop;
-//! * **per-stage accounting** — a `[series]` dump of the stage-cache and
-//!   subdivision-memo counters after a full library pass, the raw
-//!   numbers behind EXPERIMENTS.md's per-stage table.
+//! * **per-stage accounting** — a `[series]` dump of the per-stage work,
+//!   the verdict-cache and the subdivision-memo counters after a full
+//!   library pass, the raw numbers behind EXPERIMENTS.md's per-stage
+//!   table.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -1,13 +1,14 @@
-//! CLI argument parsing and command dispatch (no external parser: the
-//! grammar is four subcommands with a handful of flags).
+//! CLI argument parsing and command dispatch (no external parser: each
+//! subcommand takes a handful of flags).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use chromata::{
     analyze, analyze_batch, analyze_governed, audit_cache_dir, clear_cache_dir, clear_stage_caches,
-    laps, load_cache_dir, persist_if_changed, solve_act, stage_cache_stats, ActOutcome, Budget,
-    CacheDirConfig, CancelToken, LoadReport, PersistError, PipelineOptions, SaveReport, Verdict,
+    laps, load_cache_dir, persist_if_changed, solve_act, split_all, stage_cache_stats, ActOutcome,
+    Budget, CacheDirConfig, CancelToken, LoadReport, PersistError, PipelineOptions, SaveReport,
+    Verdict,
 };
 use chromata_runtime::{verify_figure7, verify_figure7_with_crashes, VerifyError};
 use chromata_task::Task;
@@ -29,7 +30,7 @@ pub enum Command {
     /// `chromata explain <task> [--act-fallback N] [--json]` — the
     /// verdict plus its evidence chain: which stages ran (or replayed),
     /// what each concluded, per-stage work/wall-clock counters, and the
-    /// process-wide stage-cache statistics.
+    /// process-wide verdict-cache statistics.
     Explain {
         /// Registry name or path to a task JSON file.
         task: String,
@@ -129,8 +130,8 @@ pub enum Command {
         idle_secs: u64,
     },
     /// `chromata request [--addr A] [--op OP] [--act-fallback N]
-    /// [--budget-ms N] [--max-states N] [--retry N] [--json] [task]` —
-    /// one-shot client for a running `chromata serve`.
+    /// [--budget-ms N] [--retry N] [--json] [task]` — one-shot client
+    /// for a running `chromata serve`.
     Request {
         /// Server address.
         addr: String,
@@ -142,8 +143,6 @@ pub enum Command {
         act_fallback: usize,
         /// Requested wall-clock budget in milliseconds.
         budget_ms: Option<u64>,
-        /// Requested state budget.
-        max_states: Option<usize>,
         /// Retry budget for overload rejections: each retry sleeps for
         /// the server's `retry_after_ms` hint (capped exponential
         /// backoff when the response carries none) before resending.
@@ -163,12 +162,11 @@ pub enum Command {
         cache_dir: Option<PathBuf>,
     },
     /// `chromata fuzz [--seed N] [--rounds K] [--act-fallback N]
-    /// [task...]` — the mutation-fuzzing campaign behind the
-    /// incremental re-analysis claim: derive `K` seeded near-duplicate
-    /// mutants of each base task (whole library if none are named),
-    /// batch-analyze them through the shared per-branch artifact store,
-    /// and report the stage-artifact reuse ratio plus a sample of
-    /// warm-vs-cold evidence-digest parity lines.
+    /// [task...]` — the mutation-fuzzing campaign: derive `K` seeded
+    /// near-duplicate mutants of each base task (whole library if none
+    /// are named), analyze them through one never-cleared artifact
+    /// store, and report a sample of warm-vs-cold evidence-digest
+    /// parity lines.
     Fuzz {
         /// Registry names or paths (empty = the whole library).
         tasks: Vec<String>,
@@ -443,7 +441,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut task = None;
             let mut act_fallback = 0usize;
             let mut budget_ms = None;
-            let mut max_states = None;
             let mut retry = 0u32;
             let mut json = false;
             while let Some(arg) = it.next() {
@@ -456,7 +453,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "--budget-ms" => {
                         budget_ms = Some(parse_number_u64(&mut it, "--budget-ms")?);
                     }
-                    "--max-states" => max_states = Some(parse_number(&mut it, "--max-states")?),
                     "--retry" => {
                         retry = u32::try_from(parse_number(&mut it, "--retry")?)
                             .map_err(|_| CliError("--retry is out of range".to_owned()))?;
@@ -488,7 +484,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 task,
                 act_fallback,
                 budget_ms,
-                max_states,
                 retry,
                 json,
             })
@@ -815,12 +810,21 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             let mut out = String::new();
             let _ = writeln!(out, "{t}");
             let lap_list = laps(&t);
+            // The verdict may be a replay that never built T': split the
+            // canonical task here, as the engine does (three processes
+            // only; Proposition 5.4 decides the others unsplit).
+            let (split_steps, components) = if t.process_count() == 3 {
+                let split = split_all(&analysis.canonical);
+                let components = split.task.output().connected_components().len();
+                (split.steps.len(), components)
+            } else {
+                let components = analysis.canonical.output().connected_components().len();
+                (0, components)
+            };
             let _ = writeln!(
                 out,
-                "articulation points: {}; split steps: {}; O' components: {}",
+                "articulation points: {}; split steps: {split_steps}; O' components: {components}",
                 lap_list.len(),
-                analysis.split.steps.len(),
-                analysis.split.task.output().connected_components().len()
             );
             match &analysis.verdict {
                 Verdict::Solvable { certificate } => {
@@ -863,8 +867,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                             ("detail", Value::String(s.detail.clone())),
                             ("work", Value::UInt(s.work)),
                             ("cache", Value::String(s.cache.label().to_owned())),
-                            ("reused", Value::Bool(s.reused)),
-                            ("subkeys", Value::UInt(s.subkeys as u64)),
                             ("wall_ms", Value::Float(s.wall.as_secs_f64() * 1e3)),
                         ])
                     })
@@ -875,7 +877,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                         Value::object([
                             ("cache", Value::String(kind.name().to_owned())),
                             ("hits", Value::UInt(stats.hits)),
-                            ("reuse_hits", Value::UInt(stats.reuse_hits)),
                             ("misses", Value::UInt(stats.misses)),
                             ("evictions", Value::UInt(stats.evictions)),
                         ])
@@ -915,10 +916,9 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             for (kind, stats) in stage_cache_stats() {
                 let _ = writeln!(
                     out,
-                    "  {:<13} hits {:>6} (reuse {:>6})  misses {:>6}  evictions {:>6}  restored {:>6}  recovered {:>3}",
+                    "  {:<13} hits {:>6}  misses {:>6}  evictions {:>6}  restored {:>6}  recovered {:>3}",
                     kind.name(),
                     stats.hits,
-                    stats.reuse_hits,
                     stats.misses,
                     stats.evictions,
                     stats.restored,
@@ -999,8 +999,8 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             let options = PipelineOptions {
                 act_fallback_rounds: act_fallback,
             };
-            // Start cold so the reported ratio is the campaign's own,
-            // not inherited from an earlier command in this process.
+            // Start cold, so no verdict record of an earlier command in
+            // this process answers a mutant.
             clear_stage_caches();
             let total = bases.len() * rounds;
             let sample_step = (total / 8).max(1);
@@ -1018,16 +1018,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 }
             }
             let elapsed = watch.elapsed();
-            let (mut reuse, mut granular_lookups) = (0u64, 0u64);
-            for (kind, stats) in stage_cache_stats() {
-                if matches!(
-                    kind,
-                    chromata::ArtifactKind::LinkGraphs | chromata::ArtifactKind::Presentations
-                ) {
-                    reuse += stats.reuse_hits;
-                    granular_lookups += stats.lookups;
-                }
-            }
             let mut out = String::new();
             let secs = elapsed.as_secs_f64();
             let rate = if secs > 0.0 {
@@ -1040,15 +1030,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 "fuzz: seed {seed}, {} base task(s) x {rounds} mutant(s) = {analyzed} analyses in {:.0} ms ({rate:.0} task/s)",
                 bases.len(),
                 secs * 1e3,
-            );
-            let ratio = if granular_lookups > 0 {
-                reuse as f64 / granular_lookups as f64
-            } else {
-                0.0
-            };
-            let _ = writeln!(
-                out,
-                "stage-artifact reuse: {reuse} reuse hit(s) / {granular_lookups} granular lookup(s) = ratio {ratio:.3}",
             );
             // Warm-vs-cold digest parity on a spread sample: clearing
             // every cache and re-deciding must reproduce each sampled
@@ -1256,7 +1237,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 queue,
                 max_payload,
                 budget_ms,
-                max_states: usize::MAX,
                 cache_dir,
                 persist_secs,
                 idle_timeout_secs: idle_secs,
@@ -1269,7 +1249,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             task,
             act_fallback,
             budget_ms,
-            max_states,
             retry,
             json,
         } => {
@@ -1292,9 +1271,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 }
                 if let Some(ms) = budget_ms {
                     fields.push(("budget_ms", Value::UInt(ms)));
-                }
-                if let Some(n) = max_states {
-                    fields.push(("max_states", Value::UInt(n as u64)));
                 }
                 serde_json::to_string(&Value::object(fields))
                     .map_err(|e| CliError(format!("serialize request: {e}")))?
@@ -1427,7 +1403,7 @@ COMMANDS:
     explain <task> [--act-fallback N] [--json] [--cache-dir DIR]
                                  verdict plus its evidence chain: deciding
                                  stage, per-stage work/wall-clock counters,
-                                 and stage-cache statistics
+                                 and verdict-cache statistics
     batch [--act-fallback N] [--cache-dir DIR] [--digests] [task...]
                                  analyze many tasks (whole library if none
                                  named) through the shared artifact store
@@ -1450,7 +1426,7 @@ COMMANDS:
                                  --idle-secs (at least 1) closes a connection
                                  that stays silent that long
     request [--addr A] [--op OP] [--act-fallback N] [--budget-ms N]
-            [--max-states N] [--retry N] [--json] [task]
+            [--retry N] [--json] [task]
                                  one-shot client for a running serve
                                  (ops: analyze, ping, stats, persist, shutdown);
                                  --retry resends after overload rejections,
@@ -1462,8 +1438,7 @@ COMMANDS:
     fuzz [--seed N] [--rounds K] [--act-fallback N] [task...]
                                  mutation-fuzzing campaign: analyze K seeded
                                  near-duplicate mutants per base task through
-                                 the shared per-branch artifact store, then
-                                 report the stage-artifact reuse ratio and
+                                 one shared artifact store, then check
                                  warm-vs-cold evidence-digest parity samples
     chaos [--seed N] [--rounds K] [--faults LIST] [--cache-dir DIR]
                                  randomized end-to-end fault campaign: replay
@@ -1479,8 +1454,9 @@ COMMANDS:
 
 <task> is a library name (see `list`) or a path to a task JSON file.
 --cache-dir (or the CHROMATA_CACHE_DIR environment variable) makes the
-stage caches durable: snapshots are written atomically after each run
-and reloaded — tolerating torn or corrupt records — on the next one.
+verdict records durable: the snapshot is reloaded — tolerating torn or
+corrupt records — at the start of each run, and rewritten atomically
+after it only when a verdict record changed.
 ";
 
 #[cfg(test)]
@@ -1730,7 +1706,7 @@ mod tests {
     }
 
     #[test]
-    fn run_fuzz_reports_reuse_and_digest_parity() {
+    fn run_fuzz_reports_digest_parity() {
         let out = run(Command::Fuzz {
             tasks: vec!["consensus".into(), "identity".into()],
             seed: 7,
@@ -1742,13 +1718,8 @@ mod tests {
             out.contains("2 base task(s) x 4 mutant(s) = 8 analyses"),
             "{out}"
         );
-        // Near-duplicate mutants share per-branch artifacts, so the
-        // campaign must observe a nonzero reuse ratio.
-        let ratio_line = out
-            .lines()
-            .find(|l| l.starts_with("stage-artifact reuse:"))
-            .expect("a reuse line");
-        assert!(!ratio_line.contains("ratio 0.000"), "{out}");
+        // No stage artifact is cached, so there is no reuse to report.
+        assert!(!out.contains("reuse"), "{out}");
         // Every sampled warm digest reproduces cold, and the campaign
         // says so in a greppable summary line.
         assert!(out.contains("digest-parity "), "{out}");
@@ -1786,10 +1757,6 @@ mod tests {
 
     #[test]
     fn run_explain_json_is_machine_readable() {
-        // Force a live run: a verdict-cache replay reports subkeys 0
-        // (per-branch telemetry is process-circumstantial, not part of
-        // the replayable trace).
-        clear_stage_caches();
         let out = run(Command::Explain {
             cache_dir: None,
             task: "consensus".into(),
@@ -1809,41 +1776,29 @@ mod tests {
         assert!(stages
             .iter()
             .any(|s| s["stage"] == Value::String("homology".into())));
-        // Every stage reports its incremental-reuse telemetry: the
-        // reused flag and the number of per-branch sub-keys consulted.
+        // Each stage reports how it came about and what it cost.
         for s in stages {
-            assert!(
-                matches!(s["reused"], Value::Bool(_)),
-                "stage must carry a boolean `reused`: {out}"
-            );
-            assert!(
-                matches!(s["subkeys"], Value::UInt(_) | Value::Int(_)),
-                "stage must carry an integer `subkeys`: {out}"
+            let Value::Object(fields) = s else {
+                panic!("a stage must be an object: {out}");
+            };
+            let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                keys,
+                ["stage", "detail", "work", "cache", "wall_ms"],
+                "{out}"
             );
         }
-        let link_stage = stages
-            .iter()
-            .find(|s| s["stage"] == Value::String("link-graphs".into()))
-            .expect("a link-graphs stage");
-        let subkeys = match link_stage["subkeys"] {
-            Value::UInt(n) => n,
-            Value::Int(n) => u64::try_from(n).expect("subkeys is non-negative"),
-            _ => panic!("subkeys must be an integer: {out}"),
-        };
-        assert!(
-            subkeys >= 1,
-            "link-graphs must report one sub-key per input facet: {out}"
-        );
+        // The one cache is the verdict cache.
         let Value::Array(caches) = &doc["stage_caches"] else {
             panic!("stage_caches must be an array: {out}");
         };
-        assert_eq!(caches.len(), 6);
-        for c in caches {
-            assert!(
-                matches!(c["reuse_hits"], Value::UInt(_) | Value::Int(_)),
-                "cache must carry `reuse_hits`: {out}"
-            );
-        }
+        assert_eq!(caches.len(), 1, "{out}");
+        let Value::Object(fields) = &caches[0] else {
+            panic!("a cache row must be an object: {out}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["cache", "hits", "misses", "evictions"], "{out}");
+        assert_eq!(caches[0]["cache"], Value::String("verdict".into()));
         let Value::String(digest) = &doc["evidence_digest"] else {
             panic!("digest must be a string: {out}");
         };
@@ -2065,7 +2020,6 @@ mod tests {
                 task: Some("hourglass".into()),
                 act_fallback: 0,
                 budget_ms: Some(100),
-                max_states: None,
                 retry: 0,
                 json: true,
             }
@@ -2078,10 +2032,15 @@ mod tests {
                 task: None,
                 act_fallback: 0,
                 budget_ms: None,
-                max_states: None,
                 retry: 5,
                 json: false,
             }
+        );
+        // The state budget is not a request flag: no analysis stage
+        // reads one (`decide` and `verify-fig7` keep theirs).
+        assert_eq!(
+            parse(&args(&["request", "hourglass", "--max-states", "1000"])),
+            Err(CliError("unknown flag --max-states".to_owned()))
         );
         // analyze needs a task; control ops refuse one.
         assert!(parse(&args(&["request"])).is_err());

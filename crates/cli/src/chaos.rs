@@ -88,7 +88,6 @@ impl Daemon {
             queue: None,
             max_payload: crate::wire::DEFAULT_MAX_PAYLOAD,
             budget_ms: None,
-            max_states: usize::MAX,
             cache_dir: Some(dir.to_path_buf()),
             // Persistence is driven explicitly (`op: "persist"`) so the
             // schedule, not a background cadence, decides when the

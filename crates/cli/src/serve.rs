@@ -157,8 +157,6 @@ pub struct ServeOptions {
     /// client-requested budget is clamped to it. `None` leaves
     /// uncapped requests unlimited.
     pub budget_ms: Option<u64>,
-    /// Server-side cap on a client-requested `max_states`.
-    pub max_states: usize,
     /// Explicit cache directory; falls back to `CHROMATA_CACHE_DIR`,
     /// then to disabled (see [`CacheDirConfig::resolve`]).
     pub cache_dir: Option<PathBuf>,
@@ -181,7 +179,6 @@ impl Default for ServeOptions {
             queue: None,
             max_payload: wire::DEFAULT_MAX_PAYLOAD,
             budget_ms: None,
-            max_states: usize::MAX,
             cache_dir: None,
             persist_secs: 30,
             idle_timeout_secs: 30,
@@ -208,7 +205,6 @@ struct Shared {
     queue_cap: usize,
     max_payload: usize,
     budget_cap_ms: Option<u64>,
-    max_states_cap: usize,
     idle_timeout_secs: u64,
     persist_secs: u64,
     persist_baton: Mutex<()>,
@@ -269,7 +265,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds, warm-starts the stage caches, and spawns the accept
+    /// Binds, warm-starts the verdict records, and spawns the accept
     /// thread, worker pool, and (if configured) background persister.
     ///
     /// # Errors
@@ -307,7 +303,6 @@ impl Server {
             queue_cap,
             max_payload: opts.max_payload,
             budget_cap_ms: opts.budget_ms,
-            max_states_cap: opts.max_states,
             idle_timeout_secs: opts.idle_timeout_secs,
             persist_secs: opts.persist_secs,
             persist_baton: Mutex::new(()),
@@ -790,9 +785,6 @@ fn handle_analyze(req: AnalyzeRequest, shared: &Shared) -> String {
     let mut budget = Budget::unlimited();
     if let Some(ms) = effective_ms {
         budget = budget.with_deadline_in(Duration::from_millis(ms));
-    }
-    if let Some(states) = req.max_states {
-        budget = budget.with_max_states(states.min(shared.max_states_cap));
     }
     let options = PipelineOptions {
         act_fallback_rounds: req.act_fallback,

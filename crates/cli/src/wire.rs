@@ -40,7 +40,9 @@ pub const OVERLOAD_RETRY_MS: u64 = 25;
 /// v2: the stage engine re-keyed link-graph/presentation/homology
 /// artifacts per split branch, which changed the lines of the since
 /// removed `stage` op. No other op changed; clients that send
-/// `proto: 2` keep working.
+/// `proto: 2` keep working. Dropping the analyze request's
+/// `max_states` field, which no analysis stage read, kept the version
+/// too: a request that still sends it gets ``unknown field `max_states` ``.
 pub const PROTO_VERSION: u64 = 2;
 
 /// Upper bound on the load-derived retry hint (milliseconds).
@@ -122,8 +124,6 @@ pub struct AnalyzeRequest {
     /// Requested wall-clock budget in milliseconds; the server clamps
     /// it to its own per-request cap.
     pub budget_ms: Option<u64>,
-    /// Requested state budget; the server clamps it to its own cap.
-    pub max_states: Option<usize>,
 }
 
 /// A parsed request line.
@@ -133,9 +133,9 @@ pub enum Request {
     Analyze(AnalyzeRequest),
     /// Liveness probe.
     Ping,
-    /// Server + stage-cache counters.
+    /// Server + verdict-cache counters.
     Stats,
-    /// Snapshot the stage caches to the server's cache directory now.
+    /// Snapshot the verdict records to the server's cache directory now.
     Persist,
     /// Graceful shutdown: final persist, then exit.
     Shutdown,
@@ -214,7 +214,6 @@ fn parse_analyze(entries: &[(String, Value)]) -> Result<Request, WireError> {
     let mut task = None;
     let mut act_fallback = 0usize;
     let mut budget_ms = None;
-    let mut max_states = None;
     for (key, value) in entries {
         match key.as_str() {
             "op" | "proto" => {}
@@ -238,12 +237,6 @@ fn parse_analyze(entries: &[(String, Value)]) -> Result<Request, WireError> {
                 })?;
             }
             "budget_ms" => budget_ms = Some(uint_field(key, value)?),
-            "max_states" => {
-                let n = uint_field(key, value)?;
-                max_states = Some(usize::try_from(n).map_err(|_| {
-                    WireError(format!("field `max_states` value {n} is out of range"))
-                })?);
-            }
             other => return Err(WireError(format!("unknown field `{other}`"))),
         }
     }
@@ -256,7 +249,6 @@ fn parse_analyze(entries: &[(String, Value)]) -> Result<Request, WireError> {
         task,
         act_fallback,
         budget_ms,
-        max_states,
     }))
 }
 
@@ -334,7 +326,7 @@ pub fn pong_response() -> String {
     ]))
 }
 
-/// One stage-cache counter row for the stats response.
+/// One cache counter row for the stats response.
 #[must_use]
 pub fn cache_stats_value(kind: &str, stats: &chromata::DecisionCacheStats) -> Value {
     Value::object([
@@ -454,11 +446,10 @@ mod tests {
                 task: TaskSpec::Named("consensus".into()),
                 act_fallback: 0,
                 budget_ms: None,
-                max_states: None,
             })
         );
         let r = parse_request(
-            r#"{"op":"analyze","task":"hourglass","act_fallback":2,"budget_ms":500,"max_states":1000}"#,
+            r#"{"op":"analyze","task":"hourglass","act_fallback":2,"budget_ms":500}"#,
             DEFAULT_MAX_PAYLOAD,
         )
         .unwrap();
@@ -467,7 +458,14 @@ mod tests {
         };
         assert_eq!(a.act_fallback, 2);
         assert_eq!(a.budget_ms, Some(500));
-        assert_eq!(a.max_states, Some(1000));
+        // No analysis stage reads a state budget: the field is gone
+        // from the wire, so a request that still sends it is rejected.
+        let err = parse_request(
+            r#"{"op":"analyze","task":"hourglass","max_states":1000}"#,
+            DEFAULT_MAX_PAYLOAD,
+        )
+        .unwrap_err();
+        assert_eq!(err.to_string(), "unknown field `max_states`");
     }
 
     #[test]

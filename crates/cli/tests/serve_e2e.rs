@@ -457,7 +457,7 @@ fn fuzzed_request_bytes_never_kill_a_worker() {
     let Value::Array(caches) = &stats["caches"] else {
         panic!("stats must list caches: {stats:?}");
     };
-    assert_eq!(caches.len(), 6);
+    assert_eq!(caches.len(), 1, "the verdict cache is the only cache");
     for cache in caches {
         assert_eq!(cache["coherent"], Value::Bool(true), "{cache:?}");
     }

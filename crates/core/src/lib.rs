@@ -14,11 +14,11 @@
 //! `Δ'` (§5, Theorem 5.1). The pipeline here mirrors that statement:
 //!
 //! ```
-//! use chromata::{analyze, PipelineOptions};
+//! use chromata::{analyze, split_all, PipelineOptions};
 //! use chromata_task::library::hourglass;
 //!
 //! let analysis = analyze(&hourglass(), PipelineOptions::default());
-//! assert_eq!(analysis.split.steps.len(), 1); // one pinch vertex split
+//! assert_eq!(split_all(&analysis.canonical).steps.len(), 1); // one pinch vertex split
 //! assert!(analysis.verdict.is_unsolvable());
 //! ```
 //!
@@ -68,8 +68,7 @@ pub use splitting::{
     split_all, split_once, transport_witness, unsplit_simplex, unsplit_vertex, SplitOutcome,
 };
 pub use stages::artifacts::{
-    ComponentPresentation, ExplorationReport, HomologyReport, LinkGraphs, Presentations,
-    SubdividedComplex, TrianglePresentations,
+    ComponentPresentation, ExplorationReport, LinkGraphs, Presentations, TrianglePresentations,
 };
 pub use stages::cache::{
     clear_stage_caches, stage_cache_stats, ArtifactKind, ArtifactStore, SharedCache, StageCache,
@@ -83,7 +82,7 @@ pub use stages::persist::{
     persist_now, store_read_through, CacheDirConfig, LoadReport, PersistError, SaveReport,
     SnapshotAudit, SnapshotStatus, CACHE_DIR_ENV,
 };
-pub use stages::{CacheEvent, EvidenceChain, Stage, StageEvidence, StageOutcome};
+pub use stages::{CacheEvent, EvidenceChain, StageEvidence};
 pub use two_process::{decide_two_process, synthesize_two_process};
 
 pub use chromata_algebra as algebra;

@@ -10,15 +10,16 @@
 //! Proposition 5.4 (no splitting; the continuous check on a 1-dimensional
 //! input is exact). One-process tasks are trivially solvable.
 //!
-//! Since PR 4 the decision tiers run as a *staged verdict engine* (see
-//! [`crate::stages`]): each tier is a [`Stage`](crate::stages::Stage)
-//! with its own bounded, fingerprint-keyed cache in the process-wide
-//! [`ArtifactStore`](crate::stages::cache::ArtifactStore), and every
-//! [`Analysis`] carries the [`EvidenceChain`] of the stages that
-//! produced its verdict. One public entry point per job: [`analyze`],
-//! [`analyze_governed`] (under a budget) and [`analyze_batch`] (a task
-//! slice sharing artifacts). Durable caches are loaded and saved around
-//! them ([`load_cache_dir`](crate::load_cache_dir),
+//! The decision tiers run in the verdict engine (see [`crate::stages`]):
+//! after canonicalization, a bounded, fingerprint-keyed verdict cache in
+//! the process-wide [`ArtifactStore`](crate::stages::cache::ArtifactStore)
+//! either replays a recorded verdict or the stages run as plain function
+//! calls, and every [`Analysis`] carries the [`EvidenceChain`] of the
+//! stages that produced its verdict. One public entry point per job:
+//! [`analyze`], [`analyze_governed`] (under a budget) and
+//! [`analyze_batch`] (a task slice sharing the verdict cache). Durable
+//! verdict records are loaded and saved around them
+//! ([`load_cache_dir`](crate::load_cache_dir),
 //! [`persist_now`](crate::persist_now)).
 //!
 //! Because loop contractibility is undecidable in general (§7), the
@@ -30,7 +31,6 @@ use std::fmt;
 use chromata_task::Task;
 use chromata_topology::{par_map, Budget, CancelToken};
 
-use crate::splitting::SplitOutcome;
 use crate::stages::EvidenceChain;
 
 pub use crate::stages::cache::DecisionCacheStats;
@@ -110,14 +110,14 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// A full analysis record: the intermediate tasks, the verdict, and the
-/// evidence chain of the stages that produced it.
+/// A full analysis record: the canonical task, the verdict, and the
+/// evidence chain of the stages that produced it. The split task `T'`
+/// is not kept (a verdict replayed from the cache never builds it);
+/// [`split_all`](crate::split_all) of the canonical task recomputes it.
 #[derive(Clone, Debug)]
 pub struct Analysis {
     /// The canonical task `T*` (§3).
     pub canonical: Task,
-    /// The split, link-connected task `T'` and the splitting steps (§4).
-    pub split: SplitOutcome,
     /// The pipeline verdict (§5).
     pub verdict: Verdict,
     /// Per-stage evidence: which stages ran (or were replayed from the
@@ -126,15 +126,18 @@ pub struct Analysis {
 }
 
 impl fmt::Display for Analysis {
+    /// The canonical output size, the split stage's evidence detail, and
+    /// the verdict.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
+        write!(
             f,
-            "canonical |O*| = {} facets; {} split step(s); O' = {} facets in {} component(s)",
-            self.canonical.output().facet_count(),
-            self.split.steps.len(),
-            self.split.task.output().facet_count(),
-            self.split.task.output().connected_components().len(),
+            "canonical |O*| = {} facets",
+            self.canonical.output().facet_count()
         )?;
+        if let Some(split) = self.evidence.stages.iter().find(|s| s.stage == "split") {
+            write!(f, "; {}", split.detail)?;
+        }
+        writeln!(f)?;
         write!(f, "{}", self.verdict)
     }
 }
@@ -170,7 +173,7 @@ pub fn analyze(task: &Task, options: PipelineOptions) -> Analysis {
 
 /// Rejects a task the characterization does not cover — one with more
 /// than three processes — with the message every entry point reports
-/// (the CLI commands, the `analyze` op and the `stage` op alike).
+/// (the CLI commands and the `analyze` op alike).
 ///
 /// # Errors
 ///
@@ -205,19 +208,17 @@ pub fn analyze_governed(
         task.process_count() <= 3,
         "the characterization is specific to at most three processes"
     );
-    // The entire decision path lives in the stage layer since PR 9 (the
-    // former monolith remnants — canonicalization evidence, the skip-split
-    // shortcut, verdict-cache replay and the tier walk — were folded into
-    // `stages::run_engine`); this entry point only validates and delegates.
+    // The entire decision path — canonicalization, the verdict lookup
+    // and replay, the skip-split shortcut and the tier walk — lives in
+    // `stages::run_engine`; this entry point only validates and delegates.
     crate::stages::run_engine(task, options, budget, cancel)
 }
 
 /// [`analyze`] over a batch of tasks, fanned out with the workspace's
 /// panic-safe scoped-thread `par_map` (sequential without the `parallel`
 /// feature). All analyses share the process-wide
-/// [`ArtifactStore`](crate::ArtifactStore), so
-/// tasks with a common canonical form — or merely common split/link
-/// artifacts — are decided once; verdicts and evidence digests are
+/// [`ArtifactStore`](crate::ArtifactStore), so tasks with a common
+/// canonical form are decided once; verdicts and evidence digests are
 /// byte-identical to running [`analyze`] per task.
 #[must_use]
 pub fn analyze_batch(tasks: &[Task], options: PipelineOptions) -> Vec<Analysis> {
@@ -227,6 +228,7 @@ pub fn analyze_batch(tasks: &[Task], options: PipelineOptions) -> Vec<Analysis> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::split_all;
     use crate::stages::cache::{self, clear_stage_caches, stage_cache_stats, ArtifactKind};
     use crate::stages::CacheEvent;
     use chromata_task::library::{
@@ -250,7 +252,7 @@ mod tests {
     #[test]
     fn hourglass_unsolvable_via_articulation() {
         let a = analyze(&hourglass(), PipelineOptions::default());
-        assert_eq!(a.split.steps.len(), 1);
+        assert_eq!(split_all(&a.canonical).steps.len(), 1);
         match a.verdict {
             Verdict::Unsolvable {
                 obstruction: Obstruction::ArticulationPoints { .. },
@@ -263,7 +265,7 @@ mod tests {
     fn pinwheel_unsolvable() {
         let a = analyze(&pinwheel(), PipelineOptions::default());
         assert!(a.verdict.is_unsolvable());
-        assert!(!a.split.steps.is_empty());
+        assert!(!split_all(&a.canonical).steps.is_empty());
     }
 
     #[test]
@@ -340,7 +342,11 @@ mod tests {
             } => {}
             other => panic!("expected LAP obstruction, got {other:?}"),
         }
-        assert_eq!(a.split.steps.len(), 3, "the three loser vertices split");
+        assert_eq!(
+            split_all(&a.canonical).steps.len(),
+            3,
+            "the three loser vertices split"
+        );
         // The two-process variant is 2-consensus in disguise.
         assert!(verdict(&two_process_leader_election()).is_unsolvable());
     }

@@ -1,11 +1,8 @@
 //! Typed artifacts flowing between the verdict engine's stages.
 //!
-//! Each artifact is a pure function of the task it is keyed by, so the
-//! per-stage caches in [`super::cache`] can share them across analyses
-//! and across the tasks of a batch: two tasks whose canonical forms
-//! coincide reuse the same [`SubdividedComplex`]; two analyses of the
-//! same split task reuse the same [`LinkGraphs`] and [`Presentations`]
-//! no matter which ACT fallback bound they run with.
+//! Each artifact is a pure function of the split task it is built from.
+//! They live for one analysis: only the verdict record it ends in is
+//! cached ([`super::cache`]).
 
 use std::collections::BTreeSet;
 
@@ -13,18 +10,7 @@ use chromata_algebra::{ChainComplex, PresentationSummary};
 use chromata_task::Task;
 use chromata_topology::{Complex, Graph, Simplex, Vertex};
 
-use crate::continuous::ContinuousOutcome;
 use crate::pipeline::Verdict;
-use crate::splitting::SplitOutcome;
-
-/// The §4 splitting deformation of a canonical task — the first cached
-/// artifact on the three-process path.
-#[derive(Clone, Debug)]
-pub struct SubdividedComplex {
-    /// The split, link-connected task `T'` with its splitting steps and
-    /// the degenerate witness, if splitting emptied a solo image.
-    pub split: SplitOutcome,
-}
 
 /// The decidable skeleton of the continuous-map condition: per-vertex
 /// image domains, per-edge image graphs (with their precomputed
@@ -207,16 +193,6 @@ impl Presentations {
     }
 }
 
-/// Outcome of the continuous-map (homology) tier, with its search
-/// effort counter.
-#[derive(Clone, Debug)]
-pub struct HomologyReport {
-    /// The three-valued continuous-map outcome.
-    pub outcome: ContinuousOutcome,
-    /// Full vertex assignments whose triangle conditions were checked.
-    pub assignments: u64,
-}
-
 /// Outcome of the bounded ACT exploration ladder, with its effort
 /// counters and cacheability.
 #[derive(Clone, Debug)]
@@ -228,21 +204,9 @@ pub struct ExplorationReport {
     /// The final round cap the ladder reached.
     pub rounds_cap: usize,
     /// Whether the verdict is independent of the budget (and therefore
-    /// safe to memoize): witnesses always are; exhaustion only when the
+    /// safe to record): witnesses always are; exhaustion only when the
     /// ladder stopped exactly at the configured bound.
     pub budget_independent: bool,
-}
-
-/// The assignment `g` and certificates of an `Exists` outcome, exposed
-/// for reporting.
-pub(crate) fn exists_summary(outcome: &ContinuousOutcome) -> Option<(usize, usize)> {
-    match outcome {
-        ContinuousOutcome::Exists {
-            assignment,
-            certificates,
-        } => Some((assignment.len(), certificates.len())),
-        _ => None,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -257,25 +221,19 @@ pub(crate) fn exists_summary(outcome: &ContinuousOutcome) -> Option<(usize, usiz
 
 use serde::{Content, Deserialize, Error, Serialize};
 
-use super::cache::{store, ArtifactKind};
+use super::cache::ArtifactKind;
 use super::{DecisionRecord, StageTrace};
 use crate::pipeline::Obstruction;
 
 /// Interns a persisted stage name back to `&'static str`: the name of
-/// every stage kind in the store's kind list (all but the verdict
-/// record), plus the engine's three pseudo-stages. A snapshot naming any
-/// other stage is treated as corrupt by the persist layer.
+/// every stage kind ([`ArtifactKind::STAGES`]), plus the engine's three
+/// pseudo-stages. A snapshot naming any other stage is treated as
+/// corrupt by the persist layer.
 pub(crate) fn intern_stage_name(name: &str) -> Option<&'static str> {
     const PSEUDO_STAGES: [&str; 3] = ["canonicalize", "budget", "unknown"];
-    let stages = store()
-        .kinds()
-        .into_iter()
-        .map(|(kind, _)| kind)
-        .filter(|kind| *kind != ArtifactKind::Verdict)
-        .map(ArtifactKind::name);
     PSEUDO_STAGES
         .into_iter()
-        .chain(stages)
+        .chain(ArtifactKind::STAGES.map(ArtifactKind::name))
         .find(|known| *known == name)
 }
 

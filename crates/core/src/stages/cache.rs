@@ -1,47 +1,41 @@
-//! Per-stage artifact caches: bounded, fingerprint-ordered, poison-safe.
+//! The verdict cache: bounded, fingerprint-ordered, poison-safe.
 //!
-//! The staged verdict engine replaces the former single opaque decision
-//! cache with one [`StageCache`] per artifact kind, all living in the
-//! process-wide [`ArtifactStore`]. Every cache keeps the semantics the
-//! old cache was tested for:
+//! The engine keeps one cache, the verdict records, in the process-wide
+//! [`ArtifactStore`]. The cache ([`StageCache`]) keeps the semantics
+//! the engine's caches have always been tested for:
 //!
 //! * **FIFO bound** — insertion order is tracked in a queue and the
 //!   oldest entries are evicted first once `capacity` is reached;
-//! * **poison recovery** — a worker that panics while holding a cache
+//! * **poison recovery** — a worker that panics while holding the cache
 //!   lock may leave the map and the queue out of sync; the next locker
 //!   re-validates the invariants, dropping orphaned queue keys and
 //!   re-queuing unqueued map keys in *structural-fingerprint* order
 //!   (hash-map iteration order must never decide future evictions —
 //!   rule D1);
-//! * **stats** — hits, misses and evictions are counted per cache and
-//!   survive poison recovery;
+//! * **stats** — hits, misses and evictions are counted and survive
+//!   poison recovery;
 //! * **change flag** — set by every insert and eviction, taken by a
 //!   snapshot save: [`super::persist`] writes the verdict records only
 //!   when they changed.
 //!
-//! The store names its caches once, in `ArtifactStore::kinds`: the
-//! store-wide operations [`stage_cache_stats`] and [`clear_stage_caches`]
-//! are each one loop over that list. A cached value's one cacheability
-//! predicate is [`Cacheable::cacheable`], checked at insert.
+//! The intermediate stage artifacts are not cached: each stage takes
+//! milliseconds, less than hashing a task to look its artifact up
+//! (EXPERIMENTS.md, E15).
 
-// chromata-lint: allow(D1): imported for the key-addressed stage caches; every use is justified at its site
+// chromata-lint: allow(D1): imported for the key-addressed verdict cache; every use is justified at its site
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::Hash;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use chromata_task::Task;
 use chromata_topology::structural_fingerprint;
 
-use super::artifacts::{
-    ExplorationReport, HomologyReport, LinkGraphs, Presentations, SubdividedComplex,
-};
 use super::DecisionRecord;
 
-/// Hit/miss/eviction counters for one stage cache, as reported per
-/// [`ArtifactKind`] by [`stage_cache_stats`] (the verdict cache's entry
-/// is [`ArtifactKind::Verdict`]).
+/// Hit/miss/eviction counters of the verdict cache, as reported by
+/// [`stage_cache_stats`] under [`ArtifactKind::Verdict`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct DecisionCacheStats {
     /// Total cache lookups. Under the coherence invariant every lookup
@@ -49,9 +43,9 @@ pub struct DecisionCacheStats {
     /// hold at any observation point — including under contention, since
     /// all three counters move together under the cache lock.
     pub lookups: u64,
-    /// Artifacts served from the cache without recomputation.
+    /// Verdicts served from the cache without running a stage.
     pub hits: u64,
-    /// Artifacts computed by the stage and then cached.
+    /// Lookups that found no record (the stages then ran).
     pub misses: u64,
     /// Entries evicted to keep the cache within its capacity.
     pub evictions: u64,
@@ -67,11 +61,8 @@ pub struct DecisionCacheStats {
     /// Complete-looking records skipped on load: checksum mismatch or
     /// undecodable payload.
     pub corrupt_entries: u64,
-    /// Hits on *sub-task-granular* entries (per-branch link graphs and
-    /// presentations): a nonzero value is the proof that an edited or
-    /// near-duplicate task reused artifacts computed for another task.
-    /// Always `<= hits`; stays 0 on whole-task caches. Process-local,
-    /// never persisted.
+    /// Always 0: it counted hits on per-branch stage caches, which no
+    /// longer exist. Kept so readers of the counters keep compiling.
     pub reuse_hits: u64,
 }
 
@@ -92,24 +83,38 @@ impl DecisionCacheStats {
     }
 }
 
-/// The artifact kinds the engine caches, one [`StageCache`] each.
+/// The engine's stage kinds plus the verdict record. Each stage kind
+/// names a stage in evidence chains and persisted traces; only
+/// [`ArtifactKind::Verdict`] names a cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ArtifactKind {
-    /// [`SubdividedComplex`] — the §4 splitting deformation.
+    /// The §4 splitting deformation.
     Split,
-    /// [`LinkGraphs`] — vertex domains, edge graphs, triangle lists.
+    /// [`LinkGraphs`](super::artifacts::LinkGraphs) — vertex domains,
+    /// edge graphs, triangle lists.
     LinkGraphs,
-    /// [`Presentations`] — per-triangle π₁ presentations + chain data.
+    /// [`Presentations`](super::artifacts::Presentations) —
+    /// per-triangle π₁ presentations + chain data.
     Presentations,
-    /// [`HomologyReport`] — the continuous-map tier outcome.
+    /// The continuous-map tier.
     Homology,
-    /// [`ExplorationReport`] — the bounded ACT exploration outcome.
+    /// [`ExplorationReport`](super::artifacts::ExplorationReport) — the
+    /// bounded ACT exploration.
     Exploration,
     /// The final verdict record with its replayable evidence traces.
     Verdict,
 }
 
 impl ArtifactKind {
+    /// The stage kinds, in the order the engine runs them.
+    pub(crate) const STAGES: [ArtifactKind; 5] = [
+        ArtifactKind::Split,
+        ArtifactKind::LinkGraphs,
+        ArtifactKind::Presentations,
+        ArtifactKind::Homology,
+        ArtifactKind::Exploration,
+    ];
+
     /// Stable lower-case name, used in reports and `chromata explain`.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -130,33 +135,10 @@ impl fmt::Display for ArtifactKind {
     }
 }
 
-/// A value a stage cache holds: cloned out on a hit, and gated by one
-/// cacheability predicate.
-pub trait Cacheable: Clone {
-    /// Whether the value is budget-independent and so safe to memoize.
-    fn cacheable(&self) -> bool {
-        true
-    }
-}
-
-impl Cacheable for Arc<SubdividedComplex> {}
-impl Cacheable for Arc<LinkGraphs> {}
-impl Cacheable for Arc<Presentations> {}
-impl Cacheable for Arc<HomologyReport> {}
-impl Cacheable for DecisionRecord {}
-
-impl Cacheable for Arc<ExplorationReport> {
-    /// A budget-truncated exploration depends on the budget that cut it
-    /// short, so it must never be memoized.
-    fn cacheable(&self) -> bool {
-        self.budget_independent
-    }
-}
-
-/// Capacity of each process-wide stage cache (entries).
+/// Capacity of the process-wide verdict cache (entries).
 const DEFAULT_CACHE_CAPACITY: usize = 256;
 
-/// A bounded FIFO cache for one artifact kind.
+/// A bounded FIFO cache (the verdict cache's implementation).
 ///
 /// Invariant: `queue` holds each key of `map` exactly once. The cache is
 /// key-addressed; the only iteration (poison recovery) sorts by
@@ -167,11 +149,6 @@ pub struct StageCache<K, V> {
     queue: VecDeque<K>,
     capacity: usize,
     stats: DecisionCacheStats,
-    /// Whether entries are keyed at sub-task granularity (per split
-    /// branch). Granular caches additionally count every hit in
-    /// `stats.reuse_hits` — the observable signal that an edit or a
-    /// near-duplicate task shared a branch artifact.
-    granular: bool,
     /// Whether an entry was inserted or evicted since the last
     /// [`take_changed`](Self::take_changed): the verdict cache's says
     /// whether its snapshot is stale.
@@ -187,31 +164,18 @@ impl<K: Clone + Eq + Hash, V: Clone> StageCache<K, V> {
             queue: VecDeque::new(),
             capacity,
             stats: DecisionCacheStats::default(),
-            granular: false,
             changed: false,
         }
     }
 
-    /// An empty *sub-task-granular* cache: hits also bump `reuse_hits`.
-    #[must_use]
-    pub fn with_capacity_granular(capacity: usize) -> Self {
-        let mut cache = Self::with_capacity(capacity);
-        cache.granular = true;
-        cache
-    }
-
-    /// Looks up an artifact, bumping the lookup and hit/miss counters
+    /// Looks up an entry, bumping the lookup and hit/miss counters
     /// (all under the caller's lock, so `lookups == hits + misses` is
-    /// never observably violated). On granular caches a hit also bumps
-    /// `reuse_hits`.
+    /// never observably violated).
     pub fn get(&mut self, key: &K) -> Option<V> {
         let found = self.map.get(key).cloned();
         self.stats.lookups += 1;
         if found.is_some() {
             self.stats.hits += 1;
-            if self.granular {
-                self.stats.reuse_hits += 1;
-            }
         } else {
             self.stats.misses += 1;
         }
@@ -362,15 +326,6 @@ impl<K: Clone + Eq + Hash, V: Clone> SharedCache<K, V> {
         }
     }
 
-    /// An empty shared cache whose entries are keyed at sub-task
-    /// granularity (hits also count as `reuse_hits`).
-    #[must_use]
-    pub fn new_granular(capacity: usize) -> Self {
-        SharedCache {
-            inner: Mutex::new(StageCache::with_capacity_granular(capacity)),
-        }
-    }
-
     /// Locks the cache. If a thread panicked while holding the lock, the
     /// cross-structure invariants are re-validated (and violating
     /// entries dropped) before the guard is handed out.
@@ -386,43 +341,12 @@ impl<K: Clone + Eq + Hash, V: Clone> SharedCache<K, V> {
     }
 }
 
-/// One stage cache behind the operations that do not depend on its key
-/// and value types: the handle [`ArtifactStore::kinds`] lists for every
-/// kind.
-pub(crate) trait ErasedCache {
-    /// The cache's counters.
-    fn stats(&self) -> DecisionCacheStats;
-    /// Drops every entry and resets the counters.
-    fn clear(&self);
-}
-
-impl<K: Clone + Eq + Hash, V: Clone> ErasedCache for SharedCache<K, V> {
-    fn stats(&self) -> DecisionCacheStats {
-        self.lock().stats()
-    }
-
-    fn clear(&self) {
-        self.lock().clear();
-    }
-}
-
-/// The process-wide store of per-stage caches the verdict engine runs
-/// against. One instance exists per process (see `store`); every
-/// analysis — sequential or batched — shares it, which is what lets
-/// [`crate::analyze_batch`] reuse subdivision and presentation artifacts
-/// across tasks.
+/// The process-wide store the verdict engine runs against: the verdict
+/// cache. One instance exists per process (see `store`); every analysis
+/// — sequential or batched — shares it, so a task decided once is
+/// replayed by every later analysis of the same canonical task.
 pub struct ArtifactStore {
-    pub(crate) split: SharedCache<Task, Arc<SubdividedComplex>>,
-    /// Keyed per split-branch sub-task (a name-erased single-facet
-    /// restriction), not per whole task — see `stages::branch_tasks`.
-    pub(crate) links: SharedCache<Task, Arc<LinkGraphs>>,
-    /// Keyed per split-branch sub-task, like `links`.
-    pub(crate) presentations: SharedCache<Task, Arc<Presentations>>,
-    /// Keyed on the ordered branch list of the split task: the homology
-    /// tier consumes the assembled global artifacts, so its key is the
-    /// full (name-free) branch decomposition.
-    pub(crate) homology: SharedCache<Vec<Task>, Arc<HomologyReport>>,
-    pub(crate) exploration: SharedCache<(Task, usize), Arc<ExplorationReport>>,
+    /// Verdict records keyed on (canonical task, ACT fallback bound).
     pub(crate) verdict: SharedCache<(Task, usize), DecisionRecord>,
     /// The cache directory the verdict cache's change flag refers to:
     /// the one it was last loaded from or saved to (see
@@ -433,27 +357,9 @@ pub struct ArtifactStore {
 impl ArtifactStore {
     pub(crate) fn with_capacity(capacity: usize) -> Self {
         ArtifactStore {
-            split: SharedCache::new(capacity),
-            links: SharedCache::new_granular(capacity),
-            presentations: SharedCache::new_granular(capacity),
-            homology: SharedCache::new(capacity),
-            exploration: SharedCache::new(capacity),
             verdict: SharedCache::new(capacity),
             synced_dir: Mutex::new(None),
         }
-    }
-
-    /// The kind list: every cache with its artifact kind, in the fixed
-    /// reporting order.
-    pub(crate) fn kinds(&self) -> [(ArtifactKind, &dyn ErasedCache); 6] {
-        [
-            (ArtifactKind::Split, &self.split),
-            (ArtifactKind::LinkGraphs, &self.links),
-            (ArtifactKind::Presentations, &self.presentations),
-            (ArtifactKind::Homology, &self.homology),
-            (ArtifactKind::Exploration, &self.exploration),
-            (ArtifactKind::Verdict, &self.verdict),
-        ]
     }
 }
 
@@ -475,22 +381,16 @@ pub(crate) fn store_test_guard() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Per-stage cache counters (process-wide), one entry per
-/// [`ArtifactKind`] in declaration order.
+/// The engine's cache counters (process-wide): one entry, the verdict
+/// cache's, under [`ArtifactKind::Verdict`].
 #[must_use]
 pub fn stage_cache_stats() -> Vec<(ArtifactKind, DecisionCacheStats)> {
-    store()
-        .kinds()
-        .into_iter()
-        .map(|(kind, cache)| (kind, cache.stats()))
-        .collect()
+    vec![(ArtifactKind::Verdict, store().verdict.lock().stats())]
 }
 
-/// Drops every cached artifact of every stage and resets all counters.
+/// Drops every verdict record and resets the counters.
 pub fn clear_stage_caches() {
-    for (_, cache) in store().kinds() {
-        cache.clear();
-    }
+    store().verdict.lock().clear();
 }
 
 #[cfg(test)]
@@ -580,25 +480,6 @@ mod tests {
         let mut off: StageCache<(Task, usize), Verdict> = StageCache::with_capacity(0);
         off.restore_entry(key(9), v);
         assert!(off.is_empty());
-    }
-
-    #[test]
-    fn granular_caches_count_reuse_hits() {
-        let mut plain: StageCache<(Task, usize), Verdict> = StageCache::with_capacity(4);
-        let mut granular: StageCache<(Task, usize), Verdict> =
-            StageCache::with_capacity_granular(4);
-        let key = (identity_task(2), 0);
-        let v = Verdict::Unknown { reason: "x".into() };
-        for cache in [&mut plain, &mut granular] {
-            assert!(cache.get(&key).is_none());
-            cache.insert(key.clone(), v.clone());
-            assert!(cache.get(&key).is_some());
-            assert!(cache.get(&key).is_some());
-        }
-        assert_eq!(plain.stats().reuse_hits, 0, "whole-task caches never reuse");
-        assert_eq!(granular.stats().reuse_hits, 2);
-        assert!(granular.stats().reuse_hits <= granular.stats().hits);
-        assert!(plain.stats().is_coherent() && granular.stats().is_coherent());
     }
 
     #[test]
@@ -796,8 +677,10 @@ mod tests {
 
     #[test]
     fn stage_cache_stats_reports_every_kind() {
-        let all: Vec<ArtifactKind> = stage_cache_stats().into_iter().map(|(k, _)| k).collect();
-        let names: Vec<&str> = all.iter().map(|k| k.name()).collect();
+        // The one cache is the verdict cache; the stage kinds name stages.
+        let kinds: Vec<ArtifactKind> = stage_cache_stats().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(kinds, [ArtifactKind::Verdict]);
+        let names: Vec<&str> = ArtifactKind::STAGES.iter().map(|k| k.name()).collect();
         assert_eq!(
             names,
             [
@@ -805,8 +688,7 @@ mod tests {
                 "link-graphs",
                 "presentations",
                 "homology",
-                "explore",
-                "verdict"
+                "explore"
             ]
         );
         assert_eq!(ArtifactKind::Verdict.name(), "verdict");

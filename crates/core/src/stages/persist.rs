@@ -2,11 +2,9 @@
 //! the [`ArtifactStore`]'s verdict cache with corruption-tolerant
 //! recovery.
 //!
-//! Only the verdict records are durable. A verdict hit replays the
-//! whole post-split evidence chain, so it needs no other artifact, and
-//! each of the five intermediate kinds (split, link graphs,
-//! presentations, homology, exploration) recomputes faster than its
-//! snapshot restores (EXPERIMENTS.md, E10); they stay in memory.
+//! The verdict records are the engine's only cache, and so the only
+//! durable state. A verdict hit replays the whole evidence chain after
+//! canonicalization, the split included, so it needs no other artifact.
 //!
 //! The snapshot is one file, `<dir>/verdict.snap`, written with the
 //! classic durable protocol — temp file, fsync, atomic rename, directory
@@ -16,7 +14,7 @@
 //! format is line-oriented and per-record-checksummed:
 //!
 //! ```text
-//! chromata-snap v3 verdict\n          (magic + version + kind)
+//! chromata-snap v4 verdict\n          (magic + version + kind)
 //! E <fnv1a-16hex> [key,record]\n      (one verdict record, FIFO order)
 //! ```
 //!
@@ -25,7 +23,9 @@
 //! per kind, each with an `H` header of capacity and hit/miss/eviction
 //! counters. v3 keeps the verdict file alone and drops the header: the
 //! capacity is a constant and the counters are process-local telemetry.
-//! An older snapshot fails the magic check and is rejected wholesale —
+//! v4 records carry the split stage's trace too, since a verdict hit no
+//! longer runs the split. An older snapshot fails the magic check and
+//! is rejected wholesale —
 //! the engine degrades to a cold recompute, which is always sound,
 //! rather than attempting a cross-version migration. The five other v2
 //! files are never read; [`clear_cache_dir`] removes them.
@@ -68,9 +68,9 @@ use super::cache::{store, ArtifactStore};
 use super::DecisionRecord;
 
 /// The first line of every snapshot: magic, format version, kind. Bumped
-/// to v3 when the snapshot shrank to the verdict records; older
-/// snapshots are rejected (degrading to recompute), never reinterpreted.
-const MAGIC: &str = "chromata-snap v3 verdict";
+/// to v4 when the records gained the split trace; older snapshots are
+/// rejected (degrading to recompute), never reinterpreted.
+const MAGIC: &str = "chromata-snap v4 verdict";
 
 /// The snapshot's file name inside the cache directory.
 const SNAPSHOT_FILE: &str = "verdict.snap";
@@ -754,15 +754,10 @@ mod tests {
     };
     use chromata_topology::{Budget, CancelToken};
 
-    use super::super::artifacts::{
-        ExplorationReport, HomologyReport, LinkGraphs, Presentations, SubdividedComplex,
-    };
     use super::super::cache::store_test_guard;
     use super::super::StageTrace;
     use super::*;
-    use crate::continuous::continuous_map_exists_with;
     use crate::pipeline::{PipelineOptions, Verdict};
-    use crate::splitting::split_all;
 
     // -- fixtures ----------------------------------------------------------
 
@@ -810,38 +805,6 @@ mod tests {
         seeded_store_with(capacity, &[two_set_agreement(), constant_task(2)])
     }
 
-    /// Seeds every intermediate kind for `task` with real artifacts,
-    /// built the way the stages build them.
-    fn seed_intermediates(store: &ArtifactStore, task: &Task) {
-        let split = Arc::new(SubdividedComplex {
-            split: split_all(task),
-        });
-        let links = Arc::new(LinkGraphs::build(&split.split.task));
-        let pres = Arc::new(Presentations::build(&split.split.task, &links));
-        let (outcome, assignments) = continuous_map_exists_with(&links, &pres);
-        store.split.lock().insert(task.clone(), split);
-        store.links.lock().insert(task.clone(), links);
-        store.presentations.lock().insert(task.clone(), pres);
-        store.homology.lock().insert(
-            vec![task.clone()],
-            Arc::new(HomologyReport {
-                outcome,
-                assignments,
-            }),
-        );
-        store.exploration.lock().insert(
-            (task.clone(), 5),
-            Arc::new(ExplorationReport {
-                verdict: Verdict::Unknown {
-                    reason: "exploration exhausted".to_owned(),
-                },
-                nodes: 17,
-                rounds_cap: 3,
-                budget_independent: true,
-            }),
-        );
-    }
-
     fn snapshot_bytes(dir: &Path) -> Vec<u8> {
         std::fs::read(dir.join(SNAPSHOT_FILE)).expect("snapshot exists")
     }
@@ -861,7 +824,6 @@ mod tests {
     #[test]
     fn roundtrip_is_byte_identical_and_keeps_the_capacity() {
         let store = seeded_store(8);
-        seed_intermediates(&store, &two_set_agreement());
         let dir = test_dir("roundtrip");
         let report = save_store(&store, &dir, &RealIo, false).expect("save");
         assert_eq!(
@@ -886,7 +848,6 @@ mod tests {
         assert_eq!(load.recovery_events(), 0);
         assert!(!load.missing);
         assert_eq!(fresh.verdict.lock().capacity(), 99);
-        assert!(fresh.split.lock().is_empty());
 
         let dir2 = test_dir("roundtrip-resave");
         save_store(&fresh, &dir2, &RealIo, false).expect("re-save");
@@ -913,7 +874,7 @@ mod tests {
         let bytes = snapshot_bytes(&dir);
         assert_eq!(
             (format!("{:016x}", fnv1a(&bytes)), bytes.len()),
-            ("b7e51a725a39db4c".to_owned(), 9_385)
+            ("8d714ea259b2001f".to_owned(), 9_385)
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1643,23 +1604,18 @@ mod tests {
 
     #[test]
     fn old_version_snapshot_degrades_to_recompute() {
-        // A v2-era directory: a v2 verdict snapshot, header and all,
-        // beside the v2 files of the intermediate kinds. The verdict
-        // file must be rejected wholesale, not reinterpreted — the cost
-        // is a cold recompute, never a wrong verdict — and the others
-        // are never read.
+        // A v3-era directory: a v3 verdict snapshot, whose records lack
+        // the split trace. It must be rejected wholesale, not
+        // reinterpreted — the cost is a cold recompute, never a wrong
+        // evidence chain.
         let store = seeded_store_with(4, &[constant_task(2)]);
         let dir = test_dir("old-version");
         save_store(&store, &dir, &RealIo, false).expect("save");
-        let v3 = std::fs::read_to_string(dir.join(SNAPSHOT_FILE)).expect("read");
-        let (_, records) = v3.split_once('\n').expect("a magic line");
-        let mut v2 = "chromata-snap v2 verdict\n".to_owned();
-        push_record(&mut v2, 'H', "[4,0,0,0]");
-        v2.push_str(records);
-        std::fs::write(dir.join(SNAPSHOT_FILE), v2).expect("downgrade");
-        for name in RETIRED_FILES {
-            std::fs::write(dir.join(name), "chromata-snap v2 split\n").expect("write");
-        }
+        let v4 = std::fs::read_to_string(dir.join(SNAPSHOT_FILE)).expect("read");
+        let (magic, records) = v4.split_once('\n').expect("a magic line");
+        assert_eq!(magic, MAGIC);
+        let v3 = format!("chromata-snap v3 verdict\n{records}");
+        std::fs::write(dir.join(SNAPSHOT_FILE), v3).expect("downgrade");
 
         let fresh = ArtifactStore::with_capacity(4);
         let report = load_store(&fresh, &dir, &RealIo);
@@ -1668,16 +1624,16 @@ mod tests {
         assert!(fresh.verdict.lock().is_empty());
         let audit = audit_cache_dir(&dir);
         assert_eq!(audit.status, SnapshotStatus::Rejected);
-        assert_eq!(audit.ignored, RETIRED_FILES);
+        assert!(audit.ignored.is_empty());
 
-        // The cold recompute is written back as v3 by the implicit save
+        // The cold recompute is written back as v4 by the implicit save
         // and restores cleanly.
         fresh.verdict.lock().insert((constant_task(2), 5), record());
         let saved = save_store(&fresh, &dir, &RealIo, true).expect("re-save");
         assert_eq!(saved.files_written, 1);
         assert_eq!(
             std::fs::read_to_string(dir.join(SNAPSHOT_FILE)).expect("read"),
-            v3
+            v4
         );
         let again = ArtifactStore::with_capacity(4);
         let report = load_store(&again, &dir, &RealIo);
@@ -1695,7 +1651,7 @@ mod tests {
         save_store(&store, &dir, &RealIo, false).expect("save");
         let path = dir.join(SNAPSHOT_FILE);
         let text = std::fs::read_to_string(&path).expect("read");
-        let other = text.replacen("chromata-snap v3 verdict", "chromata-snap v3 split", 1);
+        let other = text.replacen("chromata-snap v4 verdict", "chromata-snap v4 split", 1);
         assert_ne!(text, other);
         std::fs::write(&path, other).expect("rewrite");
         let fresh = ArtifactStore::with_capacity(4);

@@ -36,7 +36,7 @@ pub use canonical::{
     canonical_decision, canonical_preimage, canonicalize, is_canonical, project_canonical_simplex,
 };
 pub use ops::{
-    facet_restriction, mutate_task, mutate_with, restricted_to_participants,
-    two_process_restrictions, MutationKind, MUTATION_KINDS,
+    mutate_task, mutate_with, restricted_to_participants, two_process_restrictions, MutationKind,
+    MUTATION_KINDS,
 };
 pub use task::{Task, TaskError};

@@ -58,29 +58,6 @@ pub fn restricted_to_participants(task: &Task, participants: ColorSet) -> Task {
     .expect("restriction of a valid task is valid") // chromata-lint: allow(P1): restricting a validated task to a sub-complex preserves validity
 }
 
-/// The branch sub-task induced by a single input facet: input is the
-/// closure of `facet`, `Δ` is restricted to its faces, and the output is
-/// the restricted image. The name is erased (empty), so the result is a
-/// purely structural key — two tasks that agree on a facet's carrier
-/// produce identical branch sub-tasks regardless of how they are named,
-/// which is what lets per-branch stage artifacts be shared across edits.
-///
-/// # Panics
-///
-/// Panics if `facet` is not a simplex of `task`'s input complex.
-#[must_use]
-pub fn facet_restriction(task: &Task, facet: &Simplex) -> Task {
-    assert!(
-        task.input().contains(facet),
-        "facet restriction: {facet} is not an input simplex"
-    );
-    let input = Complex::from_facets([facet.clone()]);
-    let delta = task.delta().restricted_to(&input);
-    let output = delta.full_image();
-    Task::new(String::new(), input, output, delta)
-        .expect("facet restriction of a valid task is valid") // chromata-lint: allow(P1): restricting a validated task to one of its input facets preserves validity
-}
-
 /// One seeded structural mutation applied to a task.
 ///
 /// Every kind is re-validated through [`Task::new`]; a kind that cannot
@@ -306,49 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn facet_restriction_is_name_erased_and_valid() {
-        let t = two_set_agreement();
-        for facet in t.input().facets() {
-            let branch = facet_restriction(&t, facet);
-            assert_eq!(branch.name(), "");
-            assert_eq!(branch.input().facet_count(), 1);
-            branch
-                .delta()
-                .validate_chromatic(branch.input())
-                .expect("branch carrier map is valid");
-        }
-    }
-
-    #[test]
-    fn facet_restriction_ignores_task_name() {
-        // Renaming a task must not change any branch sub-task: branches
-        // are the structural cache keys for per-branch stage artifacts.
-        let t = consensus(3);
-        let renamed = Task::new(
-            "other-name",
-            t.input().clone(),
-            t.output().clone(),
-            t.delta()
-                .iter()
-                .map(|(s, img)| (s.clone(), img.clone()))
-                .collect(),
-        )
-        .expect("clone of a valid task is valid");
-        for (a, b) in t.input().facets().zip(renamed.input().facets()) {
-            assert_eq!(facet_restriction(&t, a), facet_restriction(&renamed, b));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not an input simplex")]
-    fn facet_restriction_rejects_foreign_simplex() {
-        use chromata_topology::{Simplex, Vertex};
-        let t = consensus(3);
-        let foreign = Simplex::new(vec![Vertex::of(9, 9)]);
-        let _ = facet_restriction(&t, &foreign);
-    }
-
-    #[test]
     fn mutants_are_deterministic_and_named() {
         let t = consensus(3);
         let a = mutate_task(&t, 42, 7);
@@ -415,15 +349,6 @@ mod tests {
                 let m = mutate_task(&t, wide(hi, lo), u64::from(index));
                 prop_assert!(m.delta().validate_chromatic(m.input()).is_ok());
                 prop_assert_eq!(m.name(), format!("{}#m{index}", t.name()));
-            }
-
-            #[test]
-            fn branch_keys_cover_every_facet(hi in 0u32.., lo in 0u32.., index in 0u32..64) {
-                let m = mutate_task(&consensus(3), wide(hi, lo), u64::from(index));
-                for facet in m.input().facets() {
-                    let branch = facet_restriction(&m, facet);
-                    prop_assert_eq!(branch.input().facets().next(), Some(facet));
-                }
             }
         }
     }

@@ -1,5 +1,5 @@
-// Fixture: rule D1 on a stage-cache-shaped module — the staged verdict
-// engine's per-stage caches are HashMap-backed, so this pins down
+// Fixture: rule D1 on a stage-cache-shaped module — the verdict
+// engine's cache is HashMap-backed, so this pins down
 // exactly which patterns the rule flags there and which the justified
 // allow grammar clears. Linted with the verdict-path role; trailing
 // tilde-comments mark the expected findings.

@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use chromata::{analyze, laps, PipelineOptions, Verdict};
+use chromata::{analyze, laps, split_all, PipelineOptions, Verdict};
 use chromata_task::library::{hourglass, majority_consensus};
 use chromata_task::Task;
 use chromata_topology::{Complex, Simplex, Vertex};
@@ -49,13 +49,16 @@ fn main() {
 
 fn report(task: &Task) {
     let analysis = analyze(task, PipelineOptions::default());
+    // The verdict does not need T' (a cached verdict never builds it);
+    // split the canonical task again to show it.
+    let split = split_all(&analysis.canonical);
     println!("━━━ {task}");
     println!(
         "    canonical: |O*| = {} facets; split steps: {}; link-connected O': {} facets, {} components",
         analysis.canonical.output().facet_count(),
-        analysis.split.steps.len(),
-        analysis.split.task.output().facet_count(),
-        analysis.split.task.output().connected_components().len(),
+        split.steps.len(),
+        split.task.output().facet_count(),
+        split.task.output().connected_components().len(),
     );
     match &analysis.verdict {
         Verdict::Solvable { certificate } => println!("    SOLVABLE — {certificate}"),

@@ -9,8 +9,8 @@
 //!    baseline, for every thread and every task.
 //! 2. **Counter coherence** — after (and despite) contention,
 //!    `stage_cache_stats()` satisfies `lookups == hits + misses` for
-//!    every stage cache: every lookup is classified exactly once, no
-//!    increment is lost or double-counted under the cache locks.
+//!    the verdict cache: every lookup is classified exactly once, no
+//!    increment is lost or double-counted under the cache lock.
 
 use std::sync::{Mutex, OnceLock, PoisonError};
 
@@ -132,11 +132,11 @@ fn stats_totals_add_up_under_contention() {
 
     let stats = stage_cache_stats();
     assert_all_coherent("stats totals");
-    // The store actually saw traffic: at least one stage recorded
+    // The store actually saw traffic: the verdict cache recorded
     // lookups, and repeat analyses of the same tasks produced hits.
     let total_lookups: u64 = stats.iter().map(|(_, s)| s.lookups).sum();
     let total_hits: u64 = stats.iter().map(|(_, s)| s.hits).sum();
-    assert!(total_lookups > 0, "no stage cache recorded a lookup");
+    assert!(total_lookups > 0, "the verdict cache recorded no lookup");
     assert!(
         total_hits > 0,
         "overlapping analyses from {THREADS} threads produced no cache hit"

@@ -14,8 +14,8 @@
 //!    records and nothing else, and every task of the library replays
 //!    its cold answer from them.
 //!
-//! Every test funnels through [`store_guard`]: the stage caches are
-//! process-wide, so tests that clear or repopulate them must not
+//! Every test funnels through [`store_guard`]: the verdict cache is
+//! process-wide, so tests that clear or repopulate it must not
 //! interleave (the default test harness is multi-threaded).
 
 use std::fs;
@@ -249,19 +249,14 @@ fn warm_from_disk_library_restores_only_verdicts_and_matches_cold() {
     assert_eq!(loaded.recovery_events(), 0, "{loaded:?}");
     assert_eq!(loaded.restored, suite.len() as u64, "{loaded:?}");
 
-    // Only the verdict cache was restored; the intermediate kinds start
-    // empty and the split stage recomputes.
-    for (kind, stats) in stage_cache_stats() {
-        let expected = if kind == ArtifactKind::Verdict {
-            loaded.restored
-        } else {
-            0
-        };
-        assert_eq!(stats.restored, expected, "{kind}");
-    }
+    // The verdict cache is the only cache, and it holds the records.
+    let stats = stage_cache_stats();
+    assert_eq!(stats.len(), 1);
+    assert_eq!(stats[0].0, ArtifactKind::Verdict);
+    assert_eq!(stats[0].1.restored, loaded.restored);
 
     // Every task replays its cold answer from its restored record: no
-    // stage after the split runs.
+    // stage after canonicalize runs, the split included.
     let warm: Vec<_> = suite
         .iter()
         .map(|t| {
@@ -271,7 +266,7 @@ fn warm_from_disk_library_restores_only_verdicts_and_matches_cold() {
                     .evidence
                     .stages
                     .iter()
-                    .filter(|s| !matches!(s.stage, "canonicalize" | "split"))
+                    .filter(|s| s.stage != "canonicalize")
                     .all(|s| s.cache == CacheEvent::Replayed),
                 "{}",
                 t.name()

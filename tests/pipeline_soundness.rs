@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 
-use chromata::{analyze, solve_act, PipelineOptions};
+use chromata::{analyze, solve_act, split_all, PipelineOptions};
 use chromata_task::Task;
 use chromata_topology::{Complex, Simplex, Vertex};
 
@@ -125,7 +125,7 @@ proptest! {
         // ACT baseline must not find a map.
         let Some(t) = pinned_task(&triples, pins) else { return Ok(()); };
         let analysis = analyze(&t, PipelineOptions::default());
-        if analysis.split.degenerate.is_some() {
+        if split_all(&analysis.canonical).degenerate.is_some() {
             prop_assert!(analysis.verdict.is_unsolvable());
             prop_assert!(!solve_act(&t, 1).is_solvable());
         }
