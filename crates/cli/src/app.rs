@@ -102,19 +102,18 @@ pub enum Command {
         /// back to `CHROMATA_CACHE_DIR`).
         cache_dir: Option<PathBuf>,
     },
-    /// `chromata serve [--addr A] [--threads N] [--admission N]
-    /// [--queue N] [--max-payload N] [--budget-ms N] [--cache-dir DIR]
+    /// `chromata serve [--addr A] [--threads N] [--queue N]
+    /// [--max-payload N] [--budget-ms N] [--cache-dir DIR]
     /// [--persist-secs N] [--idle-secs N]` — the long-lived verdict
     /// daemon: newline-delimited JSON requests over TCP, a shared warm
-    /// artifact store, layered admission control, and background
+    /// artifact store, a bounded connection queue, and background
     /// persistence (see `crate::serve`).
     Serve {
         /// Bind address (port 0 = OS-assigned; printed on boot).
         addr: String,
-        /// Worker threads (0 = available parallelism).
+        /// Worker threads (0 = available parallelism); also the cap on
+        /// concurrent analyses.
         threads: usize,
-        /// Concurrent-analysis permits (default: one per worker).
-        admission: Option<usize>,
         /// Pending-connection queue bound (default: 4 × workers).
         queue: Option<usize>,
         /// Per-request payload bound in bytes.
@@ -393,7 +392,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         "serve" => {
             let mut addr = "127.0.0.1:7437".to_owned();
             let mut threads = 0usize;
-            let mut admission = None;
             let mut queue = None;
             let mut max_payload = crate::wire::DEFAULT_MAX_PAYLOAD;
             let mut budget_ms = None;
@@ -404,7 +402,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 match flag.as_str() {
                     "--addr" => addr = required(&mut it, "--addr needs HOST:PORT")?,
                     "--threads" => threads = parse_number(&mut it, "--threads")?,
-                    "--admission" => admission = Some(parse_number(&mut it, "--admission")?),
                     "--queue" => queue = Some(parse_number(&mut it, "--queue")?),
                     "--max-payload" => max_payload = parse_number(&mut it, "--max-payload")?,
                     "--budget-ms" => {
@@ -426,7 +423,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             Ok(Command::Serve {
                 addr,
                 threads,
-                admission,
                 queue,
                 max_payload,
                 budget_ms,
@@ -1222,7 +1218,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
         Command::Serve {
             addr,
             threads,
-            admission,
             queue,
             max_payload,
             budget_ms,
@@ -1233,7 +1228,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             let options = crate::serve::ServeOptions {
                 addr,
                 threads,
-                analysis_slots: admission,
                 queue,
                 max_payload,
                 budget_ms,
@@ -1417,8 +1411,8 @@ COMMANDS:
                                  governed verdict + crash-tolerant wait-freedom
                                  check; budget exhaustion degrades to a
                                  structured UNKNOWN with a replayable trace
-    serve [--addr A] [--threads N] [--admission N] [--queue N] [--max-payload N]
-          [--budget-ms N] [--cache-dir DIR] [--persist-secs N] [--idle-secs N]
+    serve [--addr A] [--threads N] [--queue N] [--max-payload N] [--budget-ms N]
+          [--cache-dir DIR] [--persist-secs N] [--idle-secs N]
                                  long-lived verdict daemon: newline-delimited
                                  JSON over TCP against one shared warm artifact
                                  store; overload degrades to UNKNOWN with a
@@ -1949,7 +1943,6 @@ mod tests {
             Command::Serve {
                 addr: "127.0.0.1:7437".into(),
                 threads: 0,
-                admission: None,
                 queue: None,
                 max_payload: crate::wire::DEFAULT_MAX_PAYLOAD,
                 budget_ms: None,
@@ -1965,8 +1958,6 @@ mod tests {
                 "127.0.0.1:0",
                 "--threads",
                 "2",
-                "--admission",
-                "0",
                 "--queue",
                 "8",
                 "--budget-ms",
@@ -1980,7 +1971,6 @@ mod tests {
             Command::Serve {
                 addr: "127.0.0.1:0".into(),
                 threads: 2,
-                admission: Some(0),
                 queue: Some(8),
                 max_payload: crate::wire::DEFAULT_MAX_PAYLOAD,
                 budget_ms: Some(250),
@@ -1990,6 +1980,12 @@ mod tests {
             }
         );
         assert!(parse(&args(&["serve", "--frobnicate"])).is_err());
+        // Each worker runs one analysis at a time, so `--threads` is the
+        // analysis cap; there is no separate admission count.
+        assert_eq!(
+            parse(&args(&["serve", "--admission", "0"])),
+            Err(CliError("unknown flag --admission".to_owned()))
+        );
         // Every stage runs in the analyzing process: no worker command,
         // and no shard list on serve or batch.
         assert_eq!(

@@ -31,8 +31,9 @@ use std::time::Duration;
 
 use chromata::topology::govern::Stopwatch;
 use chromata::{
-    analyze_governed, audit_cache_dir, clear_stage_caches, persist_failures, store_read_through,
-    Budget, CancelToken, FaultKind, FaultSchedule, NetFault, PersistChaos, PlannedFault, Verdict,
+    analyze_governed, audit_cache_dir, clear_cache_dir, clear_stage_caches, persist_failures,
+    store_read_through, Budget, CancelToken, FaultKind, FaultSchedule, NetFault, PersistChaos,
+    PlannedFault, Verdict,
 };
 use chromata_task::{mutate_task, Task};
 
@@ -67,7 +68,9 @@ pub struct ChaosOptions {
     pub rounds: usize,
     /// Enabled fault families.
     pub kinds: Vec<FaultKind>,
-    /// Cache directory (a fresh temp directory when absent).
+    /// Cache directory (a fresh temp directory when absent). A given
+    /// directory loses its snapshot files at the start, and nothing
+    /// else.
     pub cache_dir: Option<PathBuf>,
 }
 
@@ -84,7 +87,6 @@ impl Daemon {
         let server = Server::start(ServeOptions {
             addr: "127.0.0.1:0".to_owned(),
             threads: 2,
-            analysis_slots: None,
             queue: None,
             max_payload: crate::wire::DEFAULT_MAX_PAYLOAD,
             budget_ms: None,
@@ -263,12 +265,22 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
         stream.push((mutant, label, digest));
     }
 
-    // Campaign: cold caches, chaos seams installed, live server.
+    // Campaign: cold caches, chaos seams installed, live server. Only
+    // the campaign's own temp directory is removed whole; a directory
+    // the user named loses just its snapshot files, so that it too
+    // starts cold.
     clear_stage_caches();
-    let dir = opts.cache_dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("chromata-chaos-{}", std::process::id()))
-    });
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = match &opts.cache_dir {
+        Some(dir) => {
+            clear_cache_dir(dir).map_err(|e| CliError(format!("chaos: {e}")))?;
+            dir.clone()
+        }
+        None => {
+            let dir = std::env::temp_dir().join(format!("chromata-chaos-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            dir
+        }
+    };
     let persist_chaos = PersistChaos::install();
     let schedule = FaultSchedule::new(opts.seed, &opts.kinds);
 
@@ -475,10 +487,20 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
     use super::*;
+
+    /// Campaigns install the process-wide persist seam and clear the
+    /// process-wide store, so two of them must not overlap.
+    fn campaign_guard() -> MutexGuard<'static, ()> {
+        static GUARD: Mutex<()> = Mutex::new(());
+        GUARD.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn a_short_campaign_holds_every_invariant() {
+        let _serial = campaign_guard();
         // One seeded round per fault family keeps the test fast while
         // still driving the full boot → fault → verify → audit loop.
         let out = run_campaign(&ChaosOptions {
@@ -490,6 +512,40 @@ mod tests {
         .unwrap_or_else(|e| panic!("campaign breached: {e}"));
         assert!(out.contains("digest parity: 4/4 ok"), "{out}");
         assert!(out.contains("invariant breaches: 0"), "{out}");
+    }
+
+    #[test]
+    fn a_named_cache_dir_keeps_everything_but_its_snapshot() {
+        let _serial = campaign_guard();
+        let dir = std::env::temp_dir().join(format!("chromata-chaos-named-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("sentinel.txt"), "not the campaign's\n").unwrap();
+        // A stale snapshot of an older format, which the campaign clears
+        // so that it starts cold.
+        std::fs::write(dir.join("verdict.snap"), "chromata-snap v3 verdict\n").unwrap();
+        let out = run_campaign(&ChaosOptions {
+            seed: 1,
+            rounds: 1,
+            kinds: vec![FaultKind::Net],
+            cache_dir: Some(dir.clone()),
+        })
+        .unwrap_or_else(|e| panic!("campaign breached: {e}"));
+        assert!(out.contains("digest parity: 1/1 ok"), "{out}");
+        assert!(out.contains("invariant breaches: 0"), "{out}");
+        assert_eq!(
+            std::fs::read_to_string(dir.join("sentinel.txt"))
+                .ok()
+                .as_deref(),
+            Some("not the campaign's\n"),
+            "the campaign deleted a file it did not write"
+        );
+        let snapshot = std::fs::read_to_string(dir.join("verdict.snap")).unwrap();
+        assert!(
+            snapshot.starts_with("chromata-snap v4 verdict\n"),
+            "{snapshot}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -5,18 +5,19 @@
 //! [`chromata::analyze_governed`] against the process-wide warm
 //! [`chromata::ArtifactStore`], and answers every request — including
 //! malformed and rejected ones — with exactly one structured response
-//! line. Admission control is layered:
+//! line. Admission control has two layers:
 //!
 //! * **connection level** — a bounded pending-connection queue; when it
-//!   is full the accept thread answers an overload response itself and
-//!   closes, so a client is never silently dropped;
-//! * **request level** — a [`Gate`] caps concurrent analyses; a request
-//!   that cannot get a permit is answered immediately with
-//!   `verdict: "UNKNOWN"` plus a `retry_after_ms` hint, within a
-//!   bounded deadline rather than queueing unboundedly;
-//! * **budget level** — each admitted analysis runs under a per-request
+//!   is full the accept thread answers `verdict: "UNKNOWN"` plus a
+//!   `retry_after_ms` hint itself and closes, so a client is never
+//!   silently dropped and never queued unboundedly;
+//! * **budget level** — each analysis runs under a per-request
 //!   [`Budget`] clamped to the server's caps, so one expensive task
 //!   cannot monopolize a worker forever.
+//!
+//! Concurrent analyses need no cap of their own: a worker serves one
+//! connection, and one request on it, at a time, so at most `threads`
+//! analyses are ever in flight.
 //!
 //! Durability rides on the PR 5 snapshot layer: the server warm-starts
 //! its verdict records from `--cache-dir` on boot, persists them in the
@@ -50,12 +51,12 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use chromata::topology::govern::{Gate, Stopwatch};
+use chromata::topology::govern::Stopwatch;
 use chromata::topology::structural_fingerprint;
 use chromata::{
     analyze_governed, load_cache_dir, persist_failures, persist_if_changed, persist_now,
@@ -140,13 +141,10 @@ pub struct ServeOptions {
     /// Bind address. Port 0 asks the OS for a free port; read the
     /// actual one back from [`Server::local_addr`].
     pub addr: String,
-    /// Worker threads. 0 means "size to available parallelism".
+    /// Worker threads. 0 means "size to available parallelism". Each
+    /// worker runs one analysis at a time, so this also caps concurrent
+    /// analyses.
     pub threads: usize,
-    /// Concurrent-analysis permits (the admission gate). `None` means
-    /// one per worker thread; `Some(0)` is a valid configuration that
-    /// rejects every analysis with an overload response (useful for
-    /// drills and tests).
-    pub analysis_slots: Option<usize>,
     /// Pending-connection queue bound. `None` means `4 × threads`;
     /// `Some(0)` makes the accept thread answer every connection with
     /// an overload response.
@@ -175,7 +173,6 @@ impl Default for ServeOptions {
         ServeOptions {
             addr: "127.0.0.1:7437".to_owned(),
             threads: 0,
-            analysis_slots: None,
             queue: None,
             max_payload: wire::DEFAULT_MAX_PAYLOAD,
             budget_ms: None,
@@ -200,7 +197,8 @@ struct Shared {
     ready: Condvar,
     shutdown: AtomicBool,
     cancel: CancelToken,
-    gate: Gate,
+    /// Analyses running right now (at most one per worker).
+    in_flight: AtomicUsize,
     cache: CacheDirConfig,
     queue_cap: usize,
     max_payload: usize,
@@ -220,12 +218,21 @@ impl Shared {
     /// Flips the shutdown flag once and wakes every blocked thread:
     /// workers (condvar), the persister (its condvar), in-flight
     /// analyses (cancel token), and the accept loop (a self-connect).
+    ///
+    /// A waiter checks the flag under its condvar's mutex and releases
+    /// the mutex only by waiting, so taking and releasing each mutex
+    /// after setting the flag means every waiter either sees the flag or
+    /// is already waiting for the notify. Otherwise a notify sent between
+    /// a check and its wait is lost, and the persister sleeps out its
+    /// whole cadence.
     fn request_shutdown(&self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
         self.cancel.cancel();
+        drop(lock(&self.queue));
         self.ready.notify_all();
+        drop(lock(&self.persist_baton));
         self.persist_cv.notify_all();
         // `incoming()` has no timeout; a loopback connect is the
         // portable way to unblock it. This path is also how SIGTERM/
@@ -290,7 +297,6 @@ impl Server {
         } else {
             opts.threads
         };
-        let slots = opts.analysis_slots.unwrap_or(threads);
         let queue_cap = opts.queue.unwrap_or(threads.saturating_mul(4));
         let shared = Arc::new(Shared {
             addr,
@@ -298,7 +304,7 @@ impl Server {
             ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
             cancel: CancelToken::new(),
-            gate: Gate::new(slots),
+            in_flight: AtomicUsize::new(0),
             cache,
             queue_cap,
             max_payload: opts.max_payload,
@@ -385,7 +391,9 @@ impl Server {
     /// pinned by a client that opened a connection and went silent) are
     /// abandoned and counted in the summary. Without the bound, one
     /// stalled client could hold `wait` hostage for a full idle-timeout
-    /// window — or forever, if it keeps trickling bytes.
+    /// window — or forever, if it keeps trickling bytes. The persister
+    /// wakes on the shutdown request and returns at once, or after the
+    /// save it is in.
     #[must_use]
     pub fn wait(mut self) -> String {
         if let Some(accept) = self.accept.take() {
@@ -444,7 +452,8 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         let Ok(stream) = conn else { continue };
         let mut queue = lock(&shared.queue);
         if queue.len() >= shared.queue_cap {
-            let hint = wire::overload_retry_hint(queue.len(), shared.gate.in_flight());
+            let hint =
+                wire::overload_retry_hint(queue.len(), shared.in_flight.load(Ordering::Relaxed));
             drop(queue);
             shared.overloaded.fetch_add(1, Ordering::Relaxed);
             shared.served.fetch_add(1, Ordering::Relaxed);
@@ -720,7 +729,7 @@ fn dispatch(line: &str, shared: &Shared) -> (String, bool) {
                     shared.analyzed.load(Ordering::Relaxed),
                     shared.overloaded.load(Ordering::Relaxed),
                     shared.malformed.load(Ordering::Relaxed),
-                    shared.gate.in_flight(),
+                    shared.in_flight.load(Ordering::Relaxed),
                     &health,
                     caches,
                 ),
@@ -740,7 +749,7 @@ fn dispatch(line: &str, shared: &Shared) -> (String, bool) {
     }
 }
 
-/// Runs one admitted analysis, or answers the structured reject.
+/// Runs one analysis, or answers the structured reject.
 fn handle_analyze(req: AnalyzeRequest, shared: &Shared) -> String {
     let task = match req.task {
         TaskSpec::Named(name) => match registry::find(&name) {
@@ -761,22 +770,11 @@ fn handle_analyze(req: AnalyzeRequest, shared: &Shared) -> String {
         return wire::error_response(&message);
     }
     // Poison quarantine: a task that already cost two workers a panic
-    // is answered immediately, before it can take an analysis slot.
+    // is answered immediately, before it can cost a third.
     let fingerprint = structural_fingerprint(&task);
     if shared.poison.is_quarantined(fingerprint) {
         return wire::poisoned_response(task.name(), fingerprint);
     }
-    let Some(_permit) = shared.gate.try_enter() else {
-        shared.overloaded.fetch_add(1, Ordering::Relaxed);
-        let hint = wire::overload_retry_hint(lock(&shared.queue).len(), shared.gate.in_flight());
-        return wire::overload_response(
-            &format!(
-                "server overloaded: all {} analysis slot(s) in flight",
-                shared.gate.capacity()
-            ),
-            hint,
-        );
-    };
     let effective_ms = match (req.budget_ms, shared.budget_cap_ms) {
         (Some(requested), Some(cap)) => Some(requested.min(cap)),
         (Some(requested), None) => Some(requested),
@@ -790,12 +788,14 @@ fn handle_analyze(req: AnalyzeRequest, shared: &Shared) -> String {
         act_fallback_rounds: req.act_fallback,
     };
     let clock = Stopwatch::start();
+    shared.in_flight.fetch_add(1, Ordering::Relaxed);
     // A panic in the analysis pipeline must cost one response, not one
     // worker: catch it and answer a structured internal error. The
     // store's locks recover from poisoning (see `SharedCache`).
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         analyze_governed(&task, options, &budget, &shared.cancel)
     }));
+    shared.in_flight.fetch_sub(1, Ordering::Relaxed);
     let wall_ms = clock.elapsed().as_secs_f64() * 1000.0;
     match outcome {
         Err(_) => {
@@ -833,18 +833,18 @@ fn handle_analyze(req: AnalyzeRequest, shared: &Shared) -> String {
 /// Background persister: every `persist_secs`, snapshot the verdict
 /// records if one changed since the last load or save. A failed save
 /// leaves the change flag set, so the next tick retries; failures are
-/// counted, never fatal.
+/// counted, never fatal. The baton covers only the shutdown-flag check
+/// and the wait (see [`Shared::request_shutdown`]); the snapshot layer
+/// serializes saves.
 fn persist_loop(shared: &Shared) {
-    // chromata-lint: allow(L2): the baton exists to serialize the single
-    // persister thread; holding it across the snapshot is its purpose,
-    // and no request path ever contends on it.
-    let mut baton = lock(&shared.persist_baton);
+    let cadence = Duration::from_secs(shared.persist_secs);
     loop {
-        let (guard, _timeout) = shared
+        let baton = lock(&shared.persist_baton);
+        let (baton, _timeout) = shared
             .persist_cv
-            .wait_timeout(baton, Duration::from_secs(shared.persist_secs))
+            .wait_timeout_while(baton, cadence, |_| !shared.shutdown.load(Ordering::Acquire))
             .unwrap_or_else(PoisonError::into_inner);
-        baton = guard;
+        drop(baton);
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }

@@ -215,11 +215,11 @@ pub fn analyze_governed(
 }
 
 /// [`analyze`] over a batch of tasks, fanned out with the workspace's
-/// panic-safe scoped-thread `par_map` (sequential without the `parallel`
-/// feature). All analyses share the process-wide
-/// [`ArtifactStore`](crate::ArtifactStore), so tasks with a common
-/// canonical form are decided once; verdicts and evidence digests are
-/// byte-identical to running [`analyze`] per task.
+/// panic-safe scoped-thread `par_map` (sequential when the process may
+/// use one CPU only, or for fewer than 16 tasks). All analyses share the
+/// process-wide [`ArtifactStore`](crate::ArtifactStore), so tasks with a
+/// common canonical form are decided once; verdicts and evidence digests
+/// are byte-identical to running [`analyze`] per task.
 #[must_use]
 pub fn analyze_batch(tasks: &[Task], options: PipelineOptions) -> Vec<Analysis> {
     par_map(tasks, |t| analyze(t, options))

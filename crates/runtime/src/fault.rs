@@ -341,8 +341,9 @@ impl<T: Clone + Eq + Hash> Table<T> {
 /// config and the memory, so the walk memoizes it per (process id,
 /// memory id) pair. Each level collects the pairs its states need that
 /// no earlier level stepped, in first-use order, steps them as one
-/// batch (in parallel with the `parallel` feature; [`try_par_map`]
-/// preserves batch order) and interns the results in batch order. It then emits successors in level order, process order
+/// batch (in parallel when the process may use more than one CPU;
+/// [`try_par_map`] preserves batch order) and interns the results in
+/// batch order. It then emits successors in level order, process order
 /// and branch order, each process's crash successor after its branches.
 /// Outcomes, state counts, the schedule kept for each state (the first
 /// in BFS order) and the order of `on_terminal` calls are therefore the

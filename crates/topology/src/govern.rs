@@ -10,7 +10,7 @@
 //! [`Interrupt`] when the deadline has passed or the token was cancelled.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -72,79 +72,6 @@ impl CancelToken {
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
         self.0.load(Ordering::Acquire)
-    }
-}
-
-/// A global concurrency cap: at most `capacity` permits are out at any
-/// instant, and acquisition **never blocks** — [`Gate::try_enter`]
-/// either hands back an RAII [`GatePermit`] or fails immediately, so an
-/// overloaded admission point can degrade to a structured answer (a
-/// retry-hint, a `Verdict::Unknown`) instead of queuing unboundedly.
-///
-/// Cheaply cloneable; clones share the same permit pool. This is the
-/// admission-control half of governance: the [`Budget`] bounds one
-/// computation, the `Gate` bounds how many run at once.
-#[derive(Clone, Debug, Default)]
-pub struct Gate(Arc<GateState>);
-
-#[derive(Debug, Default)]
-struct GateState {
-    in_flight: AtomicUsize,
-    capacity: usize,
-}
-
-impl Gate {
-    /// A gate admitting at most `capacity` concurrent holders.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        Gate(Arc::new(GateState {
-            in_flight: AtomicUsize::new(0),
-            capacity,
-        }))
-    }
-
-    /// The configured cap.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.0.capacity
-    }
-
-    /// How many permits are currently held.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.0.in_flight.load(Ordering::Acquire)
-    }
-
-    /// Attempts to take a permit without blocking. `None` means the gate
-    /// is at capacity *right now*; the caller should degrade (answer
-    /// with a retry-hint) rather than wait.
-    #[must_use]
-    pub fn try_enter(&self) -> Option<GatePermit> {
-        let mut current = self.0.in_flight.load(Ordering::Relaxed);
-        loop {
-            if current >= self.0.capacity {
-                return None;
-            }
-            match self.0.in_flight.compare_exchange_weak(
-                current,
-                current + 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Some(GatePermit(Arc::clone(&self.0))),
-                Err(observed) => current = observed,
-            }
-        }
-    }
-}
-
-/// An RAII permit from a [`Gate`]; dropping it releases the slot.
-#[derive(Debug)]
-pub struct GatePermit(Arc<GateState>);
-
-impl Drop for GatePermit {
-    fn drop(&mut self) {
-        self.0.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -317,63 +244,6 @@ mod tests {
         let soon = Budget::unlimited().with_deadline_in(Duration::from_secs(3600));
         assert!(soon.deadline.is_some());
         assert!(!soon.deadline_exceeded());
-    }
-
-    #[test]
-    fn gate_caps_concurrent_permits() {
-        let gate = Gate::new(2);
-        assert_eq!(gate.capacity(), 2);
-        assert_eq!(gate.in_flight(), 0);
-        let a = gate.try_enter().expect("first permit");
-        let b = gate.try_enter().expect("second permit");
-        assert_eq!(gate.in_flight(), 2);
-        assert!(gate.try_enter().is_none(), "gate at capacity");
-        drop(a);
-        assert_eq!(gate.in_flight(), 1);
-        let c = gate.try_enter().expect("slot released by drop");
-        drop(b);
-        drop(c);
-        assert_eq!(gate.in_flight(), 0);
-        // A zero-capacity gate admits nothing — the deterministic
-        // "deliberately overloaded" configuration.
-        assert!(Gate::new(0).try_enter().is_none());
-    }
-
-    #[test]
-    fn gate_clones_share_the_permit_pool() {
-        let gate = Gate::new(1);
-        let clone = gate.clone();
-        let held = clone.try_enter().expect("permit via clone");
-        assert!(gate.try_enter().is_none(), "clones share capacity");
-        assert_eq!(gate.in_flight(), 1);
-        drop(held);
-        assert!(gate.try_enter().is_some());
-    }
-
-    #[test]
-    fn gate_is_race_free_under_real_threads() {
-        // N threads hammer a capacity-C gate; the maximum observed
-        // in-flight count never exceeds C and every acquired permit is
-        // released (final in-flight is 0).
-        let gate = Gate::new(3);
-        let peak = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                let gate = gate.clone();
-                let peak = Arc::clone(&peak);
-                s.spawn(move || {
-                    for _ in 0..200 {
-                        if let Some(_permit) = gate.try_enter() {
-                            let seen = gate.in_flight();
-                            peak.fetch_max(seen, Ordering::AcqRel);
-                            assert!(seen <= 3, "cap violated: {seen}");
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(gate.in_flight(), 0, "all permits released");
-        assert!(peak.load(Ordering::Acquire) >= 1);
     }
 
     #[test]

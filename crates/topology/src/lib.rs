@@ -53,7 +53,7 @@ mod vertex;
 pub use carrier::{CarrierMap, CarrierViolation};
 pub use color::{Color, ColorSet};
 pub use complex::Complex;
-pub use govern::{Budget, CancelToken, Gate, GatePermit, Interrupt, Stopwatch};
+pub use govern::{Budget, CancelToken, Interrupt, Stopwatch};
 pub use graph::Graph;
 pub use intern::{
     fnv1a, interner_stats, structural_fingerprint, xorshift, BuildStructuralHasher,

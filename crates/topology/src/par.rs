@@ -2,15 +2,15 @@
 //!
 //! [`par_map`] fans a pure function out over a slice with scoped threads
 //! and returns results in input order, so callers observe exactly the
-//! serial semantics. With the `parallel` feature disabled (or on a
-//! single-core machine, or for tiny inputs) it degrades to a plain serial
-//! map — same results, no threads.
+//! serial semantics. When the process may use one CPU only (the count
+//! `std::thread::available_parallelism` reports, which follows the CPU
+//! affinity mask, so `taskset -c 0` selects it) or the slice is small,
+//! it is a plain serial map — same results, no threads.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Minimum number of items per worker before spawning threads pays off;
 /// below `2 * MIN_CHUNK` items the serial path is used.
-#[cfg(feature = "parallel")]
 const MIN_CHUNK: usize = 8;
 
 /// A structured record of a panic caught inside a [`try_par_map`] worker.
@@ -47,9 +47,9 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Applies `f` to every item of `items`, returning results in input order.
 ///
 /// The function must be pure up to the returned value: invocation order
-/// across items is unspecified when the `parallel` feature is enabled, but
-/// the output vector is always index-aligned with the input slice, so any
-/// deterministic `f` yields a deterministic result.
+/// across items is unspecified when the slice is fanned out over threads,
+/// but the output vector is always index-aligned with the input slice, so
+/// any deterministic `f` yields a deterministic result.
 ///
 /// A panic inside `f` is re-raised on the calling thread (via
 /// [`try_par_map`]), so the historical "panics propagate" behaviour is
@@ -69,6 +69,10 @@ where
 /// Panic-safe [`par_map`]: applies `f` to every item, catching panics in
 /// the workers and converting the first one (in input order) into a
 /// structured [`WorkerPanic`] instead of poisoning or aborting the fan-out.
+///
+/// Threads are spawned only when `available_parallelism()` is above 1
+/// and the slice holds at least `2 * MIN_CHUNK` (16) items; otherwise the
+/// items are mapped in order on the calling thread.
 ///
 /// # Errors
 ///
@@ -90,41 +94,38 @@ where
             })
             .collect()
     };
-    #[cfg(feature = "parallel")]
-    {
-        let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        if workers > 1 && items.len() >= 2 * MIN_CHUNK {
-            let chunk = (items.len().div_ceil(workers)).max(MIN_CHUNK);
-            let guarded = &guarded;
-            return std::thread::scope(|scope| {
-                let handles: Vec<_> = items
-                    .chunks(chunk)
-                    .enumerate()
-                    .map(|(w, c)| scope.spawn(move || guarded(w * chunk, c)))
-                    .collect();
-                let mut out = Vec::with_capacity(items.len());
-                let mut first_panic: Option<WorkerPanic> = None;
-                for h in handles {
-                    // Workers catch panics internally; join only fails on
-                    // catastrophic (non-unwinding) termination.
-                    // chromata-lint: allow(P1): join fails only when a worker panicked; par_map documents that propagation
-                    match h.join().expect("par_map worker terminated abnormally") {
-                        Ok(mut part) => out.append(&mut part),
-                        Err(p) => {
-                            if first_panic.as_ref().is_none_or(|q| p.index < q.index) {
-                                first_panic = Some(p);
-                            }
-                        }
+    let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    if workers == 1 || items.len() < 2 * MIN_CHUNK {
+        return guarded(0, items);
+    }
+    let chunk = (items.len().div_ceil(workers)).max(MIN_CHUNK);
+    let guarded = &guarded;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .enumerate()
+            .map(|(w, c)| scope.spawn(move || guarded(w * chunk, c)))
+            .collect();
+        let mut out = Vec::with_capacity(items.len());
+        let mut first_panic: Option<WorkerPanic> = None;
+        for h in handles {
+            // Workers catch panics internally; join only fails on
+            // catastrophic (non-unwinding) termination.
+            // chromata-lint: allow(P1): join fails only when a worker panicked; par_map documents that propagation
+            match h.join().expect("par_map worker terminated abnormally") {
+                Ok(mut part) => out.append(&mut part),
+                Err(p) => {
+                    if first_panic.as_ref().is_none_or(|q| p.index < q.index) {
+                        first_panic = Some(p);
                     }
                 }
-                match first_panic {
-                    None => Ok(out),
-                    Some(p) => Err(p),
-                }
-            });
+            }
         }
-    }
-    guarded(0, items)
+        match first_panic {
+            None => Ok(out),
+            Some(p) => Err(p),
+        }
+    })
 }
 
 #[cfg(test)]
@@ -148,9 +149,9 @@ mod tests {
 
     #[test]
     fn try_par_map_catches_panics_serially_and_in_parallel() {
-        // Small input (serial path) and large input (threaded path with
-        // the `parallel` feature): both must yield a structured error
-        // naming the first offending index, not a propagated panic.
+        // Small input (serial path) and large input (threaded path on a
+        // machine with more than one CPU): both must yield a structured
+        // error naming the first offending index, not a propagated panic.
         for n in [4usize, 1000] {
             let items: Vec<usize> = (0..n).collect();
             let err = try_par_map(&items, |&x| {

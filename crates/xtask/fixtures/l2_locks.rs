@@ -1,18 +1,18 @@
 // Fixture: rule L2 — lock-order cycles and locks held across I/O. The
 // harness feeds this file in as `crates/fixture/src/serve.rs` so it
-// lands in L2's scope; the `ShardIo` trait declared here seeds the I/O
+// lands in L2's scope; the `PersistIo` trait declared here seeds the I/O
 // vocabulary exactly like the real seam does.
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-pub trait ShardIo {
-    fn exchange(&self, shard: usize, line: &str) -> String;
+pub trait PersistIo {
+    fn write_tmp(&self, slot: usize, body: &str) -> bool;
 }
 
 pub struct Shared {
     alpha: Mutex<u32>,
     beta: Mutex<u32>,
-    io: Box<dyn ShardIo>,
+    io: Box<dyn PersistIo>,
 }
 
 fn lock(m: &Mutex<u32>) -> MutexGuard<'_, u32> {
@@ -35,27 +35,27 @@ pub fn backward(s: &Shared) -> u32 {
     *a + *b
 }
 
-// A guard held across the `ShardIo` seam: a stalled shard now extends
+// A guard held across the `PersistIo` seam: a stalled disk now extends
 // the critical section. The finding anchors at the acquisition.
-pub fn held_across(s: &Shared) -> String {
+pub fn held_across(s: &Shared) -> bool {
     let a = s.alpha.lock().unwrap_or_else(PoisonError::into_inner); //~ L2
-    let r = s.io.exchange(*a as usize, "ping");
+    let r = s.io.write_tmp(*a as usize, "body");
     r
 }
 
 // Dropping the guard before the I/O is the sanctioned shape: clean.
-pub fn drop_first(s: &Shared) -> String {
+pub fn drop_first(s: &Shared) -> bool {
     let a = lock(&s.alpha);
-    let shard = *a as usize;
+    let slot = *a as usize;
     drop(a);
-    s.io.exchange(shard, "ping")
+    s.io.write_tmp(slot, "body")
 }
 
 // So is scoping the guard into its own block.
-pub fn scope_first(s: &Shared) -> String {
-    let shard = {
+pub fn scope_first(s: &Shared) -> bool {
+    let slot = {
         let a = lock(&s.alpha);
         *a as usize
     };
-    s.io.exchange(shard, "ping")
+    s.io.write_tmp(slot, "body")
 }

@@ -2,12 +2,13 @@
 //!
 //! Nodes are the `fn` items the symbol parser recovered; edges are
 //! name-resolved call sites (class-hierarchy-analysis style: a call
-//! resolves to *every* workspace function with a matching name, and to
-//! the container-matching subset when the call is `Type::name(..)`
-//! qualified). The graph deliberately over-approximates — a phantom
-//! edge can only make a pass report a chain that a human then justifies
-//! or refutes with a per-site allow; a missing edge would silently hide
-//! a real one.
+//! resolves to *every* workspace function with a matching name, to the
+//! container-matching subset when the call is `Type::name(..)`
+//! qualified, and — as in Rust — to the caller file's own free `fn`
+//! when a plain `name(..)` call has one to find). The graph
+//! deliberately over-approximates — a phantom edge can only make a
+//! pass report a chain that a human then justifies or refutes with a
+//! per-site allow; a missing edge would silently hide a real one.
 //!
 //! Alongside the edges, each node records the *sites* the
 //! interprocedural passes reason about: panic/indexing sites (P3),
@@ -80,8 +81,8 @@ pub struct LockSite {
     pub held: (usize, usize),
 }
 
-/// An I/O call (`ShardIo`/`PersistIo` method, socket constructor, or a
-/// generic read/write on an I/O-ish receiver).
+/// An I/O call (`PersistIo` method, socket constructor, or a generic
+/// read/write on an I/O-ish receiver).
 #[derive(Clone, Debug)]
 pub struct IoSite {
     pub span: Span,
@@ -90,12 +91,23 @@ pub struct IoSite {
     pub what: String,
 }
 
+/// How a call site names its callee.
+#[derive(Clone, Debug)]
+pub enum CallKind {
+    /// `name(..)`: no path and no receiver.
+    Plain,
+    /// `recv.name(..)`.
+    Method,
+    /// `Type::name(..)` or `module::name(..)`, with the segment before
+    /// the name.
+    Path(String),
+}
+
 /// An outgoing call site inside a function body.
 #[derive(Clone, Debug)]
 pub struct CallSite {
     pub name: String,
-    /// `Type` of a `Type::name(..)` call, if qualified.
-    pub qualifier: Option<String>,
+    pub kind: CallKind,
     pub line: u32,
     /// Code-token index of the callee identifier.
     pub idx: usize,
@@ -167,14 +179,14 @@ const GENERIC_IO_NAMES: &[&str] = &["read", "write", "remove", "rename", "flush"
 /// Receiver last-segments that make a generic read/write an I/O call.
 const IOISH_RECEIVERS: &[&str] = &["io", "stream", "socket", "conn", "listener", "sock"];
 
-/// Builds the I/O vocabulary from the `ShardIo`/`PersistIo` traits
-/// found in the workspace, plus the socket-constructor names.
+/// Builds the I/O vocabulary from the `PersistIo` trait found in the
+/// workspace, plus the socket-constructor names.
 #[must_use]
 pub fn io_catalog(files: &[FileView<'_>]) -> IoCatalog {
     let mut cat = IoCatalog::default();
     for f in files {
         for t in &f.symbols.traits {
-            if t.name == "ShardIo" || t.name == "PersistIo" {
+            if t.name == "PersistIo" {
                 for m in &t.methods {
                     if GENERIC_IO_NAMES.contains(&m.as_str()) {
                         cat.generic.insert(m.clone());
@@ -217,9 +229,11 @@ pub fn build(files: &[FileView<'_>], io: &IoCatalog) -> Graph {
             });
         }
     }
-    // Name resolution: container-qualified first, bare name fallback.
+    // Name resolution: container-qualified first, the caller file's own
+    // free fn for a plain call, bare name fallback.
     let mut by_name: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
     let mut by_qual: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
+    let mut free_in_file: BTreeMap<(usize, &str), Vec<usize>> = BTreeMap::new();
     let mut containers: BTreeSet<&str> = BTreeSet::new();
     for (i, n) in graph.nodes.iter().enumerate() {
         by_name.entry(&n.name).or_default().push(i);
@@ -229,14 +243,27 @@ pub fn build(files: &[FileView<'_>], io: &IoCatalog) -> Graph {
                 .or_default()
                 .push(i);
             containers.insert(c.as_str());
+        } else {
+            free_in_file.entry((n.file, &n.name)).or_default().push(i);
         }
     }
     for n in &graph.nodes {
         let mut out: Vec<Edge> = Vec::new();
         let mut seen: BTreeSet<(usize, usize)> = BTreeSet::new();
         for call in &n.sites.calls {
-            let targets: &[usize] = match &call.qualifier {
-                Some(q) => {
+            let by_bare_name = || {
+                by_name
+                    .get(call.name.as_str())
+                    .map_or(&[][..], Vec::as_slice)
+            };
+            let targets: &[usize] = match &call.kind {
+                // A file that defines the name shadows every other
+                // workspace function of that name.
+                CallKind::Plain => free_in_file
+                    .get(&(n.file, call.name.as_str()))
+                    .map_or_else(by_bare_name, Vec::as_slice),
+                CallKind::Method => by_bare_name(),
+                CallKind::Path(q) => {
                     if let Some(v) = by_qual.get(&(q.as_str(), call.name.as_str())) {
                         v
                     } else if containers.contains(q.as_str())
@@ -252,14 +279,9 @@ pub fn build(files: &[FileView<'_>], io: &IoCatalog) -> Graph {
                     } else {
                         // Qualifier is a module path segment (possibly
                         // aliased): fall back to the bare name.
-                        by_name
-                            .get(call.name.as_str())
-                            .map_or(&[][..], Vec::as_slice)
+                        by_bare_name()
                     }
                 }
-                None => by_name
-                    .get(call.name.as_str())
-                    .map_or(&[][..], Vec::as_slice),
             };
             for &t in targets {
                 if seen.insert((t, call.idx)) {
@@ -407,7 +429,7 @@ fn extract_sites(
             // Socket constructors (the D4 vocabulary) are I/O sites too:
             // `TcpStream::connect(..)` has callee `connect` qualified by
             // the socket type.
-            if let Some(q) = &call.qualifier {
+            if let CallKind::Path(q) = &call.kind {
                 if rules::SOCKET_TYPES.contains(&q.as_str())
                     && rules::SOCKET_CONSTRUCTORS.contains(&call.name.as_str())
                 {
@@ -438,29 +460,20 @@ fn call_at(code: &[&Tok], i: usize) -> Option<CallSite> {
     if prev.is_some_and(|p| p.is_ident("fn")) {
         return None; // definition, not call
     }
-    if prev.is_some_and(|p| p.is_punct('.')) {
-        return Some(CallSite {
-            name: t.text.clone(),
-            qualifier: None,
-            line: t.line,
-            idx: i,
-        });
-    }
-    if i >= 3 && code[i - 1].is_punct(':') && code[i - 2].is_punct(':') {
+    let kind = if prev.is_some_and(|p| p.is_punct('.')) {
+        CallKind::Method
+    } else if i >= 3 && code[i - 1].is_punct(':') && code[i - 2].is_punct(':') {
         let q = code[i - 3];
-        if q.kind == TokKind::Ident {
-            return Some(CallSite {
-                name: t.text.clone(),
-                qualifier: Some(q.text.clone()),
-                line: t.line,
-                idx: i,
-            });
+        if q.kind != TokKind::Ident {
+            return None;
         }
-        return None;
-    }
+        CallKind::Path(q.text.clone())
+    } else {
+        CallKind::Plain
+    };
     Some(CallSite {
         name: t.text.clone(),
-        qualifier: None,
+        kind,
         line: t.line,
         idx: i,
     })

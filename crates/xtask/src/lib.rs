@@ -3,8 +3,9 @@
 //!
 //! The pipeline's contract is that verdicts are *reproducible*: the same
 //! task yields the same `Verdict`, the same subdivision and
-//! byte-identical traces in every feature configuration. That property
-//! is defended dynamically by goldens (`tests/feature_parity.rs`) and
+//! byte-identical traces on every run and at every thread count. That
+//! property is defended dynamically by goldens
+//! (`tests/golden/batch_digests.txt`, `tests/batch_parity.rs`) and
 //! statically by this tool: `cargo xtask lint` parses every workspace
 //! source file (with a purpose-built lexer — the workspace builds
 //! offline, so `syn` is not available) and enforces determinism,

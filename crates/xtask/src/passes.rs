@@ -210,8 +210,8 @@ fn pass_l2(graph: &Graph, files: &[FileInfo], out: &mut Vec<(usize, Finding)>) {
 
     // Transitive lock and I/O sets per function (fixpoint over the
     // cyclic graph; sets are tiny). Base sites are seeded from the L2
-    // scope files only: an `exchange` or `bind` *name* in an algebra
-    // crate is not the `ShardIo` seam, and counting it would let every
+    // scope files only: a `write_tmp` or `bind` *name* in an algebra
+    // crate is not the `PersistIo` seam, and counting it would let every
     // name-collision edge poison the analysis.
     let mut sub_locks: Vec<BTreeSet<String>> = graph
         .nodes

@@ -327,8 +327,8 @@ const MARKER_LEN: usize = "chromata-lint:".len();
 /// seeded per process (`RandomState`) or, even with a fixed hasher,
 /// depends on insertion/capacity history — either way it is not part of
 /// the task's semantics, and the reproducibility contract
-/// (`tests/feature_parity.rs`) requires byte-identical verdicts and
-/// traces across runs and feature configurations.
+/// (`tests/golden/batch_digests.txt`) requires byte-identical verdicts
+/// and traces across runs and thread counts.
 fn rule_d1(code: &[&Tok], role: Role, findings: &mut Vec<Finding>) {
     if !role.verdict_path {
         return;

@@ -13,7 +13,7 @@
 //!   container and the token range of their body (nested functions get
 //!   their own item; closures attribute to the enclosing function);
 //! * `trait` items with their method names (the L2 pass derives the
-//!   `ShardIo`/`PersistIo` I/O vocabulary from these).
+//!   `PersistIo` I/O vocabulary from these).
 //!
 //! Like the lexer, the parser is *sound for linting*, not a full Rust
 //! grammar: it over-approximates where the two differ, and every
@@ -540,11 +540,11 @@ mod tests {
     fn trait_methods_are_collected() {
         let s = symbols(
             "pub trait PersistIo { fn write_tmp(&self); fn sync_dir(&self); }\n\
-             pub trait ShardIo: Send { fn exchange(&self) -> bool; }\n",
+             pub trait Probe: Send { fn exchange(&self) -> bool; }\n",
         );
         let t = |n: &str| s.traits.iter().find(|t| t.name == n).expect(n);
         assert_eq!(t("PersistIo").methods, vec!["write_tmp", "sync_dir"]);
-        assert_eq!(t("ShardIo").methods, vec!["exchange"]);
+        assert_eq!(t("Probe").methods, vec!["exchange"]);
     }
 
     #[test]

@@ -155,7 +155,7 @@ fn l2_lock_order_fixture() {
         .iter()
         .find(|d| d.message.contains("held across"))
         .expect("held-across-I/O finding");
-    assert!(held.message.contains("`exchange(..)`"), "{}", held.message);
+    assert!(held.message.contains("`write_tmp(..)`"), "{}", held.message);
     // The same file outside the L2 scope list raises nothing: the pass
     // only analyzes the concurrency-bearing modules.
     let other = lint_sources(
@@ -325,4 +325,66 @@ fn check_one(rel: &str, src: &str, pick: impl Fn(&Diagnostic) -> bool) -> String
     let matches: Vec<&Diagnostic> = report.diagnostics.iter().filter(|d| pick(d)).collect();
     assert_eq!(matches.len(), 1, "{matches:?}");
     matches[0].to_string()
+}
+
+/// A workspace function holding a D5 source, sharing its name with a
+/// private helper elsewhere.
+const RUNTIME_EXPLORE: &str = "\
+use std::collections::HashMap;
+
+pub fn explore() -> usize {
+    let seen: HashMap<u32, u32> = HashMap::new();
+    seen.len()
+}
+";
+
+/// The D5 findings of linting `caller` as the stage engine's module
+/// together with [`RUNTIME_EXPLORE`].
+fn d5_with_runtime_explore(caller: &str) -> Vec<Diagnostic> {
+    let files = [
+        ("crates/core/src/stages/mod.rs", caller),
+        ("crates/runtime/src/explore.rs", RUNTIME_EXPLORE),
+    ]
+    .map(|(rel, src)| SourceFile {
+        rel: rel.to_owned(),
+        src: src.to_owned(),
+    });
+    lint_sources(&files, &Config::deny_all())
+        .diagnostics
+        .into_iter()
+        .filter(|d| d.rule == "D5")
+        .collect()
+}
+
+#[test]
+fn a_plain_call_resolves_to_the_callers_own_fn_first() {
+    // As in Rust, `explore()` here names this file's private `explore`,
+    // not the runtime's: no chain reaches the runtime's `HashMap`.
+    let caller = "\
+pub fn analyze_governed() -> usize {
+    explore()
+}
+
+fn explore() -> usize {
+    0
+}
+";
+    let d5 = d5_with_runtime_explore(caller);
+    assert!(d5.is_empty(), "{d5:?}");
+}
+
+#[test]
+fn a_plain_call_without_a_local_fn_still_reaches_every_namesake() {
+    let caller = "\
+pub fn analyze_governed() -> usize {
+    explore()
+}
+";
+    let d5 = d5_with_runtime_explore(caller);
+    assert!(
+        d5.iter().any(|d| d.message.contains("HashMap")
+            && d.notes[0].contains("`analyze_governed`")
+            && d.notes[0].contains("`explore`")),
+        "{d5:?}"
+    );
 }

@@ -1,11 +1,12 @@
 //! Golden batch parity: `analyze_batch` must be observationally
 //! identical to per-task `analyze` on the whole task library — same
-//! verdict `Display` bytes and the same evidence-chain digests — in both
-//! build configurations:
+//! verdict `Display` bytes and the same evidence-chain digests — whether
+//! `par_map` fans the batch out over threads or, pinned to one CPU, maps
+//! it serially:
 //!
 //! ```text
 //! cargo test -p chromata --test batch_parity
-//! cargo test -p chromata --test batch_parity --no-default-features
+//! taskset -c 0 cargo test -p chromata --test batch_parity
 //! ```
 //!
 //! The evidence digest covers `(stage, detail, work)` for every stage
@@ -24,7 +25,7 @@ use chromata_task::library::{
 use chromata_task::Task;
 
 /// The full task library: every registry entry plus the small-arity
-/// controls `feature_parity` pins.
+/// controls `serde_determinism` pins.
 fn library() -> Vec<Task> {
     vec![
         identity_task(1),
