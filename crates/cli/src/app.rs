@@ -38,8 +38,7 @@ pub enum Command {
         act_fallback: usize,
         /// Emit machine-readable JSON instead of the text table.
         json: bool,
-        /// Durable verdict-record directory (`--cache-dir`, falling
-        /// back to `CHROMATA_CACHE_DIR`).
+        /// Durable verdict-record directory (`--cache-dir`).
         cache_dir: Option<PathBuf>,
     },
     /// `chromata batch [--act-fallback N] [--cache-dir DIR] [--digests]
@@ -50,8 +49,7 @@ pub enum Command {
         tasks: Vec<String>,
         /// ACT fallback rounds for undetermined verdicts.
         act_fallback: usize,
-        /// Durable verdict-record directory (`--cache-dir`, falling
-        /// back to `CHROMATA_CACHE_DIR`).
+        /// Durable verdict-record directory (`--cache-dir`).
         cache_dir: Option<PathBuf>,
         /// Print each task's 16-hex evidence digest (`--digests`) —
         /// CI diffs these against the committed golden file.
@@ -94,12 +92,12 @@ pub enum Command {
         budget_ms: Option<u64>,
         /// State budget for the crash-injected model checker.
         max_states: usize,
-        /// ACT fallback / escalation-ladder round cap.
+        /// ACT fallback round cap: rounds `0..=N` are searched, and a
+        /// `--budget-ms` deadline can only cut the search short.
         act_rounds: usize,
         /// Maximum crash faults injected by the wait-freedom check.
         max_crashes: usize,
-        /// Durable verdict-record directory (`--cache-dir`, falling
-        /// back to `CHROMATA_CACHE_DIR`).
+        /// Durable verdict-record directory (`--cache-dir`).
         cache_dir: Option<PathBuf>,
     },
     /// `chromata serve [--addr A] [--threads N] [--queue N]
@@ -120,8 +118,7 @@ pub enum Command {
         max_payload: usize,
         /// Server-side per-request wall-clock cap in milliseconds.
         budget_ms: Option<u64>,
-        /// Durable verdict-record directory (`--cache-dir`, falling
-        /// back to `CHROMATA_CACHE_DIR`).
+        /// Durable verdict-record directory (`--cache-dir`).
         cache_dir: Option<PathBuf>,
         /// Background persistence cadence in seconds (0 = off).
         persist_secs: u64,
@@ -156,8 +153,7 @@ pub enum Command {
     Cache {
         /// `stats`, `verify`, or `clear`.
         action: CacheAction,
-        /// The cache directory (`--cache-dir`, falling back to
-        /// `CHROMATA_CACHE_DIR`).
+        /// The cache directory (`--cache-dir`).
         cache_dir: Option<PathBuf>,
     },
     /// `chromata fuzz [--seed N] [--rounds K] [--act-fallback N]
@@ -177,8 +173,8 @@ pub enum Command {
         /// ACT fallback rounds for undetermined verdicts.
         act_fallback: usize,
     },
-    /// `chromata chaos [--seed N] [--rounds K] [--faults LIST]
-    /// [--cache-dir DIR]` — the randomized end-to-end fault campaign:
+    /// `chromata chaos [--seed N] [--rounds K] [--faults LIST]` — the
+    /// randomized end-to-end fault campaign:
     /// replay a seeded mutation-fuzzed task stream through a live serve
     /// while a seeded schedule injects persist/net/signal faults,
     /// asserting verdict and digest parity against a clean oracle run
@@ -190,19 +186,6 @@ pub enum Command {
         rounds: usize,
         /// Enabled fault families (`--faults persist,net,signal`).
         faults: Vec<chromata::FaultKind>,
-        /// Cache directory (a fresh temp directory when absent).
-        cache_dir: Option<PathBuf>,
-    },
-    /// `chromata lint [--deny-all] [--json] [PATH...]` — the workspace
-    /// static-analysis pass (same engine as `cargo xtask lint`).
-    Lint {
-        /// Workspace-relative paths to lint (whole workspace if empty).
-        paths: Vec<String>,
-        /// Treat every primary rule as an error.
-        deny_all: bool,
-        /// Emit the stable machine-readable JSON document instead of
-        /// rustc-style diagnostics.
-        json: bool,
     },
     /// `chromata help` or `--help`
     Help,
@@ -211,11 +194,11 @@ pub enum Command {
 /// The three offline `chromata cache` maintenance actions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheAction {
-    /// Print the snapshot's statistics and any ignored v2 files.
+    /// Print the snapshot's statistics.
     Stats,
     /// Audit snapshot integrity; nonzero exit on any corruption.
     Verify,
-    /// Delete the snapshot, v2 snapshots and stray temp files.
+    /// Delete the snapshot and a stray temp file.
     Clear,
 }
 
@@ -543,7 +526,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             let mut seed = 1u64;
             let mut rounds = 20usize;
             let mut faults = chromata::ALL_FAULT_KINDS.to_vec();
-            let mut cache_dir = None;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--seed" => seed = parse_number_u64(&mut it, "--seed")?,
@@ -555,12 +537,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         )?;
                         faults = chromata::parse_fault_kinds(&spec).map_err(CliError)?;
                     }
-                    "--cache-dir" => {
-                        cache_dir = Some(PathBuf::from(required(
-                            &mut it,
-                            "--cache-dir needs a path",
-                        )?));
-                    }
                     other => return Err(CliError(format!("unknown flag {other}"))),
                 }
             }
@@ -571,27 +547,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 seed,
                 rounds,
                 faults,
-                cache_dir,
-            })
-        }
-        "lint" => {
-            let mut paths = Vec::new();
-            let mut deny_all = false;
-            let mut json = false;
-            for arg in it {
-                match arg.as_str() {
-                    "--deny-all" => deny_all = true,
-                    "--json" => json = true,
-                    flag if flag.starts_with('-') => {
-                        return Err(CliError(format!("unknown flag {flag}")));
-                    }
-                    path => paths.push(path.to_owned()),
-                }
-            }
-            Ok(Command::Lint {
-                paths,
-                deny_all,
-                json,
             })
         }
         other => Err(CliError(format!(
@@ -842,7 +797,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             cache_dir,
         } => {
             let t = load_decidable_task(&task)?;
-            let cache_config = CacheDirConfig::resolve(cache_dir);
+            let cache_config = CacheDirConfig::from(cache_dir);
             let loaded = load_cache_dir(&cache_config);
             let analysis = analyze(
                 &t,
@@ -942,7 +897,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 .iter()
                 .map(|s| load_decidable_task(s))
                 .collect::<Result<_, _>>()?;
-            let cache_config = CacheDirConfig::resolve(cache_dir);
+            let cache_config = CacheDirConfig::from(cache_dir);
             let loaded = load_cache_dir(&cache_config);
             let analyses = analyze_batch(
                 &batch,
@@ -1056,12 +1011,10 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             seed,
             rounds,
             faults,
-            cache_dir,
         } => crate::chaos::run_campaign(&crate::chaos::ChaosOptions {
             seed,
             rounds,
             kinds: faults,
-            cache_dir,
         }),
         Command::Act { task, rounds } => {
             let t = load_task(&task)?;
@@ -1158,12 +1111,11 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             cache_dir,
         } => {
             let t = load_decidable_task(&task)?;
-            let cache_config = CacheDirConfig::resolve(cache_dir);
+            let cache_config = CacheDirConfig::from(cache_dir);
             let loaded = load_cache_dir(&cache_config);
             let mut budget = Budget::unlimited()
                 .with_max_states(max_states)
-                .with_max_steps(500)
-                .with_max_act_rounds(act_rounds);
+                .with_max_steps(500);
             if let Some(ms) = budget_ms {
                 budget = budget.with_deadline_in(std::time::Duration::from_millis(ms));
             }
@@ -1295,11 +1247,10 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             summarize_response(&response)
         }
         Command::Cache { action, cache_dir } => {
-            let config = CacheDirConfig::resolve(cache_dir);
+            let config = CacheDirConfig::from(cache_dir);
             let Some(dir) = config.dir() else {
                 return Err(CliError(
-                    "cache needs a directory: pass --cache-dir DIR or set CHROMATA_CACHE_DIR"
-                        .to_owned(),
+                    "cache needs a directory: pass --cache-dir DIR".to_owned(),
                 ));
             };
             let mut out = String::new();
@@ -1325,13 +1276,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                     for issue in &audit.issues {
                         let _ = writeln!(out, "    issue: {issue}");
                     }
-                    if !audit.ignored.is_empty() {
-                        let _ = writeln!(
-                            out,
-                            "ignored: {} (retired v2 snapshots, never read)",
-                            audit.ignored.join(", ")
-                        );
-                    }
                     if action == CacheAction::Verify {
                         if !audit.is_clean() {
                             let _ = writeln!(
@@ -1345,42 +1289,6 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
                 }
             }
             Ok(out)
-        }
-        Command::Lint {
-            paths,
-            deny_all,
-            json,
-        } => {
-            // chromata-lint: allow(D2): the lint subcommand resolves the workspace from the invocation directory — tooling, not decision code
-            let cwd = std::env::current_dir()
-                .map_err(|e| CliError(format!("cannot read working directory: {e}")))?;
-            let root = chromata_xtask::workspace::find_root(&cwd).ok_or_else(|| {
-                CliError(format!("no workspace root found above {}", cwd.display()))
-            })?;
-            let config = if deny_all {
-                chromata_xtask::Config::deny_all()
-            } else {
-                chromata_xtask::Config::default()
-            };
-            let report = if paths.is_empty() {
-                chromata_xtask::lint_workspace(&root, &config)
-            } else {
-                chromata_xtask::lint_paths(&root, &paths, &config)
-            }
-            .map_err(|e| CliError(format!("lint failed: {e}")))?;
-            if json {
-                // The JSON document is the contract either way: CI
-                // parses it from stdout on success and from the error
-                // text on failure.
-                if report.failed() {
-                    return Err(CliError(report.to_json()));
-                }
-                return Ok(format!("{}\n", report.to_json()));
-            }
-            if report.failed() {
-                return Err(CliError(format!("{report}")));
-            }
-            Ok(format!("{report}\n"))
         }
     }
 }
@@ -1434,23 +1342,20 @@ COMMANDS:
                                  near-duplicate mutants per base task through
                                  one shared artifact store, then check
                                  warm-vs-cold evidence-digest parity samples
-    chaos [--seed N] [--rounds K] [--faults LIST] [--cache-dir DIR]
+    chaos [--seed N] [--rounds K] [--faults LIST]
                                  randomized end-to-end fault campaign: replay
                                  a seeded mutant stream through a live serve
                                  with injected persist/net/signal faults,
                                  asserting verdict + digest parity against a
                                  clean oracle run; nonzero exit on any breach
-    lint [--deny-all] [--json] [PATH...]
-                                 run the workspace static-analysis rules
-                                 (same engine as `cargo xtask lint`);
-                                 --json emits the stable machine format
     help                         show this message
 
 <task> is a library name (see `list`) or a path to a task JSON file.
---cache-dir (or the CHROMATA_CACHE_DIR environment variable) makes the
-verdict records durable: the snapshot is reloaded — tolerating torn or
-corrupt records — at the start of each run, and rewritten atomically
-after it only when a verdict record changed.
+--cache-dir makes the verdict records durable: the snapshot is reloaded
+— tolerating torn or corrupt records — at the start of each run, and
+rewritten atomically after it only when a verdict record changed.
+--act-rounds and --act-fallback bound the ACT fallback's rounds; a
+--budget-ms deadline can cut a search short but never searches further.
 ";
 
 #[cfg(test)]
@@ -1488,68 +1393,13 @@ mod tests {
         assert!(parse(&args(&["analyze"])).is_err());
         assert!(parse(&args(&["act", "x", "--rounds", "many"])).is_err());
         assert!(parse(&args(&["analyze", "x", "--bogus"])).is_err());
-        assert!(parse(&args(&["lint", "--frobnicate"])).is_err());
-    }
-
-    #[test]
-    fn parse_lint() {
+        // The linter runs as `cargo xtask lint`, not through this binary.
         assert_eq!(
-            parse(&args(&["lint"])).unwrap(),
-            Command::Lint {
-                paths: vec![],
-                deny_all: false,
-                json: false
-            }
+            parse(&args(&["lint"])),
+            Err(CliError(
+                "unknown command lint; try `chromata help`".to_owned()
+            ))
         );
-        assert_eq!(
-            parse(&args(&[
-                "lint",
-                "--deny-all",
-                "--json",
-                "crates/core/src/pipeline.rs"
-            ]))
-            .unwrap(),
-            Command::Lint {
-                paths: vec!["crates/core/src/pipeline.rs".into()],
-                deny_all: true,
-                json: true
-            }
-        );
-    }
-
-    #[test]
-    fn run_lint_on_a_clean_file() {
-        let out = run(Command::Lint {
-            paths: vec!["crates/topology/src/govern.rs".into()],
-            deny_all: true,
-            json: false,
-        })
-        .unwrap();
-        assert!(out.contains("1 file(s) scanned: 0 error(s)"), "{out}");
-        // The machine format carries the same verdict and parses as a
-        // flat JSON object with the documented top-level keys.
-        let out = run(Command::Lint {
-            paths: vec!["crates/topology/src/govern.rs".into()],
-            deny_all: true,
-            json: true,
-        })
-        .unwrap();
-        assert!(out.starts_with("{\"schema_version\":1,"), "{out}");
-        assert!(out.contains("\"errors\":0"), "{out}");
-        assert!(out.contains("\"diagnostics\":["), "{out}");
-    }
-
-    #[test]
-    fn run_lint_reports_seeded_violations() {
-        // A temp file inside the workspace would pollute the tree, so the
-        // failure path is exercised through the library instead: the CLI
-        // surface is `Err` iff `Report::failed()`.
-        let root =
-            chromata_xtask::workspace::find_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
-                .unwrap();
-        let report =
-            chromata_xtask::lint_workspace(&root, &chromata_xtask::Config::deny_all()).unwrap();
-        assert!(!report.failed(), "workspace must lint clean: {report}");
     }
 
     #[test]
@@ -1659,7 +1509,6 @@ mod tests {
                 seed: 1,
                 rounds: 20,
                 faults: chromata::ALL_FAULT_KINDS.to_vec(),
-                cache_dir: None,
             }
         );
         assert_eq!(
@@ -1671,16 +1520,18 @@ mod tests {
                 "50",
                 "--faults",
                 "persist,net",
-                "--cache-dir",
-                "/tmp/chaos",
             ]))
             .unwrap(),
             Command::Chaos {
                 seed: 9,
                 rounds: 50,
                 faults: vec![chromata::FaultKind::Persist, chromata::FaultKind::Net],
-                cache_dir: Some(PathBuf::from("/tmp/chaos")),
             }
+        );
+        // A campaign always works in a directory it creates and removes.
+        assert_eq!(
+            parse(&args(&["chaos", "--cache-dir", "/tmp/chaos"])),
+            Err(CliError("unknown flag --cache-dir".to_owned()))
         );
         assert!(parse(&args(&["chaos", "--rounds", "0"])).is_err());
         assert!(parse(&args(&["chaos", "--faults", "gamma-rays"])).is_err());
@@ -2110,7 +1961,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("chromata-cli-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 
-        // Without a directory (flag or env) the command refuses to guess.
+        // Without a --cache-dir the command refuses to guess.
         let err = run(Command::Cache {
             action: CacheAction::Stats,
             cache_dir: None,

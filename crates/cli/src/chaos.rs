@@ -26,14 +26,13 @@
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
 use chromata::topology::govern::Stopwatch;
 use chromata::{
-    analyze_governed, audit_cache_dir, clear_cache_dir, clear_stage_caches, persist_failures,
-    store_read_through, Budget, CancelToken, FaultKind, FaultSchedule, NetFault, PersistChaos,
-    PlannedFault, Verdict,
+    analyze_governed, audit_cache_dir, clear_stage_caches, persist_failures, store_read_through,
+    Budget, CancelToken, FaultKind, FaultSchedule, NetFault, PersistChaos, PlannedFault, Verdict,
 };
 use chromata_task::{mutate_task, Task};
 
@@ -68,10 +67,6 @@ pub struct ChaosOptions {
     pub rounds: usize,
     /// Enabled fault families.
     pub kinds: Vec<FaultKind>,
-    /// Cache directory (a fresh temp directory when absent). A given
-    /// directory loses its snapshot files at the start, and nothing
-    /// else.
-    pub cache_dir: Option<PathBuf>,
 }
 
 /// One running server plus its signal watcher.
@@ -265,22 +260,11 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
         stream.push((mutant, label, digest));
     }
 
-    // Campaign: cold caches, chaos seams installed, live server. Only
-    // the campaign's own temp directory is removed whole; a directory
-    // the user named loses just its snapshot files, so that it too
-    // starts cold.
+    // Campaign: cold caches, chaos seams installed, live server, and a
+    // cache directory of the campaign's own, removed whole at the end.
     clear_stage_caches();
-    let dir = match &opts.cache_dir {
-        Some(dir) => {
-            clear_cache_dir(dir).map_err(|e| CliError(format!("chaos: {e}")))?;
-            dir.clone()
-        }
-        None => {
-            let dir = std::env::temp_dir().join(format!("chromata-chaos-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            dir
-        }
-    };
+    let dir = std::env::temp_dir().join(format!("chromata-chaos-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let persist_chaos = PersistChaos::install();
     let schedule = FaultSchedule::new(opts.seed, &opts.kinds);
 
@@ -432,9 +416,7 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
             ));
         }
     }
-    if opts.cache_dir.is_none() {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let _ = std::fs::remove_dir_all(&dir);
 
     let mut out = String::new();
     let kinds_label: Vec<&str> = opts.kinds.iter().map(|k| k.label()).collect();
@@ -487,65 +469,20 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
     use super::*;
-
-    /// Campaigns install the process-wide persist seam and clear the
-    /// process-wide store, so two of them must not overlap.
-    fn campaign_guard() -> MutexGuard<'static, ()> {
-        static GUARD: Mutex<()> = Mutex::new(());
-        GUARD.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 
     #[test]
     fn a_short_campaign_holds_every_invariant() {
-        let _serial = campaign_guard();
         // One seeded round per fault family keeps the test fast while
         // still driving the full boot → fault → verify → audit loop.
         let out = run_campaign(&ChaosOptions {
             seed: 3,
             rounds: 4,
             kinds: vec![FaultKind::Persist, FaultKind::Net],
-            cache_dir: None,
         })
         .unwrap_or_else(|e| panic!("campaign breached: {e}"));
         assert!(out.contains("digest parity: 4/4 ok"), "{out}");
         assert!(out.contains("invariant breaches: 0"), "{out}");
-    }
-
-    #[test]
-    fn a_named_cache_dir_keeps_everything_but_its_snapshot() {
-        let _serial = campaign_guard();
-        let dir = std::env::temp_dir().join(format!("chromata-chaos-named-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("sentinel.txt"), "not the campaign's\n").unwrap();
-        // A stale snapshot of an older format, which the campaign clears
-        // so that it starts cold.
-        std::fs::write(dir.join("verdict.snap"), "chromata-snap v3 verdict\n").unwrap();
-        let out = run_campaign(&ChaosOptions {
-            seed: 1,
-            rounds: 1,
-            kinds: vec![FaultKind::Net],
-            cache_dir: Some(dir.clone()),
-        })
-        .unwrap_or_else(|e| panic!("campaign breached: {e}"));
-        assert!(out.contains("digest parity: 1/1 ok"), "{out}");
-        assert!(out.contains("invariant breaches: 0"), "{out}");
-        assert_eq!(
-            std::fs::read_to_string(dir.join("sentinel.txt"))
-                .ok()
-                .as_deref(),
-            Some("not the campaign's\n"),
-            "the campaign deleted a file it did not write"
-        );
-        let snapshot = std::fs::read_to_string(dir.join("verdict.snap")).unwrap();
-        assert!(
-            snapshot.starts_with("chromata-snap v4 verdict\n"),
-            "{snapshot}"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -554,7 +491,6 @@ mod tests {
             seed: 1,
             rounds: 0,
             kinds: vec![FaultKind::Persist],
-            cache_dir: None,
         })
         .unwrap_err();
         assert!(err.0.contains("--rounds"), "{err}");

@@ -155,8 +155,7 @@ pub struct ServeOptions {
     /// client-requested budget is clamped to it. `None` leaves
     /// uncapped requests unlimited.
     pub budget_ms: Option<u64>,
-    /// Explicit cache directory; falls back to `CHROMATA_CACHE_DIR`,
-    /// then to disabled (see [`CacheDirConfig::resolve`]).
+    /// Cache directory (`--cache-dir`); `None` disables persistence.
     pub cache_dir: Option<PathBuf>,
     /// Background persistence cadence in seconds; 0 disables the
     /// background persister (boot warm-start and shutdown persist
@@ -290,7 +289,7 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| CliError(format!("serve: cannot read bound address: {e}")))?;
-        let cache = CacheDirConfig::resolve(opts.cache_dir.clone());
+        let cache = CacheDirConfig::from(opts.cache_dir.clone());
         let loaded = load_cache_dir(&cache);
         let threads = if opts.threads == 0 {
             std::thread::available_parallelism().map_or(4, usize::from)

@@ -22,9 +22,6 @@ const GOLDEN: &str = include_str!("../../../tests/golden/batch_digests.txt");
 
 #[test]
 fn library_batch_digests_match_golden() {
-    // Persistence would append cache-report lines; this binary holds a
-    // single test, so clearing the variable races with nothing.
-    std::env::remove_var("CHROMATA_CACHE_DIR");
     let args: Vec<String> = ["batch", "--act-fallback", "1", "--digests"]
         .into_iter()
         .map(str::to_owned)

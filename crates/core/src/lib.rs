@@ -80,7 +80,7 @@ pub use stages::chaos::{
 pub use stages::persist::{
     audit_cache_dir, clear_cache_dir, load_cache_dir, persist_failures, persist_if_changed,
     persist_now, store_read_through, CacheDirConfig, LoadReport, PersistError, SaveReport,
-    SnapshotAudit, SnapshotStatus, CACHE_DIR_ENV,
+    SnapshotAudit, SnapshotStatus,
 };
 pub use stages::{CacheEvent, EvidenceChain, StageEvidence};
 pub use two_process::{decide_two_process, synthesize_two_process};

@@ -190,13 +190,14 @@ pub fn check_process_count(task: &Task) -> Result<(), String> {
 }
 
 /// [`analyze`] under a [`Budget`] and [`CancelToken`]: the ACT fallback
-/// respects the wall-clock deadline and cooperative cancellation, and —
-/// when a deadline is set — escalates its round cap through a doubling
-/// ladder (`configured, 2×, 4×, …` up to `budget.max_act_rounds`) while
-/// time remains. Exhaustion and interruption degrade to
-/// [`Verdict::Unknown`] with a reason recording how far the analysis
-/// got; interrupted verdicts are **not** cached, so a later run with a
-/// larger budget re-decides from scratch.
+/// searches up to [`PipelineOptions::act_fallback_rounds`] rounds and
+/// respects the wall-clock deadline and cooperative cancellation. A
+/// budget only truncates — `budget.max_act_rounds` can lower the round
+/// cap, and nothing raises it — so an answer the budget did not cut
+/// short is the same with or without one. Exhaustion and interruption
+/// degrade to [`Verdict::Unknown`] with a reason recording how far the
+/// analysis got; budget-truncated verdicts are **not** cached, so a
+/// later run with a larger budget re-decides from scratch.
 #[must_use]
 pub fn analyze_governed(
     task: &Task,
@@ -445,15 +446,13 @@ mod tests {
     }
 
     #[test]
-    fn deadline_escalation_ladder_reports_progress() {
+    fn elapsed_deadline_stops_before_the_decision_tiers() {
         use chromata_task::library::{klein_bottle_doubled_loop, loop_agreement};
-        // The doubled Klein loop hits the undecidable residue, so the ACT
-        // fallback actually runs; an already-elapsed deadline interrupts
-        // it and the reason records the partial progress.
+        // The doubled Klein loop reaches the undecidable residue, where
+        // the ACT fallback would run; an already-elapsed deadline stops
+        // the analysis first, and the reason says why.
         let task = loop_agreement("klein-doubled-governed", klein_bottle_doubled_loop());
-        let budget = Budget::unlimited()
-            .with_max_act_rounds(4)
-            .with_deadline_in(std::time::Duration::ZERO);
+        let budget = Budget::unlimited().with_deadline_in(std::time::Duration::ZERO);
         std::thread::sleep(std::time::Duration::from_millis(1));
         let a = analyze_governed(
             &task,

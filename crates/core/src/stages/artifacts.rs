@@ -193,19 +193,20 @@ impl Presentations {
     }
 }
 
-/// Outcome of the bounded ACT exploration ladder, with its effort
-/// counters and cacheability.
+/// Outcome of the bounded ACT exploration, with its effort counters and
+/// cacheability.
 #[derive(Clone, Debug)]
 pub struct ExplorationReport {
-    /// The verdict the ladder settled on.
+    /// The verdict the exploration settled on.
     pub verdict: Verdict,
-    /// Backtracking nodes expanded across every round and ladder rung.
+    /// Backtracking nodes expanded across every round searched.
     pub nodes: u64,
-    /// The final round cap the ladder reached.
+    /// The round cap searched up to: the configured bound, clamped by
+    /// the budget.
     pub rounds_cap: usize,
     /// Whether the verdict is independent of the budget (and therefore
     /// safe to record): witnesses always are; exhaustion only when the
-    /// ladder stopped exactly at the configured bound.
+    /// budget did not clamp the configured bound.
     pub budget_independent: bool,
 }
 

@@ -286,6 +286,10 @@ fn describe_explore(report: &ExplorationReport) -> (String, u64) {
         Verdict::Unsolvable { .. } => "refuted",
         Verdict::Unknown { .. } => "exhausted",
     };
+    // The detail is hashed into every evidence digest, and so into
+    // `tests/golden/batch_digests.txt`: its wording ("ACT ladder", the
+    // rounds `0..=cap` searched in order) stays byte-identical until a
+    // change that re-pins the golden rewords it.
     let detail = format!(
         "ACT ladder {kind} at round cap {}; {} node(s) expanded",
         report.rounds_cap, report.nodes
@@ -293,12 +297,13 @@ fn describe_explore(report: &ExplorationReport) -> (String, u64) {
     (detail, report.nodes)
 }
 
-/// The bounded ACT exploration ladder (the paper's superseded baseline,
-/// the fallback for the undecidable residue) around the governed ACT
-/// search: start at the configured round cap (clamped by the budget)
-/// and, when a deadline is set, keep doubling the cap while wall-clock
-/// remains — cheap first attempt, deeper retries only with leftover
-/// time.
+/// The bounded ACT exploration (the paper's superseded baseline, the
+/// fallback for the undecidable residue): one governed search over the
+/// rounds `0..=cap`, where `cap` is the configured bound clamped by
+/// `budget.max_act_rounds`. A budget only truncates the search — the
+/// clamp lowers the cap, a deadline or a cancellation interrupts it —
+/// and never raises the cap, so a budget-independent answer is a
+/// function of the task and the configured bound alone.
 fn act_ladder(
     task: &Task,
     reason: &str,
@@ -306,59 +311,43 @@ fn act_ladder(
     budget: &Budget,
     cancel: &CancelToken,
 ) -> ExplorationReport {
-    let mut cap = configured_rounds.min(budget.max_act_rounds);
-    let mut nodes = 0u64;
-    loop {
-        let (outcome, searched) =
-            solve_act_governed_with_stats(task, &budget.with_max_act_rounds(cap), cancel);
-        nodes += searched;
-        match outcome {
-            ActOutcome::Solvable { rounds, .. } => {
-                // A witness is budget-independent: always cacheable.
-                return ExplorationReport {
-                    verdict: Verdict::Solvable {
-                        certificate: format!(
-                            "ACT fallback found a decision map at {rounds} round(s)"
-                        ),
-                    },
-                    nodes,
-                    rounds_cap: cap,
-                    budget_independent: true,
-                };
-            }
-            ActOutcome::Interrupted {
-                rounds_completed,
-                interrupt,
-            } => {
-                return ExplorationReport {
-                    verdict: Verdict::Unknown {
-                        reason: format!(
-                            "{reason}; ACT fallback {interrupt} after ruling out \
-                             {rounds_completed} of {cap} round(s)"
-                        ),
-                    },
-                    nodes,
-                    rounds_cap: cap,
-                    budget_independent: false,
-                };
-            }
-            ActOutcome::Exhausted { .. } => {
-                let next = cap.saturating_mul(2).min(budget.max_act_rounds);
-                if budget.deadline.is_none() || budget.deadline_exceeded() || next == cap {
-                    // The verdict depends on the budget unless the
-                    // ladder stopped exactly at the configured bound.
-                    return ExplorationReport {
-                        verdict: Verdict::Unknown {
-                            reason: format!("{reason}; ACT fallback exhausted {cap} round(s)"),
-                        },
-                        nodes,
-                        rounds_cap: cap,
-                        budget_independent: cap == configured_rounds,
-                    };
-                }
-                cap = next;
-            }
-        }
+    let cap = configured_rounds.min(budget.max_act_rounds);
+    let (outcome, nodes) =
+        solve_act_governed_with_stats(task, &budget.with_max_act_rounds(cap), cancel);
+    let (verdict, budget_independent) = match outcome {
+        // A witness is budget-independent: always cacheable.
+        ActOutcome::Solvable { rounds, .. } => (
+            Verdict::Solvable {
+                certificate: format!("ACT fallback found a decision map at {rounds} round(s)"),
+            },
+            true,
+        ),
+        ActOutcome::Interrupted {
+            rounds_completed,
+            interrupt,
+        } => (
+            Verdict::Unknown {
+                reason: format!(
+                    "{reason}; ACT fallback {interrupt} after ruling out \
+                     {rounds_completed} of {cap} round(s)"
+                ),
+            },
+            false,
+        ),
+        // Exhaustion depends on the budget unless the budget left the
+        // configured bound as it was.
+        ActOutcome::Exhausted { .. } => (
+            Verdict::Unknown {
+                reason: format!("{reason}; ACT fallback exhausted {cap} round(s)"),
+            },
+            cap == configured_rounds,
+        ),
+    };
+    ExplorationReport {
+        verdict,
+        nodes,
+        rounds_cap: cap,
+        budget_independent,
     }
 }
 
@@ -648,5 +637,66 @@ mod tests {
         let witness = act_ladder(&identity_task(2), "r", 1, &Budget::unlimited(), &cancel);
         assert!(witness.verdict.is_solvable());
         assert!(witness.budget_independent);
+    }
+
+    #[test]
+    fn a_deadline_never_raises_the_round_cap() {
+        // Path agreement of length 4 has a decision map at 2 rounds and
+        // none at 1 or fewer. Configured for 1 round, the search must
+        // exhaust at cap 1 whether or not time is left over: were the
+        // deadline to raise the cap, both answers would be recorded as
+        // budget-independent under the same key `(T*, 1)`.
+        let task = crate::two_process::tests::path_agreement(4);
+        let cancel = CancelToken::new();
+        let plain = act_ladder(&task, "r", 1, &Budget::unlimited(), &cancel);
+        let timed = act_ladder(
+            &task,
+            "r",
+            1,
+            &Budget::unlimited().with_deadline_in(Duration::from_secs(60)),
+            &cancel,
+        );
+        assert_eq!(format!("{plain:?}"), format!("{timed:?}"));
+        assert!(matches!(plain.verdict, Verdict::Unknown { .. }));
+        assert_eq!(plain.rounds_cap, 1);
+        assert!(plain.budget_independent);
+    }
+
+    #[test]
+    fn a_deadline_leaves_the_explored_verdict_and_its_record_alone() {
+        // loop-klein-squared reaches the ACT fallback. Analyzed first
+        // under a deadline, it explores and records the budget-free
+        // verdict; the unbudgeted call then replays that record. (The
+        // unique name keeps the first call a miss.)
+        let _store = cache::store_test_guard();
+        let task = chromata_task::library::loop_agreement(
+            "klein-squared-under-a-deadline",
+            chromata_task::library::klein_bottle_doubled_loop(),
+        );
+        let options = PipelineOptions {
+            act_fallback_rounds: 1,
+        };
+        let cancel = CancelToken::new();
+        let budget = Budget::unlimited().with_deadline_in(Duration::from_secs(2));
+        let timed = crate::analyze_governed(&task, options, &budget, &cancel);
+        let plain = crate::analyze_governed(&task, options, &Budget::unlimited(), &cancel);
+        let explore = timed
+            .evidence
+            .stages
+            .iter()
+            .find(|s| s.stage == "explore")
+            .expect("the ACT fallback ran");
+        assert_eq!(explore.cache, CacheEvent::Miss);
+        assert_eq!(timed.verdict.to_string(), plain.verdict.to_string());
+        // The golden digest of loop-klein-squared at `--act-fallback 1`.
+        for analysis in [&timed, &plain] {
+            assert_eq!(
+                analysis.evidence.deterministic_digest(),
+                0x5ef3_0125_6d3c_d9f4
+            );
+        }
+        assert!(plain.evidence.stages[1..]
+            .iter()
+            .all(|s| s.cache == CacheEvent::Replayed));
     }
 }

@@ -27,8 +27,7 @@
 //! longer runs the split. An older snapshot fails the magic check and
 //! is rejected wholesale —
 //! the engine degrades to a cold recompute, which is always sound,
-//! rather than attempting a cross-version migration. The five other v2
-//! files are never read; [`clear_cache_dir`] removes them.
+//! rather than attempting a cross-version migration.
 //!
 //! Loading is paranoid and graceful — persistence must never poison a
 //! verdict. The recovery taxonomy (counted per cause in
@@ -62,7 +61,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
 use chromata_task::Task;
-use chromata_topology::{fnv1a, govern};
+use chromata_topology::fnv1a;
 
 use super::cache::{store, ArtifactStore};
 use super::DecisionRecord;
@@ -75,19 +74,8 @@ const MAGIC: &str = "chromata-snap v4 verdict";
 /// The snapshot's file name inside the cache directory.
 const SNAPSHOT_FILE: &str = "verdict.snap";
 
-/// The files v2 wrote for the intermediate kinds: never read, reported
-/// as ignored by [`audit_cache_dir`], removed by [`clear_cache_dir`].
-const RETIRED_FILES: [&str; 5] = [
-    "split.snap",
-    "link-graphs.snap",
-    "presentations.snap",
-    "homology.snap",
-    "explore.snap",
-];
-
-/// Environment variable read (via [`govern::env_string`], rule D2) by
-/// [`CacheDirConfig::from_env`].
-pub const CACHE_DIR_ENV: &str = "CHROMATA_CACHE_DIR";
+/// The temp file a save writes and then renames over the snapshot.
+const TMP_FILE: &str = "verdict.snap.tmp";
 
 /// A persisted verdict record: the cache key (canonical task, ACT
 /// fallback bound) and the record.
@@ -465,7 +453,7 @@ fn write_snapshot(
     io.create_dir_all(dir)
         .map_err(|e| PersistError::new("create-dir", dir, e))?;
     let body = render_snapshot(entries).map_err(|e| PersistError::new("encode", &target, e))?;
-    let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp"));
+    let tmp = dir.join(TMP_FILE);
     io.write_tmp(&tmp, body.as_bytes())
         .map_err(|e| PersistError::new("write-tmp", &tmp, e))?;
     io.sync_tmp(&tmp)
@@ -525,8 +513,7 @@ pub(crate) fn load_store(store: &ArtifactStore, dir: &Path, io: &dyn PersistIo) 
 // ---------------------------------------------------------------------------
 
 /// Where (and whether) to persist the verdict records. Disabled by
-/// default; enabled by an explicit directory (`--cache-dir`) or the
-/// `CHROMATA_CACHE_DIR` environment variable.
+/// default; enabled by an explicit directory (`--cache-dir`).
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct CacheDirConfig {
     dir: Option<PathBuf>,
@@ -547,25 +534,6 @@ impl CacheDirConfig {
         }
     }
 
-    /// Reads `CHROMATA_CACHE_DIR` (via `govern`, rule D2); unset or
-    /// blank means disabled.
-    #[must_use]
-    pub fn from_env() -> Self {
-        CacheDirConfig {
-            dir: govern::env_string(CACHE_DIR_ENV).map(PathBuf::from),
-        }
-    }
-
-    /// CLI-style resolution: an explicit directory wins over the
-    /// environment variable; neither means disabled.
-    #[must_use]
-    pub fn resolve(explicit: Option<PathBuf>) -> Self {
-        match explicit {
-            Some(dir) => CacheDirConfig::at(dir),
-            None => CacheDirConfig::from_env(),
-        }
-    }
-
     /// The configured cache directory, if persistence is enabled.
     #[must_use]
     pub fn dir(&self) -> Option<&Path> {
@@ -576,6 +544,14 @@ impl CacheDirConfig {
     #[must_use]
     pub fn is_enabled(&self) -> bool {
         self.dir.is_some()
+    }
+}
+
+/// A command's `--cache-dir`: persistence at that directory, or off
+/// when the flag is absent.
+impl From<Option<PathBuf>> for CacheDirConfig {
+    fn from(dir: Option<PathBuf>) -> Self {
+        CacheDirConfig { dir }
     }
 }
 
@@ -673,9 +649,6 @@ pub struct SnapshotAudit {
     pub corrupt_entries: u64,
     /// Human-readable descriptions of every problem found.
     pub issues: Vec<String>,
-    /// Retired v2 snapshot files present in the directory: never read,
-    /// and never a reason to call the directory unclean.
-    pub ignored: Vec<&'static str>,
 }
 
 impl SnapshotAudit {
@@ -686,7 +659,6 @@ impl SnapshotAudit {
             torn_entries: 0,
             corrupt_entries: 0,
             issues: Vec::new(),
-            ignored: Vec::new(),
         }
     }
 
@@ -710,30 +682,23 @@ pub fn audit_cache_dir(dir: &Path) -> SnapshotAudit {
         Ok(Some(bytes)) => parse_snapshot(&bytes).map(|(audit, _)| audit),
         Err(e) => Err(format!("unreadable: {e}")),
     };
-    let mut audit = decoded.unwrap_or_else(|why| {
+    decoded.unwrap_or_else(|why| {
         let mut audit = SnapshotAudit::empty(SnapshotStatus::Rejected);
         audit.issues.push(why);
         audit
-    });
-    audit.ignored = RETIRED_FILES
-        .into_iter()
-        .filter(|name| dir.join(name).exists())
-        .collect();
-    audit
+    })
 }
 
-/// Removes the snapshot, the retired v2 snapshots and any stray temp
-/// file in `dir`, returning how many files were deleted. The directory
-/// itself is kept.
+/// Removes the snapshot and any stray temp file in `dir`, returning how
+/// many files were deleted. The directory and everything else in it are
+/// kept.
 pub fn clear_cache_dir(dir: &Path) -> Result<usize, PersistError> {
     let mut removed = 0;
-    for name in std::iter::once(SNAPSHOT_FILE).chain(RETIRED_FILES) {
-        for path in [dir.join(name), dir.join(format!("{name}.tmp"))] {
-            match std::fs::remove_file(&path) {
-                Ok(()) => removed += 1,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(PersistError::new("remove", &path, e)),
-            }
+    for path in [dir.join(SNAPSHOT_FILE), dir.join(TMP_FILE)] {
+        match std::fs::remove_file(&path) {
+            Ok(()) => removed += 1,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => return Err(PersistError::new("remove", &path, e)),
         }
     }
     Ok(removed)
@@ -1300,7 +1265,7 @@ mod tests {
 
         let _io = io_override_guard();
         let dir = test_dir("enospc-seam");
-        let config = CacheDirConfig::resolve(Some(dir.clone()));
+        let config = CacheDirConfig::at(&dir);
 
         // Baseline snapshot with the seam installed but disarmed.
         let chaos = PersistChaos::install();
@@ -1622,9 +1587,7 @@ mod tests {
         assert_eq!(report.rejected_snapshots, 1);
         assert_eq!(report.restored, 0);
         assert!(fresh.verdict.lock().is_empty());
-        let audit = audit_cache_dir(&dir);
-        assert_eq!(audit.status, SnapshotStatus::Rejected);
-        assert!(audit.ignored.is_empty());
+        assert_eq!(audit_cache_dir(&dir).status, SnapshotStatus::Rejected);
 
         // The cold recompute is written back as v4 by the implicit save
         // and restores cleanly.
@@ -1718,7 +1681,6 @@ mod tests {
         assert_eq!(audit.status, SnapshotStatus::Valid);
         assert!(audit.is_clean());
         assert_eq!(audit.entries, 2);
-        assert!(audit.ignored.is_empty());
 
         // Flip a payload byte: the audit must flag exactly that record.
         let path = dir.join(SNAPSHOT_FILE);
@@ -1734,20 +1696,14 @@ mod tests {
         assert_eq!((audit.entries, audit.corrupt_entries), (1, 1));
         assert!(!audit.issues.is_empty());
 
-        // A v2-era directory holds all six v2 file names (and maybe
-        // stray temp files): clearing removes every one; the audit then
-        // reads missing.
-        for name in RETIRED_FILES {
-            std::fs::write(dir.join(name), "v2").expect("write");
-        }
-        std::fs::write(dir.join("verdict.snap.tmp"), "torn").expect("write");
-        std::fs::write(dir.join("split.snap.tmp"), "torn").expect("write");
-        assert_eq!(audit_cache_dir(&dir).ignored, RETIRED_FILES);
+        // Clearing removes the snapshot and a stray temp file; the audit
+        // then reads missing.
+        std::fs::write(dir.join(TMP_FILE), "torn").expect("write");
         let removed = clear_cache_dir(&dir).expect("clear");
-        assert_eq!(removed, 8);
+        assert_eq!(removed, 2);
         let audit = audit_cache_dir(&dir);
         assert_eq!(audit.status, SnapshotStatus::Missing);
-        assert!(audit.is_clean() && audit.ignored.is_empty());
+        assert!(audit.is_clean());
         assert_eq!(std::fs::read_dir(&dir).expect("list").count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1758,21 +1714,10 @@ mod tests {
     fn cache_dir_config_resolution() {
         assert!(!CacheDirConfig::disabled().is_enabled());
         assert!(!CacheDirConfig::default().is_enabled());
-        let explicit = CacheDirConfig::resolve(Some(PathBuf::from("/tmp/explicit")));
+        assert_eq!(CacheDirConfig::from(None), CacheDirConfig::disabled());
+        let explicit = CacheDirConfig::from(Some(PathBuf::from("/tmp/explicit")));
         assert_eq!(explicit.dir(), Some(Path::new("/tmp/explicit")));
-
-        std::env::set_var(CACHE_DIR_ENV, "/tmp/from-env");
-        assert_eq!(
-            CacheDirConfig::from_env().dir(),
-            Some(Path::new("/tmp/from-env"))
-        );
-        // Explicit still wins over the environment.
-        let winner = CacheDirConfig::resolve(Some(PathBuf::from("/tmp/explicit")));
-        assert_eq!(winner.dir(), Some(Path::new("/tmp/explicit")));
-        let fallback = CacheDirConfig::resolve(None);
-        assert_eq!(fallback.dir(), Some(Path::new("/tmp/from-env")));
-        std::env::remove_var(CACHE_DIR_ENV);
-        assert!(!CacheDirConfig::from_env().is_enabled());
+        assert_eq!(explicit, CacheDirConfig::at("/tmp/explicit"));
     }
 
     #[test]

@@ -155,7 +155,7 @@ pub fn synthesize_two_process(task: &Task) -> Option<(usize, chromata_topology::
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::act::solve_act;
     use chromata_task::library::{constant_task, identity_task, two_process_consensus};
@@ -171,7 +171,7 @@ mod tests {
 
     /// A solvable "path agreement" task: both processes decide vertices of
     /// a path, adjacent or equal, endpoints pinned by solo executions.
-    fn path_agreement(len: i64) -> Task {
+    pub(crate) fn path_agreement(len: i64) -> Task {
         let e = Simplex::from_iter([Vertex::of(0, 0), Vertex::of(1, 0)]);
         let input = Complex::from_facets([e]);
         Task::from_delta_fn("path-agreement", input, move |tau| {

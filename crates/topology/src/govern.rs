@@ -14,19 +14,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Reads a string configuration knob from the process environment.
-///
-/// This module is the *only* place the workspace may observe the
-/// environment (static-analysis rule D2): configuration enters through
-/// here once, at initialization, so decision code stays a pure function
-/// of its inputs and budget. Unset or empty values yield `None` (an
-/// empty `CHROMATA_CACHE_DIR` means "no cache dir", not "the current
-/// directory").
-#[must_use]
-pub fn env_string(name: &str) -> Option<String> {
-    std::env::var(name).ok().filter(|s| !s.trim().is_empty())
-}
-
 /// A monotonic wall-clock stopwatch for stage-level evidence.
 ///
 /// Rule D2 confines clock reads to this module: pipeline stages that want
@@ -261,11 +248,6 @@ mod tests {
     fn interrupt_displays() {
         assert_eq!(Interrupt::Cancelled.to_string(), "cancelled");
         assert_eq!(Interrupt::DeadlineExceeded.to_string(), "deadline exceeded");
-    }
-
-    #[test]
-    fn env_string_unset_is_none() {
-        assert_eq!(env_string("CHROMATA_TEST_SURELY_UNSET_KNOB"), None);
     }
 
     /// Exhaustive op-level model check of `CancelToken` (loom-style; see

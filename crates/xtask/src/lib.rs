@@ -23,9 +23,7 @@
 //!    (`callgraph.rs`) and chase reachability through it (`passes.rs`).
 //!
 //! `cargo xtask graph [--dot]` dumps the call graph; `--format json`
-//! emits the diagnostics as a stable machine-readable document.
-//!
-//! The same engine backs the `chromata lint` CLI subcommand. See
+//! emits the diagnostics as a stable machine-readable document. See
 //! `DESIGN.md` §9 for the rule table and the escape-hatch policy.
 
 pub mod allow;
@@ -169,17 +167,6 @@ fn read_sources(root: &Path, rels: &[String]) -> std::io::Result<Vec<SourceFile>
 pub fn lint_workspace(root: &Path, config: &Config) -> std::io::Result<Report> {
     let rels = workspace::lintable_files(root)?;
     Ok(lint_sources(&read_sources(root, &rels)?, config))
-}
-
-/// Lints an explicit list of workspace-relative paths (used by the CLI
-/// to lint a subtree). The interprocedural passes see only the listed
-/// files — chains that leave the subtree are not followed.
-///
-/// # Errors
-///
-/// Returns an I/O error if a file cannot be read.
-pub fn lint_paths(root: &Path, paths: &[String], config: &Config) -> std::io::Result<Report> {
-    Ok(lint_sources(&read_sources(root, paths)?, config))
 }
 
 /// Builds the workspace call graph and renders it for `cargo xtask

@@ -1,5 +1,6 @@
 //! The `xtask` binary: `cargo xtask lint` / `cargo xtask deny`.
 
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use chromata_xtask::{deny, lint_workspace, workspace, Config, Severity};
@@ -133,11 +134,19 @@ fn run_graph(args: &[String]) -> ExitCode {
     let Some(root) = current_root() else {
         return ExitCode::FAILURE;
     };
-    match chromata_xtask::graph_workspace(&root, dot) {
-        Ok(dump) => {
-            print!("{dump}");
-            ExitCode::SUCCESS
+    let dump = match chromata_xtask::graph_workspace(&root, dot) {
+        Ok(dump) => dump,
+        Err(e) => {
+            eprintln!("xtask graph: {e}");
+            return ExitCode::FAILURE;
         }
+    };
+    // A reader that closes early (`| head`) ends the output, not the
+    // command: `BrokenPipe` exits 0, and any other write error fails.
+    let mut out = std::io::stdout().lock();
+    match out.write_all(dump.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("xtask graph: {e}");
             ExitCode::FAILURE

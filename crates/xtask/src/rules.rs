@@ -37,8 +37,6 @@
 //! justification requirement turns every suppression into reviewable
 //! documentation.
 
-use std::path::Path;
-
 use crate::allow;
 use crate::diag::{Diagnostic, Severity};
 use crate::lexer::{self, Tok, TokKind};
@@ -434,7 +432,7 @@ fn rule_d2(code: &[&Tok], syms: &FileSymbols, role: Role, findings: &mut Vec<Fin
                      environment"
                 ),
                 "route the read through `chromata_topology::govern` (budgets, \
-                 env-derived configuration) or annotate \
+                 deadlines, stopwatches) or annotate \
                  `// chromata-lint: allow(D2): <why>`"
                     .to_owned(),
             ));
@@ -772,19 +770,4 @@ fn rule_l1(code: &[&Tok], role: Role, findings: &mut Vec<Finding>) {
             ));
         }
     }
-}
-
-/// Convenience wrapper used by the CLI and tests: lints a file on disk.
-///
-/// # Errors
-///
-/// Returns the I/O error if the file cannot be read.
-pub fn lint_file(
-    root: &Path,
-    rel: &str,
-    role: Role,
-    config: &Config,
-) -> std::io::Result<Vec<Diagnostic>> {
-    let src = std::fs::read_to_string(root.join(rel))?;
-    Ok(lint_source(rel, &src, role, config))
 }
