@@ -2,6 +2,7 @@
 //! subcommand takes a handful of flags).
 
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::PathBuf;
 
 use chromata::{
@@ -13,7 +14,9 @@ use chromata::{
 use chromata_runtime::{verify_figure7, verify_figure7_with_crashes, VerifyError};
 use chromata_task::Task;
 
+use crate::chaos::{parse_fault_kinds, ChaosOptions};
 use crate::registry;
+use crate::serve::{ServeOptions, DEFAULT_ADDR};
 
 /// A parsed CLI invocation.
 #[derive(Debug, PartialEq)]
@@ -105,26 +108,9 @@ pub enum Command {
     /// [--persist-secs N] [--idle-secs N]` — the long-lived verdict
     /// daemon: newline-delimited JSON requests over TCP, a shared warm
     /// artifact store, a bounded connection queue, and background
-    /// persistence (see `crate::serve`).
-    Serve {
-        /// Bind address (port 0 = OS-assigned; printed on boot).
-        addr: String,
-        /// Worker threads (0 = available parallelism); also the cap on
-        /// concurrent analyses.
-        threads: usize,
-        /// Pending-connection queue bound (default: 4 × workers).
-        queue: Option<usize>,
-        /// Per-request payload bound in bytes.
-        max_payload: usize,
-        /// Server-side per-request wall-clock cap in milliseconds.
-        budget_ms: Option<u64>,
-        /// Durable verdict-record directory (`--cache-dir`).
-        cache_dir: Option<PathBuf>,
-        /// Background persistence cadence in seconds (0 = off).
-        persist_secs: u64,
-        /// Per-connection idle read timeout in seconds (at least 1).
-        idle_secs: u64,
-    },
+    /// persistence (see `crate::serve`). Unset flags keep
+    /// [`ServeOptions::default`].
+    Serve(ServeOptions),
     /// `chromata request [--addr A] [--op OP] [--act-fallback N]
     /// [--budget-ms N] [--retry N] [--json] [task]` — one-shot client
     /// for a running `chromata serve`.
@@ -178,15 +164,9 @@ pub enum Command {
     /// replay a seeded mutation-fuzzed task stream through a live serve
     /// while a seeded schedule injects persist/net/signal faults,
     /// asserting verdict and digest parity against a clean oracle run
-    /// after every round (see `crate::chaos`).
-    Chaos {
-        /// Seed for the mutation stream and the fault schedule.
-        seed: u64,
-        /// Campaign rounds (one mutant per round).
-        rounds: usize,
-        /// Enabled fault families (`--faults persist,net,signal`).
-        faults: Vec<chromata::FaultKind>,
-    },
+    /// after every round (see `crate::chaos`). Unset flags keep
+    /// [`ChaosOptions::default`].
+    Chaos(ChaosOptions),
     /// `chromata help` or `--help`
     Help,
 }
@@ -373,49 +353,35 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "serve" => {
-            let mut addr = "127.0.0.1:7437".to_owned();
-            let mut threads = 0usize;
-            let mut queue = None;
-            let mut max_payload = crate::wire::DEFAULT_MAX_PAYLOAD;
-            let mut budget_ms = None;
-            let mut cache_dir = None;
-            let mut persist_secs = 30u64;
-            let mut idle_secs = 30u64;
+            let mut opts = ServeOptions::default();
             while let Some(flag) = it.next() {
                 match flag.as_str() {
-                    "--addr" => addr = required(&mut it, "--addr needs HOST:PORT")?,
-                    "--threads" => threads = parse_number(&mut it, "--threads")?,
-                    "--queue" => queue = Some(parse_number(&mut it, "--queue")?),
-                    "--max-payload" => max_payload = parse_number(&mut it, "--max-payload")?,
+                    "--addr" => opts.addr = required(&mut it, "--addr needs HOST:PORT")?,
+                    "--threads" => opts.threads = parse_number(&mut it, "--threads")?,
+                    "--queue" => opts.queue = Some(parse_number(&mut it, "--queue")?),
+                    "--max-payload" => opts.max_payload = parse_number(&mut it, "--max-payload")?,
                     "--budget-ms" => {
-                        budget_ms = Some(parse_number_u64(&mut it, "--budget-ms")?);
+                        opts.budget_ms = Some(parse_number_u64(&mut it, "--budget-ms")?);
                     }
                     "--cache-dir" => {
-                        cache_dir = Some(PathBuf::from(required(
+                        opts.cache_dir = Some(PathBuf::from(required(
                             &mut it,
                             "--cache-dir needs a path",
                         )?));
                     }
                     "--persist-secs" => {
-                        persist_secs = parse_number_u64(&mut it, "--persist-secs")?;
+                        opts.persist_secs = parse_number_u64(&mut it, "--persist-secs")?;
                     }
-                    "--idle-secs" => idle_secs = parse_number_u64(&mut it, "--idle-secs")?,
+                    "--idle-secs" => {
+                        opts.idle_timeout_secs = parse_number_u64(&mut it, "--idle-secs")?;
+                    }
                     other => return Err(CliError(format!("unknown flag {other}"))),
                 }
             }
-            Ok(Command::Serve {
-                addr,
-                threads,
-                queue,
-                max_payload,
-                budget_ms,
-                cache_dir,
-                persist_secs,
-                idle_secs,
-            })
+            Ok(Command::Serve(opts))
         }
         "request" => {
-            let mut addr = "127.0.0.1:7437".to_owned();
+            let mut addr = DEFAULT_ADDR.to_owned();
             let mut op = "analyze".to_owned();
             let mut task = None;
             let mut act_fallback = 0usize;
@@ -523,31 +489,25 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "chaos" => {
-            let mut seed = 1u64;
-            let mut rounds = 20usize;
-            let mut faults = chromata::ALL_FAULT_KINDS.to_vec();
+            let mut opts = ChaosOptions::default();
             while let Some(flag) = it.next() {
                 match flag.as_str() {
-                    "--seed" => seed = parse_number_u64(&mut it, "--seed")?,
-                    "--rounds" => rounds = parse_number(&mut it, "--rounds")?,
+                    "--seed" => opts.seed = parse_number_u64(&mut it, "--seed")?,
+                    "--rounds" => opts.rounds = parse_number(&mut it, "--rounds")?,
                     "--faults" => {
                         let spec = required(
                             &mut it,
                             "--faults needs a comma-separated list of fault kinds",
                         )?;
-                        faults = chromata::parse_fault_kinds(&spec).map_err(CliError)?;
+                        opts.kinds = parse_fault_kinds(&spec).map_err(CliError)?;
                     }
                     other => return Err(CliError(format!("unknown flag {other}"))),
                 }
             }
-            if rounds == 0 {
+            if opts.rounds == 0 {
                 return Err(CliError("--rounds must be at least 1".to_owned()));
             }
-            Ok(Command::Chaos {
-                seed,
-                rounds,
-                faults,
-            })
+            Ok(Command::Chaos(opts))
         }
         other => Err(CliError(format!(
             "unknown command {other}; try `chromata help`"
@@ -555,11 +515,27 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     }
 }
 
+/// Writes `text` to stdout and flushes it: the one way the `chromata`
+/// binary prints. A reader that closes early (`| head`) ends the output,
+/// not the command, so `BrokenPipe` is `Ok`.
+///
+/// # Errors
+///
+/// Returns a [`CliError`] for any other write error.
+pub fn write_stdout(text: &str) -> Result<(), CliError> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(CliError(format!("cannot write to stdout: {e}")))
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Boots the `serve` daemon: masks the termination signals, starts the
 /// server, prints the banners scripts scrape, and blocks until it shuts
-/// down.
-fn boot(options: crate::serve::ServeOptions) -> Result<String, CliError> {
-    use std::io::Write as _;
+/// down. A banner that cannot be written shuts the server down again.
+fn boot(options: ServeOptions) -> Result<String, CliError> {
     // SIGTERM/SIGINT must be masked before the server spawns its
     // threads so they inherit the mask and delivery funnels to the
     // dedicated watcher below.
@@ -573,22 +549,26 @@ fn boot(options: crate::serve::ServeOptions) -> Result<String, CliError> {
     };
     // The banner goes out before the blocking wait (and is flushed) so
     // scripts can scrape an OS-assigned port.
-    println!("serve: listening on {}", server.local_addr());
+    let mut banner = format!("serve: listening on {}\n", server.local_addr());
     if watch.is_some() {
-        println!("serve: SIGTERM/SIGINT trigger graceful shutdown with persistence");
+        banner.push_str("serve: SIGTERM/SIGINT trigger graceful shutdown with persistence\n");
     }
     if let Some(loaded) = server.loaded() {
-        println!(
+        let _ = writeln!(
+            banner,
             "serve: warm-started {} verdict record(s) ({} rejected, {} torn, {} corrupt)",
             loaded.restored, loaded.rejected_snapshots, loaded.torn_entries, loaded.corrupt_entries
         );
     }
-    let _ = std::io::stdout().flush();
+    let printed = write_stdout(&banner);
+    if printed.is_err() {
+        server.shutdown();
+    }
     let summary = server.wait();
     if let Some(watch) = watch {
         watch.stop();
     }
-    Ok(format!("{summary}\n"))
+    printed.map(|()| format!("{summary}\n"))
 }
 
 fn required(it: &mut std::slice::Iter<'_, String>, msg: &str) -> Result<String, CliError> {
@@ -1007,15 +987,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             }
             Ok(out)
         }
-        Command::Chaos {
-            seed,
-            rounds,
-            faults,
-        } => crate::chaos::run_campaign(&crate::chaos::ChaosOptions {
-            seed,
-            rounds,
-            kinds: faults,
-        }),
+        Command::Chaos(opts) => crate::chaos::run_campaign(&opts),
         Command::Act { task, rounds } => {
             let t = load_task(&task)?;
             let mut out = String::new();
@@ -1167,28 +1139,7 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             cache_report_lines(&mut out, &cache_config, loaded, saved);
             Ok(out)
         }
-        Command::Serve {
-            addr,
-            threads,
-            queue,
-            max_payload,
-            budget_ms,
-            cache_dir,
-            persist_secs,
-            idle_secs,
-        } => {
-            let options = crate::serve::ServeOptions {
-                addr,
-                threads,
-                queue,
-                max_payload,
-                budget_ms,
-                cache_dir,
-                persist_secs,
-                idle_timeout_secs: idle_secs,
-            };
-            boot(options)
-        }
+        Command::Serve(options) => boot(options),
         Command::Request {
             addr,
             op,
@@ -1505,11 +1456,11 @@ mod tests {
     fn parse_chaos() {
         assert_eq!(
             parse(&args(&["chaos"])).unwrap(),
-            Command::Chaos {
+            Command::Chaos(ChaosOptions {
                 seed: 1,
                 rounds: 20,
-                faults: chromata::ALL_FAULT_KINDS.to_vec(),
-            }
+                kinds: crate::chaos::ALL_FAULT_KINDS.to_vec(),
+            })
         );
         assert_eq!(
             parse(&args(&[
@@ -1522,11 +1473,14 @@ mod tests {
                 "persist,net",
             ]))
             .unwrap(),
-            Command::Chaos {
+            Command::Chaos(ChaosOptions {
                 seed: 9,
                 rounds: 50,
-                faults: vec![chromata::FaultKind::Persist, chromata::FaultKind::Net],
-            }
+                kinds: vec![
+                    crate::chaos::FaultKind::Persist,
+                    crate::chaos::FaultKind::Net
+                ],
+            })
         );
         // A campaign always works in a directory it creates and removes.
         assert_eq!(
@@ -1552,6 +1506,7 @@ mod tests {
 
     #[test]
     fn run_fuzz_reports_digest_parity() {
+        let _store = crate::store_test_guard();
         let out = run(Command::Fuzz {
             tasks: vec!["consensus".into(), "identity".into()],
             seed: 7,
@@ -1791,7 +1746,7 @@ mod tests {
     fn parse_serve_and_request() {
         assert_eq!(
             parse(&args(&["serve"])).unwrap(),
-            Command::Serve {
+            Command::Serve(ServeOptions {
                 addr: "127.0.0.1:7437".into(),
                 threads: 0,
                 queue: None,
@@ -1799,8 +1754,8 @@ mod tests {
                 budget_ms: None,
                 cache_dir: None,
                 persist_secs: 30,
-                idle_secs: 30,
-            }
+                idle_timeout_secs: 30,
+            })
         );
         assert_eq!(
             parse(&args(&[
@@ -1819,7 +1774,7 @@ mod tests {
                 "5",
             ]))
             .unwrap(),
-            Command::Serve {
+            Command::Serve(ServeOptions {
                 addr: "127.0.0.1:0".into(),
                 threads: 2,
                 queue: Some(8),
@@ -1827,8 +1782,8 @@ mod tests {
                 budget_ms: Some(250),
                 cache_dir: Some(PathBuf::from("/tmp/c")),
                 persist_secs: 5,
-                idle_secs: 30,
-            }
+                idle_timeout_secs: 30,
+            })
         );
         assert!(parse(&args(&["serve", "--frobnicate"])).is_err());
         // Each worker runs one analysis at a time, so `--threads` is the
@@ -1958,6 +1913,7 @@ mod tests {
 
     #[test]
     fn cache_subcommand_end_to_end() {
+        let _store = crate::store_test_guard();
         let dir = std::env::temp_dir().join(format!("chromata-cli-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
 

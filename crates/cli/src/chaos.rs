@@ -1,13 +1,22 @@
 //! `chromata chaos` — randomized end-to-end fault campaigns against the
 //! serving stack.
 //!
+//! The paper's subject is correctness under adversarial executions, and
+//! the fault-model framing of Gafni–Kuznetsov–Manolescu treats a fault
+//! model as a *set of runs*: the serving stack's standing invariants
+//! (never a wrong verdict, digest parity with a clean run, bounded
+//! recovery) must hold under randomized *composed* schedules of the
+//! faults the unit suites inject one at a time, and each fault is a run
+//! the real system can go through.
+//!
 //! A campaign replays a seeded mutation-fuzzed task stream (the same
 //! generator as `chromata fuzz`) through a live [`Server`], while a
 //! [`FaultSchedule`] fires composed faults across every seam the
 //! production stack has:
 //!
-//! * **persist** — ENOSPC / short-write / kill-point injected into the
-//!   real snapshot path ([`PersistChaos`]);
+//! * **persist** — the campaign's cache directory is moved aside and a
+//!   regular file takes its path, so the daemon's next snapshot fails
+//!   on the real filesystem; then the directory is put back;
 //! * **net** — connection floods, slow-loris holds, and malformed
 //!   bursts over real TCP against the admission layer;
 //! * **signal** — a SIGTERM delivered through the `chromata-signal`
@@ -17,7 +26,9 @@
 //! served verdict and evidence digest match a clean oracle run, the
 //! service answered within a bounded recovery deadline, and at the end
 //! the cache directory audits clean. Any breach fails the campaign
-//! (nonzero exit), and the whole run replays exactly from its seed.
+//! (nonzero exit). The schedule is a pure function of `(seed, round)`,
+//! drawn from the workspace's one xorshift64* generator (which also
+//! drives the task mutator), so the whole run replays from its seed.
 //!
 //! This module (like `serve`) is exempt from the socket- and
 //! clock-confinement lint rules D4/D2: driving real connections and
@@ -32,13 +43,184 @@ use std::time::Duration;
 use chromata::topology::govern::Stopwatch;
 use chromata::{
     analyze_governed, audit_cache_dir, clear_stage_caches, persist_failures, store_read_through,
-    Budget, CancelToken, FaultKind, FaultSchedule, NetFault, PersistChaos, PlannedFault, Verdict,
+    Budget, CancelToken, Verdict,
 };
 use chromata_task::{mutate_task, Task};
+use chromata_topology::xorshift;
 
 use crate::app::CliError;
 use crate::registry;
 use crate::serve::{request_line, ServeOptions, Server, ShutdownHandle};
+
+// ---------------------------------------------------------------------------
+// Fault vocabulary
+// ---------------------------------------------------------------------------
+
+/// The three fault families a campaign can enable (`--faults`).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum FaultKind {
+    /// A snapshot that fails on the real filesystem, then heals.
+    Persist,
+    /// Admission-layer abuse over real connections (floods, slow-loris,
+    /// malformed bursts).
+    Net,
+    /// Graceful-shutdown signal followed by a warm restart.
+    Signal,
+}
+
+/// Every fault family, in canonical order.
+pub const ALL_FAULT_KINDS: [FaultKind; 3] = [FaultKind::Persist, FaultKind::Net, FaultKind::Signal];
+
+impl FaultKind {
+    /// Stable lower-case label (the `--faults` vocabulary).
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            FaultKind::Persist => "persist",
+            FaultKind::Net => "net",
+            FaultKind::Signal => "signal",
+        }
+    }
+}
+
+/// Parses a `--faults persist,net,signal` list (deduplicated, canonical
+/// order).
+///
+/// # Errors
+///
+/// Returns a message naming the unknown fault kind.
+pub fn parse_fault_kinds(spec: &str) -> Result<Vec<FaultKind>, String> {
+    let mut kinds = Vec::new();
+    for part in spec.split(',') {
+        let part = part.trim();
+        if part.is_empty() {
+            continue;
+        }
+        let kind = ALL_FAULT_KINDS
+            .iter()
+            .find(|k| k.label() == part)
+            .copied()
+            .ok_or_else(|| {
+                let known: Vec<&str> = ALL_FAULT_KINDS.iter().map(|k| k.label()).collect();
+                format!(
+                    "unknown fault kind `{part}` (expected {})",
+                    known.join(", ")
+                )
+            })?;
+        if !kinds.contains(&kind) {
+            kinds.push(kind);
+        }
+    }
+    if kinds.is_empty() {
+        return Err("no fault kinds enabled".to_owned());
+    }
+    kinds.sort();
+    Ok(kinds)
+}
+
+/// An admission-layer abuse pattern, driven over real connections.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum NetFault {
+    /// A burst of concurrent connections racing the real request.
+    Flood,
+    /// A connection that trickles a partial line and holds the socket.
+    SlowLoris,
+    /// A burst of malformed request lines.
+    MalformedBurst,
+}
+
+/// One fault the schedule plans for a round.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum PlannedFault {
+    /// Fail the daemon's next snapshot on the real filesystem.
+    Persist,
+    /// Abuse the admission layer.
+    Net(NetFault),
+    /// SIGTERM-equivalent graceful shutdown plus warm restart.
+    Signal,
+}
+
+impl PlannedFault {
+    /// The family this fault belongs to.
+    #[must_use]
+    pub fn kind(&self) -> FaultKind {
+        match self {
+            PlannedFault::Persist => FaultKind::Persist,
+            PlannedFault::Net(_) => FaultKind::Net,
+            PlannedFault::Signal => FaultKind::Signal,
+        }
+    }
+}
+
+/// A seeded, replayable fault schedule: [`plan`](Self::plan) is a pure
+/// function of `(seed, round)`, so re-running a campaign with the same
+/// seed fires byte-identical fault sequences.
+#[derive(Clone, Debug)]
+pub struct FaultSchedule {
+    seed: u64,
+    kinds: Vec<FaultKind>,
+}
+
+impl FaultSchedule {
+    /// A schedule over the enabled fault families.
+    #[must_use]
+    pub fn new(seed: u64, kinds: &[FaultKind]) -> Self {
+        FaultSchedule {
+            seed,
+            kinds: kinds.to_vec(),
+        }
+    }
+
+    /// The faults to fire in `round`. Every round carries one primary
+    /// fault; every other round (by draw) composes a second, non-signal
+    /// fault on top, so restarts stay bounded at one per round while
+    /// seams still overlap.
+    #[must_use]
+    pub fn plan(&self, round: u64) -> Vec<PlannedFault> {
+        if self.kinds.is_empty() {
+            return Vec::new();
+        }
+        // Splitmix-style per-round state so rounds are independent.
+        let mut state = self
+            .seed
+            .wrapping_add(round.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let mut planned = Vec::new();
+        let primary = draw_fault(&mut state, &self.kinds);
+        planned.push(primary);
+        let composed: Vec<FaultKind> = self
+            .kinds
+            .iter()
+            .copied()
+            .filter(|k| *k != FaultKind::Signal)
+            .collect();
+        if !composed.is_empty() && xorshift(&mut state).is_multiple_of(2) {
+            let secondary = draw_fault(&mut state, &composed);
+            if !planned.contains(&secondary) {
+                planned.push(secondary);
+            }
+        }
+        planned
+    }
+}
+
+/// Draws one fault from the enabled `kinds`: the family first, then the
+/// net abuse pattern within its family.
+fn draw_fault(state: &mut u64, kinds: &[FaultKind]) -> PlannedFault {
+    let index = (xorshift(state) % kinds.len().max(1) as u64) as usize;
+    match kinds.get(index).copied().unwrap_or(FaultKind::Persist) {
+        FaultKind::Persist => PlannedFault::Persist,
+        FaultKind::Net => PlannedFault::Net(match xorshift(state) % 3 {
+            0 => NetFault::Flood,
+            1 => NetFault::SlowLoris,
+            _ => NetFault::MalformedBurst,
+        }),
+        FaultKind::Signal => PlannedFault::Signal,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The campaign
+// ---------------------------------------------------------------------------
 
 /// Base library tasks the mutation stream is derived from: one
 /// solvable, one unsolvable-by-homology, one solvable-after-splitting —
@@ -69,6 +251,17 @@ pub struct ChaosOptions {
     pub kinds: Vec<FaultKind>,
 }
 
+impl Default for ChaosOptions {
+    /// `chromata chaos` without flags: seed 1, 20 rounds, every family.
+    fn default() -> Self {
+        ChaosOptions {
+            seed: 1,
+            rounds: 20,
+            kinds: ALL_FAULT_KINDS.to_vec(),
+        }
+    }
+}
+
 /// One running server plus its signal watcher.
 struct Daemon {
     server: Server,
@@ -82,17 +275,15 @@ impl Daemon {
         let server = Server::start(ServeOptions {
             addr: "127.0.0.1:0".to_owned(),
             threads: 2,
-            queue: None,
-            max_payload: crate::wire::DEFAULT_MAX_PAYLOAD,
-            budget_ms: None,
             cache_dir: Some(dir.to_path_buf()),
             // Persistence is driven explicitly (`op: "persist"`) so the
-            // schedule, not a background cadence, decides when the
-            // armed persist fault fires.
+            // schedule, not a background cadence, decides which save
+            // meets the persist fault.
             persist_secs: 0,
             // A short idle timeout bounds how long a slow-loris socket
             // can pin a worker.
             idle_timeout_secs: 1,
+            ..ServeOptions::default()
         })?;
         let addr = server.local_addr().to_string();
         let handle = server.shutdown_handle();
@@ -226,6 +417,21 @@ fn apply_net_fault(addr: &str, fault: NetFault, held: &mut Vec<TcpStream>) {
     }
 }
 
+/// The persist fault: moves the campaign's cache directory to `aside`
+/// and writes a regular file at its path, so the daemon's next save
+/// fails at its first step (`create-dir`) on the real filesystem.
+fn break_cache_dir(dir: &Path, aside: &Path) -> std::io::Result<()> {
+    std::fs::rename(dir, aside)?;
+    std::fs::write(dir, "not a directory\n")
+}
+
+/// Undoes [`break_cache_dir`]: removes the file and moves the directory
+/// back.
+fn mend_cache_dir(dir: &Path, aside: &Path) -> std::io::Result<()> {
+    std::fs::remove_file(dir)?;
+    std::fs::rename(aside, dir)
+}
+
 /// Runs one campaign; the returned report is the command's stdout.
 ///
 /// # Errors
@@ -260,12 +466,15 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
         stream.push((mutant, label, digest));
     }
 
-    // Campaign: cold caches, chaos seams installed, live server, and a
-    // cache directory of the campaign's own, removed whole at the end.
+    // Campaign: cold caches, live server, and a cache directory of the
+    // campaign's own, created before the first boot (so a persist fault
+    // always has a directory to move) and removed whole at the end.
     clear_stage_caches();
     let dir = std::env::temp_dir().join(format!("chromata-chaos-{}", std::process::id()));
+    let aside = dir.with_extension("aside");
     let _ = std::fs::remove_dir_all(&dir);
-    let persist_chaos = PersistChaos::install();
+    std::fs::create_dir_all(&dir)
+        .map_err(|e| CliError(format!("chaos: cannot create {}: {e}", dir.display())))?;
     let schedule = FaultSchedule::new(opts.seed, &opts.kinds);
 
     let mut breaches: Vec<String> = Vec::new();
@@ -285,26 +494,27 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
         // Last round's slow-loris sockets are released here; their EOF
         // mid-line is itself served as a (malformed) request.
         held_loris.clear();
-        let seam_fired_before = persist_chaos.fired();
         let plan = schedule.plan(round as u64);
         let clock = Stopwatch::start();
-        let mut faults_this_round = 0u64;
         for fault in &plan {
             *fired_by_kind.entry(fault.kind().label()).or_insert(0) += 1;
-            faults_this_round += 1;
             match fault {
-                PlannedFault::Persist(persist_fault) => {
+                PlannedFault::Persist => {
                     let Some(live) = daemon.as_ref() else {
                         continue;
                     };
-                    persist_chaos.arm(*persist_fault);
+                    if let Err(e) = break_cache_dir(&dir, &aside) {
+                        breaches.push(format!(
+                            "round {round}: could not apply the persist fault: {e}"
+                        ));
+                        continue;
+                    }
                     // Fire it through the daemon's real persist path:
-                    // the armed save must fail without wedging…
+                    // the save must fail without wedging…
                     match request_line(&live.addr, r#"{"op":"persist"}"#, PROBE_TIMEOUT_SECS) {
                         Ok(response) if response.contains("persist failed") => {}
                         Ok(response) => breaches.push(format!(
-                            "round {round}: armed {} did not surface a persist failure: {response}",
-                            persist_fault.label()
+                            "round {round}: the persist fault did not surface a persist failure: {response}"
                         )),
                         Err(e) => breaches
                             .push(format!("round {round}: persist probe failed outright: {e}")),
@@ -314,11 +524,18 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
                             "round {round}: store not read-through after a failed snapshot"
                         ));
                     }
-                    // …and the next cadence, fault cleared, must heal.
+                    // …and once the fault is undone, before anything
+                    // else in the round runs, the next save must heal.
+                    if let Err(e) = mend_cache_dir(&dir, &aside) {
+                        breaches.push(format!(
+                            "round {round}: could not undo the persist fault: {e}"
+                        ));
+                        continue;
+                    }
                     match request_line(&live.addr, r#"{"op":"persist"}"#, PROBE_TIMEOUT_SECS) {
                         Ok(response) if response.contains(r#""op":"persist""#) => {}
                         Ok(response) => breaches.push(format!(
-                            "round {round}: persist did not heal after the fault cleared: {response}"
+                            "round {round}: persist did not heal after the fault was undone: {response}"
                         )),
                         Err(e) => breaches.push(format!(
                             "round {round}: healing persist failed outright: {e}"
@@ -379,8 +596,7 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
                         mutant.name()
                     )),
                 }
-                let seam_fired = persist_chaos.fired() - seam_fired_before;
-                if faults_this_round > 0 && (seam_fired > 0 || !plan.is_empty()) {
+                if !plan.is_empty() {
                     recoveries += 1;
                     max_recovery_ms =
                         max_recovery_ms.max(elapsed_ms.max(clock.elapsed().as_millis() as u64));
@@ -388,13 +604,10 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
             }
             Err(e) => breaches.push(format!("round {round} ({}): {e}", mutant.name())),
         }
-        // One-shot discipline: a fault the round's traffic never
-        // reached does not leak into the next round.
-        persist_chaos.disarm();
     }
     held_loris.clear();
 
-    // Teardown: graceful shutdown (final persist), seams restored.
+    // Teardown: graceful shutdown (final persist).
     let summary = match daemon.take() {
         Some(live) => {
             live.handle.request();
@@ -402,21 +615,19 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
         }
         None => "serve: server lost mid-campaign".to_owned(),
     };
-    PersistChaos::uninstall();
 
     // The surviving cache directory must audit clean: the snapshot the
     // campaign's persists (including the failed ones) left behind is
     // intact or absent, never torn.
-    if dir.exists() {
-        let audit = audit_cache_dir(&dir);
-        if !audit.is_clean() {
-            breaches.push(format!(
-                "cache audit: verdict snapshot unclean: {:?}",
-                audit.issues
-            ));
-        }
+    let audit = audit_cache_dir(&dir);
+    if !audit.is_clean() {
+        breaches.push(format!(
+            "cache audit: verdict snapshot unclean: {:?}",
+            audit.issues
+        ));
     }
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&aside);
 
     let mut out = String::new();
     let kinds_label: Vec<&str> = opts.kinds.iter().map(|k| k.label()).collect();
@@ -433,13 +644,12 @@ pub fn run_campaign(opts: &ChaosOptions) -> Result<String, CliError> {
         .collect();
     let _ = writeln!(
         out,
-        "faults fired: {} (persist seam {})",
+        "faults fired: {}",
         if fired.is_empty() {
             "none".to_owned()
         } else {
             fired.join(", ")
-        },
-        persist_chaos.fired(),
+        }
     );
     let _ = writeln!(
         out,
@@ -472,17 +682,96 @@ mod tests {
     use super::*;
 
     #[test]
+    fn schedules_replay_identically_from_their_seed() {
+        let schedule = FaultSchedule::new(42, &ALL_FAULT_KINDS);
+        let replay = FaultSchedule::new(42, &ALL_FAULT_KINDS);
+        for round in 0..200 {
+            assert_eq!(schedule.plan(round), replay.plan(round));
+        }
+    }
+
+    #[test]
+    fn schedules_differ_across_seeds_and_respect_enabled_kinds() {
+        let all = FaultSchedule::new(1, &ALL_FAULT_KINDS);
+        let other = FaultSchedule::new(2, &ALL_FAULT_KINDS);
+        let plans_a: Vec<_> = (0..50).map(|r| all.plan(r)).collect();
+        let plans_b: Vec<_> = (0..50).map(|r| other.plan(r)).collect();
+        assert_ne!(plans_a, plans_b, "seeds must vary the schedule");
+
+        let persist_only = FaultSchedule::new(1, &[FaultKind::Persist]);
+        for round in 0..100 {
+            for fault in persist_only.plan(round) {
+                assert_eq!(fault.kind(), FaultKind::Persist);
+            }
+        }
+    }
+
+    #[test]
+    fn every_round_plans_at_least_one_fault_and_at_most_one_signal() {
+        let schedule = FaultSchedule::new(7, &ALL_FAULT_KINDS);
+        for round in 0..300 {
+            let plan = schedule.plan(round);
+            assert!(!plan.is_empty());
+            assert!(plan.len() <= 2);
+            let signals = plan
+                .iter()
+                .filter(|f| f.kind() == FaultKind::Signal)
+                .count();
+            assert!(signals <= 1);
+        }
+    }
+
+    #[test]
+    fn fault_kind_specs_parse_and_reject() {
+        assert_eq!(
+            parse_fault_kinds("persist,net,signal").unwrap(),
+            ALL_FAULT_KINDS.to_vec()
+        );
+        assert_eq!(
+            parse_fault_kinds("signal, persist").unwrap(),
+            vec![FaultKind::Persist, FaultKind::Signal]
+        );
+        assert_eq!(
+            parse_fault_kinds("gremlins"),
+            Err("unknown fault kind `gremlins` (expected persist, net, signal)".to_owned())
+        );
+        assert!(parse_fault_kinds("").is_err());
+    }
+
+    /// The number right after `prefix` in `out` (0 when absent).
+    fn count_after(out: &str, prefix: &str) -> u64 {
+        out.split(prefix)
+            .nth(1)
+            .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or(0)
+    }
+
+    #[test]
     fn a_short_campaign_holds_every_invariant() {
-        // One seeded round per fault family keeps the test fast while
-        // still driving the full boot → fault → verify → audit loop.
+        // The campaign clears the process-wide store and reads its
+        // read-through flag, which another test's save would reset.
+        let _store = crate::store_test_guard();
+        // Four rounds keep the test fast while still driving the full
+        // boot → fault → verify → audit loop; seed 8 draws both families
+        // in them (one persist fault, five net faults).
         let out = run_campaign(&ChaosOptions {
-            seed: 3,
+            seed: 8,
             rounds: 4,
             kinds: vec![FaultKind::Persist, FaultKind::Net],
         })
         .unwrap_or_else(|e| panic!("campaign breached: {e}"));
         assert!(out.contains("digest parity: 4/4 ok"), "{out}");
         assert!(out.contains("invariant breaches: 0"), "{out}");
+        // The persist faults fired, failed the daemon's save visibly,
+        // and healed (a probe that did not would be a breach).
+        let persist_faults = count_after(&out, "persist x");
+        assert!(persist_faults >= 1, "{out}");
+        assert!(
+            count_after(&out, "persist failures observed: ") >= persist_faults,
+            "{out}"
+        );
+        assert!(out.contains("(read-through now: false)"), "{out}");
     }
 
     #[test]

@@ -3,11 +3,11 @@
 fn main() {
     // chromata-lint: allow(D2): process entry point — argv is the CLI's input, read exactly once
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match chromata_cli::parse(&args).and_then(chromata_cli::run) {
-        Ok(out) => print!("{out}"),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
+    let printed = chromata_cli::parse(&args)
+        .and_then(chromata_cli::run)
+        .and_then(|out| chromata_cli::write_stdout(&out));
+    if let Err(e) = printed {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
 }

@@ -134,9 +134,13 @@ impl PoisonTable {
     }
 }
 
+/// The address `chromata serve` binds and `chromata request` dials
+/// unless told otherwise.
+pub const DEFAULT_ADDR: &str = "127.0.0.1:7437";
+
 /// Tuning knobs for [`Server::start`]. `Default` gives a loopback
 /// server sized to the machine with persistence disabled.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServeOptions {
     /// Bind address. Port 0 asks the OS for a free port; read the
     /// actual one back from [`Server::local_addr`].
@@ -170,7 +174,7 @@ pub struct ServeOptions {
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
-            addr: "127.0.0.1:7437".to_owned(),
+            addr: DEFAULT_ADDR.to_owned(),
             threads: 0,
             queue: None,
             max_payload: wire::DEFAULT_MAX_PAYLOAD,

@@ -73,10 +73,6 @@ pub use stages::artifacts::{
 pub use stages::cache::{
     clear_stage_caches, stage_cache_stats, ArtifactKind, ArtifactStore, SharedCache, StageCache,
 };
-pub use stages::chaos::{
-    parse_fault_kinds, FaultKind, FaultSchedule, NetFault, PersistChaos, PersistFault,
-    PlannedFault, ALL_FAULT_KINDS,
-};
 pub use stages::persist::{
     audit_cache_dir, clear_cache_dir, load_cache_dir, persist_failures, persist_if_changed,
     persist_now, store_read_through, CacheDirConfig, LoadReport, PersistError, SaveReport,

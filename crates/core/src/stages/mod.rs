@@ -26,7 +26,6 @@
 
 pub mod artifacts;
 pub mod cache;
-pub mod chaos;
 pub mod persist;
 
 use std::fmt;

@@ -49,16 +49,18 @@
 //! verdict cache's change flag says the records differ from the last
 //! load or save (see `StageCache::take_changed`).
 //!
-//! All snapshot traffic goes through the `PersistIo` seam so the test
-//! suite can inject every `io::ErrorKind` at every operation and kill
-//! the process model at every point of the write protocol (rule D3
-//! confines `std::fs` to this module).
+//! The write protocol and the loader take their filesystem operations
+//! as a `PersistIo`, so the unit tests can inject every `io::ErrorKind`
+//! at every operation and kill the process model at every point of the
+//! protocol. The entry points always pass `RealIo`, so outside these
+//! tests every fault is a real filesystem fault (rule D3 confines
+//! `std::fs` to this module).
 
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use chromata_task::Task;
 use chromata_topology::fnv1a;
@@ -103,7 +105,7 @@ pub(crate) trait PersistIo {
     fn read(&self, path: &Path) -> io::Result<Option<Vec<u8>>>;
 }
 
-/// The real filesystem.
+/// The real filesystem, the only `PersistIo` outside the unit tests.
 pub(crate) struct RealIo;
 
 impl PersistIo for RealIo {
@@ -143,48 +145,13 @@ impl PersistIo for RealIo {
 }
 
 // ---------------------------------------------------------------------------
-// Injectable I/O + persist health
+// Persist health
 // ---------------------------------------------------------------------------
 
-/// Process-global [`PersistIo`] override consulted by the snapshot
-/// entry points ([`persist_now`], [`persist_if_changed`],
-/// [`load_cache_dir`]). The chaos layer (`super::chaos`) installs a
-/// fault-injecting implementation here; `None` means the real
-/// filesystem.
-fn io_override() -> &'static RwLock<Option<Arc<dyn PersistIo + Send + Sync>>> {
-    static SLOT: OnceLock<RwLock<Option<Arc<dyn PersistIo + Send + Sync>>>> = OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(None))
-}
-
-/// Installs a process-wide [`PersistIo`] override for the snapshot
-/// entry points (chaos injection); replaced by any later call.
-pub(crate) fn set_persist_io(io: Arc<dyn PersistIo + Send + Sync>) {
-    *io_override()
-        .write()
-        .unwrap_or_else(PoisonError::into_inner) = Some(io);
-}
-
-/// Removes the [`PersistIo`] override; snapshots hit the real
-/// filesystem again.
-pub(crate) fn clear_persist_io() {
-    *io_override()
-        .write()
-        .unwrap_or_else(PoisonError::into_inner) = None;
-}
-
-/// The I/O implementation the entry points should use right now.
-fn current_io() -> Arc<dyn PersistIo + Send + Sync> {
-    io_override()
-        .read()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone()
-        .unwrap_or_else(|| Arc::new(RealIo))
-}
-
-/// Failed snapshots since process start (ENOSPC, permission loss,
-/// injected faults, …). A failure never wedges serving: the old
-/// snapshot stays intact on disk and the store keeps answering from
-/// memory (see [`store_read_through`]).
+/// Failed snapshots since process start (ENOSPC, permission loss, a
+/// file where the directory should be, …). A failure never wedges
+/// serving: the old snapshot stays intact on disk and the store keeps
+/// answering from memory (see [`store_read_through`]).
 static PERSIST_FAILURES: AtomicU64 = AtomicU64::new(0);
 
 /// Whether the store is currently *read-through*: the most recent
@@ -561,7 +528,7 @@ impl From<Option<PathBuf>> for CacheDirConfig {
 /// restore point. `None` when persistence is disabled.
 pub fn load_cache_dir(config: &CacheDirConfig) -> Option<LoadReport> {
     let dir = config.dir()?;
-    Some(load_store(store(), dir, current_io().as_ref()))
+    Some(load_store(store(), dir, &RealIo))
 }
 
 /// Snapshots the process-wide verdict records into the configured cache
@@ -590,7 +557,7 @@ fn persist(
     only_if_changed: bool,
 ) -> Option<Result<SaveReport, PersistError>> {
     let dir = config.dir()?;
-    let result = save_store(store(), dir, current_io().as_ref(), only_if_changed);
+    let result = save_store(store(), dir, &RealIo, only_if_changed);
     match &result {
         Ok(_) => READ_THROUGH.store(false, Ordering::Release),
         Err(_) => {
@@ -708,7 +675,6 @@ pub fn clear_cache_dir(dir: &Path) -> Result<usize, PersistError> {
 mod tests {
     use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, MutexGuard};
     use std::time::Duration;
 
     use proptest::prelude::*;
@@ -734,13 +700,6 @@ mod tests {
             std::env::temp_dir().join(format!("chromata-persist-{}-{tag}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    /// Serializes the tests that install a process-wide `PersistIo`
-    /// override: one would otherwise replace the other's seam mid-test.
-    fn io_override_guard() -> MutexGuard<'static, ()> {
-        static GUARD: Mutex<()> = Mutex::new(());
-        GUARD.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn record() -> DecisionRecord {
@@ -1260,40 +1219,41 @@ mod tests {
     }
 
     #[test]
-    fn enospc_through_the_chaos_seam_degrades_and_heals_persist_now() {
-        use super::super::chaos::{PersistChaos, PersistFault};
-
-        let _io = io_override_guard();
-        let dir = test_dir("enospc-seam");
+    fn a_real_filesystem_fault_degrades_and_heals_persist_now() {
+        // No injected I/O: the cache directory is moved aside and a
+        // regular file takes its path, so the first step of the save
+        // fails on the real filesystem.
+        let dir = test_dir("file-in-place");
+        let aside = test_dir("file-in-place-aside");
         let config = CacheDirConfig::at(&dir);
-
-        // Baseline snapshot with the seam installed but disarmed.
-        let chaos = PersistChaos::install();
         persist_now(&config)
             .expect("persistence is configured")
             .expect("clean save");
-        let failures_before = persist_failures();
         assert!(!store_read_through(), "clean save must not be read-through");
+        std::fs::rename(&dir, &aside).expect("move the directory aside");
+        std::fs::write(&dir, "not a directory\n").expect("a file at its path");
 
-        // Disk full mid-snapshot: the save fails, is counted, and flips
-        // the store to read-through — but never wedges.
-        chaos.arm(PersistFault::Enospc);
-        persist_now(&config)
+        // The save fails, is counted, and flips the store to
+        // read-through — but never wedges.
+        let failures_before = persist_failures();
+        let err = persist_now(&config)
             .expect("persistence is configured")
-            .expect_err("armed ENOSPC must fail the save");
-        assert_eq!(chaos.fired(), 1, "the armed fault fired");
+            .expect_err("a file at the cache directory must fail the save");
+        assert_eq!(err.step, "create-dir", "{err}");
         assert!(persist_failures() > failures_before, "failure is counted");
         assert!(store_read_through(), "failed save flips read-through");
 
-        // The on-disk state is still a clean, loadable snapshot.
-        PersistChaos::uninstall();
-        let audit = audit_cache_dir(&dir);
-        assert!(audit.is_clean(), "unclean after ENOSPC: {audit:?}");
+        // The directory moved aside still holds a clean snapshot.
+        let audit = audit_cache_dir(&aside);
+        assert_eq!(audit.status, SnapshotStatus::Valid);
+        assert!(audit.is_clean(), "unclean after the fault: {audit:?}");
 
-        // Fault cleared: the next save succeeds and clears the flag.
+        // Fault undone: the next save succeeds and clears the flag.
+        std::fs::remove_file(&dir).expect("remove the file");
+        std::fs::rename(&aside, &dir).expect("restore the directory");
         persist_now(&config)
             .expect("persistence is configured")
-            .expect("save heals once the fault clears");
+            .expect("save heals once the fault is undone");
         assert!(!store_read_through(), "healed save clears read-through");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1354,18 +1314,16 @@ mod tests {
         // The serve persister and any number of wire `persist` ops may
         // save at once; they share one temp file, so the protocol must
         // run one save at a time, and every save must succeed.
-        let _io = io_override_guard();
+        let store = seeded_store(8);
         let dir = test_dir("concurrent");
-        let config = CacheDirConfig::at(&dir);
-        let io = Arc::new(OverlapIo::default());
-        set_persist_io(Arc::clone(&io) as Arc<dyn PersistIo + Send + Sync>);
+        let io = OverlapIo::default();
         let start = std::sync::Barrier::new(4);
         let results: Vec<_> = std::thread::scope(|s| {
             let saves: Vec<_> = (0..4)
                 .map(|_| {
                     s.spawn(|| {
                         start.wait();
-                        persist_now(&config)
+                        save_store(&store, &dir, &io, false)
                     })
                 })
                 .collect();
@@ -1374,11 +1332,8 @@ mod tests {
                 .map(|save| save.join().expect("a save panicked"))
                 .collect()
         });
-        clear_persist_io();
         for result in results {
-            result
-                .expect("persistence is configured")
-                .expect("every concurrent save succeeds");
+            result.expect("every concurrent save succeeds");
         }
         let overlaps = io.writing.lock().expect("no test thread panics").1;
         assert_eq!(overlaps, 0, "saves overlapped");

@@ -32,10 +32,7 @@ fn main() -> ExitCode {
         Some("lint") => run_lint(&args[1..]),
         Some("graph") => run_graph(&args[1..]),
         Some("deny") => run_deny(),
-        Some("help") | None => {
-            print!("{USAGE}");
-            ExitCode::SUCCESS
-        }
+        Some("help") | None => emit("help", USAGE, ExitCode::SUCCESS),
         Some(other) => {
             eprintln!("unknown xtask command `{other}`\n\n{USAGE}");
             ExitCode::FAILURE
@@ -95,23 +92,19 @@ fn run_lint(args: &[String]) -> ExitCode {
     };
     match lint_workspace(&root, &config) {
         Ok(report) => {
-            if json {
-                println!("{}", report.to_json());
+            let text = if json {
+                format!("{}\n", report.to_json())
             } else if quiet {
-                println!(
-                    "{} file(s) scanned: {} error(s), {} warning(s)",
+                format!(
+                    "{} file(s) scanned: {} error(s), {} warning(s)\n",
                     report.files_scanned,
                     report.errors(),
                     report.warnings()
-                );
+                )
             } else {
-                println!("{report}");
-            }
-            if report.failed() {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
+                format!("{report}\n")
+            };
+            emit("lint", &text, status_of(report.failed()))
         }
         Err(e) => {
             eprintln!("xtask lint: {e}");
@@ -134,19 +127,8 @@ fn run_graph(args: &[String]) -> ExitCode {
     let Some(root) = current_root() else {
         return ExitCode::FAILURE;
     };
-    let dump = match chromata_xtask::graph_workspace(&root, dot) {
-        Ok(dump) => dump,
-        Err(e) => {
-            eprintln!("xtask graph: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // A reader that closes early (`| head`) ends the output, not the
-    // command: `BrokenPipe` exits 0, and any other write error fails.
-    let mut out = std::io::stdout().lock();
-    match out.write_all(dump.as_bytes()).and_then(|()| out.flush()) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+    match chromata_xtask::graph_workspace(&root, dot) {
+        Ok(dump) => emit("graph", &dump, ExitCode::SUCCESS),
         Err(e) => {
             eprintln!("xtask graph: {e}");
             ExitCode::FAILURE
@@ -159,16 +141,33 @@ fn run_deny() -> ExitCode {
         return ExitCode::FAILURE;
     };
     match deny::run(&root) {
-        Ok(report) => {
-            println!("{report}");
-            if report.failed() {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
+        Ok(report) => emit("deny", &format!("{report}\n"), status_of(report.failed())),
         Err(e) => {
             eprintln!("xtask deny: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// The exit status of a check that `failed` or passed.
+fn status_of(failed: bool) -> ExitCode {
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
+/// Writes a command's whole output to stdout, then exits with `status`.
+/// A reader that closes early (`| head`) ends the output, not the
+/// command: `BrokenPipe` keeps `status`, and any other write error fails.
+fn emit(command: &str, text: &str, status: ExitCode) -> ExitCode {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Ok(()) => status,
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => status,
+        Err(e) => {
+            eprintln!("xtask {command}: {e}");
             ExitCode::FAILURE
         }
     }

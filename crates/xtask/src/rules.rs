@@ -110,8 +110,8 @@ pub fn role_for(rel: &str) -> Option<Role> {
         library: LIBRARY_CRATES.contains(&krate),
         // The chaos campaign driver (`cli/src/chaos.rs`) times recovery
         // deadlines and abuses real sockets by design, so it joins the
-        // clock and socket exemptions; the core fault-schedule module
-        // (`core/src/stages/chaos.rs`) stays fully confined.
+        // clock and socket exemptions; the match is path-exact, so any
+        // other chaos-named file stays fully confined.
         clock_exempt: rel.ends_with("src/govern.rs") || rel == "crates/cli/src/chaos.rs",
         lock_exempt: rel == "crates/core/src/stages/cache.rs",
         fs_exempt: rel == "crates/core/src/stages/persist.rs",

@@ -1,7 +1,7 @@
 //! The contracts of the `cargo xtask` commands that CI relies on: the
 //! workspace lints clean under `-D all`, the JSON report keeps its
-//! documented shape, and `graph` ends quietly when its reader closes
-//! the pipe early (`cargo xtask graph | head`).
+//! documented shape, and `graph` and `lint` end quietly when their
+//! reader closes the pipe early (`cargo xtask graph | head`).
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -40,13 +40,14 @@ fn a_clean_file_reports_zero_errors_in_both_formats() {
     assert!(json.contains("\"diagnostics\":["), "{json}");
 }
 
-#[test]
-fn graph_exits_zero_when_its_reader_closes_early() {
-    // The dump is far larger than a pipe buffer, so the command is still
-    // writing when the reader goes away after one line.
+/// Runs `xtask <args>` from `dir`, reads one line of its output, closes
+/// the pipe, and returns that line once the command exits successfully.
+/// Each output read this way is far larger than a pipe buffer, so the
+/// command is still writing when the reader goes away.
+fn first_line_then_close(args: &[&str], dir: &Path) -> String {
     let mut child = Command::new(env!("CARGO_BIN_EXE_xtask"))
-        .arg("graph")
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .args(args)
+        .current_dir(dir)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -58,12 +59,25 @@ fn graph_exits_zero_when_its_reader_closes_early() {
             .read_line(&mut first)
             .expect("read one line");
     }
-    assert!(first.ends_with("edge(s)\n"), "{first}");
     let output = child.wait_with_output().expect("wait");
     assert!(
         output.status.success(),
-        "{:?}: {}",
+        "{args:?}: {:?}: {}",
         output.status,
         String::from_utf8_lossy(&output.stderr)
     );
+    first
+}
+
+#[test]
+fn graph_exits_zero_when_its_reader_closes_early() {
+    let first = first_line_then_close(&["graph"], Path::new(env!("CARGO_MANIFEST_DIR")));
+    assert!(first.ends_with("edge(s)\n"), "{first}");
+}
+
+#[test]
+fn lint_exits_zero_when_its_reader_closes_early() {
+    // The human report under `-D all` lists every advisory warning.
+    let first = first_line_then_close(&["lint", "-D", "all"], &root());
+    assert!(first.starts_with("warning["), "{first}");
 }

@@ -222,8 +222,8 @@ fn chaos_exemptions_are_path_exact() {
     // purpose…
     let driver = role_for("crates/cli/src/chaos.rs").unwrap();
     assert!(driver.clock_exempt && driver.net_exempt);
-    // …but the exemption is path-exact: the core fault-schedule module
-    // and any other chaos-named file stay fully confined.
+    // …but the exemption is path-exact: any other chaos-named file, in
+    // the verdict engine or elsewhere, stays fully confined.
     let core = role_for("crates/core/src/stages/chaos.rs").unwrap();
     assert!(!core.clock_exempt && !core.net_exempt);
     let src = "pub fn probe() {\n    \
